@@ -2,7 +2,7 @@
 
 Every kernel has a pure-numpy twin. Selection is controlled by the
 environment variable ``ANISONL_NUMBA``: set it to ``0`` to force the
-numpy path (useful for debugging and for the backend benchmark).
+numpy path (useful for debugging).
 The flag is read once at import time.
 """
 
@@ -57,34 +57,6 @@ def _interp_np(pts, lo, inv_h, shape, flat_vals):
     return out
 
 
-def _solver_sweep_np(u_pad, pad, off, w, f, tau, tail_w, tail_val):
-    """One damped-Jacobi step of the discrete inf-sup operator.
-
-    u_pad    : padded field values, shape (N1+2p, ..., Nn+2p)
-    off      : (n_off, n) integer offsets (symmetric set, origin excluded)
-    w        : (n_inf, n_sup, n_off) nonnegative weights
-    tail_w   : (n_inf, n_sup) reaction weight of the beyond-window tail
-    tail_val : per-point far exterior value the tail couples to
-    Returns (new interior values, residual field I_h u - f).
-    """
-    core = tuple(slice(pad, s - pad) for s in u_pad.shape)
-    u0 = u_pad[core]
-    n_off = off.shape[0]
-    shifted = np.empty((n_off,) + u0.shape)
-    for k in range(n_off):
-        sl = tuple(slice(pad + off[k, d], off[k, d] + s - pad)
-                   for d, s in enumerate(u_pad.shape))
-        shifted[k] = u_pad[sl] - u0
-    flat = shifted.reshape(n_off, -1)
-    # L_ab = sum_k w[a,b,k] * (u(x+y_k) - u(x)) + tail_w[a,b] (far - u(x));
-    # symmetric offsets make this equal to the second-difference form.
-    lab = np.tensordot(w, flat, axes=([2], [0]))       # (n_inf, n_sup, M)
-    lab += tail_w[:, :, None] * (tail_val.ravel() - u0.ravel())[None, None, :]
-    iu = lab.max(axis=1).min(axis=0).reshape(u0.shape)
-    res = iu - f
-    return u0 + tau * res, res
-
-
 if _HAVE_NUMBA:
 
     @njit(cache=True)
@@ -132,32 +104,6 @@ if _HAVE_NUMBA:
             out[k] = acc
         return out
 
-    @njit(cache=True)
-    def _solver_sweep_nb(u_pad_flat, core_index, off_flat, w, f, tau,
-                         tail_w, tail_val):
-        n_core = core_index.shape[0]
-        n_inf, n_sup, n_off = w.shape
-        out = np.empty(n_core)
-        res = np.empty(n_core)
-        for m in range(n_core):
-            base = core_index[m]
-            u0 = u_pad_flat[base]
-            best_inf = 1e300
-            for a in range(n_inf):
-                best_sup = -1e300
-                for b in range(n_sup):
-                    acc = tail_w[a, b] * (tail_val[m] - u0)
-                    for k in range(n_off):
-                        acc += w[a, b, k] * (u_pad_flat[base + off_flat[k]] - u0)
-                    if acc > best_sup:
-                        best_sup = acc
-                if best_inf > best_sup:
-                    best_inf = best_sup
-            r = best_inf - f[m]
-            res[m] = r
-            out[m] = u0 + tau * r
-        return out, res
-
     gauge_many = _gauge_nb
     interp_many = _interp_nb
 else:
@@ -165,30 +111,6 @@ else:
     interp_many = _interp_np
 
 
-def solver_sweep(u_pad, pad, off, w, f, tau, tail_w, tail_val):
-    """Backend-dispatched Jacobi sweep; returns (new core values, residual)."""
-    if not _HAVE_NUMBA:
-        core_shape = tuple(s - 2 * pad for s in u_pad.shape)
-        u_new, res = _solver_sweep_np(u_pad, pad, off, w,
-                                      f.reshape(core_shape), tau, tail_w,
-                                      tail_val.reshape(core_shape))
-        return u_new.ravel(), res.ravel()
-    shape = u_pad.shape
-    n = len(shape)
-    strides = np.ones(n, dtype=np.int64)
-    for d in range(n - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    core_shape = tuple(s - 2 * pad for s in shape)
-    grids = np.meshgrid(*[np.arange(pad, pad + c) for c in core_shape],
-                        indexing="ij")
-    core_index = sum(g.astype(np.int64) * strides[d]
-                     for d, g in enumerate(grids)).ravel()
-    off_flat = (off.astype(np.int64) * strides[None, :]).sum(axis=1)
-    return _solver_sweep_nb(u_pad.ravel(), core_index, off_flat,
-                            w, f.ravel(), tau, tail_w, tail_val.ravel())
-
-
-# numpy twins are kept importable for the backend benchmark
+# numpy twins stay importable for the backend tests
 gauge_many_np = _gauge_np
 interp_many_np = _interp_np
-solver_sweep_np = _solver_sweep_np

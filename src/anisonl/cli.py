@@ -245,7 +245,7 @@ def _cmd_solve(profile, quad, params, seed):
     problem = _solve_setup(profile, params, seed)
     field, report = solve_dirichlet(problem)
     summary = {"converged": report.converged, "iterations": report.iterations,
-               "residual": report.residual, "tau": report.tau,
+               "residual": report.residual,
                "sup": float(np.max(field.values)),
                "origin": float(field.eval(np.zeros((1, profile.n)))[0])}
     rows = [(report.iterations, report.residual)]
@@ -256,6 +256,11 @@ def _normalized_solution(profile, params, seed):
     from .solver import solve_dirichlet
     problem = _solve_setup(profile, params, seed)
     field, report = solve_dirichlet(problem)
+    if not report.converged:
+        raise PreconditionError(
+            f"solver did not converge: residual {report.residual:.3e} > "
+            f"tolerance {problem.tolerance:.3e} after {report.iterations} "
+            "iterations")
     origin = float(field.eval(np.zeros((1, profile.n)))[0])
     scale = 1.0 / max(origin, 1e-12)
     from .fields import GridField, CallableExterior
@@ -296,9 +301,14 @@ def _cmd_sweep(profile, quad, params, seed):
     def runner(prof):
         u, problem, _ = _normalized_solution(prof, params, seed)
         res = harnack_quotient(u, params.get("c0", 1.0), problem)
-        return res.scalars.get("quotient", math.nan), res.valid
+        if not res.valid:
+            raise PreconditionError("; ".join(res.notes))
+        return res.scalars["quotient"], True
 
     res = sigma_sweep(profiles, runner)
+    if not res.valid:
+        raise PreconditionError("no valid sweep row"
+                                + "".join(f"; {n}" for n in res.notes))
     ok = not res.scalars.get("diverging", False)
     rows = [(r[0], r[2]) for r in res.rows]
     return dict(res.scalars), rows, ("sigma_min", "quantity"), ok

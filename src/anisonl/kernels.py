@@ -118,15 +118,17 @@ def _iso_angular_constant(n, sigma):
     equal orders (the gauge is then (n+sigma)-homogeneous)."""
     key = (n, round(sigma, 14))
     if key not in _ISO_ANGULAR_CACHE:
-        from scipy.integrate import dblquad, quad as squad
         p = n + sigma
         if n == 1:
             val = 2.0
         elif n == 2:
+            from scipy.integrate import quad as squad
             val, _ = squad(lambda t: 1.0 / (abs(math.cos(t)) ** p
                                             + abs(math.sin(t)) ** p),
                            0.0, 2.0 * math.pi, limit=200)
         else:
+            from scipy.integrate import dblquad
+
             def g(phi, th):
                 w = (math.sin(th) * math.cos(phi),
                      math.sin(th) * math.sin(phi), math.cos(th))

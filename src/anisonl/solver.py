@@ -3,22 +3,36 @@
 The lattice operator replaces each kernel by per-offset cell integrals
 (symmetric, nonnegative: a monotone scheme) inside a finite window, plus
 a scalar reaction term for the mass beyond the window that couples the
-point to its far exterior value.  The solve is a damped Jacobi fixed
-point u <- u + tau (I_h u - f) with tau = 1 / max_member(total weight),
-which keeps every update monotone in the data: raising exterior values
-can only raise the solution.
+point to its far exterior value: the finite-difference quadrature of
+Huang and Oberman (SIAM J. Numer. Anal. 52, 2014).
+
+On interior values each linear member reads L u = e - (d u - T u).  The
+weights do not change under translation, so the interior coupling T is
+a (block-)Toeplitz matrix, applied by FFT convolution with the stencil
+truncated to +-(N-1) cells per axis; d = sum of weights + tail; and e,
+the exterior couplings plus the tail reaction, is one FFT convolution of
+the padded exterior, computed once.  d I - T is a symmetric, strictly
+diagonally dominant Z-matrix.
+
+Constant-multiplier families are m_ab times one base stencil, and
+phi(r) = min_a max_b m_ab r is strictly increasing and piecewise linear,
+so I_h u = f is the single SPD system L u = phi^-1(f), solved by
+conjugate gradients.  Other families are solved by nested Howard policy
+iteration (Bokanowski, Maroso and Zidani, SIAM J. Numer. Anal. 47,
+2009): each policy system is a row selection of the members' strictly
+diagonally dominant Z-matrices, so the comparison principle survives; it
+is solved by GMRES on masked per-member FFT products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import solver_sweep
 from .fields import AffineExterior, ConstantExterior, GridField
-from .kernels import tail_gauge_bounds
+from .kernels import PowerLawKernel, tail_gauge_bounds
 from .profile import AnisotropyProfile
 
 
@@ -32,7 +46,7 @@ class DiscreteProblem:
     exterior: object
     rhs: object = None             # callable or None (zero)
     tolerance: float = 1e-8
-    max_iters: int = 20000
+    max_iters: int = 20000         # cap on the total Krylov iterations
     window: int = None             # offset extent in cells per axis
 
     def __post_init__(self):
@@ -52,9 +66,8 @@ class DiscreteProblem:
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int
-    residual: float
-    tau: float
+    iterations: int                # Krylov iterations, all systems
+    residual: float                # sup |I_h u - f|
 
 
 def lattice_offsets(n, window):
@@ -90,29 +103,45 @@ def cell_weight(kernel, center, h, level):
     return float(np.mean(kernel.eval(pts))) * vol
 
 
+def _cell_weights(kernel, centers, h, level):
+    """``cell_weight`` for many cells of one refinement level, one
+    ``kernel.eval`` call: the same nodes in the same order."""
+    g, n = centers.shape
+    vol = float(np.prod(h))
+    if level == 1:
+        return kernel.eval(centers) * vol
+    sub = np.arange(level) + 0.5
+    pts = np.empty((g,) + (level,) * n + (n,))
+    for d in range(n):
+        coord = (centers[:, d] - h[d] / 2)[:, None] + (sub * h[d] / level)
+        shape = [g] + [1] * n
+        shape[1 + d] = level
+        pts[..., d] = coord.reshape(shape)
+    vals = kernel.eval(pts.reshape(-1, n)).reshape(g, level ** n)
+    return np.mean(vals, axis=1) * vol
+
+
 def assemble_weights(kernel, h, profile, window):
     """Per-offset operator weights (2x cell integrals) and the tail mass.
 
-    Weights are computed on a canonical half set and mirrored, so
-    w(-y) = w(y) holds exactly.  The tail reaction weight models the
-    kernel mass beyond the window via the closed-form gauge-tail bracket.
+    Weights are computed on the canonical half of the offsets, grouped by
+    refinement level, and mirrored, so w(-y) = w(y) holds exactly.  The
+    tail reaction weight models the kernel mass beyond the window via the
+    closed-form gauge-tail bracket.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     n = h.size
     if np.any(h <= 0):
         raise ValueError("grid spacing must be positive")
     off = lattice_offsets(n, window)
-    key = {tuple(o): i for i, o in enumerate(off)}
-    w = np.zeros(off.shape[0])
-    done = np.zeros(off.shape[0], dtype=bool)
-    for i, o in enumerate(off):
-        if done[i]:
-            continue
-        j = key[tuple(-o)]
-        level = _refinement_level(int(np.max(np.abs(o))))
-        val = cell_weight(kernel, o * h, h, level)
-        w[i] = w[j] = val
-        done[i] = done[j] = True
+    half = off[:off.shape[0] // 2]          # off[-1 - i] == -off[i]
+    level_of = np.array([_refinement_level(j) for j in range(window + 1)])
+    levels = level_of[np.max(np.abs(half), axis=1)]
+    w_half = np.empty(half.shape[0])
+    for level in np.unique(levels):
+        sel = levels == level
+        w_half[sel] = _cell_weights(kernel, half[sel] * h, h, int(level))
+    w = np.concatenate([w_half, w_half[::-1]])
     r_ins = (window + 0.5) * float(np.min(h))
     tg_lo, tg_hi = tail_gauge_bounds(profile, r_ins)
     mult_mid = 0.5 * (kernel.mult_lo + kernel.mult_hi)
@@ -143,46 +172,100 @@ def _far_values(problem):
     return np.zeros(pts.shape[0])
 
 
+def _fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: an FFT length without large prime factors
+    (pocketfft falls back to Bluestein's algorithm on those)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _circulant_stencil(off, w, fft_shape):
+    """Offsets' weights placed at their indices modulo ``fft_shape``: the
+    stencil's convolution kernel, transformed."""
+    ker = np.zeros(fft_shape)
+    ker[tuple((off % np.array(fft_shape)).T)] = w
+    return np.fft.rfftn(ker)
+
+
+class _Stencil:
+    """One linear member on the problem lattice: L u = e - (d u - T u)."""
+
+    def __init__(self, problem, kernel, ext_pad, far):
+        p = problem
+        off, w, tail = assemble_weights(kernel, p.h, p.profile, p.window)
+        self.shape = p.shape
+        self._axes = tuple(range(len(p.shape)))
+        self.diag = float(np.sum(w)) + tail
+        # interior coupling: offsets within +-(N-1) cells; on a grid of
+        # at least 2N-1 points per axis no wrapped term reaches the box
+        inner = np.all(np.abs(off) < np.array(p.shape), axis=1)
+        self._fft_shape = tuple(_fast_len(2 * s - 1) for s in p.shape)
+        self._ker_hat = _circulant_stencil(off[inner], w[inner],
+                                           self._fft_shape)
+        # exterior couplings: the whole stencil against the padded exterior
+        # (interior zeroed); no term of a box point wraps around
+        pad_shape = tuple(_fast_len(s) for s in ext_pad.shape)
+        conv = np.fft.irfftn(
+            np.fft.rfftn(ext_pad, pad_shape, self._axes)
+            * _circulant_stencil(off, w, pad_shape), pad_shape, self._axes)
+        core = tuple(slice(p.window, p.window + s) for s in p.shape)
+        self.exterior = conv[core].ravel() + tail * far
+
+    def coupling(self, u):
+        """T u for interior values u (flat)."""
+        full = np.fft.irfftn(
+            np.fft.rfftn(u.reshape(self.shape), self._fft_shape, self._axes)
+            * self._ker_hat, self._fft_shape, self._axes)
+        return full[tuple(slice(0, s) for s in self.shape)].ravel()
+
+    def matvec(self, u):
+        """(d I - T) u: symmetric positive definite."""
+        return self.diag * u - self.coupling(u)
+
+    def apply(self, u):
+        return self.exterior - self.matvec(u)
+
+
+def _constant_multipliers(family):
+    """(n_inf, n_sup) multipliers when every member is a positive constant
+    multiple of the family's base power-law kernel, else None."""
+    m = np.empty((family.n_inf, family.n_sup))
+    for a, row in enumerate(family.members):
+        for b, k in enumerate(row):
+            if type(k) is not PowerLawKernel or callable(k.multiplier) \
+                    or k.profile is not family.profile or k.mult_lo <= 0.0:
+                return None
+            m[a, b] = k.mult_lo
+    return m
+
+
 class AssembledOperator:
-    """Weight tables of a problem: offsets, per-member weights, tail."""
+    """FFT stencils of a problem's kernel family and its inf-sup operator.
+
+    Constant-multiplier families hold one base stencil and the
+    multipliers; other families one stencil per member.
+    """
 
     def __init__(self, problem):
         self.problem = problem
         fam = problem.family
-        self.offsets, w0, t0 = assemble_weights(
-            fam.members[0][0], problem.h, problem.profile, problem.window)
-        n_inf, n_sup = fam.n_inf, fam.n_sup
-        self.weights = np.zeros((n_inf, n_sup, self.offsets.shape[0]))
-        self.tail = np.zeros((n_inf, n_sup))
-        self.weights[0, 0] = w0
-        self.tail[0, 0] = t0
-        for a in range(n_inf):
-            for b in range(n_sup):
-                if a == 0 and b == 0:
-                    continue
-                _, w, t = assemble_weights(fam.members[a][b], problem.h,
-                                           problem.profile, problem.window)
-                self.weights[a, b] = w
-                self.tail[a, b] = t
-        self.tau = 1.0 / float(
-            np.max(self.weights.sum(axis=2) + self.tail))
-
-    def apply(self, values):
-        """I_h applied to interior values (exterior from the problem)."""
-        _, res = self._sweep(values)
-        return res
-
-    def _sweep(self, values):
-        p = self.problem
-        pad = p.window
-        u_pad = _pad_exterior(p, pad)
-        core = tuple(slice(pad, pad + s) for s in p.shape)
-        u_pad[core] = values.reshape(p.shape)
-        f = self._rhs_values()
-        tail_val = _far_values(p)
-        new, res = solver_sweep(u_pad, pad, self.offsets, self.weights,
-                                f, self.tau, self.tail, tail_val)
-        return new, res
+        self.multipliers = _constant_multipliers(fam)
+        if self.multipliers is not None:
+            kernels = [PowerLawKernel(fam.profile, 1.0)]
+        else:
+            kernels = fam.flat()
+        ext_pad = _pad_exterior(problem, problem.window)
+        ext_pad[tuple(slice(problem.window, problem.window + s)
+                      for s in problem.shape)] = 0.0
+        far = _far_values(problem)
+        self.stencils = [_Stencil(problem, k, ext_pad, far) for k in kernels]
+        self.rhs = self._rhs_values()
 
     def _rhs_values(self):
         p = self.problem
@@ -191,13 +274,142 @@ class AssembledOperator:
         pts = GridField(p.lo, p.hi, np.zeros(p.shape), p.exterior).grid_points()
         return np.asarray(p.rhs(pts), dtype=float)
 
+    def member_values(self, values):
+        """L_ab u for every member, shape (n_inf, n_sup, points)."""
+        fam = self.problem.family
+        u = np.asarray(values, dtype=float).ravel()
+        if self.multipliers is not None:
+            return self.multipliers[:, :, None] \
+                * self.stencils[0].apply(u)[None, None, :]
+        return np.stack([s.apply(u) for s in self.stencils]).reshape(
+            fam.n_inf, fam.n_sup, u.size)
+
+    def apply(self, values):
+        """I_h u - f for interior values u (exterior from the problem)."""
+        return self.member_values(values).max(axis=1).min(axis=0) - self.rhs
+
+    def solve(self, u, target, budget):
+        """Steps toward sup |I_h u - f| <= target: one CG solve for
+        constant multipliers, else Howard policy iteration; returns
+        (u, Krylov iterations)."""
+        if self.multipliers is not None:
+            return self._solve_constant(u, target, budget)
+        return self._howard(u, target, budget)
+
+    def _solve_constant(self, u, target, budget):
+        m = self.multipliers
+        up = m.max(axis=1).min()          # phi(r) = up r for r >= 0
+        down = m.min(axis=1).max()        # phi(r) = down r for r < 0
+        g = np.where(self.rhs >= 0.0, self.rhs / up, self.rhs / down)
+        st = self.stencils[0]
+        return _cg(st.matvec, st.exterior - g, u,
+                   target / max(up, down), budget)
+
+    def _policy_solve(self, policy, u, target, budget):
+        """GMRES on the row selection of member ``policy[x]`` at each x,
+        rows scaled by their diagonal."""
+        used = [(s, policy == s) for s in np.unique(policy)]
+        diag = np.array([st.diag for st in self.stencils])[policy]
+
+        def matvec(v):
+            out = v.copy()
+            for s, mask in used:
+                out[mask] -= self.stencils[s].coupling(v)[mask] / diag[mask]
+            return out
+
+        ext = np.array([st.exterior for st in self.stencils])
+        rhs = (ext[policy, np.arange(u.size)] - self.rhs) / diag
+        return _gmres(matvec, rhs, u, target / float(np.max(diag)), budget)
+
+    def _howard(self, u, target, budget):
+        """Nested policy iteration: outer argmin over alpha, inner argmax
+        over beta; each solve raises (inner) or lowers (outer) u
+        monotonically, and both stop when the policy repeats."""
+        n_sup = self.problem.family.n_sup
+        pts = np.arange(u.size)
+        iters = 0
+        vals = self.member_values(u)
+        alpha = None
+        while iters < budget:
+            new_alpha = vals.max(axis=1).argmin(axis=0)
+            if alpha is not None and np.array_equal(new_alpha, alpha):
+                break
+            alpha, beta = new_alpha, None
+            while iters < budget:
+                if np.max(np.abs(vals.max(axis=1).min(axis=0)
+                                 - self.rhs)) <= target:
+                    return u, iters
+                new_beta = vals[alpha, :, pts].argmax(axis=1)
+                if beta is not None and np.array_equal(new_beta, beta):
+                    break
+                beta = new_beta
+                u, k = self._policy_solve(alpha * n_sup + beta, u, target,
+                                          budget - iters)
+                iters += k
+                vals = self.member_values(u)
+        return u, iters
+
+
+def _cg(matvec, b, x, target, budget):
+    """Conjugate gradients from x until ||b - A x||_2 <= target or
+    ``budget`` iterations; returns (x, iterations)."""
+    r = b - matvec(x)
+    p = r.copy()
+    rr = float(r @ r)
+    k = 0
+    while k < budget and math.sqrt(rr) > target:
+        q = matvec(p)
+        a = rr / float(p @ q)
+        x = x + a * p
+        r = r - a * q
+        rr, rr_old = float(r @ r), rr
+        p = r + (rr / rr_old) * p
+        k += 1
+    return x, k
+
+
+def _gmres(matvec, b, x, target, budget, restart=40):
+    """Restarted GMRES from x until ||b - A x||_2 <= target or ``budget``
+    iterations; returns (x, iterations)."""
+    k = 0
+    while k < budget:
+        r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            break
+        m = min(restart, budget - k)
+        basis = np.zeros((m + 1, r.size))
+        hess = np.zeros((m + 1, m))
+        basis[0] = r / beta
+        e1 = np.zeros(m + 1)
+        e1[0] = beta
+        for j in range(m):
+            w = matvec(basis[j])
+            for i in range(j + 1):                 # modified Gram-Schmidt
+                hess[i, j] = basis[i] @ w
+                w -= hess[i, j] * basis[i]
+            hess[j + 1, j] = np.linalg.norm(w)
+            k += 1
+            y = np.linalg.lstsq(hess[:j + 2, :j + 1], e1[:j + 2],
+                                rcond=None)[0]
+            res = np.linalg.norm(e1[:j + 2] - hess[:j + 2, :j + 1] @ y)
+            if res <= target or hess[j + 1, j] == 0.0:
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        x = x + basis[:j + 1].T @ y
+    return x, k
+
 
 def solve_dirichlet(problem, u0=None, operator=None):
-    """Damped Jacobi iteration to residual sup-norm <= tolerance.
+    """Solve I_h u = f to residual sup-norm <= tolerance.
 
-    Starts from the exterior rule sampled on the grid, which makes
-    globally harmonic data (constants, affine functions) exact at the
-    first sweep.
+    Starts from ``u0`` or else from the exterior rule sampled on the
+    grid, which makes globally harmonic data (constants, affine
+    functions) exact with no iteration.  The linear systems are solved to
+    half the tolerance; if the true residual, taken from ``apply``, still
+    misses the tolerance (the Krylov residual drifts), they are solved
+    again to a tenth of the previous target, until ``max_iters`` Krylov
+    iterations in total.
     """
     op = operator or AssembledOperator(problem)
     if u0 is None:
@@ -206,26 +418,26 @@ def solve_dirichlet(problem, u0=None, operator=None):
         u = np.asarray(problem.exterior(pts), dtype=float).ravel()
     else:
         u = np.asarray(u0, dtype=float).ravel()
+    res_sup = float(np.max(np.abs(op.apply(u))))
     it = 0
-    res_sup = math.inf
-    while it < problem.max_iters:
-        u_new, res = op._sweep(u)
-        res_sup = float(np.max(np.abs(res)))
-        u = u_new
-        it += 1
-        if res_sup <= problem.tolerance:
+    target = 0.5 * problem.tolerance
+    while res_sup > problem.tolerance and it < problem.max_iters:
+        u, k = op.solve(u, target, problem.max_iters - it)
+        it += k
+        res_sup = float(np.max(np.abs(op.apply(u))))
+        if k == 0:
             break
+        target *= 0.1
     field = GridField(problem.lo, problem.hi, u.reshape(problem.shape),
                       problem.exterior)
-    return field, SolveReport(res_sup <= problem.tolerance, it, res_sup,
-                              op.tau)
+    return field, SolveReport(res_sup <= problem.tolerance, it, res_sup)
 
 
 def dense_matrix(problem, member=(0, 0)):
     """Dense matrix and right-hand side of one linear member.
 
     For the oracle comparison: solve A u = b directly and match the
-    fixed-point solution.  Exterior data and the tail term land in b.
+    solver's solution.  Exterior data and the tail term land in b.
     """
     p = problem
     kernel = p.family.members[member[0]][member[1]]

@@ -45,27 +45,3 @@ def test_numpy_fallback_env_flag():
     assert proc.returncode == 0, proc.stderr
     assert "fallback-ok" in proc.stdout
 
-
-def test_solver_sweep_backends_agree(rng):
-    from anisonl.profile import isotropic
-    from anisonl.kernels import KernelFamily
-    from anisonl.solver import AssembledOperator, DiscreteProblem
-
-    prof = isotropic(1, 1.0, 1.0, 2.0)
-    fam = KernelFamily.extremal_pair(prof)
-    prob = DiscreteProblem(prof, (-1.0,), (1.0,), (17,), fam, 0.3, window=24)
-    op = AssembledOperator(prob)
-    u = rng.normal(size=17)
-    res_active = op.apply(u.copy())
-
-    # drive the numpy twin directly through the same assembled tables
-    pad = prob.window
-    from anisonl.solver import _far_values, _pad_exterior
-    u_pad = _pad_exterior(prob, pad)
-    core = tuple(slice(pad, pad + s) for s in prob.shape)
-    u_pad[core] = u.reshape(prob.shape)
-    f = np.zeros(int(np.prod(prob.shape)))
-    _, res_np = _accel.solver_sweep_np(
-        u_pad, pad, op.offsets, op.weights, f.reshape(prob.shape), op.tau,
-        op.tail, _far_values(prob).reshape(prob.shape))
-    assert np.allclose(res_active, res_np.ravel(), rtol=1e-12, atol=1e-12)

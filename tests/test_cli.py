@@ -199,3 +199,67 @@ def test_property_failure_exit_1(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "f1")]) == 1
     results = json.loads((tmp_path / "f1" / "results.json").read_text())
     assert results["passed"] is False
+
+
+SOLVER_BASE = {
+    "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0, "lambda_hi": 2.0},
+    "seed": 1,
+    "params": {"grid": 33, "tolerance": 1e-7, "window": 32},
+}
+# a Krylov budget of one iteration cannot reach the tolerance
+STARVED = dict(SOLVER_BASE["params"], max_iters=1)
+
+
+@pytest.mark.parametrize("command", ["harnack", "decay"])
+def test_unconverged_solve_is_invalid(tmp_path, command):
+    cfg = write_config(tmp_path, dict(SOLVER_BASE, command=command,
+                                      params=STARVED))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert "did not converge" in results["invalid"]
+    assert "passed" not in results
+
+
+def test_sweep_unconverged_rows_are_invalid(tmp_path):
+    cfg = write_config(tmp_path, dict(
+        SOLVER_BASE, command="sweep",
+        params=dict(STARVED, sigma_min_values=[1.0, 1.5])))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].count("did not converge") == 2
+    assert "passed" not in results
+
+
+def test_sweep_without_valid_row_does_not_pass(tmp_path):
+    # box 2: the Harnack preconditions fail at every order
+    cfg = write_config(tmp_path, {
+        "command": "sweep",
+        "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0,
+                    "lambda_hi": 2.0},
+        "params": {"sigma_min_values": [1.0, 1.5, 1.9], "grid": 25,
+                   "tolerance": 1e-10, "box": 2},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].startswith("no valid sweep row")
+    assert "passed" not in results
+
+
+def test_solver_commands_import_no_scipy(tmp_path):
+    # scipy costs ~15 MB of resident memory; the solver path needs numpy only
+    for command in ("solve", "sweep"):
+        params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])
+        cfg = write_config(tmp_path, dict(SOLVER_BASE, command=command,
+                                          params=params),
+                           name=f"{command}.json")
+        code = (
+            "import sys\n"
+            "from anisonl.cli import main\n"
+            f"rc = main(['--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / command)!r}])\n"
+            "print(rc, sorted({m.split('.')[0] for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'}))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

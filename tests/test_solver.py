@@ -187,3 +187,142 @@ def test_bad_spacing_rejected(iso1):
     fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
     with pytest.raises(ValueError):
         DiscreteProblem(iso1, (0.0,), (0.0,), (5,), fam, 0.0)
+
+
+def _loop_weights(kernel, h, profile, window):
+    """Reference assembly: one ``cell_weight`` call per canonical offset,
+    mirrored onto its negative."""
+    off = lattice_offsets(h.size, window)
+    key = {tuple(o): i for i, o in enumerate(off)}
+    w = np.zeros(off.shape[0])
+    done = np.zeros(off.shape[0], dtype=bool)
+    for i, o in enumerate(off):
+        if done[i]:
+            continue
+        j_inf = int(np.max(np.abs(o)))
+        level = 16 if j_inf <= 1 else 4 if j_inf <= 3 else 1
+        w[i] = w[key[tuple(-o)]] = cell_weight(kernel, o * h, h, level)
+        done[i] = done[key[tuple(-o)]] = True
+    return off, 2.0 * w
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_assembly_matches_cell_weight_loop(dim, iso1_ell, aniso2):
+    prof = iso1_ell if dim == 1 else aniso2
+    h = np.array([0.0625]) if dim == 1 else np.array([2.0 / 7.0, 0.25])
+    window = 40 if dim == 1 else 12
+    kernels = [PowerLawKernel(prof, 1.3),
+               PowerLawKernel(prof, lambda y: 1.5 + 0.5 * np.cos(y[:, 0]),
+                              1.0, 2.0)]
+    for k in kernels:
+        off, w, _ = assemble_weights(k, h, prof, window)
+        off_ref, w_ref = _loop_weights(k, h, prof, window)
+        assert np.array_equal(off, off_ref)
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-15
+
+
+def _ind(pts):
+    x = pts[:, 0]
+    return ((x >= 1.0) & (x <= 2.0)).astype(float)
+
+
+def _dense_policy_iteration(problem, max_rounds=50):
+    """Nested Howard iteration on the dense member matrices of
+    ``dense_matrix`` (rows A_ab u - b_ab = L_ab u - f), solved by LU."""
+    fam = problem.family
+    mats = [[dense_matrix(problem, (a, b)) for b in range(fam.n_sup)]
+            for a in range(fam.n_inf)]
+    big_a = np.array([[m[0] for m in row] for row in mats])
+    big_b = np.array([[m[1] for m in row] for row in mats])
+    rows = np.arange(big_b.shape[-1])
+    u = np.zeros(rows.size)
+    alpha = None
+    for _ in range(max_rounds):
+        new_alpha = (big_a @ u - big_b).max(axis=1).argmin(axis=0)
+        if alpha is not None and np.array_equal(new_alpha, alpha):
+            return u, alpha, beta
+        alpha, beta = new_alpha, None
+        for _ in range(max_rounds):
+            new_beta = (big_a @ u - big_b)[alpha, :, rows].argmax(axis=1)
+            if beta is not None and np.array_equal(new_beta, beta):
+                break
+            beta = new_beta
+            u = np.linalg.solve(big_a[alpha, beta, rows],
+                                big_b[alpha, beta, rows])
+    raise AssertionError("dense policy iteration did not settle")
+
+
+def _mixed_rhs(pts):
+    return 2.0 * np.sin(3.0 * pts[:, 0])
+
+
+def test_mixed_sign_rhs_extremal_pair_dense_oracle(iso1_ell):
+    fam = KernelFamily.extremal_pair(iso1_ell)
+    prob = DiscreteProblem(iso1_ell, (-1.0,), (1.0,), (33,), fam,
+                           CallableExterior(_ind, 1.0), rhs=_mixed_rhs,
+                           tolerance=1e-11, window=48)
+    assert AssembledOperator(prob).multipliers is not None
+    field, rep = solve_dirichlet(prob)
+    assert rep.converged and rep.residual <= 1e-11
+    oracle, _, beta = _dense_policy_iteration(prob)
+    assert set(beta) == {0, 1}                 # both members active
+    assert np.max(np.abs(field.values.ravel() - oracle)) <= 1e-9
+
+
+def _switching_family(prof):
+    """2x2 inf-sup family with non-constant multipliers in [1, 2]."""
+    def wave(y):
+        return 1.5 + 0.5 * np.cos(4.0 * y[:, 0])
+
+    def dip(y):
+        return 2.0 - np.sin(3.0 * y[:, 0]) ** 2
+
+    return KernelFamily([
+        [PowerLawKernel(prof, 1.0), PowerLawKernel(prof, wave, 1.0, 2.0)],
+        [PowerLawKernel(prof, 2.0), PowerLawKernel(prof, dip, 1.0, 2.0)]])
+
+
+def test_howard_switching_family_dense_oracle(iso1_ell):
+    fam = _switching_family(iso1_ell)
+    prob = DiscreteProblem(iso1_ell, (-1.0,), (1.0,), (33,), fam,
+                           CallableExterior(_ind, 1.0), rhs=_mixed_rhs,
+                           tolerance=1e-11, window=48)
+    assert AssembledOperator(prob).multipliers is None
+    field, rep = solve_dirichlet(prob)
+    assert rep.converged and rep.residual <= 1e-11
+    oracle, alpha, beta = _dense_policy_iteration(prob)
+    assert set(alpha) == {0, 1} and set(beta) == {0, 1}
+    assert np.max(np.abs(field.values.ravel() - oracle)) <= 1e-9
+
+
+def test_howard_comparison_principle(iso1_ell, rng):
+    fam = _switching_family(iso1_ell)
+    for _ in range(3):
+        lo_val = float(rng.uniform(-0.5, 0.5))
+        hi_val = lo_val + float(rng.uniform(0.0, 0.5))
+        ua, ub = (solve_dirichlet(DiscreteProblem(
+            iso1_ell, (-1.0,), (1.0,), (33,), fam, ConstantExterior(v),
+            rhs=_mixed_rhs, tolerance=1e-10, window=48))[0]
+            for v in (lo_val, hi_val))
+        assert np.all(ua.values <= ub.values + 1e-12)
+
+
+@pytest.mark.parametrize("family", ["pair", "callable"])
+def test_apply_matches_dense_2d(family, aniso2, rng):
+    if family == "pair":
+        fam = KernelFamily.extremal_pair(aniso2)
+        ext = CallableExterior(
+            lambda p: np.exp(-np.sum((p - 1.2) ** 2, axis=1)), 1.0)
+    else:
+        fam = KernelFamily.singleton(PowerLawKernel(
+            aniso2, lambda y: 1.5 + 0.5 * np.cos(y[:, 0] - y[:, 1]),
+            1.0, 2.0))
+        ext = AffineExterior(0.3, (0.5, -0.2))    # tail couples to far data
+    prob = DiscreteProblem(aniso2, (-1.0, -0.8), (1.0, 0.8), (9, 7), fam,
+                           ext, rhs=lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
+    u = rng.normal(size=9 * 7)
+    got = AssembledOperator(prob).apply(u)
+    dense = [dense_matrix(prob, (0, b)) for b in range(fam.n_sup)]
+    want = np.max([a @ u - b for a, b in dense], axis=0)
+    scale = max(np.max(np.abs(a)) for a, _ in dense) * np.max(np.abs(u))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
