@@ -1,6 +1,5 @@
 """Anisotropic nonlocal operators, barriers, covers and Harnack experiments."""
 
-from ._accel import using_numba
 from .profile import AnisotropyProfile, derive_constants, isotropic, radii_sequence
 from .geometry import (AnisoSet, ScalingMap, ellipse, rect, scaling_apply,
                        set_measure, set_membership, theta, tilde_rect)
@@ -22,5 +21,4 @@ __all__ = [
     "KernelFamily", "PowerLawKernel", "TruncatedKernel",
     "kernel_bounds_verify", "tail_truncation_bound",
     "QuadratureScheme", "eval_linear", "eval_extremal", "eval_inf_sup",
-    "using_numba",
 ]

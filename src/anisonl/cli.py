@@ -57,13 +57,16 @@ class ConfigError(Exception):
     pass
 
 
+def _invalid_config(error, exc):
+    return ConfigError(json.dumps({"error": error, "detail": str(exc)}))
+
+
 def load_config(path):
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(json.dumps({"error": "unreadable config",
-                                      "detail": str(exc)}))
+        raise _invalid_config("unreadable config", exc)
     try:
         jsonschema.validate(obj, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -79,15 +82,23 @@ def _json_default(o):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
-    if isinstance(o, float) and (math.isinf(o) or math.isnan(o)):
-        return str(o)
     return str(o)
+
+
+def _null_sentinels(summary, reasons):
+    """Replace each non-finite sentinel named in ``reasons`` by null and
+    say why in ``<key>_reason``: results.json is strict JSON."""
+    for key, reason in reasons.items():
+        if not math.isfinite(summary[key]):
+            summary[key] = None
+            summary[key + "_reason"] = reason
+    return summary
 
 
 def emit_results(out_dir, summary, rows, columns):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True,
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False,
                   default=_json_default)
         fh.write("\n")
     emit_plotdata(os.path.join(out_dir, "data.csv"), rows, columns)
@@ -232,12 +243,15 @@ def _solve_setup(profile, params, seed):
 
     from .fields import CallableExterior
     family = KernelFamily.extremal_pair(profile)
-    return DiscreteProblem(
-        profile, (-box,) * n, (box,) * n, (shape,) * n, family,
-        CallableExterior(exterior_fn, bump_height),
-        tolerance=params.get("tolerance", 1e-8),
-        max_iters=params.get("max_iters", 20000),
-        window=params.get("window", None))
+    try:
+        return DiscreteProblem(
+            profile, (-box,) * n, (box,) * n, (shape,) * n, family,
+            CallableExterior(exterior_fn, bump_height),
+            tolerance=params.get("tolerance", 1e-8),
+            max_iters=params.get("max_iters", 20000),
+            window=params.get("window", None))
+    except ValueError as exc:
+        raise _invalid_config("invalid solver params", exc)
 
 
 def _cmd_solve(profile, quad, params, seed):
@@ -287,7 +301,8 @@ def _cmd_decay(profile, quad, params, seed):
     u, problem, report = _normalized_solution(profile, params, seed)
     res = distribution_decay(u, params.get("M", 2.0),
                              params.get("k_max", 6))
-    summary = dict(res.scalars)
+    summary = _null_sentinels(dict(res.scalars), {
+        "epsilon_fit": "fewer than two levels have a nonzero measure"})
     return summary, res.rows, res.columns, True
 
 
@@ -297,6 +312,9 @@ def _cmd_sweep(profile, quad, params, seed):
     profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
                                   profile.lambda_lo, profile.lambda_hi)
                 for s in sigmas]
+    # reject bad solver params here: sigma_sweep turns a row's error
+    # into an invalid row
+    _solve_setup(profile, params, seed)
 
     def runner(prof):
         u, problem, _ = _normalized_solution(prof, params, seed)
@@ -311,7 +329,10 @@ def _cmd_sweep(profile, quad, params, seed):
                                 + "".join(f"; {n}" for n in res.notes))
     ok = not res.scalars.get("diverging", False)
     rows = [(r[0], r[2]) for r in res.rows]
-    return dict(res.scalars), rows, ("sigma_min", "quantity"), ok
+    summary = _null_sentinels(dict(res.scalars), {
+        "slope": "fewer than three valid rows",
+        "slope_se": "fewer than three valid rows, or all share one sigma_min"})
+    return summary, rows, ("sigma_min", "quantity"), ok
 
 
 def _cmd_kernel_check(profile, quad, params, seed):
@@ -346,17 +367,14 @@ _DISPATCH = {
 }
 
 
-def run(config, out_dir=None, seed=None, threads=None):
+def run(config, out_dir=None, seed=None):
     """Execute one config; returns the process exit status."""
     from .experiments import config_digest
-    if threads is not None:
-        try:
-            import numba
-            numba.set_num_threads(max(1, int(threads)))
-        except (ImportError, ValueError):
-            pass
     command = config["command"]
-    profile = AnisotropyProfile.from_dict(config["profile"])
+    try:
+        profile = AnisotropyProfile.from_dict(config["profile"])
+    except ValueError as exc:
+        raise _invalid_config("invalid profile", exc)
     quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
     params = config.get("params", {})
     if seed is None:
@@ -387,23 +405,14 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (falls back to "
-                             "ANISO_NONLOCAL_THREADS)")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("ANISO_NONLOCAL_THREADS")
-        threads = int(env) if env else None
 
     try:
         config = load_config(args.config)
+        return run(config, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    try:
-        return run(config, out_dir=args.out, seed=args.seed, threads=threads)
     except PreconditionError as exc:
         print(json.dumps({"invalid": str(exc)}), file=sys.stderr)
         return 3

@@ -73,7 +73,7 @@ def point_estimate_experiment(u, profile, m_level, problem=None,
         result.valid = False
         result.notes.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
     if problem is not None and eps0 is not None:
-        mminus = discrete_extremal(problem, u.values, "minus")
+        mminus, _ = discrete_extremal(problem, u.values)
         if float(np.max(mminus)) > eps0 + 1e-9:
             result.valid = False
             result.notes.append("precondition M^- u <= eps0 fails")
@@ -138,12 +138,11 @@ def harnack_quotient(u, c0, problem=None, name="harnack"):
         return result
     if problem is not None:
         in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
-        mminus = discrete_extremal(problem, u.values, "minus").ravel()
-        mplus = discrete_extremal(problem, u.values, "plus").ravel()
-        if float(np.max(mminus[in_b2])) > c0 + 1e-7:
+        mminus, mplus = discrete_extremal(problem, u.values)
+        if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
             result.valid = False
             result.notes.append("precondition M^- u <= C0 fails on B_2")
-        if float(np.min(mplus[in_b2])) < -c0 - 1e-7:
+        if float(np.min(mplus.ravel()[in_b2])) < -c0 - 1e-7:
             result.valid = False
             result.notes.append("precondition M^+ u >= -C0 fails on B_2")
         if not result.valid:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import interp_many
-
 
 @dataclass(frozen=True)
 class ConstantExterior:
@@ -56,6 +54,28 @@ class CallableExterior:
         return -self.sup_bound, self.sup_bound
 
 
+def _interp(pts, lo, inv_h, shape, flat_vals):
+    """Multilinear interpolation on a regular grid (points inside the box)."""
+    npts, n = pts.shape
+    t = (pts - lo[None, :]) * inv_h[None, :]
+    i0 = np.floor(t).astype(np.int64)
+    np.clip(i0, 0, np.asarray(shape)[None, :] - 2, out=i0)
+    frac = t - i0
+    out = np.zeros(npts)
+    strides = np.ones(n, dtype=np.int64)
+    for d in range(n - 2, -1, -1):
+        strides[d] = strides[d + 1] * shape[d + 1]
+    for corner in range(1 << n):
+        w = np.ones(npts)
+        idx = np.zeros(npts, dtype=np.int64)
+        for d in range(n):
+            bit = (corner >> d) & 1
+            w = w * (frac[:, d] if bit else 1.0 - frac[:, d])
+            idx += (i0[:, d] + bit) * strides[d]
+        out += w * flat_vals[idx]
+    return out
+
+
 class GridField:
     """Lattice values on an axis-aligned box, evaluable on all of R^n."""
 
@@ -71,7 +91,7 @@ class GridField:
         self.shape = np.array(self.values.shape, dtype=np.int64)
         self.h = (self.hi - self.lo) / (self.shape - 1)
         self._inv_h = 1.0 / self.h
-        self._flat = np.ascontiguousarray(self.values.ravel())
+        self._flat = self.values.ravel()
         if isinstance(exterior, (int, float)):
             exterior = ConstantExterior(float(exterior))
         self.exterior = exterior
@@ -109,9 +129,8 @@ class GridField:
                         axis=1)
         out = np.empty(pts.shape[0])
         if inside.any():
-            out[inside] = interp_many(
-                np.ascontiguousarray(pts[inside]), self.lo, self._inv_h,
-                self.shape, self._flat)
+            out[inside] = _interp(pts[inside], self.lo, self._inv_h,
+                                  self.shape, self._flat)
         if not inside.all():
             out[~inside] = self.exterior(pts[~inside])
         return out

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import gauge_many
 from .profile import AnisotropyProfile
 
 THETA = "Theta"
@@ -33,7 +32,7 @@ _KINDS = (THETA, ELLIPSE, RECT, TILDE_RECT)
 def gauge(profile, y):
     """sum_i |y_i|^(n+sigma_i) for a batch of points (m, n)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return gauge_many(np.ascontiguousarray(y), profile.exponents)
+    return np.sum(np.abs(y) ** profile.exponents[None, :], axis=1)
 
 
 def unit_ball_volume(n):
@@ -216,15 +215,3 @@ class ScalingMap:
 def scaling_apply(smap: ScalingMap, y, inverse=False):
     return smap.apply(y, inverse=inverse)
 
-
-# ---------------------------------------------------------------------------
-# samplers used by the shell quadrature and the measure experiments
-# ---------------------------------------------------------------------------
-
-def sample_annulus_box(profile, r_out, count, rng, center=None):
-    """Uniform points in the bounding box of Theta_{r_out} (centered)."""
-    hw = r_out ** (1.0 / profile.exponents)
-    pts = rng.uniform(-hw, hw, size=(count, profile.n))
-    if center is not None:
-        pts = pts + np.asarray(center)[None, :]
-    return pts, float(np.prod(2.0 * hw))

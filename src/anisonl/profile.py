@@ -122,10 +122,6 @@ class AnisotropyProfile:
         return (self.rho0 * 2.0 ** (-1.0 / self.q_max)
                 * 2.0 ** (-self.frak_c * (self.n + self.sigma_min) * k))
 
-    def annulus_ratio(self) -> float:
-        """r_{k+1} / r_k (constant in k)."""
-        return 2.0 ** (-self.frak_c * (self.n + self.sigma_min))
-
     def inf_quad_outside(self, r: float) -> float:
         """inf of <Az, z> over gauge(z) >= r.
 

@@ -53,6 +53,8 @@ class DiscreteProblem:
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         self.shape = tuple(int(s) for s in np.atleast_1d(self.shape))
+        if min(self.shape) < 2:
+            raise ValueError("need at least two lattice points per axis")
         if isinstance(self.exterior, (int, float)):
             self.exterior = ConstantExterior(float(self.exterior))
         if self.window is None:
@@ -61,6 +63,11 @@ class DiscreteProblem:
         if np.any(h <= 0):
             raise ValueError("grid spacing must be positive")
         self.h = h
+
+    def grid_points(self):
+        """Lattice points of the box, one row per point in C order."""
+        return GridField(self.lo, self.hi, np.zeros(self.shape),
+                         self.exterior).grid_points()
 
 
 @dataclass
@@ -162,8 +169,7 @@ def _pad_exterior(problem, pad):
 
 
 def _far_values(problem):
-    pts = GridField(problem.lo, problem.hi,
-                    np.zeros(problem.shape), problem.exterior).grid_points()
+    pts = problem.grid_points()
     ext = problem.exterior
     if isinstance(ext, ConstantExterior):
         return np.full(pts.shape[0], ext.value)
@@ -271,8 +277,7 @@ class AssembledOperator:
         p = self.problem
         if p.rhs is None:
             return np.zeros(int(np.prod(p.shape)))
-        pts = GridField(p.lo, p.hi, np.zeros(p.shape), p.exterior).grid_points()
-        return np.asarray(p.rhs(pts), dtype=float)
+        return np.asarray(p.rhs(p.grid_points()), dtype=float)
 
     def member_values(self, values):
         """L_ab u for every member, shape (n_inf, n_sup, points)."""
@@ -413,9 +418,8 @@ def solve_dirichlet(problem, u0=None, operator=None):
     """
     op = operator or AssembledOperator(problem)
     if u0 is None:
-        pts = GridField(problem.lo, problem.hi, np.zeros(problem.shape),
-                        problem.exterior).grid_points()
-        u = np.asarray(problem.exterior(pts), dtype=float).ravel()
+        u = np.asarray(problem.exterior(problem.grid_points()),
+                       dtype=float).ravel()
     else:
         u = np.asarray(u0, dtype=float).ravel()
     res_sup = float(np.max(np.abs(op.apply(u))))
@@ -446,8 +450,7 @@ def dense_matrix(problem, member=(0, 0)):
     shape = p.shape
     size = int(np.prod(shape))
     idx = np.arange(size).reshape(shape)
-    field = GridField(p.lo, p.hi, np.zeros(shape), p.exterior)
-    pts = field.grid_points()
+    pts = p.grid_points()
     A = np.zeros((size, size))
     b = np.zeros(size)
     far = _far_values(p)
@@ -468,14 +471,14 @@ def dense_matrix(problem, member=(0, 0)):
     return A, b
 
 
-def discrete_extremal(problem, values, which="minus"):
-    """Cellwise extremal operator M^{+/-}_h on the problem lattice.
+def discrete_extremal(problem, values):
+    """Cellwise extremal operators (M^-_h u, M^+_h u) on the problem lattice.
 
     Uses multiplier-one base weights; the closed form splits the full
     second difference by sign per offset pair, so the sum runs over a
-    canonical half of the offsets with doubled cell weights.
+    canonical half of the offsets with doubled cell weights.  One pass
+    over the offsets accumulates both operators.
     """
-    from .kernels import PowerLawKernel
     p = problem
     base = PowerLawKernel(p.profile, 1.0)
     off, w, tail = assemble_weights(base, p.h, p.profile, p.window)
@@ -485,7 +488,8 @@ def discrete_extremal(problem, values, which="minus"):
     u_pad[core] = np.asarray(values, dtype=float).reshape(p.shape)
     lam, Lam = p.profile.lambda_lo, p.profile.lambda_hi
     u0 = u_pad[core]
-    out = np.zeros(p.shape)
+    mminus = np.zeros(p.shape)
+    mplus = np.zeros(p.shape)
     first_pos = np.argmax(off != 0, axis=1)
     canonical = off[np.arange(off.shape[0]), first_pos] > 0
     for k in np.nonzero(canonical)[0]:
@@ -498,15 +502,11 @@ def discrete_extremal(problem, values, which="minus"):
         pos = np.maximum(delta, 0.0)
         neg = np.maximum(-delta, 0.0)
         # w[k] holds twice the cell integral: exactly the +-pair's mass
-        if which == "minus":
-            out += w[k] * (lam * pos - Lam * neg)
-        else:
-            out += w[k] * (Lam * pos - lam * neg)
+        mminus += w[k] * (lam * pos - Lam * neg)
+        mplus += w[k] * (Lam * pos - lam * neg)
     far = _far_values(p).reshape(p.shape)
     d = far - u0
     pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
-    if which == "minus":
-        out += tail * (lam * pos - Lam * neg)
-    else:
-        out += tail * (Lam * pos - lam * neg)
-    return out
+    mminus += tail * (lam * pos - Lam * neg)
+    mplus += tail * (Lam * pos - lam * neg)
+    return mminus, mplus

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from anisonl.cli import emit_plotdata, load_config, main, run, ConfigError
+from anisonl.cli import (COMMANDS, ConfigError, emit_plotdata, load_config,
+                         main)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -263,3 +264,81 @@ def test_solver_commands_import_no_scipy(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+P1 = {"n": 1, "sigma": [1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
+P2 = {"n": 2, "sigma": [1.0, 1.5], "lambda_lo": 1.0, "lambda_hi": 2.0}
+SMALL_SOLVE = {"grid": 33, "tolerance": 1e-7, "window": 32}
+SMALL_CONFIGS = {
+    "constants": {"profile": P2},
+    "barrier-verify": {"profile": P2, "seed": 7,
+                       "quadrature": {"shells": 12, "nodes_per_shell": 256},
+                       "params": {"n_points": 8, "psi_points": 8}},
+    "envelope": {"profile": P1, "params": {"grid": 33}},
+    "abp-cover": {"profile": {"n": 2, "sigma": [1.0, 1.0], "rho0": 0.05,
+                              "frak_c": 2},
+                  "params": {"grid": 33, "mc_samples": 200}},
+    "cz": {"profile": P2, "seed": 5, "params": {"generation": 3}},
+    "solve": {"profile": P1, "params": SMALL_SOLVE},
+    "harnack": {"profile": P1, "params": SMALL_SOLVE},
+    # every level set above M is empty: no decay exponent to fit
+    "decay": {"profile": P1, "params": SMALL_SOLVE},
+    "sweep": {"profile": P1, "params": dict(
+        SMALL_SOLVE, sigma_min_values=[1.0, 1.5, 1.9])},
+    "kernel-check": {"profile": P1, "params": {"c0": 100.0}},
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_results_json_is_strict(tmp_path, command):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[command],
+                                      command=command))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "results.json").read_text()
+    results = json.loads(text, parse_constant=_reject_constant)
+    assert results["command"] == command
+    if command == "decay":
+        assert results["epsilon_fit"] is None
+        assert results["epsilon_fit_reason"]
+
+
+def test_sweep_slope_without_three_rows_is_null(tmp_path):
+    params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])
+    cfg = write_config(tmp_path, dict(SOLVER_BASE, command="sweep",
+                                      params=params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "results.json").read_text()
+    results = json.loads(text, parse_constant=_reject_constant)
+    assert results["slope"] is None and results["slope_se"] is None
+    assert results["slope_reason"] == "fewer than three valid rows"
+
+
+def _config_error(capsys):
+    detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert set(detail) == {"error", "detail"}
+    return detail
+
+
+def test_sigma_length_mismatch_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"command": "constants",
+                                  "profile": {"n": 2, "sigma": [1.0]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    detail = _config_error(capsys)
+    assert detail["error"] == "invalid profile"
+    assert "order exponents" in detail["detail"]
+
+
+@pytest.mark.parametrize("command", ["solve", "harnack", "decay", "sweep"])
+def test_grid_below_two_exit_2(tmp_path, capsys, command):
+    params = dict(SOLVER_BASE["params"], grid=1, sigma_min_values=[1.0, 1.5])
+    cfg = write_config(tmp_path, dict(SOLVER_BASE, command=command,
+                                      params=params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    detail = _config_error(capsys)
+    assert detail["error"] == "invalid solver params"
+    assert "two lattice points" in detail["detail"]
+    assert not (tmp_path / "o").exists()

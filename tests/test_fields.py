@@ -53,6 +53,19 @@ def test_grid_eval_interior_exterior():
     assert u.eval(np.array([[1.5]]))[0] == 7.0
 
 
+def test_grid_eval_reproduces_multilinear(rng):
+    def fn(p):
+        return 1.0 + 2.0 * p[:, 0] - p[:, 1] + 3.0 * p[:, 0] * p[:, 1]
+
+    lo, hi = np.array([-1.0, 0.5]), np.array([2.0, 1.5])
+    u = GridField.from_function(fn, lo, hi, (7, 5), ConstantExterior(0.0))
+    # points on the hi faces sit in the last cell (clipped cell index)
+    faces = np.array([[2.0, 1.0], [0.3, 1.5], [2.0, 1.5], [2.0, 0.5],
+                      [-1.0, 1.5]])
+    pts = np.vstack([rng.uniform(lo, hi, size=(500, 2)), faces])
+    assert np.max(np.abs(u.eval(pts) - fn(pts))) <= 1e-12
+
+
 def test_exterior_rules_vectorized():
     pts = np.array([[2.0, 0.0], [3.0, 1.0]])
     assert np.allclose(ConstantExterior(2.5)(pts), [2.5, 2.5])

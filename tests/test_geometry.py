@@ -133,3 +133,10 @@ def test_gauge_matches_membership(aniso2, rng):
     g = gauge(aniso2, pts)
     t = theta(aniso2, 1.3)
     assert np.array_equal(t.contains(pts), g < 1.3)
+
+
+def test_gauge_closed_form(aniso2):
+    # exponents n + sigma_i = (3, 3.5)
+    pts = [(2.0, -3.0), (0.0, 0.0), (-1.0, 0.5), (0.0, -2.0)]
+    expected = [8.0 + 3.0 ** 3.5, 0.0, 1.0 + 0.5 ** 3.5, 2.0 ** 3.5]
+    assert gauge(aniso2, pts).tolist() == expected

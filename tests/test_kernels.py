@@ -85,9 +85,12 @@ def test_tail_gauge_bracket_contains_truth_1d(iso1):
         assert lo <= 2.0 / R <= hi
 
 
-def test_tail_gauge_bracket_contains_truth_2d(iso2, rng):
+def test_tail_gauge_bracket_contains_truth_2d(iso2):
     # Monte Carlo the tail mass between R and a large cap, add the
-    # analytic remainder, and check the bracket contains it
+    # analytic remainder, and check the bracket contains it.  Its own
+    # generator: a 3-sigma check on a draw from the shared session stream
+    # would change verdict whenever an earlier test draws more or less.
+    rng = np.random.default_rng(20240817)
     R = 2.0
     cap = 400.0
     pts = rng.uniform(-cap, cap, size=(400_000, 2))
