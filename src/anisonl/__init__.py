@@ -8,7 +8,8 @@ from .fields import (AffineExterior, AnalyticField, CallableExterior,
 from .kernels import (KernelFamily, PowerLawKernel, TruncatedKernel,
                       kernel_bounds_verify, tail_truncation_bound)
 from .quadrature import QuadratureScheme
-from .operators import eval_extremal, eval_inf_sup, eval_linear
+from .operators import (eval_extremal, eval_extremal_many, eval_inf_sup,
+                        eval_linear)
 
 __version__ = "0.1.0"
 
@@ -20,5 +21,6 @@ __all__ = [
     "CallableExterior", "second_difference",
     "KernelFamily", "PowerLawKernel", "TruncatedKernel",
     "kernel_bounds_verify", "tail_truncation_bound",
-    "QuadratureScheme", "eval_linear", "eval_extremal", "eval_inf_sup",
+    "QuadratureScheme", "eval_linear", "eval_extremal", "eval_extremal_many",
+    "eval_inf_sup",
 ]

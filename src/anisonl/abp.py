@@ -264,10 +264,11 @@ def abp_cover(u, f, profile, env=None, contact_tol=None,
     pts = np.atleast_2d(pts)[inside]
     supersolution = None
     if quad is not None and pts.shape[0]:
-        from .operators import eval_extremal
+        from .operators import eval_extremal_many
         supersolution = []
-        for x in pts[:: max(1, pts.shape[0] // 3)][:3]:
-            ov = eval_extremal(u, x, profile, quad, which="plus")
+        sample = pts[:: max(1, pts.shape[0] // 3)][:3]
+        for x, ov in zip(sample, eval_extremal_many(u, sample, profile, quad,
+                                                    which="plus")):
             fx = float(f.eval(x[None, :])[0])
             supersolution.append({"point": x.tolist(), "m_plus": ov.value,
                                   "f": fx, "ok": ov.value + ov.error >= -fx})

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import AnalyticField
 from .geometry import ScalingMap, ellipse, rect
-from .operators import eval_extremal
+from .operators import eval_extremal_many
 from .quadrature import QuadratureScheme
 
 
@@ -151,11 +151,8 @@ def annulus_points(n, r_lo, r_hi, count, seed, avoid=None, avoid_dist=0.05):
 
 
 def _margins(barrier, pts, profile, quad):
-    out = []
-    for x in pts:
-        ov = eval_extremal(barrier, x, profile, quad, which="minus")
-        out.append((ov.value, ov.error))
-    return out
+    return [(ov.value, ov.error) for ov in
+            eval_extremal_many(barrier, pts, profile, quad, which="minus")]
 
 
 def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
@@ -169,6 +166,8 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
     """
     if R <= 1:
         raise ValueError("the annulus needs R > 1")
+    if n_points < 1:
+        raise ValueError("need at least one sample point")
     if profile.sigma_min <= sigma_floor:
         raise ValueError(
             f"profile sigma_min {profile.sigma_min} at or below the "
@@ -326,10 +325,12 @@ def verify_supersolution(barrier, points, profile, quad, phi=None):
     """Minimum of M^- barrier + phi over the sample; PASS iff the minimum
     clears minus the local quadrature error."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        raise ValueError("need at least one sample point")
     margins = []
     errors = []
-    for x in points:
-        ov = eval_extremal(barrier, x, profile, quad, which="minus")
+    ovs = eval_extremal_many(barrier, points, profile, quad, which="minus")
+    for x, ov in zip(points, ovs):
         bump = float(phi(x[None, :])[0]) if phi is not None else 0.0
         margins.append(ov.value + bump)
         errors.append(ov.error)

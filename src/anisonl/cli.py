@@ -20,7 +20,7 @@ import numpy as np
 import jsonschema
 
 from .profile import AnisotropyProfile
-from .quadrature import QuadratureScheme
+from .quadrature import QuadratureScheme, shell_radii
 
 COMMANDS = ("constants", "barrier-verify", "envelope", "abp-cover", "cz",
             "solve", "harnack", "decay", "sweep", "kernel-check")
@@ -141,12 +141,23 @@ def _cmd_barrier_verify(profile, quad, params, seed):
     from .barriers import (annulus_points, build_psi, find_p, make_phi,
                            verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
-    found = find_p(profile, R, quad, n_points=params.get("n_points", 60),
-                   seed=seed)
+    n_points = params.get("n_points", 60)
+    psi_points = params.get("psi_points", 40)
+    if not R > 1:
+        raise _invalid_config("invalid barrier params",
+                              f"the annulus needs R > 1, got {R}")
+    if not (n_points >= 1 and psi_points >= 1):
+        raise _invalid_config(
+            "invalid barrier params", "n_points and psi_points must be at "
+            f"least 1, got {n_points} and {psi_points}")
+    try:
+        shell_radii(profile, quad)
+    except ValueError as exc:
+        raise _invalid_config("invalid quadrature", exc)
+    found = find_p(profile, R, quad, n_points=n_points, seed=seed)
     psi = build_psi(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
-                         2.0 * float(np.max(psi._t)),
-                         params.get("psi_points", 40), seed + 1)
+                         2.0 * float(np.max(psi._t)), psi_points, seed + 1)
     rep = verify_supersolution(psi, pts, profile, quad,
                                phi=make_phi(profile, 0.0))
     summary = {"p": found["p"], "min_margin_f": found["min_margin"],
@@ -168,7 +179,10 @@ def _make_cap_field(profile, shape):
         return np.maximum(0.0, 1.0 - 2.0 * r2)
 
     lo, hi = [-2.0] * n, [2.0] * n
-    return GridField.from_function(cap, lo, hi, (shape,) * n, 0.0)
+    try:
+        return GridField.from_function(cap, lo, hi, (shape,) * n, 0.0)
+    except ValueError as exc:
+        raise _invalid_config("invalid grid params", exc)
 
 
 def _cmd_envelope(profile, quad, params, seed):
@@ -309,9 +323,12 @@ def _cmd_decay(profile, quad, params, seed):
 def _cmd_sweep(profile, quad, params, seed):
     from .experiments import harnack_quotient, sigma_sweep
     sigmas = params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99])
-    profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
-                                  profile.lambda_lo, profile.lambda_hi)
-                for s in sigmas]
+    try:
+        profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
+                                      profile.lambda_lo, profile.lambda_hi)
+                    for s in sigmas]
+    except ValueError as exc:
+        raise _invalid_config("invalid sweep params", exc)
     # reject bad solver params here: sigma_sweep turns a row's error
     # into an invalid row
     _solve_setup(profile, params, seed)
@@ -375,7 +392,10 @@ def run(config, out_dir=None, seed=None):
         profile = AnisotropyProfile.from_dict(config["profile"])
     except ValueError as exc:
         raise _invalid_config("invalid profile", exc)
-    quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
+    try:
+        quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
+    except (TypeError, ValueError) as exc:
+        raise _invalid_config("invalid quadrature", exc)
     params = config.get("params", {})
     if seed is None:
         seed = int(config.get("seed", 0))

@@ -10,16 +10,18 @@ fields come out exactly (value 0, near-zero bound).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import estimate_c11, second_difference
-from .geometry import gauge
-from .kernels import (KernelFamily, PowerLawKernel, TruncatedKernel,
-                      near_field_bound, tail_gauge_bounds)
-from .quadrature import QuadratureScheme, integrate
+from .fields import estimate_c11
+from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
+                      tail_gauge_bounds)
+from .quadrature import QuadratureScheme, node_table, stratum_moments
+
+# (point, drawn node) pairs per evaluation block of eval_extremal_many: the
+# block's temporaries are a few arrays of this many floats.
+BLOCK_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,15 @@ def _bracket(candidates):
     return min(candidates), max(candidates)
 
 
-def _tail_bracket_linear(u, x, profile, quad, kernel):
-    """Tail contribution interval for int_{|y|>far} delta * K."""
-    dlo, dhi = u.tail_delta_range(np.asarray(x, dtype=float), quad.far_radius)
-    tg_lo, tg_hi = tail_gauge_bounds(profile, quad.far_radius)
+def _tail_bracket_linear(u, x, quad, kernel, profile, tg):
+    """Tail contribution interval for int_{|y|>far} delta * K, given the
+    tail gauge bounds ``tg``."""
+    dlo, dhi = u.tail_delta_range(x, quad.far_radius)
     cs = profile.c_sigma
     cands = [cs * m * d * t
              for m in (kernel.mult_lo, kernel.mult_hi)
              for d in (dlo, dhi)
-             for t in (tg_lo, tg_hi)]
+             for t in tg]
     lo, hi = _bracket(cands)
     if isinstance(kernel, TruncatedKernel):
         extra = 2.0 * max(abs(dlo), abs(dhi)) * kernel.l1_budget
@@ -61,20 +63,20 @@ def _tail_bracket_linear(u, x, profile, quad, kernel):
     return lo, hi
 
 
-def _tail_bracket_extremal(u, x, profile, quad, which):
-    dlo, dhi = u.tail_delta_range(np.asarray(x, dtype=float), quad.far_radius)
-    tg_lo, tg_hi = tail_gauge_bounds(profile, quad.far_radius)
+def _tail_bracket_extremal(u, x, profile, quad, which, tg):
+    dlo, dhi = u.tail_delta_range(x, quad.far_radius)
     lam, Lam = profile.lambda_lo, profile.lambda_hi
     if which == "plus":
         g = lambda d: Lam * max(d, 0.0) - lam * max(-d, 0.0)
     else:
         g = lambda d: lam * max(d, 0.0) - Lam * max(-d, 0.0)
     cs = profile.c_sigma
-    cands = [cs * g(d) * t for d in (dlo, dhi) for t in (tg_lo, tg_hi)]
+    cands = [cs * g(d) * t for d in (dlo, dhi) for t in tg]
     return _bracket(cands)
 
 
 def _finish(mid_value, se, near, tail_lo, tail_hi, quad):
+    mid_value, se = float(mid_value), float(se)
     value = mid_value + 0.5 * (tail_lo + tail_hi)
     err = quad.z_score * se + near + 0.5 * (tail_hi - tail_lo)
     return OpValue(value, err, parts={
@@ -86,76 +88,122 @@ def _finish(mid_value, se, near, tail_lo, tail_hi, quad):
     })
 
 
+def _within(ov, tol):
+    if tol is not None and ov.error > tol:
+        raise QuadratureToleranceError(
+            f"reported bound {ov.error:.3e} exceeds tolerance {tol:.3e}")
+    return ov
+
+
+def _deltas(u, X, ux, pts):
+    """delta(u, x, y) for every row x of ``X`` and every node y of ``pts``,
+    shape (len(X), len(pts)); ``ux`` holds u at the rows of ``X``."""
+    rows, n = X.shape
+    up = u.eval((X[:, None, :] + pts[None, :, :]).reshape(-1, n))
+    um = u.eval((X[:, None, :] - pts[None, :, :]).reshape(-1, n))
+    return (up + um).reshape(rows, -1) - 2.0 * ux[:, None]
+
+
+def _linear_members(u, x, kernels, quad, profile):
+    """OpValues of L_k u(x) for each kernel k; delta(u, x, .) is evaluated
+    once per stratum and shared by every kernel."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    X = x[None, :]
+    ux = u.eval(X)
+    total = np.zeros(len(kernels))
+    var = np.zeros(len(kernels))
+    for s in node_table(profile, quad):
+        if not s.pts.shape[0]:
+            continue
+        d = _deltas(u, X, ux, s.pts)[0]
+        vals = np.stack([d * k.eval(s.pts) for k in kernels])
+        mean_part, var_part = stratum_moments(s, vals)
+        total += mean_part
+        var += var_part
+    se = np.sqrt(var)
+    m = _c11_for(u, x, profile, quad)
+    tg = tail_gauge_bounds(profile, quad.far_radius)
+    out = []
+    for i, kernel in enumerate(kernels):
+        near = near_field_bound(profile, quad.r_inner, m, kernel.mult_hi)
+        if isinstance(kernel, TruncatedKernel):
+            hw = quad.r_inner ** (1.0 / profile.exponents)
+            near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
+        tail_lo, tail_hi = _tail_bracket_linear(u, x, quad, kernel, profile,
+                                                tg)
+        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi, quad))
+    return out
+
+
 def eval_linear(u, x, kernel, quad: QuadratureScheme, profile=None,
                 tol=None) -> OpValue:
     """L u(x) = int delta(u, x, y) K(y) dy with a reported error bound."""
-    profile = profile or kernel.profile
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _within(_linear_members(u, x, [kernel], quad,
+                                   profile or kernel.profile)[0], tol)
 
-    def f(pts):
-        return second_difference(u, x, pts) * kernel.eval(pts)
 
-    val, se = integrate(profile, quad, f)
-    m = _c11_for(u, x, profile, quad)
-    near = near_field_bound(profile, quad.r_inner, m, kernel.mult_hi)
-    if isinstance(kernel, TruncatedKernel):
-        hw = quad.r_inner ** (1.0 / profile.exponents)
-        near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
-    tail_lo, tail_hi = _tail_bracket_linear(u, x, profile, quad, kernel)
-    out = _finish(val, se, near, tail_lo, tail_hi, quad)
-    if tol is not None and out.error > tol:
-        raise QuadratureToleranceError(
-            f"reported bound {out.error:.3e} exceeds tolerance {tol:.3e}")
+def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
+                       which="plus") -> list:
+    """M^+ or M^- at every row of ``X``, one OpValue per row.
+
+    Every point is integrated on the same node table.  The integrand is
+    evaluated in row blocks of at most ``BLOCK_PAIRS`` (point, drawn node)
+    pairs, or one point when a stratum alone draws more nodes, so memory
+    stays bounded for any batch size; the C^{1,1} probe and the tail
+    bracket are taken per point.
+    """
+    if which not in ("plus", "minus"):
+        raise ValueError("which must be 'plus' or 'minus'")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    lam, Lam = profile.lambda_lo, profile.lambda_hi
+    pos_w, neg_w = (Lam, lam) if which == "plus" else (lam, Lam)
+    cs = profile.c_sigma
+    ux = u.eval(X)
+    total = np.zeros(len(X))
+    var = np.zeros(len(X))
+    for s in node_table(profile, quad):
+        if not s.pts.shape[0]:
+            continue
+        step = max(1, BLOCK_PAIRS // s.count)
+        for a in range(0, len(X), step):
+            b = a + step
+            d = _deltas(u, X[a:b], ux[a:b], s.pts)
+            num = pos_w * np.maximum(d, 0.0) - neg_w * np.maximum(-d, 0.0)
+            mean_part, var_part = stratum_moments(s, cs * num / s.gauge)
+            total[a:b] += mean_part
+            var[a:b] += var_part
+    se = np.sqrt(var)
+    tg = tail_gauge_bounds(profile, quad.far_radius)
+    out = []
+    for i, x in enumerate(X):
+        m = _c11_for(u, x, profile, quad)
+        near = near_field_bound(profile, quad.r_inner, m, Lam)
+        tail_lo, tail_hi = _tail_bracket_extremal(u, x, profile, quad, which,
+                                                  tg)
+        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi, quad))
     return out
 
 
 def eval_extremal(u, x, profile, quad: QuadratureScheme, which="plus",
                   tol=None) -> OpValue:
     """M^+ or M^- via the closed form with per-node sign split of delta."""
-    if which not in ("plus", "minus"):
-        raise ValueError("which must be 'plus' or 'minus'")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam, Lam = profile.lambda_lo, profile.lambda_hi
-    cs = profile.c_sigma
-
-    def f(pts):
-        d = second_difference(u, x, pts)
-        pos = np.maximum(d, 0.0)
-        neg = np.maximum(-d, 0.0)
-        if which == "plus":
-            num = Lam * pos - lam * neg
-        else:
-            num = lam * pos - Lam * neg
-        return cs * num / gauge(profile, pts)
-
-    val, se = integrate(profile, quad, f)
-    m = _c11_for(u, x, profile, quad)
-    near = near_field_bound(profile, quad.r_inner, m, Lam)
-    tail_lo, tail_hi = _tail_bracket_extremal(u, x, profile, quad, which)
-    out = _finish(val, se, near, tail_lo, tail_hi, quad)
-    if tol is not None and out.error > tol:
-        raise QuadratureToleranceError(
-            f"reported bound {out.error:.3e} exceeds tolerance {tol:.3e}")
-    return out
+    return _within(eval_extremal_many(u, x[None, :], profile, quad, which)[0],
+                   tol)
 
 
 def eval_inf_sup(u, x, family: KernelFamily, quad: QuadratureScheme) -> OpValue:
     """I u(x) = inf_alpha sup_beta L_{alpha beta} u(x), exact enumeration.
 
-    All members are integrated on the same node set (same scheme seed), so
-    the inf-sup acts on consistently coupled estimates.
+    All members are integrated on the same node set with one evaluation of
+    delta(u, x, .), so the inf-sup acts on consistently coupled estimates.
     """
-    rows = []
-    errs = []
-    for row in family.members:
-        vals = []
-        for kernel in row:
-            ov = eval_linear(u, x, kernel, quad)
-            vals.append(ov.value)
-            errs.append(ov.error)
-        rows.append(max(vals))
-    value = min(rows)
-    return OpValue(value, max(errs), parts={"n_members": len(errs)})
+    ovs = _linear_members(u, x, family.flat(), quad, family.profile)
+    width = family.n_sup
+    rows = [max(ov.value for ov in ovs[i:i + width])
+            for i in range(0, len(ovs), width)]
+    return OpValue(min(rows), max(ov.error for ov in ovs),
+                   parts={"n_members": len(ovs)})
 
 
 class QuadratureToleranceError(RuntimeError):

@@ -12,13 +12,15 @@ r_outer is the largest level with Theta_{r_outer} inside the Euclidean
 ball B_far, so the strata partition B_far \\ Theta_{r_inner} exactly.
 Node positions are reproducible: shell m draws from a child stream of the
 scheme seed.  Symmetric integrands make sign-flips of the nodes a no-op.
+The nodes depend only on (profile, scheme), so they are drawn once into a
+read-only node table that every evaluation shares.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,13 +52,6 @@ class QuadratureScheme:
                        if self.r_inner < 1 else self.r_inner,
                        nodes_per_shell=self.nodes_per_shell * node_factor)
 
-    def to_json(self):
-        return json.dumps({"shells": self.shells,
-                           "nodes_per_shell": self.nodes_per_shell,
-                           "far_radius": self.far_radius,
-                           "r_inner": self.r_inner,
-                           "seed": self.seed})
-
     @staticmethod
     def from_dict(obj):
         return QuadratureScheme(
@@ -66,10 +61,6 @@ class QuadratureScheme:
             r_inner=float(obj.get("r_inner", 1e-6)),
             seed=int(obj.get("seed", 2024)),
         )
-
-    @staticmethod
-    def from_json(text):
-        return QuadratureScheme.from_dict(json.loads(text))
 
 
 def outer_theta_radius(profile, far_radius):
@@ -95,40 +86,78 @@ def _shell_rng(quad, index):
         np.random.SeedSequence(entropy=quad.seed, spawn_key=(index,)))
 
 
+@dataclass(frozen=True, eq=False)
+class Stratum:
+    """One stratum of the node table; every array is read-only.
+
+    ``pts`` and ``gauge`` hold the accepted nodes and their gauge values,
+    in draw order; ``mask`` marks them among the ``count`` drawn nodes,
+    which were uniform on a box of volume ``box``.
+    """
+    pts: np.ndarray
+    gauge: np.ndarray
+    mask: np.ndarray
+    box: float
+    count: int
+
+
+def _stratum(pts, g, mask, box):
+    arrays = (pts[mask], g[mask], mask)
+    for a in arrays:
+        a.flags.writeable = False
+    return Stratum(*arrays, box=box, count=len(mask))
+
+
+@lru_cache(maxsize=8)
+def node_table(profile, quad):
+    """The ``quad.shells + 1`` strata of B_far \\ Theta_{r_inner}: the Theta
+    shells, outermost first, then the stratum out to the Euclidean far
+    ball.  Built once per (profile, scheme) and shared by every caller."""
+    n = profile.n
+    radii = shell_radii(profile, quad)
+    table = []
+    for m in range(quad.shells):
+        r_hi, r_lo = radii[m], radii[m + 1]
+        hw = r_hi ** (1.0 / profile.exponents)
+        pts = _shell_rng(quad, m).uniform(-hw, hw,
+                                          size=(quad.nodes_per_shell, n))
+        g = gauge(profile, pts)
+        table.append(_stratum(pts, g, (g < r_hi) & (g >= r_lo),
+                              float(np.prod(2.0 * hw))))
+
+    count = quad.nodes_per_shell * quad.outer_factor
+    pts = _shell_rng(quad, quad.shells).uniform(
+        -quad.far_radius, quad.far_radius, size=(count, n))
+    g = gauge(profile, pts)
+    mask = (g >= radii[0]) & (np.linalg.norm(pts, axis=1) < quad.far_radius)
+    table.append(_stratum(pts, g, mask, (2.0 * quad.far_radius) ** n))
+    return tuple(table)
+
+
+def stratum_moments(stratum, vals):
+    """Per-row contributions (box * mean, box^2 * var / count) of one
+    stratum to the estimate and to its variance.
+
+    ``vals`` has shape (rows, accepted): the integrand at the accepted
+    nodes; rejected nodes enter the mean and variance as zeros.
+    """
+    full = np.zeros((vals.shape[0], stratum.count))
+    full[:, stratum.mask] = vals
+    return (stratum.box * np.mean(full, axis=1),
+            (stratum.box ** 2) * np.var(full, axis=1) / stratum.count)
+
+
 def integrate(profile, quad, integrand):
     """Monte Carlo of ``integrand`` over B_far \\ Theta_{r_inner}.
 
     ``integrand(pts)`` maps (m, n) points to values; it must already
     include the kernel.  Returns (value, standard_error).
     """
-    n = profile.n
-    radii = shell_radii(profile, quad)
     total = 0.0
     var = 0.0
-    for m in range(quad.shells):
-        r_hi, r_lo = radii[m], radii[m + 1]
-        rng = _shell_rng(quad, m)
-        hw = r_hi ** (1.0 / profile.exponents)
-        pts = rng.uniform(-hw, hw, size=(quad.nodes_per_shell, n))
-        box = float(np.prod(2.0 * hw))
-        g = gauge(profile, pts)
-        mask = (g < r_hi) & (g >= r_lo)
-        vals = np.zeros(quad.nodes_per_shell)
-        if mask.any():
-            vals[mask] = integrand(pts[mask])
-        total += box * float(np.mean(vals))
-        var += (box ** 2) * float(np.var(vals)) / quad.nodes_per_shell
-
-    # stratum between the largest Theta shell and the Euclidean far ball
-    rng = _shell_rng(quad, quad.shells)
-    count = quad.nodes_per_shell * quad.outer_factor
-    pts = rng.uniform(-quad.far_radius, quad.far_radius, size=(count, n))
-    box = (2.0 * quad.far_radius) ** n
-    g = gauge(profile, pts)
-    mask = (g >= radii[0]) & (np.linalg.norm(pts, axis=1) < quad.far_radius)
-    vals = np.zeros(count)
-    if mask.any():
-        vals[mask] = integrand(pts[mask])
-    total += box * float(np.mean(vals))
-    var += (box ** 2) * float(np.var(vals)) / count
+    for s in node_table(profile, quad):
+        if s.pts.shape[0]:
+            mean_part, var_part = stratum_moments(s, integrand(s.pts)[None, :])
+            total += float(mean_part[0])
+            var += float(var_part[0])
     return total, math.sqrt(var)

@@ -45,6 +45,8 @@ def random_profile(rng, n=None):
     return derive_constants(n, sigma, lam, lam * rng.uniform(1.0, 3.0))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so no test's draw depends on which
+    tests ran before it."""
     return np.random.default_rng(20240817)

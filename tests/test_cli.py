@@ -342,3 +342,60 @@ def test_grid_below_two_exit_2(tmp_path, capsys, command):
     assert detail["error"] == "invalid solver params"
     assert "two lattice points" in detail["detail"]
     assert not (tmp_path / "o").exists()
+
+
+BARRIER_BASE = {"command": "barrier-verify",
+                "profile": {"n": 2, "sigma": [1.0, 1.5], "lambda_lo": 1.0,
+                            "lambda_hi": 2.0},
+                "quadrature": {"shells": 8, "nodes_per_shell": 64}}
+
+
+def _exit_2_line(tmp_path, capsys, config):
+    """Run ``config``; it must exit 2 with exactly one JSON stderr line
+    and write no outputs.  Returns that line, parsed."""
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    detail = json.loads(lines[0])
+    assert set(detail) == {"error", "detail"}
+    assert not (tmp_path / "o").exists()
+    return detail
+
+
+def test_rejected_quadrature_exit_2(tmp_path, capsys):
+    detail = _exit_2_line(tmp_path, capsys, dict(
+        BARRIER_BASE, quadrature={"shells": 8, "nodes_per_shell": 1}))
+    assert detail["error"] == "invalid quadrature"
+    assert "two nodes per shell" in detail["detail"]
+
+
+def test_barrier_radius_not_above_one_exit_2(tmp_path, capsys):
+    detail = _exit_2_line(tmp_path, capsys,
+                          dict(BARRIER_BASE, params={"R": 1.0}))
+    assert detail["error"] == "invalid barrier params"
+    assert "R > 1" in detail["detail"]
+
+
+def test_barrier_zero_points_exit_2(tmp_path, capsys):
+    detail = _exit_2_line(tmp_path, capsys,
+                          dict(BARRIER_BASE, params={"n_points": 0}))
+    assert detail["error"] == "invalid barrier params"
+    assert "n_points" in detail["detail"]
+
+
+def test_sweep_order_outside_range_exit_2(tmp_path, capsys):
+    params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 2.5])
+    detail = _exit_2_line(tmp_path, capsys,
+                          dict(SOLVER_BASE, command="sweep", params=params))
+    assert detail["error"] == "invalid sweep params"
+    assert "(0, 2)" in detail["detail"]
+
+
+@pytest.mark.parametrize("command", ["envelope", "abp-cover"])
+def test_cap_grid_below_two_exit_2(tmp_path, capsys, command):
+    detail = _exit_2_line(tmp_path, capsys, {
+        "command": command, "profile": {"n": 2, "sigma": [1.0, 1.0]},
+        "params": {"grid": 1}})
+    assert detail["error"] == "invalid grid params"
+    assert "two lattice points" in detail["detail"]

@@ -1,0 +1,137 @@
+import numpy as np
+import pytest
+
+from anisonl import operators
+from anisonl.barriers import RadialBarrier
+from anisonl.fields import AnalyticField, ConstantExterior, GridField
+from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
+from anisonl.operators import (eval_extremal, eval_extremal_many,
+                               eval_inf_sup, eval_linear)
+from anisonl.quadrature import QuadratureScheme, node_table, shell_radii
+
+QUAD = QuadratureScheme(shells=10, nodes_per_shell=600, far_radius=12.0,
+                        r_inner=1e-7, seed=5)
+
+
+def redrawn_strata(profile, quad):
+    """(points, accepted, box) per stratum, drawn here straight from the
+    scheme's seed streams."""
+    ex = np.array([profile.n + s for s in profile.sigma])
+    radii = shell_radii(profile, quad)
+    out = []
+    for m in range(quad.shells + 1):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=quad.seed, spawn_key=(m,)))
+        if m < quad.shells:
+            hw = radii[m] ** (1.0 / ex)
+            pts = rng.uniform(-hw, hw, size=(quad.nodes_per_shell, profile.n))
+            g = np.sum(np.abs(pts) ** ex, axis=1)
+            ok = (g < radii[m]) & (g >= radii[m + 1])
+            box = float(np.prod(2.0 * hw))
+        else:
+            far = quad.far_radius
+            pts = rng.uniform(-far, far, size=(quad.nodes_per_shell
+                                               * quad.outer_factor,
+                                               profile.n))
+            g = np.sum(np.abs(pts) ** ex, axis=1)
+            ok = (g >= radii[0]) & (np.linalg.norm(pts, axis=1) < far)
+            box = (2.0 * far) ** profile.n
+        out.append((pts, ok, box))
+    return out
+
+
+def oracle_extremal(u, x, profile, quad, which):
+    """(quadrature value, standard error) of M^+/- u(x), one point at a
+    time over the redrawn nodes."""
+    lam, Lam = profile.lambda_lo, profile.lambda_hi
+    a, b = (Lam, lam) if which == "plus" else (lam, Lam)
+    ex = np.array([profile.n + s for s in profile.sigma])
+    total, var = 0.0, 0.0
+    for pts, ok, box in redrawn_strata(profile, quad):
+        y = pts[ok]
+        ux = u.eval(x[None, :])[0]
+        d = u.eval(x + y) + u.eval(x - y) - 2.0 * ux
+        vals = np.zeros(len(pts))
+        vals[ok] = profile.c_sigma * (a * np.maximum(d, 0.0)
+                                      - b * np.maximum(-d, 0.0)) \
+            / np.sum(np.abs(y) ** ex, axis=1)
+        total += box * vals.mean()
+        var += box ** 2 * vals.var() / len(pts)
+    return total, np.sqrt(var)
+
+
+def test_node_table_matches_redrawn_nodes(aniso2):
+    table = node_table(aniso2, QUAD)
+    ref = redrawn_strata(aniso2, QUAD)
+    assert len(table) == QUAD.shells + 1
+    ex = np.array([3.0, 3.5])
+    for s, (pts, ok, box) in zip(table, ref):
+        assert s.count == len(pts)
+        assert np.array_equal(s.mask, ok)
+        assert np.array_equal(s.pts, pts[ok])
+        assert np.array_equal(s.gauge, np.sum(np.abs(pts[ok]) ** ex, axis=1))
+        assert s.box == box
+    assert node_table(aniso2, QUAD) is table
+
+
+def test_node_table_is_read_only_and_bounded(aniso2):
+    for s in node_table(aniso2, QUAD):
+        for arr in (s.pts, s.gauge, s.mask):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    assert node_table.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("which", ["plus", "minus"])
+def test_extremal_many_matches_pointwise_oracle(aniso2, which, rng):
+    u = RadialBarrier(3.0, 8.0)
+    X = rng.uniform(-2.0, 2.0, size=(7, 2))
+    got = eval_extremal_many(u, X, aniso2, QUAD, which)
+    assert len(got) == len(X)
+    for x, ov in zip(X, got):
+        val, se = oracle_extremal(u, x, aniso2, QUAD, which)
+        assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
+        assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)
+        one = eval_extremal(u, x, aniso2, QUAD, which)
+        assert (one.value, one.error) == (ov.value, ov.error)
+
+
+@pytest.mark.parametrize("pairs", [1, 700, 5000])
+def test_row_blocks_are_bit_identical(aniso2, rng, monkeypatch, pairs):
+    u = RadialBarrier(2.0, 4.0)
+    X = rng.uniform(-3.0, 3.0, size=(9, 2))
+    whole = eval_extremal_many(u, X, aniso2, QUAD, "minus")
+    monkeypatch.setattr(operators, "BLOCK_PAIRS", pairs)
+    blocked = eval_extremal_many(u, X, aniso2, QUAD, "minus")
+    assert [(o.value, o.error, o.parts) for o in blocked] \
+        == [(o.value, o.error, o.parts) for o in whole]
+
+
+def test_inf_sup_shares_delta_with_linear_members(aniso2, rng):
+    u = GridField.from_function(
+        lambda p: np.cos(p[:, 0]) * np.exp(-p[:, 1] ** 2),
+        [-2.0, -2.0], [2.0, 2.0], (17, 17), ConstantExterior(0.1))
+    lam, Lam = aniso2.lambda_lo, aniso2.lambda_hi
+    wavy = PowerLawKernel(aniso2, lambda y: 1.5 + 0.5 * np.cos(y[:, 0]),
+                          mult_lo=lam, mult_hi=Lam)
+    trunc = TruncatedKernel(PowerLawKernel(aniso2, lam),
+                            lambda y: np.exp(-np.sum(y ** 2, axis=1)), 3.2)
+    fam = KernelFamily([[PowerLawKernel(aniso2, Lam), wavy],
+                        [trunc, PowerLawKernel(aniso2, 1.3)]])
+    x = rng.uniform(-1.0, 1.0, size=2)
+    got = eval_inf_sup(u, x, fam, QUAD)
+    table = [[eval_linear(u, x, k, QUAD) for k in row] for row in fam.members]
+    assert got.value == min(max(ov.value for ov in row) for row in table)
+    assert got.error == max(ov.error for row in table for ov in row)
+
+
+def test_field_with_no_accepted_nodes_in_a_stratum(iso1):
+    # two nodes per shell: some strata accept none and contribute zero
+    quad = QuadratureScheme(shells=12, nodes_per_shell=2, far_radius=4.0,
+                            r_inner=1e-6, seed=3)
+    assert any(s.pts.shape[0] == 0 for s in node_table(iso1, quad))
+    u = AnalyticField(lambda p: np.exp(-p[:, 0] ** 2), sup_bound=1.0)
+    ov = eval_extremal(u, [0.1], iso1, quad, "plus")
+    val, se = oracle_extremal(u, np.array([0.1]), iso1, quad, "plus")
+    assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
+    assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)
