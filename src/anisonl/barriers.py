@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AnalyticField
-from .geometry import ScalingMap, ellipse, rect
+from .geometry import ScalingMap, ellipse, rect, row_norm
 from .operators import eval_extremal_many
 from .quadrature import QuadratureScheme
 
@@ -66,7 +66,7 @@ class RadialBarrier(AnalyticField):
         self.cap = float(cap)
 
         def fn(pts):
-            r = np.linalg.norm(pts, axis=1)
+            r = row_norm(pts)
             with np.errstate(divide="ignore"):
                 return np.minimum(self.cap, r ** -self.p)
 
@@ -150,19 +150,27 @@ def annulus_points(n, r_lo, r_hi, count, seed, avoid=None, avoid_dist=0.05):
     return np.array(pts)
 
 
+# find_p refuses profiles with sigma_min at or below this floor by default
+SIGMA_FLOOR = 0.5
+
+
 def _margins(barrier, pts, profile, quad):
     return [(ov.value, ov.error) for ov in
             eval_extremal_many(barrier, pts, profile, quad, which="minus")]
 
 
 def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
-           sigma_floor=0.5, screen_points=24):
+           sigma_floor=SIGMA_FLOOR, screen_points=24):
     """Smallest integer p in [1, p_max] with M^- min(2^p, |x|^-p) >= 0
     (within quadrature error) on a sample of {1 <= |x| <= R}.
 
-    Strategy: binary search on a screening subset (margins are monotone
-    in p), then full certification at the candidate, advancing p if the
-    full sample disagrees with the screen.
+    Strategy: screen the first ``screen_points`` sample points at
+    p = 1, 2, 4, ... (capped at ``p_max``) until a screen passes, then
+    bisect between the last failing and the passing exponent (margins are
+    monotone in p, so this is the smallest p whose screen passes).  Full
+    certification follows at that candidate, advancing p if the full
+    sample disagrees with the screen.  A screened exponent's margins are
+    kept, so certifying it evaluates only the points past the screen.
     """
     if R <= 1:
         raise ValueError("the annulus needs R > 1")
@@ -177,25 +185,44 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
                                 far_radius=8.0 * R, r_inner=1e-8, seed=seed)
     pts = annulus_points(profile.n, 1.0, R, n_points, seed)
     screen = pts[:screen_points]
+    # margins of the screen rows per screened p; rows of eval_extremal_many
+    # do not depend on the batch, so they stand in for a full evaluation's
+    screened = {}
 
     def screen_ok(p):
-        m = _margins(RadialBarrier(p, 2.0 ** p), screen, profile, quad)
-        return all(v >= -e for v, e in m)
+        screened[p] = _margins(RadialBarrier(p, 2.0 ** p), screen, profile,
+                               quad)
+        return all(v >= -e for v, e in screened[p])
 
-    lo, hi = 1, p_max
-    if not screen_ok(hi):
-        m = _margins(RadialBarrier(hi, 2.0 ** hi), pts, profile, quad)
-        worst = min(range(len(m)), key=lambda i: m[i][0])
-        raise BarrierSearchError(m[worst][0], pts[worst], p_max)
+    def full_margins(p):
+        head = screened.get(p, [])
+        rest = pts[len(head):]
+        if not len(rest):
+            return head
+        return head + _margins(RadialBarrier(p, 2.0 ** p), rest, profile,
+                               quad)
+
+    def search_error(margins):
+        worst = min(range(len(margins)), key=lambda i: margins[i][0])
+        return BarrierSearchError(margins[worst][0], pts[worst], p_max)
+
+    lo, hi = 0, 1
+    while True:
+        hi = min(hi, p_max)
+        if screen_ok(hi):
+            break
+        if hi == p_max:
+            raise search_error(full_margins(p_max))
+        lo, hi = hi, 2 * hi
+    lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
         if screen_ok(mid):
             hi = mid
         else:
             lo = mid + 1
-    p = lo
-    while p <= p_max:
-        margins = _margins(RadialBarrier(p, 2.0 ** p), pts, profile, quad)
+    for p in range(lo, p_max + 1):
+        margins = full_margins(p)
         if all(v >= -e for v, e in margins):
             worst = min(range(len(margins)), key=lambda i: margins[i][0])
             return {
@@ -205,10 +232,7 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
                 "quadrature_error": margins[worst][1],
                 "n_points": len(pts),
             }
-        p += 1
-    m = _margins(RadialBarrier(p_max, 2.0 ** p_max), pts, profile, quad)
-    worst = min(range(len(m)), key=lambda i: m[i][0])
-    raise BarrierSearchError(m[worst][0], pts[worst], p_max)
+    raise search_error(margins)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +263,7 @@ class PsiBarrier:
     def eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = pts / self._t[None, :]
-        r = np.linalg.norm(w, axis=1)
+        r = row_norm(w)
         out = np.zeros(pts.shape[0])
         outer_val = self._outer ** -self.p
         mid = (r >= 1.0) & (r < self._outer)

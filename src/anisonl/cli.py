@@ -138,22 +138,28 @@ def _cmd_constants(profile, quad, params, seed):
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
-    from .barriers import (annulus_points, build_psi, find_p, make_phi,
-                           verify_supersolution)
+    from .barriers import (SIGMA_FLOOR, annulus_points, build_psi, find_p,
+                           make_phi, verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
     n_points = params.get("n_points", 60)
     psi_points = params.get("psi_points", 40)
-    if not R > 1:
+    if (isinstance(R, bool) or not isinstance(R, (int, float))
+            or not 1 < R <= sys.float_info.max):
         raise _invalid_config("invalid barrier params",
-                              f"the annulus needs R > 1, got {R}")
-    if not (n_points >= 1 and psi_points >= 1):
-        raise _invalid_config(
-            "invalid barrier params", "n_points and psi_points must be at "
-            f"least 1, got {n_points} and {psi_points}")
+                              f"the annulus needs a finite R > 1, got {R!r}")
+    for name, count in (("n_points", n_points), ("psi_points", psi_points)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise _invalid_config(
+                "invalid barrier params",
+                f"{name} must be an integer of at least 1, got {count!r}")
     try:
         shell_radii(profile, quad)
     except ValueError as exc:
         raise _invalid_config("invalid quadrature", exc)
+    if profile.sigma_min <= SIGMA_FLOOR:
+        raise PreconditionError(
+            f"profile sigma_min {profile.sigma_min} at or below the barrier "
+            f"floor {SIGMA_FLOOR}: barrier certification refused")
     found = find_p(profile, R, quad, n_points=n_points, seed=seed)
     psi = build_psi(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),

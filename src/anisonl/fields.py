@@ -224,17 +224,19 @@ def second_difference(u, x, y):
     return u.eval(x[None, :] + y) + u.eval(x[None, :] - y) - 2.0 * ux
 
 
-def estimate_c11(u, x, scale, directions=16, seed=7, safety=2.0):
-    """Probe-based bound M with |delta(u,x,y)| <= 2 M |y|^2 near x.
+def estimate_c11_many(u, X, scale, directions=16, seed=7, safety=2.0):
+    """Probe-based bounds M with |delta(u,x,y)| <= 2 M |y|^2 near each row
+    x of ``X``, one per row.
 
     Samples second differences along coordinate axes plus random
-    directions at a few radii around ``scale``.  A measurement, not a
-    certificate; the safety factor covers curvature between probes.
+    directions at a few radii around ``scale``; every row is probed with
+    the same directions and radii.  A measurement, not a certificate; the
+    safety factor covers curvature between probes.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    rows, n = X.shape
     if getattr(u, "c11_bound", None) is not None:
-        return float(u.c11_bound)
+        return np.full(rows, float(u.c11_bound))
     rng = np.random.default_rng(seed)
     dirs = [np.eye(n)[i] for i in range(n)]
     extra = rng.normal(size=(max(directions - n, 0), n))
@@ -243,10 +245,21 @@ def estimate_c11(u, x, scale, directions=16, seed=7, safety=2.0):
         if nv > 0:
             dirs.append(v / nv)
     dirs = np.array(dirs)
-    worst = 0.0
+    ux = u.eval(X)
+    worst = np.zeros(rows)
     for fac in (0.5, 1.0, 2.0):
         y = dirs * (fac * scale)
-        d = np.abs(second_difference(u, x, y))
+        up = u.eval((X[:, None, :] + y[None, :, :]).reshape(-1, n))
+        um = u.eval((X[:, None, :] - y[None, :, :]).reshape(-1, n))
+        d = np.abs((up + um).reshape(rows, -1) - 2.0 * ux[:, None])
         r2 = np.sum(y ** 2, axis=1)
-        worst = max(worst, float(np.max(d / (2.0 * r2))))
+        # fmax, like a running max(), skips a radius whose largest ratio is nan
+        worst = np.fmax(worst, np.max(d / (2.0 * r2)[None, :], axis=1))
     return safety * worst
+
+
+def estimate_c11(u, x, scale, directions=16, seed=7, safety=2.0):
+    """``estimate_c11_many`` at the single point ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(estimate_c11_many(u, x[None, :], scale, directions, seed,
+                                   safety)[0])

@@ -35,6 +35,21 @@ def gauge(profile, y):
     return np.sum(np.abs(y) ** profile.exponents[None, :], axis=1)
 
 
+def row_norm(pts):
+    """Euclidean norm of each row of ``pts`` (m, n).
+
+    The squares are accumulated column by column, which is the order numpy's
+    reduce uses below eight columns, so for n <= 7 the result equals
+    ``np.linalg.norm(pts, axis=1)`` bit for bit; columnwise adds avoid the
+    slow strided reduce over a short axis.
+    """
+    pts = np.asarray(pts, dtype=float)
+    acc = pts[:, 0] * pts[:, 0]
+    for i in range(1, pts.shape[1]):
+        acc += pts[:, i] * pts[:, i]
+    return np.sqrt(acc)
+
+
 def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 

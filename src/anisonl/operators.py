@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import estimate_c11
+from .fields import estimate_c11_many
 from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
 from .quadrature import QuadratureScheme, node_table, stratum_moments
@@ -34,13 +34,15 @@ class OpValue:
         return self.value
 
 
-def _c11_for(u, x, profile, quad):
+def _c11_many(u, X, profile, quad):
+    """C^{1,1} bound at every row of ``X``: the scheme's declared bound, or
+    one batched probe."""
     if quad.c11_bound is not None:
-        return quad.c11_bound
+        return [quad.c11_bound] * len(X)
     scale = (2.0 * quad.r_inner) ** (1.0 / (profile.n + profile.sigma_max))
     # probe at the inner-cutoff length scale, but not below fp resolution
     scale = max(scale, 1e-7)
-    return estimate_c11(u, x, scale)
+    return estimate_c11_many(u, X, scale).tolist()
 
 
 def _bracket(candidates):
@@ -121,7 +123,7 @@ def _linear_members(u, x, kernels, quad, profile):
         total += mean_part
         var += var_part
     se = np.sqrt(var)
-    m = _c11_for(u, x, profile, quad)
+    m = _c11_many(u, X, profile, quad)[0]
     tg = tail_gauge_bounds(profile, quad.far_radius)
     out = []
     for i, kernel in enumerate(kernels):
@@ -149,8 +151,8 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
     Every point is integrated on the same node table.  The integrand is
     evaluated in row blocks of at most ``BLOCK_PAIRS`` (point, drawn node)
     pairs, or one point when a stratum alone draws more nodes, so memory
-    stays bounded for any batch size; the C^{1,1} probe and the tail
-    bracket are taken per point.
+    stays bounded for any batch size; the C^{1,1} probe runs once for the
+    batch and the tail bracket is taken per point.
     """
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
@@ -174,10 +176,10 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
             var[a:b] += var_part
     se = np.sqrt(var)
     tg = tail_gauge_bounds(profile, quad.far_radius)
+    c11 = _c11_many(u, X, profile, quad)
     out = []
     for i, x in enumerate(X):
-        m = _c11_for(u, x, profile, quad)
-        near = near_field_bound(profile, quad.r_inner, m, Lam)
+        near = near_field_bound(profile, quad.r_inner, c11[i], Lam)
         tail_lo, tail_hi = _tail_bracket_extremal(u, x, profile, quad, which,
                                                   tg)
         out.append(_finish(total[i], se[i], near, tail_lo, tail_hi, quad))

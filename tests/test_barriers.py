@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as squad
 
+from anisonl import barriers
 from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
                               ScaledBarrier, annulus_points, build_barrier,
                               build_psi, delta_lower_bound,
@@ -11,7 +12,7 @@ from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
 from anisonl.fields import AnalyticField, second_difference
 from anisonl.geometry import ScalingMap, ellipse, rect
 from anisonl.operators import eval_extremal
-from anisonl.profile import isotropic
+from anisonl.profile import derive_constants, isotropic
 from anisonl.quadrature import QuadratureScheme
 
 
@@ -84,6 +85,89 @@ def test_find_p_returns_smallest_certified(iso1_ell):
     res = find_p(iso1_ell, 6.0, quad, n_points=40, seed=5)
     assert 1 <= res["p"] <= 64
     assert res["min_margin"] >= -res["quadrature_error"]
+
+
+def brute_force_p(profile, R, quad, n_points, seed, p_max, screen_points):
+    """find_p's answer by exhaustion with per-point ``eval_extremal``: the
+    smallest p whose screen clears, advanced while the full sample fails.
+    Returns p (None when no p <= p_max certifies) and the worst
+    (margin, error, point) at p, or at p_max when none does."""
+    pts = annulus_points(profile.n, 1.0, R, n_points, seed)
+
+    def margins(p, rows):
+        f = RadialBarrier(p, 2.0 ** p)
+        return [eval_extremal(f, x, profile, quad, "minus") for x in rows]
+
+    def clears(ovs):
+        return all(ov.value >= -ov.error for ov in ovs)
+
+    def worst(ovs):
+        i = int(np.argmin([ov.value for ov in ovs]))
+        return ovs[i].value, ovs[i].error, pts[i]
+
+    p = 1
+    while p <= p_max and not clears(margins(p, pts[:screen_points])):
+        p += 1
+    while p <= p_max:
+        full = margins(p, pts)
+        if clears(full):
+            return p, worst(full)
+        p += 1
+    return None, worst(margins(p_max, pts))
+
+
+SEARCH_QUAD = QuadratureScheme(shells=10, nodes_per_shell=300,
+                               far_radius=16.0, r_inner=1e-8, seed=3)
+
+
+@pytest.mark.parametrize("sigma, screen_points, want_p", [
+    ((1.0, 1.5), 24, 1),
+    ((0.8, 0.8), 24, 3),
+    # a one-point screen clears at p = 2, the full sample only at p = 3
+    ((0.8, 0.8), 1, 3),
+])
+def test_find_p_matches_brute_force(sigma, screen_points, want_p):
+    prof = derive_constants(2, sigma, 1.0, 2.0)
+    res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5,
+                 screen_points=screen_points)
+    p, (margin, error, point) = brute_force_p(prof, 4.0, SEARCH_QUAD, 30, 5,
+                                              64, screen_points)
+    assert res["p"] == p == want_p
+    assert res["min_margin"] == margin
+    assert res["quadrature_error"] == error
+    assert np.array_equal(res["worst_point"], point)
+
+
+def test_find_p_search_error_matches_brute_force():
+    prof = isotropic(2, 0.8, 1.0, 2.0)
+    p, (margin, _, point) = brute_force_p(prof, 4.0, SEARCH_QUAD, 30, 5, 2,
+                                          24)
+    assert p is None
+    with pytest.raises(BarrierSearchError) as err:
+        find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5, p_max=2)
+    assert err.value.worst_margin == margin
+    assert np.array_equal(err.value.worst_point, point)
+
+
+@pytest.mark.parametrize("sigma, want_p, want_rows", [
+    # the 24-point screen passes at p = 1; certifying p = 1 adds the rest
+    ((1.0, 1.5), 1, [24, 6]),
+    # screens at p = 1, 2 (fail), 4 (pass), then 3 (pass); certify p = 3
+    ((0.8, 0.8), 3, [24, 24, 24, 24, 6]),
+])
+def test_find_p_reuses_screened_rows(monkeypatch, sigma, want_p, want_rows):
+    rows = []
+    batched = barriers.eval_extremal_many
+
+    def counted(u, X, *args, **kwargs):
+        rows.append(len(X))
+        return batched(u, X, *args, **kwargs)
+
+    monkeypatch.setattr(barriers, "eval_extremal_many", counted)
+    prof = derive_constants(2, sigma, 1.0, 2.0)
+    res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5)
+    assert res["p"] == want_p
+    assert rows == want_rows
 
 
 def test_find_p_refuses_low_sigma():

@@ -384,6 +384,44 @@ def test_barrier_zero_points_exit_2(tmp_path, capsys):
     assert "n_points" in detail["detail"]
 
 
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("n_points", "psi_points")
+    for value in ("x", True, 2.5, None)
+] + [("R", "x"), ("R", True), ("R", None), ("R", float("inf")),
+     ("R", float("nan"))])
+def test_barrier_bad_params_exit_2(tmp_path, capsys, key, value):
+    detail = _exit_2_line(tmp_path, capsys,
+                          dict(BARRIER_BASE, params={key: value}))
+    assert detail["error"] == "invalid barrier params"
+    assert (key if key != "R" else "R > 1") in detail["detail"]
+
+
+def test_barrier_sigma_below_floor_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(
+        BARRIER_BASE, profile=dict(BARRIER_BASE["profile"], sigma=[0.4, 1.5])))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert "sigma_min 0.4" in results["invalid"]
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
+def test_barrier_verify_benchmark_config_frozen(tmp_path):
+    """barrier-verify at the benchmark's barrier-certify config and
+    reference seed: the recorded values, exactly."""
+    cfg = write_config(tmp_path, {
+        "command": "barrier-verify", "profile": P2, "seed": 7,
+        "quadrature": {"seed": 7},
+        "params": {"n_points": 50, "psi_points": 50}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["p"] == 1
+    assert results["min_margin"] == -42.98893469353471
+    assert results["min_margin_f"] == -1.4711167141205312
+    assert results["quadrature_error"] == 193.39104239113632
+    assert results["tilde_c"] == 12.373408321831254
+
+
 def test_sweep_order_outside_range_exit_2(tmp_path, capsys):
     params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 2.5])
     detail = _exit_2_line(tmp_path, capsys,

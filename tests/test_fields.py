@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from anisonl.barriers import RadialBarrier, build_psi
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
                             ConstantExterior, GridField, estimate_c11,
-                            second_difference)
+                            estimate_c11_many, second_difference)
+from anisonl.profile import derive_constants
 
 
 def make_affine_field(n=1, offset=1.0, slope=2.0):
@@ -108,6 +110,51 @@ def test_estimate_c11_quadratic():
     m = estimate_c11(u, np.array([0.0, 0.0]), scale=1e-3, safety=1.0)
     # |delta| = 2|y|^2 means the probe sees exactly M = 1
     assert m == pytest.approx(1.0, rel=1e-6)
+
+
+def probe_one_point(u, x, scale):
+    """The C^{1,1} probe at one point, from ``second_difference``: the
+    axes plus unit seed-7 normal directions (16 in all), at 0.5, 1 and 2
+    times ``scale``, with safety factor 2."""
+    n = len(x)
+    normals = np.random.default_rng(7).normal(size=(16 - n, n))
+    dirs = np.vstack([np.eye(n),
+                      normals / np.linalg.norm(normals, axis=1)[:, None]])
+    worst = 0.0
+    for fac in (0.5, 1.0, 2.0):
+        y = dirs * (fac * scale)
+        d = np.abs(second_difference(u, x, y))
+        worst = max(worst, float(np.max(d / (2.0 * np.sum(y ** 2, axis=1)))))
+    return 2.0 * worst
+
+
+def c11_probe_fields():
+    prof = derive_constants(2, (1.0, 1.5), 1.0, 2.0)
+    grid = GridField.from_function(
+        lambda p: np.sin(3.0 * p[:, 0]) * np.abs(p[:, 1]),
+        [-1.0, -1.0], [1.0, 1.0], (17, 13), ConstantExterior(0.5))
+    return {"radial": RadialBarrier(3.0, 8.0), "psi": build_psi(prof, 4.0),
+            "grid": grid}
+
+
+@pytest.mark.parametrize("name", ["radial", "psi", "grid"])
+def test_estimate_c11_many_matches_per_point_probe(rng, name):
+    u = c11_probe_fields()[name]
+    # kinks (cap radius 1/2, the psi gluing ellipse, grid cells and box
+    # faces) lie among the points
+    X = np.vstack([rng.uniform(-1.2, 1.2, size=(9, 2)),
+                   [[0.5, 0.0], [0.0, 1.0], [1.0, 0.3]]])
+    for scale in (1e-3, 0.1):
+        want = [probe_one_point(u, x, scale) for x in X]
+        got = estimate_c11_many(u, X, scale)
+        assert got.tolist() == want
+        assert [estimate_c11(u, x, scale) for x in X[:3]] == want[:3]
+
+
+def test_estimate_c11_many_declared_bound():
+    u = AnalyticField(lambda p: np.zeros(len(p)), sup_bound=1.0,
+                      c11_bound=2.5)
+    assert estimate_c11_many(u, np.zeros((4, 3)), 1e-3).tolist() == [2.5] * 4
 
 
 def test_grid_rejects_bad_shapes():

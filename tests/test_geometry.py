@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from anisonl.geometry import (AnisoSet, ScalingMap, ellipse, gauge, rect,
-                              scaling_apply, set_measure, set_membership,
-                              theta, theta_unit_volume, tilde_rect)
+                              row_norm, scaling_apply, set_measure,
+                              set_membership, theta, theta_unit_volume,
+                              tilde_rect)
 from anisonl.profile import isotropic
 from conftest import random_profile
 
@@ -140,3 +141,13 @@ def test_gauge_closed_form(aniso2):
     pts = [(2.0, -3.0), (0.0, 0.0), (-1.0, 0.5), (0.0, -2.0)]
     expected = [8.0 + 3.0 ** 3.5, 0.0, 1.0 + 0.5 ** 3.5, 2.0 ** 3.5]
     assert gauge(aniso2, pts).tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_norm_matches_linalg_norm_bitwise(rng, n):
+    pts = rng.normal(size=(5000, n)) * rng.uniform(1e-3, 1e3, size=(5000, 1))
+    pts[0] = 0.0
+    assert np.array_equal(row_norm(pts), np.linalg.norm(pts, axis=1))
+    # non-contiguous rows, as sliced callers pass them
+    assert np.array_equal(row_norm(pts[::3]),
+                          np.linalg.norm(pts[::3], axis=1))
