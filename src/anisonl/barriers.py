@@ -105,22 +105,6 @@ class ScaledBarrier(AnalyticField):
         return 0.0, min(self.cap, (R / self._max_diag) ** -self.p)
 
 
-def build_barrier(profile, variant, p, r=None, s=None):
-    """Barrier constructors: 'f_cap2p', 'f_caps' (needs s), 'g_scaled'
-    (needs r and s)."""
-    if variant == "f_cap2p":
-        return RadialBarrier(p, 2.0 ** p)
-    if variant == "f_caps":
-        if s is None or not 0 < s < 1:
-            raise ValueError("variant f_caps needs a cap scale s in (0,1)")
-        return RadialBarrier(p, s ** -p)
-    if variant == "g_scaled":
-        if r is None or s is None:
-            raise ValueError("variant g_scaled needs r and s")
-        return ScaledBarrier(profile, r, p, s ** -p)
-    raise ValueError(f"unknown barrier variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # exponent search
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import os
 import sys
 
 import numpy as np
-import jsonschema
 
 from .profile import AnisotropyProfile
 from .quadrature import QuadratureScheme, shell_radii
@@ -53,6 +52,74 @@ CONFIG_SCHEMA = {
 }
 
 
+# Types of the command params that no hand check covers; each entry is
+# the ``properties`` of that command's ``params`` object.  An integer may
+# arrive as 33.0, so the commands take int() of the integer params.
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+PARAMS_SCHEMA = {
+    "envelope": {"grid": _INTEGER},
+    "abp-cover": {"grid": _INTEGER},
+    "cz": {"generation": {"type": "integer", "minimum": 0}},
+    "solve": {"tolerance": _NUMBER},
+    "harnack": {"tolerance": _NUMBER, "c0": _NUMBER},
+    "decay": {"tolerance": _NUMBER},
+    "sweep": {"tolerance": _NUMBER, "c0": _NUMBER},
+    "kernel-check": {"tau0": _NUMBER},
+}
+
+# JSON-Schema type predicates, as jsonschema defines them: a bool is
+# neither integer nor number, and a float with no fractional part is an
+# integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, (int, float))
+                         and not isinstance(v, bool)),
+    "integer": lambda v: (not isinstance(v, bool)
+                          and (isinstance(v, int)
+                               or isinstance(v, float) and v.is_integer())),
+}
+
+
+def schema_errors(instance, schema, path=()):
+    """Yield ``(path, message)`` for each violation of ``schema``.
+
+    Covers the JSON-Schema subset the config schemas use (``type``,
+    ``required``, ``properties``, ``items``, ``enum`` of strings,
+    ``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``) with
+    jsonschema's messages.
+    """
+    path = list(path)
+    if "type" in schema and not _TYPES[schema["type"]](instance):
+        yield path, f"{instance!r} is not of type {schema['type']!r}"
+    if "enum" in schema and instance not in schema["enum"]:
+        yield path, f"{instance!r} is not one of {schema['enum']!r}"
+    if _TYPES["number"](instance):
+        if "minimum" in schema and instance < schema["minimum"]:
+            yield path, (f"{instance!r} is less than the minimum of "
+                         f"{schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and \
+                instance <= schema["exclusiveMinimum"]:
+            yield path, (f"{instance!r} is less than or equal to the minimum "
+                         f"of {schema['exclusiveMinimum']!r}")
+        if "exclusiveMaximum" in schema and \
+                instance >= schema["exclusiveMaximum"]:
+            yield path, (f"{instance!r} is greater than or equal to the "
+                         f"maximum of {schema['exclusiveMaximum']!r}")
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                yield path, f"{key!r} is a required property"
+        for key, sub in schema.get("properties", {}).items():
+            if key in instance:
+                yield from schema_errors(instance[key], sub, path + [key])
+    if isinstance(instance, list) and "items" in schema:
+        for i, item in enumerate(instance):
+            yield from schema_errors(item, schema["items"], path + [i])
+
+
 class ConfigError(Exception):
     pass
 
@@ -67,13 +134,20 @@ def load_config(path):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _invalid_config("unreadable config", exc)
-    try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    errors = list(schema_errors(obj, CONFIG_SCHEMA))
+    command = obj.get("command") if isinstance(obj, dict) else None
+    if isinstance(command, str) and command in PARAMS_SCHEMA:
+        errors += schema_errors(obj.get("params"),
+                                {"properties": PARAMS_SCHEMA[command]},
+                                ["params"])
+    if errors:
+        # jsonschema's choice among several: the shallowest, then the
+        # greatest path, then the first found
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
         raise ConfigError(json.dumps({
             "error": "config schema violation",
-            "path": list(exc.absolute_path),
-            "detail": exc.message}))
+            "path": path,
+            "detail": message}))
     return obj
 
 
@@ -193,7 +267,7 @@ def _make_cap_field(profile, shape):
 
 def _cmd_envelope(profile, quad, params, seed):
     from .envelope import concave_envelope, contact_set, default_contact_tol
-    u = _make_cap_field(profile, params.get("grid", 129))
+    u = _make_cap_field(profile, int(params.get("grid", 129)))
     env = concave_envelope(u)
     tol = default_contact_tol(u, env)
     pts, degenerate = contact_set(u, env, tol)
@@ -210,7 +284,7 @@ def _cmd_envelope(profile, quad, params, seed):
 def _cmd_abp_cover(profile, quad, params, seed):
     from .abp import abp_cover, verify_cover
     from .fields import GridField
-    u = _make_cap_field(profile, params.get("grid", 65))
+    u = _make_cap_field(profile, int(params.get("grid", 65)))
     fconst = params.get("f_const", 8.0)
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
@@ -231,7 +305,7 @@ def _cmd_abp_cover(profile, quad, params, seed):
 
 def _cmd_cz(profile, quad, params, seed):
     from .coverings import CellSet, cz_decompose
-    gen = params.get("generation", 5)
+    gen = int(params.get("generation", 5))
     delta = params.get("delta", 0.5)
     rng = np.random.default_rng(seed)
     n = profile.n

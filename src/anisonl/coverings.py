@@ -144,16 +144,6 @@ class DyadicCube:
         return c - h, c + h
 
 
-def dyadic_navigate(cube: DyadicCube, move: str, profile=None):
-    if move == "children":
-        return cube.children()
-    if move == "predecessor":
-        return cube.predecessor()
-    if move == "tilde":
-        return cube.tilde_box(profile)
-    raise ValueError(f"unknown move {move!r}")
-
-
 # ---------------------------------------------------------------------------
 # lattice cell sets and exact box overlaps
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from .fields import GridField
 from .kernels import tail_gauge_bounds
-from .solver import discrete_extremal
+# the solver is imported inside the functions that call it, so commands
+# that only need config_digest do not load it
 
 
 @dataclass
@@ -73,6 +74,7 @@ def point_estimate_experiment(u, profile, m_level, problem=None,
         result.valid = False
         result.notes.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
     if problem is not None and eps0 is not None:
+        from .solver import discrete_extremal
         mminus, _ = discrete_extremal(problem, u.values)
         if float(np.max(mminus)) > eps0 + 1e-9:
             result.valid = False
@@ -137,6 +139,7 @@ def harnack_quotient(u, c0, problem=None, name="harnack"):
         result.notes.append("precondition u >= 0 fails")
         return result
     if problem is not None:
+        from .solver import discrete_extremal
         in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
         mminus, mplus = discrete_extremal(problem, u.values)
         if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:

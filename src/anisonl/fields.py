@@ -144,24 +144,6 @@ class GridField:
         corners = np.maximum(np.abs(self.lo - x), np.abs(self.hi - x))
         return float(np.linalg.norm(corners))
 
-    def to_csv(self, path):
-        """Dump the lattice as CSV rows: point coordinates, then the value."""
-        import csv
-        pts = self.grid_points()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.n)] + ["value"])
-            for p, v in zip(pts, self.values.ravel()):
-                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path, lo, hi, shape, exterior, sup_bound=None):
-        import csv
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        vals = np.array([float(r[-1]) for r in rows[1:]]).reshape(shape)
-        return cls(lo, hi, vals, exterior, sup_bound=sup_bound)
-
     def tail_delta_range(self, x, far):
         """Bracket of delta(u, x, y) over |y| >= far.
 

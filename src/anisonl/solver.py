@@ -145,7 +145,8 @@ def assemble_weights(kernel, h, profile, window):
     level_of = np.array([_refinement_level(j) for j in range(window + 1)])
     levels = level_of[np.max(np.abs(half), axis=1)]
     w_half = np.empty(half.shape[0])
-    for level in np.unique(levels):
+    # a sorted set, not np.unique, which imports numpy.ma on numpy 2.4
+    for level in sorted(set(levels.tolist())):
         sel = levels == level
         w_half[sel] = _cell_weights(kernel, half[sel] * h, h, int(level))
     w = np.concatenate([w_half, w_half[::-1]])

@@ -361,7 +361,7 @@ def test_acceptance_7_solver():
 # -------------------------------------------------------------------------
 
 def _sweep_instance(prof, seed):
-    from anisonl.solver import DiscreteProblem, dense_matrix, solve_dirichlet
+    from anisonl.solver import DiscreteProblem, solve_dirichlet
 
     def ext(p):
         r2 = np.sum((p - 2.5) ** 2, axis=1)
@@ -371,10 +371,7 @@ def _sweep_instance(prof, seed):
     prob = DiscreteProblem(prof, (-4.0,), (4.0,), (257,), fam,
                            CallableExterior(ext, 1.0), tolerance=1e-8,
                            max_iters=400_000, window=256)
-    # warm start from the dense solve of one linear member: near sigma = 2
-    # the Jacobi sweep alone contracts too slowly
-    a, b = dense_matrix(prob, member=(0, 1))
-    field, rep = solve_dirichlet(prob, u0=np.linalg.solve(a, b))
+    field, rep = solve_dirichlet(prob)
     origin = float(field.eval(np.zeros((1, 1)))[0])
     scale = 1.0 / max(origin, 1e-12)
     scaled_ext = CallableExterior(lambda p: scale * ext(p), scale)

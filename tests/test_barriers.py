@@ -4,8 +4,8 @@ from scipy.integrate import quad as squad
 
 from anisonl import barriers
 from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
-                              ScaledBarrier, annulus_points, build_barrier,
-                              build_psi, delta_lower_bound,
+                              ScaledBarrier, annulus_points, build_psi,
+                              delta_lower_bound,
                               elementary_inequality_bernoulli,
                               elementary_inequality_convexity, find_p,
                               make_phi, verify_supersolution)
@@ -198,17 +198,17 @@ def test_sign_of_m_minus_matches_dense_reference(iso1):
 
 
 def test_build_barrier_variants(iso1_ell):
-    f2 = build_barrier(iso1_ell, "f_cap2p", 4.0)
+    f2 = RadialBarrier(4.0, 2.0 ** 4.0)
     assert f2.cap == 16.0
-    fs = build_barrier(iso1_ell, "f_caps", 4.0, s=0.25)
+    fs = RadialBarrier(4.0, 0.25 ** -4.0)
     assert fs.cap == pytest.approx(0.25 ** -4.0)
-    g1 = build_barrier(iso1_ell, "g_scaled", 4.0, r=1.0, s=0.25)
+    g1 = ScaledBarrier(iso1_ell, 1.0, 4.0, 0.25 ** -4.0)
     pts = np.random.default_rng(0).normal(size=(40, 1)) * 2.0
     assert np.allclose(g1.eval(pts), fs.eval(pts))    # r = 1 collapses to f
     with pytest.raises(ValueError):
-        build_barrier(iso1_ell, "f_caps", 4.0, s=2.0)
+        RadialBarrier(4.0, 0.0)
     with pytest.raises(ValueError):
-        build_barrier(iso1_ell, "nope", 4.0)
+        ScaledBarrier(iso1_ell, 1.0, -4.0, 16.0)
 
 
 def test_scaled_barrier_pointwise_identity(aniso2, rng):

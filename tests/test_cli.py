@@ -1,12 +1,15 @@
+import copy
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from anisonl.cli import (COMMANDS, ConfigError, emit_plotdata, load_config,
-                         main)
+from anisonl.cli import (COMMANDS, CONFIG_SCHEMA, PARAMS_SCHEMA, ConfigError,
+                         emit_plotdata, load_config, main)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -246,26 +249,6 @@ def test_sweep_without_valid_row_does_not_pass(tmp_path):
     assert "passed" not in results
 
 
-def test_solver_commands_import_no_scipy(tmp_path):
-    # scipy costs ~15 MB of resident memory; the solver path needs numpy only
-    for command in ("solve", "sweep"):
-        params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])
-        cfg = write_config(tmp_path, dict(SOLVER_BASE, command=command,
-                                          params=params),
-                           name=f"{command}.json")
-        code = (
-            "import sys\n"
-            "from anisonl.cli import main\n"
-            f"rc = main(['--config', {cfg!r}, '--out', "
-            f"{str(tmp_path / command)!r}])\n"
-            "print(rc, sorted({m.split('.')[0] for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'}))\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
-
-
 P1 = {"n": 1, "sigma": [1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
 P2 = {"n": 2, "sigma": [1.0, 1.5], "lambda_lo": 1.0, "lambda_hi": 2.0}
 SMALL_SOLVE = {"grid": 33, "tolerance": 1e-7, "window": 32}
@@ -437,3 +420,200 @@ def test_cap_grid_below_two_exit_2(tmp_path, capsys, command):
         "params": {"grid": 1}})
     assert detail["error"] == "invalid grid params"
     assert "two lattice points" in detail["detail"]
+
+
+# modules each command must not load: jsonschema nowhere; the solver (and
+# the numpy.fft it uses) only where a command solves; scipy and numpy.ma
+# not on the solver path.  envelope and abp-cover need scipy, which loads
+# numpy.fft and numpy.ma itself.
+NO_SOLVER = ["jsonschema", "anisonl.solver", "numpy.fft"]
+IMPORT_BUDGET = {
+    "constants": NO_SOLVER,
+    "barrier-verify": NO_SOLVER,
+    "envelope": ["jsonschema", "anisonl.solver"],
+    "abp-cover": ["jsonschema", "anisonl.solver"],
+    "cz": NO_SOLVER,
+    "solve": ["jsonschema", "scipy", "numpy.ma"],
+    "harnack": ["jsonschema", "scipy", "numpy.ma"],
+    "decay": ["jsonschema", "scipy", "numpy.ma"],
+    "sweep": ["jsonschema", "scipy", "numpy.ma"],
+    "kernel-check": NO_SOLVER,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_import_budget(tmp_path, command):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[command],
+                                      command=command))
+    code = (
+        "import sys\n"
+        "from anisonl.cli import main\n"
+        f"rc = main(['--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        f"print(rc, [m for m in {IMPORT_BUDGET[command]!r} "
+        "if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+TYPED_PARAMS = [(command, key, schema["type"])
+                for command, props in PARAMS_SCHEMA.items()
+                for key, schema in props.items()]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for command, key, kind in TYPED_PARAMS
+    for value in ("x", True) + ((2.5,) if kind == "integer" else ())
+] + [("cz", "generation", -1)])
+def test_typed_params_exit_2(tmp_path, capsys, command, key, value):
+    config = copy.deepcopy(dict(SMALL_CONFIGS[command], command=command))
+    config.setdefault("params", {})[key] = value
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    detail = json.loads(lines[0])
+    assert detail["error"] == "config schema violation"
+    assert detail["path"] == ["params", key]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, key, kind in TYPED_PARAMS
+    if kind == "integer"])
+def test_integral_float_params_run(tmp_path, command, key):
+    """33.0 is an integer to the schema, so the command must accept it and
+    write the same results as for 33."""
+    outs = []
+    base = dict(SMALL_CONFIGS[command], command=command)
+    for value in (base["params"][key], float(base["params"][key])):
+        config = copy.deepcopy(base)
+        config["params"][key] = value
+        cfg = write_config(tmp_path, config, name=f"{value!r}.json")
+        out = tmp_path / repr(value)
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        results = json.loads((out / "results.json").read_text())
+        outs.append({k: v for k, v in results.items() if k != "digest"})
+    assert outs[0] == outs[1]
+
+
+def _perfbench_configs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [w["config"](7) for w in workloads.WORKLOADS.values()]
+
+
+def _with(config, *path_value):
+    """A deep copy of ``config`` with ``path_value[:-1]`` set to the last
+    item, or deleted when it is ``DELETE``."""
+    out = copy.deepcopy(config)
+    *path, value = path_value
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+DELETE = object()
+VALID = dict(SMALL_CONFIGS["constants"], command="constants")
+VALID_CONFIGS = (
+    [dict(cfg, command=command) for command, cfg in SMALL_CONFIGS.items()]
+    + [dict(SOLVER_BASE, command=c) for c in ("solve", "harnack", "decay",
+                                              "sweep")]
+    + [BARRIER_BASE, dict(SOLVER_BASE, command="sweep", params=STARVED)]
+    + [_with(VALID, "profile", "n", 2.0),
+       _with(VALID, "seed", 3.0),
+       _with(VALID, "profile", "frak_c", 2),
+       _with(VALID, "profile", "sigma", []),
+       _with(VALID, "out", "o"),
+       _with(VALID, "extra", [1, "x"]),
+       _with(dict(SMALL_CONFIGS["cz"], command="cz"),
+             "params", "generation", 2.0),
+       _with(dict(SMALL_CONFIGS["envelope"], command="envelope"),
+             "params", "grid", 33.0),
+       _with(dict(SMALL_CONFIGS["solve"], command="solve"),
+             "params", "tolerance", 1)])
+# one violation each: every keyword of the schemas at least once
+SINGLE_VIOLATIONS = [
+    [],                                             # type object
+    _with(VALID, "profile", "x"),                   # type object, nested
+    _with(VALID, "command", DELETE),                # required
+    _with(VALID, "profile", DELETE),
+    _with(VALID, "profile", "n", DELETE),
+    _with(VALID, "profile", "sigma", DELETE),
+    _with(VALID, "command", "nope"),                # enum
+    _with(VALID, "command", True),
+    _with(VALID, "profile", "n", True),             # type integer
+    _with(VALID, "profile", "n", 2.5),
+    _with(VALID, "profile", "n", "2"),
+    _with(VALID, "seed", "x"),
+    _with(VALID, "seed", False),
+    _with(VALID, "profile", "frak_c", 1.5),
+    _with(VALID, "profile", "n", 0),                # minimum
+    _with(VALID, "profile", "frak_c", 0),
+    _with(VALID, "profile", "sigma", 1.0),          # type array
+    _with(VALID, "profile", "sigma", [1.0, "x"]),   # items, type number
+    _with(VALID, "profile", "sigma", [1.0, None]),
+    _with(VALID, "profile", "sigma", [True, 1.0]),
+    _with(VALID, "profile", "sigma", [1.0, 0.0]),   # exclusiveMinimum
+    _with(VALID, "profile", "sigma", [2.0, 1.0]),   # exclusiveMaximum
+    _with(VALID, "profile", "sigma", [1.0, 2.5]),
+    _with(VALID, "profile", "lambda_lo", 0),
+    _with(VALID, "profile", "lambda_hi", True),
+    _with(VALID, "profile", "rho0", -1.0),
+    _with(VALID, "out", 5),                         # type string
+    _with(VALID, "quadrature", []),
+    _with(VALID, "params", 3),
+] + [_with(dict(SMALL_CONFIGS[c], command=c, params={}), "params", k, v)
+     for c, k, kind in TYPED_PARAMS
+     for v in ("x", True, None) + ((2.5,) if kind == "integer" else ())]
+MULTI_VIOLATIONS = [
+    {},
+    {"command": 1, "profile": {"n": True, "sigma": [0.0, 2.0, "x"]}},
+    _with(_with(VALID, "command", DELETE), "profile", "n", True),
+    _with(_with(VALID, "seed", "x"), "profile", "sigma", [3.0]),
+    _with(_with(VALID, "profile", "n", 0), "profile", "frak_c", 0),
+    _with(VALID, "profile", "sigma", [0.0, 3.0]),
+    _with(dict(SMALL_CONFIGS["sweep"], command="sweep"), "params",
+          {"tolerance": "x", "c0": True}),
+    _with(dict(SMALL_CONFIGS["cz"], command="cz", seed="x"),
+          "params", "generation", -1),
+]
+
+
+def _oracle_schema():
+    """CONFIG_SCHEMA with each command's PARAMS_SCHEMA as an if/then."""
+    return dict(CONFIG_SCHEMA, allOf=[
+        {"if": {"properties": {"command": {"const": command}},
+                "required": ["command"]},
+         "then": {"properties": {"params": {"properties": props}}}}
+        for command, props in PARAMS_SCHEMA.items()])
+
+
+@pytest.mark.parametrize("config", VALID_CONFIGS + SINGLE_VIOLATIONS
+                         + MULTI_VIOLATIONS + _perfbench_configs())
+def test_load_config_agrees_with_jsonschema(tmp_path, config):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _oracle_schema()
+    cfg = write_config(tmp_path, config)
+    try:
+        jsonschema.validate(config, schema)
+    except jsonschema.ValidationError as exc:
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        detail = json.loads(str(err.value))
+        assert detail["error"] == "config schema violation"
+        # among several violations, the one jsonschema reports
+        assert detail["path"] == list(exc.absolute_path)
+        assert detail["detail"] == exc.message
+    else:
+        assert load_config(cfg) == config

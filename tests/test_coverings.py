@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from anisonl.coverings import (CellSet, CzHypothesisError, DyadicCube,
-                               ParamRectangleFamily, cc_cover, cz_decompose,
-                               dyadic_navigate)
+                               ParamRectangleFamily, cc_cover, cz_decompose)
 from anisonl.profile import derive_constants
 
 
@@ -77,20 +76,20 @@ def test_cc_cover_rejects_bad_law(rng):
 def test_dyadic_children_partition():
     for n in (1, 2, 3):
         root = DyadicCube(n, 0, (0,) * n)
-        kids = dyadic_navigate(root, "children")
+        kids = root.children()
         assert len(kids) == 2 ** n
         vol = sum(float(np.prod(k.box()[1] - k.box()[0])) for k in kids)
         assert vol == pytest.approx(1.0)
         for k in kids:
-            assert dyadic_navigate(k, "predecessor") == root
+            assert k.predecessor() == root
     with pytest.raises(ValueError):
-        dyadic_navigate(DyadicCube(2, 0, (0, 0)), "predecessor")
+        DyadicCube(2, 0, (0, 0)).predecessor()
 
 
 def test_dyadic_tilde_law(aniso2):
     # half widths follow (s r)^(1/(n+sigma_i)) with r=1, s = side-law
     q = DyadicCube(2, 3, (2, 5))
-    lo, hi = dyadic_navigate(q, "tilde", aniso2)
+    lo, hi = q.tilde_box(aniso2)
     c = q.center
     s_param = 2.0 ** (-(q.gen + 1) * (aniso2.n + aniso2.sigma_min))
     for i in range(2):

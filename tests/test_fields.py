@@ -162,14 +162,3 @@ def test_grid_rejects_bad_shapes():
         GridField([-1.0, -1.0], [1.0, 1.0], np.zeros(9), 0.0)
     with pytest.raises(ValueError):
         GridField([-1.0], [1.0], np.zeros(1), 0.0)
-
-
-def test_field_csv_roundtrip(tmp_path):
-    u = GridField.from_function(lambda p: np.sin(p[:, 0]) + p[:, 1],
-                                [-1.0, -1.0], [1.0, 1.0], (9, 9), 0.0)
-    path = str(tmp_path / "field.csv")
-    u.to_csv(path)
-    v = GridField.from_csv(path, [-1.0, -1.0], [1.0, 1.0], (9, 9), 0.0)
-    assert np.array_equal(u.values, v.values)
-    header = open(path).readline().strip()
-    assert header == "x0,x1,value"
