@@ -24,6 +24,11 @@ from .quadrature import QuadratureScheme, shell_radii
 COMMANDS = ("constants", "barrier-verify", "envelope", "abp-cover", "cz",
             "solve", "harnack", "decay", "sweep", "kernel-check")
 
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_ORDER = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 2}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["command", "profile"],
@@ -34,38 +39,62 @@ CONFIG_SCHEMA = {
             "required": ["n", "sigma"],
             "properties": {
                 "n": {"type": "integer", "minimum": 1},
-                "sigma": {"type": "array",
-                          "items": {"type": "number",
-                                    "exclusiveMinimum": 0,
-                                    "exclusiveMaximum": 2}},
-                "lambda_lo": {"type": "number", "exclusiveMinimum": 0},
-                "lambda_hi": {"type": "number", "exclusiveMinimum": 0},
-                "rho0": {"type": "number", "exclusiveMinimum": 0},
+                "sigma": {"type": "array", "items": _ORDER},
+                "lambda_lo": _POSITIVE,
+                "lambda_hi": _POSITIVE,
+                "rho0": _POSITIVE,
                 "frak_c": {"type": "integer", "minimum": 1},
             },
+            "additionalProperties": False,
         },
-        "quadrature": {"type": "object"},
-        "seed": {"type": "integer"},
+        "quadrature": {
+            "type": "object",
+            "properties": {
+                "shells": {"type": "integer", "minimum": 1},
+                "nodes_per_shell": {"type": "integer", "minimum": 2},
+                "far_radius": _POSITIVE,
+                "r_inner": _POSITIVE,
+                "seed": _INTEGER,
+            },
+            "additionalProperties": False,
+        },
+        "seed": _INTEGER,
         "out": {"type": "string"},
         "params": {"type": "object"},
     },
+    "additionalProperties": False,
 }
 
 
-# Types of the command params that no hand check covers; each entry is
-# the ``properties`` of that command's ``params`` object.  An integer may
-# arrive as 33.0, so the commands take int() of the integer params.
-_INTEGER = {"type": "integer"}
-_NUMBER = {"type": "number"}
+# The ``properties`` of each command's ``params`` object: every key the
+# command reads, and no other.  A bound is declared only where a value
+# outside it crashes the command; an integer may arrive as 33.0, so the
+# commands take int() of the integer params.
+_GRID = {"type": "integer", "minimum": 2}
+_COUNT = {"type": "integer", "minimum": 1}
+_SOLVER = {"grid": _GRID, "box": _POSITIVE, "bump_center": _NUMBER,
+           "bump_height": _NUMBER, "tolerance": _POSITIVE,
+           "max_iters": _INTEGER, "window": {"type": "integer", "minimum": 0}}
 PARAMS_SCHEMA = {
-    "envelope": {"grid": _INTEGER},
-    "abp-cover": {"grid": _INTEGER},
-    "cz": {"generation": {"type": "integer", "minimum": 0}},
-    "solve": {"tolerance": _NUMBER},
-    "harnack": {"tolerance": _NUMBER, "c0": _NUMBER},
-    "decay": {"tolerance": _NUMBER},
-    "sweep": {"tolerance": _NUMBER, "c0": _NUMBER},
-    "kernel-check": {"tau0": _NUMBER},
+    "constants": {},
+    "barrier-verify": {"R": {"type": "number", "exclusiveMinimum": 1},
+                       "n_points": _COUNT, "psi_points": _COUNT},
+    "envelope": {"grid": _GRID},
+    "abp-cover": {"grid": _GRID, "f_const": _NUMBER, "mc_samples": _COUNT},
+    "cz": {"generation": {"type": "integer", "minimum": 0},
+           "delta": {"type": "number", "exclusiveMinimum": 0,
+                     "exclusiveMaximum": 1}},
+    "solve": _SOLVER,
+    "harnack": dict(_SOLVER, c0=_NUMBER),
+    "decay": dict(_SOLVER, M={"type": "number", "exclusiveMinimum": 1},
+                  k_max={"type": "integer", "minimum": 2}),
+    "sweep": dict(_SOLVER, c0=_NUMBER,
+                  sigma_min_values={"type": "array", "items": _ORDER}),
+    "kernel-check": {"tau0": _POSITIVE, "c0": _NUMBER,
+                     "h_scales": {"type": "array",
+                                  "items": {"type": "number",
+                                            "exclusiveMinimum": -0.5,
+                                            "exclusiveMaximum": 0.5}}},
 }
 
 # JSON-Schema type predicates, as jsonschema defines them: a bool is
@@ -87,9 +116,9 @@ def schema_errors(instance, schema, path=()):
     """Yield ``(path, message)`` for each violation of ``schema``.
 
     Covers the JSON-Schema subset the config schemas use (``type``,
-    ``required``, ``properties``, ``items``, ``enum`` of strings,
-    ``minimum``, ``exclusiveMinimum``, ``exclusiveMaximum``) with
-    jsonschema's messages.
+    ``required``, ``properties``, ``additionalProperties: false``,
+    ``items``, ``enum`` of strings, ``minimum``, ``exclusiveMinimum``,
+    ``exclusiveMaximum``) with jsonschema's messages.
     """
     path = list(path)
     if "type" in schema and not _TYPES[schema["type"]](instance):
@@ -115,6 +144,11 @@ def schema_errors(instance, schema, path=()):
         for key, sub in schema.get("properties", {}).items():
             if key in instance:
                 yield from schema_errors(instance[key], sub, path + [key])
+        extra = sorted(set(instance) - set(schema.get("properties", {})))
+        if extra and schema.get("additionalProperties") is False:
+            verb = "was" if len(extra) == 1 else "were"
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} {verb} unexpected)")
     if isinstance(instance, list) and "items" in schema:
         for i, item in enumerate(instance):
             yield from schema_errors(item, schema["items"], path + [i])
@@ -128,26 +162,37 @@ def _invalid_config(error, exc):
     return ConfigError(json.dumps({"error": error, "detail": str(exc)}))
 
 
+def _schema_violation(path, message):
+    return ConfigError(json.dumps({"error": "config schema violation",
+                                   "path": path, "detail": message}))
+
+
+# number hook of the config parser: NaN, Infinity and 1e999 are unreadable
+def _finite(literal):
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal} in the config")
+    return value
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise _invalid_config("unreadable config", exc)
     errors = list(schema_errors(obj, CONFIG_SCHEMA))
     command = obj.get("command") if isinstance(obj, dict) else None
     if isinstance(command, str) and command in PARAMS_SCHEMA:
         errors += schema_errors(obj.get("params"),
-                                {"properties": PARAMS_SCHEMA[command]},
+                                {"properties": PARAMS_SCHEMA[command],
+                                 "additionalProperties": False},
                                 ["params"])
     if errors:
         # jsonschema's choice among several: the shallowest, then the
         # greatest path, then the first found
-        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
-        raise ConfigError(json.dumps({
-            "error": "config schema violation",
-            "path": path,
-            "detail": message}))
+        raise _schema_violation(*max(errors,
+                                     key=lambda e: (-len(e[0]), e[0])))
     return obj
 
 
@@ -170,11 +215,12 @@ def _null_sentinels(summary, reasons):
 
 
 def emit_results(out_dir, summary, rows, columns):
+    # serialised first, so a value strict JSON refuses truncates no file
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False,
-                  default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
     emit_plotdata(os.path.join(out_dir, "data.csv"), rows, columns)
 
 
@@ -215,17 +261,8 @@ def _cmd_barrier_verify(profile, quad, params, seed):
     from .barriers import (SIGMA_FLOOR, annulus_points, build_psi, find_p,
                            make_phi, verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
-    n_points = params.get("n_points", 60)
-    psi_points = params.get("psi_points", 40)
-    if (isinstance(R, bool) or not isinstance(R, (int, float))
-            or not 1 < R <= sys.float_info.max):
-        raise _invalid_config("invalid barrier params",
-                              f"the annulus needs a finite R > 1, got {R!r}")
-    for name, count in (("n_points", n_points), ("psi_points", psi_points)):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise _invalid_config(
-                "invalid barrier params",
-                f"{name} must be an integer of at least 1, got {count!r}")
+    n_points = int(params.get("n_points", 60))
+    psi_points = int(params.get("psi_points", 40))
     try:
         shell_radii(profile, quad)
     except ValueError as exc:
@@ -250,7 +287,10 @@ def _cmd_barrier_verify(profile, quad, params, seed):
     return summary, rows, ("p", "margin_f", "margin_psi"), rep["passed"]
 
 
-def _make_cap_field(profile, shape):
+def _cap_envelope(profile, shape):
+    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope;
+    a grid too coarse to keep the cap inside B_1 fails a precondition."""
+    from .envelope import PositiveExteriorError, concave_envelope
     from .fields import GridField
     n = profile.n
 
@@ -258,17 +298,16 @@ def _make_cap_field(profile, shape):
         r2 = np.sum(pts ** 2, axis=1)
         return np.maximum(0.0, 1.0 - 2.0 * r2)
 
-    lo, hi = [-2.0] * n, [2.0] * n
+    u = GridField.from_function(cap, [-2.0] * n, [2.0] * n, (shape,) * n, 0.0)
     try:
-        return GridField.from_function(cap, lo, hi, (shape,) * n, 0.0)
-    except ValueError as exc:
-        raise _invalid_config("invalid grid params", exc)
+        return u, concave_envelope(u)
+    except PositiveExteriorError as exc:
+        raise PreconditionError(str(exc))
 
 
 def _cmd_envelope(profile, quad, params, seed):
-    from .envelope import concave_envelope, contact_set, default_contact_tol
-    u = _make_cap_field(profile, int(params.get("grid", 129)))
-    env = concave_envelope(u)
+    from .envelope import contact_set, default_contact_tol
+    u, env = _cap_envelope(profile, int(params.get("grid", 129)))
     tol = default_contact_tol(u, env)
     pts, degenerate = contact_set(u, env, tol)
     planes = env.supporting_planes()
@@ -282,18 +321,18 @@ def _cmd_envelope(profile, quad, params, seed):
 
 
 def _cmd_abp_cover(profile, quad, params, seed):
-    from .abp import abp_cover, verify_cover
+    from .abp import abp_cover, cover_dump, verify_cover
     from .fields import GridField
-    u = _make_cap_field(profile, int(params.get("grid", 65)))
+    u, env = _cap_envelope(profile, int(params.get("grid", 65)))
     fconst = params.get("f_const", 8.0)
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    cover = abp_cover(u, f, profile, seed=seed,
-                      mc_samples=params.get("mc_samples", 1000))
-    report = verify_cover(cover, u, cover.envelope, f, profile)
+    cover = abp_cover(u, f, profile, env=env, seed=seed,
+                      mc_samples=int(params.get("mc_samples", 1000)))
+    report = _null_sentinels(verify_cover(cover, u, env, f, profile), {
+        "varsigma_measured": "the cover has no rectangle"})
     report.pop("per_rectangle")
-    from .abp import cover_dump
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)
             for r in cover.rectangles]
@@ -307,8 +346,11 @@ def _cmd_cz(profile, quad, params, seed):
     from .coverings import CellSet, cz_decompose
     gen = int(params.get("generation", 5))
     delta = params.get("delta", 0.5)
-    rng = np.random.default_rng(seed)
     n = profile.n
+    if gen * n > 24:
+        raise _schema_violation(["params", "generation"], f"(2^{gen})^{n} "
+                                "cells: generation * n must be at most 24")
+    rng = np.random.default_rng(seed)
     m = 2 ** gen
     b = CellSet(n, gen, np.ones((m,) * n, dtype=bool))
     a_mask = rng.random((m,) * n) < delta / 2.0
@@ -326,10 +368,11 @@ def _solve_setup(profile, params, seed):
     from .kernels import KernelFamily
     from .solver import DiscreteProblem
     n = profile.n
-    shape = params.get("grid", 129 if n == 1 else 33)
+    shape = int(params.get("grid", 129 if n == 1 else 33))
     box = params.get("box", 4.0)
     bump_center = params.get("bump_center", 2.5)
     bump_height = params.get("bump_height", 1.0)
+    window = params.get("window")
 
     def exterior_fn(pts):
         r2 = np.sum((pts - bump_center) ** 2, axis=1)
@@ -337,15 +380,12 @@ def _solve_setup(profile, params, seed):
 
     from .fields import CallableExterior
     family = KernelFamily.extremal_pair(profile)
-    try:
-        return DiscreteProblem(
-            profile, (-box,) * n, (box,) * n, (shape,) * n, family,
-            CallableExterior(exterior_fn, bump_height),
-            tolerance=params.get("tolerance", 1e-8),
-            max_iters=params.get("max_iters", 20000),
-            window=params.get("window", None))
-    except ValueError as exc:
-        raise _invalid_config("invalid solver params", exc)
+    return DiscreteProblem(
+        profile, (-box,) * n, (box,) * n, (shape,) * n, family,
+        CallableExterior(exterior_fn, bump_height),
+        tolerance=params.get("tolerance", 1e-8),
+        max_iters=int(params.get("max_iters", 20000)),
+        window=window if window is None else int(window))
 
 
 def _cmd_solve(profile, quad, params, seed):
@@ -394,7 +434,7 @@ def _cmd_decay(profile, quad, params, seed):
     from .experiments import distribution_decay
     u, problem, report = _normalized_solution(profile, params, seed)
     res = distribution_decay(u, params.get("M", 2.0),
-                             params.get("k_max", 6))
+                             int(params.get("k_max", 6)))
     summary = _null_sentinels(dict(res.scalars), {
         "epsilon_fit": "fewer than two levels have a nonzero measure"})
     return summary, res.rows, res.columns, True
@@ -403,15 +443,9 @@ def _cmd_decay(profile, quad, params, seed):
 def _cmd_sweep(profile, quad, params, seed):
     from .experiments import harnack_quotient, sigma_sweep
     sigmas = params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99])
-    try:
-        profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
-                                      profile.lambda_lo, profile.lambda_hi)
-                    for s in sigmas]
-    except ValueError as exc:
-        raise _invalid_config("invalid sweep params", exc)
-    # reject bad solver params here: sigma_sweep turns a row's error
-    # into an invalid row
-    _solve_setup(profile, params, seed)
+    profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
+                                  profile.lambda_lo, profile.lambda_hi)
+                for s in sigmas]
 
     def runner(prof):
         u, problem, _ = _normalized_solution(prof, params, seed)
@@ -472,10 +506,7 @@ def run(config, out_dir=None, seed=None):
         profile = AnisotropyProfile.from_dict(config["profile"])
     except ValueError as exc:
         raise _invalid_config("invalid profile", exc)
-    try:
-        quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
-    except (TypeError, ValueError) as exc:
-        raise _invalid_config("invalid quadrature", exc)
+    quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
     params = config.get("params", {})
     if seed is None:
         seed = int(config.get("seed", 0))
@@ -513,9 +544,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except PreconditionError as exc:
-        print(json.dumps({"invalid": str(exc)}), file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -169,19 +169,6 @@ class CellSet:
     def cells(self):
         return sorted(map(tuple, np.argwhere(self.mask)))
 
-    def to_json(self):
-        import json
-        return json.dumps({"n": self.n, "gen": self.gen,
-                           "cells": [[int(i) for i in c]
-                                     for c in self.cells()]})
-
-    @classmethod
-    def from_json(cls, text):
-        import json
-        obj = json.loads(text)
-        return cls.from_cells(obj["n"], obj["gen"],
-                              [tuple(c) for c in obj["cells"]])
-
     @property
     def measure(self):
         return float(np.count_nonzero(self.mask)) / self.m ** self.n

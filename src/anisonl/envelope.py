@@ -20,6 +20,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 
+class PositiveExteriorError(ValueError):
+    """The field is positive outside B_1, where the envelope needs it
+    nonpositive."""
+
+
 class ConcaveEnvelope1D:
     dimension = 1
 
@@ -226,12 +231,14 @@ def concave_envelope(u, positive_tol=1e-9, ring=256):
     bad = (r > 1.0) & (vals > positive_tol)
     if bad.any():
         worst = pts[np.argmax(np.where(bad, vals, -np.inf))]
-        raise ValueError(f"field is positive outside B_1 (e.g. at {worst})")
+        raise PositiveExteriorError(
+            f"field is positive outside B_1 (e.g. at {worst})")
     for rad in (1.5, 2.0, 3.0, 5.0):
         probe = _sphere_points(n, rad, 64)
         pv = u.eval(probe)
         if np.any(pv > positive_tol):
-            raise ValueError(f"field is positive outside B_1 at radius {rad}")
+            raise PositiveExteriorError(
+                f"field is positive outside B_1 at radius {rad}")
 
     keep = r <= 3.0
     cloud = pts[keep]

@@ -20,7 +20,6 @@ rectangles well inside the unit ball.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -136,16 +135,6 @@ class AnisotropyProfile:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "sigma": list(self.sigma),
-            "lambda_lo": self.lambda_lo,
-            "lambda_hi": self.lambda_hi,
-            "rho0": self.rho0,
-            "frak_c": self.frak_c,
-        })
-
     @staticmethod
     def from_dict(obj: dict) -> "AnisotropyProfile":
         """Build from a JSON object; derived constants are always recomputed."""
@@ -160,10 +149,6 @@ class AnisotropyProfile:
         if obj.get("frak_c") is not None:
             kwargs["frak_c"] = int(obj["frak_c"])
         return AnisotropyProfile(**kwargs)
-
-    @staticmethod
-    def from_json(text: str) -> "AnisotropyProfile":
-        return AnisotropyProfile.from_dict(json.loads(text))
 
 
 def derive_constants(n, sigma, lambda_lo=1.0, lambda_hi=1.0,

@@ -216,11 +216,3 @@ def test_cz_anisotropic_tilde_flags(aniso2, rng):
         assert res.covered or res.vacuous_cells > 0
     except CzHypothesisError as err:
         assert err.cube is not None
-
-
-def test_cellset_json_roundtrip(rng):
-    cells = [(0, 1), (2, 3), (3, 0)]
-    a = CellSet.from_cells(2, 2, cells)
-    b = CellSet.from_json(a.to_json())
-    assert a.cells() == b.cells()
-    assert a.measure == b.measure
