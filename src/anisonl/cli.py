@@ -16,10 +16,19 @@ import math
 import os
 import sys
 
-import numpy as np
+# One BLAS thread, pinned before numpy first loads.  No command uses BLAS
+# parallelism, so the thread pool numpy's OpenBLAS starts on import only
+# adds start-up time and spinning CPU; and OpenBLAS splits large dot
+# products (CG's r @ r above about 10,000 unknowns) across its threads,
+# which makes the output bytes depend on the host's thread count.  Set
+# unconditionally: honouring a user's value would make the bytes depend on
+# that value again.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .profile import AnisotropyProfile
-from .quadrature import QuadratureScheme, shell_radii
+import numpy as np  # noqa: E402
+
+from .profile import AnisotropyProfile  # noqa: E402
+from .quadrature import QuadratureScheme, shell_radii  # noqa: E402
 
 COMMANDS = ("constants", "barrier-verify", "envelope", "abp-cover", "cz",
             "solve", "harnack", "decay", "sweep", "kernel-check")
@@ -28,6 +37,8 @@ _INTEGER = {"type": "integer"}
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _ORDER = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 2}
+# numpy's generators take no negative seed
+_SEED = {"type": "integer", "minimum": 0}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -54,11 +65,11 @@ CONFIG_SCHEMA = {
                 "nodes_per_shell": {"type": "integer", "minimum": 2},
                 "far_radius": _POSITIVE,
                 "r_inner": _POSITIVE,
-                "seed": _INTEGER,
+                "seed": _SEED,
             },
             "additionalProperties": False,
         },
-        "seed": _INTEGER,
+        "seed": _SEED,
         "out": {"type": "string"},
         "params": {"type": "object"},
     },
@@ -167,7 +178,8 @@ def _schema_violation(path, message):
                                    "path": path, "detail": message}))
 
 
-# number hook of the config parser: NaN, Infinity and 1e999 are unreadable
+# number hooks of the config parser: NaN, Infinity, 1e999 and an integer
+# too large for a float are unreadable
 def _finite(literal):
     value = float(literal)
     if not math.isfinite(value):
@@ -175,10 +187,25 @@ def _finite(literal):
     return value
 
 
+def _finite_int(literal):
+    _finite(literal)
+    return int(literal)
+
+
+def _raise_first(errors):
+    errors = list(errors)
+    if errors:
+        # jsonschema's choice among several: the shallowest, then the
+        # greatest path, then the first found
+        raise _schema_violation(*max(errors,
+                                     key=lambda e: (-len(e[0]), e[0])))
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            obj = json.load(fh, parse_float=_finite, parse_int=_finite_int,
+                            parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise _invalid_config("unreadable config", exc)
     errors = list(schema_errors(obj, CONFIG_SCHEMA))
@@ -188,11 +215,7 @@ def load_config(path):
                                 {"properties": PARAMS_SCHEMA[command],
                                  "additionalProperties": False},
                                 ["params"])
-    if errors:
-        # jsonschema's choice among several: the shallowest, then the
-        # greatest path, then the first found
-        raise _schema_violation(*max(errors,
-                                     key=lambda e: (-len(e[0]), e[0])))
+    _raise_first(errors)
     return obj
 
 
@@ -288,11 +311,17 @@ def _cmd_barrier_verify(profile, quad, params, seed):
 
 
 def _cap_envelope(profile, shape):
-    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope;
-    a grid too coarse to keep the cap inside B_1 fails a precondition."""
+    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope.
+    The envelope is exact for n <= 2 only, so a larger n is a config
+    error; a grid too coarse to keep the cap inside B_1 fails a
+    precondition."""
+    n = profile.n
+    if n > 2:
+        raise _schema_violation(["profile", "n"], f"{n} is greater than the "
+                                "maximum of 2: exact envelopes are "
+                                "implemented for n <= 2 only")
     from .envelope import PositiveExteriorError, concave_envelope
     from .fields import GridField
-    n = profile.n
 
     def cap(pts):
         r2 = np.sum(pts ** 2, axis=1)
@@ -540,6 +569,9 @@ def main(argv=None):
 
     try:
         config = load_config(args.config)
+        if args.seed is not None:
+            # the override replaces the config's seed: the same rule holds
+            _raise_first(schema_errors(args.seed, _SEED, ["seed"]))
         return run(config, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

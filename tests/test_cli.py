@@ -326,13 +326,14 @@ BARRIER_BASE = {"command": "barrier-verify",
                 "quadrature": {"shells": 8, "nodes_per_shell": 64}}
 
 
-def _exit_2_line(tmp_path, capsys, config):
-    """Run ``config`` (a dict, or the text of the config file); it must
-    exit 2 with exactly one JSON stderr line and write no outputs.
-    Returns that line, parsed."""
+def _exit_2_line(tmp_path, capsys, config, argv=()):
+    """Run ``config`` (a dict, or the text of the config file), with the
+    extra CLI arguments ``argv``; it must exit 2 with exactly one JSON
+    stderr line and write no outputs.  Returns that line, parsed."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *argv]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     detail = json.loads(lines[0])
@@ -341,10 +342,11 @@ def _exit_2_line(tmp_path, capsys, config):
     return detail
 
 
-def _schema_exit_2(tmp_path, capsys, config, path):
-    detail = _exit_2_line(tmp_path, capsys, config)
+def _schema_exit_2(tmp_path, capsys, config, path, argv=()):
+    detail = _exit_2_line(tmp_path, capsys, config, argv)
     assert detail["error"] == "config schema violation"
     assert detail["path"] == path
+    return detail
 
 
 # single configs at the bounds of grid, quadrature, R, the point counts
@@ -398,13 +400,19 @@ def test_cap_grid_below_two_exit_2(tmp_path, capsys, command):
         "params": {"grid": 1}}, ["params", "grid"])
 
 
+# an integer literal too large for a float: 401 digits
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("field, literal", [
     (field, literal)
     for field in ("profile.rho0", "quadrature.far_radius", "params.R")
-    for literal in ("NaN", "Infinity", "-Infinity", "1e999")])
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999", HUGE_INT)],
+    ids=lambda value: value if len(value) < 40 else f"{len(value)}-digits")
 def test_non_finite_number_exit_2(tmp_path, capsys, field, literal):
-    """JSON's non-standard constants, and literals that overflow to inf,
-    make the config unreadable wherever they stand."""
+    """JSON's non-standard constants, and literals (integer ones too) that
+    overflow to inf as a float, make the config unreadable wherever they
+    stand."""
     config = copy.deepcopy(BARRIER_BASE)
     section, key = field.split(".")
     config.setdefault(section, {})[key] = "@"
@@ -412,6 +420,29 @@ def test_non_finite_number_exit_2(tmp_path, capsys, field, literal):
                           json.dumps(config).replace('"@"', literal))
     assert detail["error"] == "unreadable config"
     assert literal in detail["detail"]
+
+
+# (a negative quadrature seed is among test_typed_quadrature_exit_2's cases)
+@pytest.mark.parametrize("config, argv", [
+    (dict(SMALL_CONFIGS["cz"], command="cz", seed=-1), []),
+    (dict(SMALL_CONFIGS["cz"], command="cz"), ["--seed", "-1"]),
+], ids=["config-seed", "seed-override"])
+def test_negative_seed_exit_2(tmp_path, capsys, config, argv):
+    """numpy's generators take no negative seed: the config's seed and
+    the --seed override that replaces it are refused before the command
+    runs."""
+    detail = _schema_exit_2(tmp_path, capsys, config, ["seed"], argv)
+    assert detail["detail"] == "-1 is less than the minimum of 0"
+
+
+@pytest.mark.parametrize("command", ["envelope", "abp-cover"])
+def test_cap_envelope_above_two_dimensions_exit_2(tmp_path, capsys, command):
+    """The exact concave envelope exists for n <= 2 only: a 3D profile is
+    refused before any work."""
+    detail = _schema_exit_2(tmp_path, capsys, {
+        "command": command, "profile": {"n": 3, "sigma": [1.0, 1.5, 1.2]},
+        "params": {"grid": 9}}, ["profile", "n"])
+    assert "n <= 2" in detail["detail"]
 
 
 def test_barrier_sigma_below_floor_exit_3(tmp_path, capsys):
@@ -479,22 +510,24 @@ def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
     assert "at most 24" in detail["detail"]
 
 
-# modules each command must not load: jsonschema nowhere; the solver (and
-# the numpy.fft it uses) only where a command solves; scipy and numpy.ma
-# not on the solver path.  envelope and abp-cover need scipy, which loads
-# numpy.fft and numpy.ma itself.
+# modules each command must not load: jsonschema nowhere; the extremal
+# operators only in barrier-verify; the solver (and the numpy.fft it uses)
+# only where a command solves; scipy and numpy.ma not on the solver path.
+# envelope and abp-cover need scipy, which loads numpy.fft and numpy.ma
+# itself.
 NO_SOLVER = ["jsonschema", "anisonl.solver", "numpy.fft"]
+SOLVER = ["jsonschema", "anisonl.operators", "scipy", "numpy.ma"]
 IMPORT_BUDGET = {
-    "constants": NO_SOLVER,
+    "constants": NO_SOLVER + ["anisonl.operators"],
     "barrier-verify": NO_SOLVER,
-    "envelope": ["jsonschema", "anisonl.solver"],
-    "abp-cover": ["jsonschema", "anisonl.solver"],
-    "cz": NO_SOLVER,
-    "solve": ["jsonschema", "scipy", "numpy.ma"],
-    "harnack": ["jsonschema", "scipy", "numpy.ma"],
-    "decay": ["jsonschema", "scipy", "numpy.ma"],
-    "sweep": ["jsonschema", "scipy", "numpy.ma"],
-    "kernel-check": NO_SOLVER,
+    "envelope": ["jsonschema", "anisonl.operators", "anisonl.solver"],
+    "abp-cover": ["jsonschema", "anisonl.operators", "anisonl.solver"],
+    "cz": NO_SOLVER + ["anisonl.operators"],
+    "solve": SOLVER,
+    "harnack": SOLVER,
+    "decay": SOLVER,
+    "sweep": SOLVER,
+    "kernel-check": NO_SOLVER + ["anisonl.operators"],
 }
 
 
@@ -512,6 +545,77 @@ def test_import_budget(tmp_path, command):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_package_import_loads_no_numpy():
+    """``import anisonl`` leaves numpy unloaded, so the CLI can pin the
+    BLAS threads before numpy starts them."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, anisonl; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# the thread count of every OpenBLAS loaded after importing the CLI, asked
+# through its C API; "none" when no OpenBLAS symbol is found
+BLAS_THREADS = """
+import ctypes
+import anisonl.cli
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh
+                   if "blas" in line.lower() and ".so" in line})
+counts = []
+for lib in libs:
+    try:
+        handle = ctypes.CDLL(lib)
+    except OSError:
+        continue
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            counts.append(fn())
+            break
+print(counts or "none")
+"""
+
+
+def test_cli_pins_one_blas_thread():
+    """The CLI runs OpenBLAS on one thread, whatever the environment
+    asks for."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("finds the loaded libraries through /proc/self/maps")
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("no OpenBLAS symbol found in the loaded libraries")
+    assert proc.stdout.strip() == "[1]"
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    """A 2D solve of 103^2 unknowns, where OpenBLAS would split CG's dot
+    products across threads, writes the same bytes whatever
+    OPENBLAS_NUM_THREADS the CLI is started with."""
+    cfg = write_config(tmp_path, {
+        "command": "solve", "profile": {"n": 2, "sigma": [1.0, 1.5]},
+        "params": {"grid": 103, "tolerance": 1e-6}})
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "anisonl.cli", "--config", cfg,
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outs.append([(out / name).read_bytes()
+                     for name in ("results.json", "data.csv")])
+    assert outs[0] == outs[1]
 
 
 def _bad_values(schema):
@@ -676,6 +780,7 @@ SINGLE_VIOLATIONS = [
     _with(VALID, "profile", "n", "2"),
     _with(VALID, "seed", "x"),
     _with(VALID, "seed", False),
+    _with(VALID, "seed", -1),                       # minimum
     _with(VALID, "profile", "frak_c", 1.5),
     _with(VALID, "profile", "n", 0),                # minimum
     _with(VALID, "profile", "frak_c", 0),
