@@ -31,12 +31,30 @@ from .geometry import theta_unit_volume
 from .profile import AnisotropyProfile
 
 
-class CoverDepthError(RuntimeError):
-    def __init__(self, chain):
+class CoverError(RuntimeError):
+    """The cover cannot be built at these constants; ``gen`` and ``width``
+    (the tile edges) name the generation where it stopped."""
+
+    def __init__(self, message, gen, width):
+        self.gen = gen
+        self.width = width
+        super().__init__(
+            f"{message} (generation {gen}, tile width "
+            + ", ".join(f"{w:.3e}" for w in width) + ")")
+
+
+class CoverDepthError(CoverError):
+    def __init__(self, chain, width):
         self.chain = chain
         super().__init__(
             "cover recursion exceeded the depth cap; offending chain: "
-            + " -> ".join(f"gen {g} idx {i}" for g, i in chain))
+            + " -> ".join(f"gen {g} idx {i}" for g, i in chain),
+            chain[-1][0], width)
+
+
+class DegenerateTileError(CoverError):
+    """A tile too small to represent: its volume or its tilde rectangle's
+    underflows to zero, or its lattice index leaves the exact integers."""
 
 
 def base_scale(profile):
@@ -101,8 +119,13 @@ def _tiles_for_points(profile, pts, gen, eps=1e-12):
     """Every generation-``gen`` tile whose closure holds one of the points."""
     h = tile_half_widths(profile, gen)
     edge = 2.0 * h
+    pts = np.atleast_2d(pts)
+    # float coordinates hold every integer only below 2^53
+    if not np.all(np.abs(pts / edge) < 2.0 ** 52):
+        raise DegenerateTileError("tile index beyond exact integers", gen,
+                                  edge)
     found = set()
-    for p in np.atleast_2d(pts):
+    for p in pts:
         t = p / edge
         base = np.floor(t).astype(int)
         # points within eps of a face belong to both neighbours
@@ -223,6 +246,9 @@ def _eval_rect(u, env, f, rect, contact_pts, detach_c, expand_c, samples,
 
     t_half = expand_c * rect.tilde_half
     t_vol_plain = float(np.prod(2.0 * rect.tilde_half))
+    if vol == 0.0 or t_vol_plain == 0.0:
+        raise DegenerateTileError("tile volume underflows to zero", rect.gen,
+                                  2.0 * rect.half)
     pts = rng.uniform(rect.center - t_half, rect.center + t_half,
                       size=(samples, rect.lo.size))
     slack = detach_c * max_f * rect.tilde_diameter ** 2
@@ -291,7 +317,8 @@ def abp_cover(u, f, profile, env=None, contact_tol=None,
             final.append(rect)
             continue
         if rect.gen + 1 > depth_cap:
-            raise CoverDepthError(chain_of[(rect.gen, rect.index)])
+            raise CoverDepthError(chain_of[(rect.gen, rect.index)],
+                                  2.0 * rect.half)
         kids = _children_with_points(profile, rect, pts)
         for kid in kids:
             chain_of[(kid.gen, kid.index)] = \

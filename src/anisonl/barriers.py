@@ -68,7 +68,8 @@ class RadialBarrier(AnalyticField):
         def fn(pts):
             r = row_norm(pts)
             with np.errstate(divide="ignore"):
-                return np.minimum(self.cap, r ** -self.p)
+                r **= -self.p
+            return np.minimum(r, self.cap, out=r)
 
         super().__init__(fn, sup_bound=cap,
                          range_outside=self._range_outside)
@@ -248,13 +249,17 @@ class PsiBarrier:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         w = pts / self._t[None, :]
         r = row_norm(w)
-        out = np.zeros(pts.shape[0])
         outer_val = self._outer ** -self.p
-        mid = (r >= 1.0) & (r < self._outer)
-        out[mid] = r[mid] ** -self.p - outer_val
-        core = r < 1.0
+        # both pieces at every point, then the one that applies; r = 0
+        # sends the annulus piece to inf, where the cap piece is taken
+        with np.errstate(divide="ignore", over="ignore"):
+            mid = r ** -self.p
+        mid -= outer_val
         # q(x) = sum a_i x_i^2 + c collapses to c - (p/2)|w|^2 in w-space
-        out[core] = self._c - 0.5 * self.p * r[core] ** 2
+        core = r ** 2
+        core *= 0.5 * self.p
+        np.subtract(self._c, core, out=core)
+        out = np.where(r < 1.0, core, np.where(r < self._outer, mid, 0.0))
         return self.tilde_c * out
 
     def __call__(self, pts):

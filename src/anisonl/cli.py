@@ -350,15 +350,18 @@ def _cmd_envelope(profile, quad, params, seed):
 
 
 def _cmd_abp_cover(profile, quad, params, seed):
-    from .abp import abp_cover, cover_dump, verify_cover
+    from .abp import CoverError, abp_cover, cover_dump, verify_cover
     from .fields import GridField
     u, env = _cap_envelope(profile, int(params.get("grid", 65)))
     fconst = params.get("f_const", 8.0)
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    cover = abp_cover(u, f, profile, env=env, seed=seed,
-                      mc_samples=int(params.get("mc_samples", 1000)))
+    try:
+        cover = abp_cover(u, f, profile, env=env, seed=seed,
+                          mc_samples=int(params.get("mc_samples", 1000)))
+    except CoverError as exc:
+        raise PreconditionError(str(exc))
     report = _null_sentinels(verify_cover(cover, u, env, f, profile), {
         "varsigma_measured": "the cover has no rectangle"})
     report.pop("per_rectangle")
@@ -527,9 +530,16 @@ _DISPATCH = {
 }
 
 
+def config_digest(obj):
+    # hashlib loads OpenSSL, about 10 ms: imported when a command runs, so
+    # the CLI's start-up does not pay for it
+    import hashlib
+    text = json.dumps(obj, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def run(config, out_dir=None, seed=None):
     """Execute one config; returns the process exit status."""
-    from .experiments import config_digest
     command = config["command"]
     try:
         profile = AnisotropyProfile.from_dict(config["profile"])

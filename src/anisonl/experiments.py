@@ -8,8 +8,6 @@ invalid (not failed).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field as dfield
 
@@ -17,25 +15,19 @@ import numpy as np
 
 from .fields import GridField
 from .kernels import tail_gauge_bounds
-# the solver is imported inside the functions that call it, so commands
-# that only need config_digest do not load it
+# the solver is imported inside the functions that call it, so
+# kernel_modulus_check does not load it
 
 
 @dataclass
 class ExperimentResult:
     name: str
-    digest: str
     scalars: dict = dfield(default_factory=dict)
     rows: list = dfield(default_factory=list)     # per-step CSV rows
     columns: tuple = ()
     valid: bool = True
     passed: bool = True
     notes: list = dfield(default_factory=list)
-
-
-def config_digest(obj):
-    text = json.dumps(obj, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _unit_cube_measure(u, predicate):
@@ -63,7 +55,7 @@ def point_estimate_experiment(u, profile, m_level, problem=None,
     Preconditions (u >= 0 everywhere, u(0) <= 1, M^- u <= eps0 on the
     grid) are verified; violations mark the run invalid.
     """
-    result = ExperimentResult(name, config_digest({"M": m_level}))
+    result = ExperimentResult(name)
     pts = u.grid_points()
     vals = u.eval(pts)
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
@@ -115,7 +107,7 @@ def distribution_decay(u, m_level, k_max, name="decay"):
     """
     if k_max < 2:
         raise ValueError("need at least two levels to fit a decay exponent")
-    result = ExperimentResult(name, config_digest({"M": m_level, "k": k_max}))
+    result = ExperimentResult(name)
     rows = []
     for k in range(1, k_max + 1):
         t = m_level ** k
@@ -131,7 +123,7 @@ def distribution_decay(u, m_level, k_max, name="decay"):
 
 def harnack_quotient(u, c0, problem=None, name="harnack"):
     """sup_{B_1/2} u / (u(0) + C_0), with lattice precondition checks."""
-    result = ExperimentResult(name, config_digest({"C0": c0}))
+    result = ExperimentResult(name)
     pts = u.grid_points()
     vals = u.eval(pts)
     if np.min(vals) < -1e-9:
@@ -167,7 +159,7 @@ def holder_estimate(u, center, radii, name="holder"):
     if len(radii) < 3:
         raise ValueError("need at least three radii")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    result = ExperimentResult(name, config_digest({"radii": radii}))
+    result = ExperimentResult(name)
     pts = u.grid_points()
     vals = u.eval(pts)
     dist = np.linalg.norm(pts - center[None, :], axis=1)
@@ -210,8 +202,7 @@ def sigma_sweep(profiles, runner, name="sweep"):
             flags.append(f"sigma_min {prof.sigma_min}: {exc}")
         rows.append((prof.sigma_min, 1.0 / (2.0 - prof.sigma_min), value,
                      valid))
-    result = ExperimentResult(name, config_digest(
-        {"sigmas": [p.sigma_min for p in profiles]}))
+    result = ExperimentResult(name)
     result.columns = ("sigma_min", "inv_gap", "quantity", "valid")
     result.rows = rows
     result.notes = flags
@@ -247,8 +238,7 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
     for h in h_samples:
         if np.linalg.norm(h) >= tau0 / 2.0:
             raise ValueError("shifts must satisfy |h| < tau0 / 2")
-    result = ExperimentResult(name, config_digest(
-        {"tau0": tau0, "c0": c0, "n_h": len(h_samples)}))
+    result = ExperimentResult(name)
     rows = []
     worst = 0.0
     rng_master = np.random.default_rng(seed)

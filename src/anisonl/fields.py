@@ -198,6 +198,31 @@ class AnalyticField:
         return -2.0 * self._sup - 2.0 * ux, 2.0 * self._sup - 2.0 * ux
 
 
+def _pair_points(X, Y, op):
+    """``op(x, y)`` for every row x of ``X`` and every row y of ``Y``, as a
+    Fortran-ordered (len(X) * len(Y), n) array whose row i * len(Y) + j
+    holds x_i, y_j: the rows of ``op(X[:, None, :], Y[None, :, :])``, bit
+    for bit.  Each column is written by one (len(X), len(Y)) broadcast, so
+    the inner loop runs over the pairs, not over the n coordinates."""
+    rows, n = X.shape
+    k = Y.shape[0]
+    out = np.empty((rows * k, n), order="F")
+    for j in range(n):
+        op(X[:, j, None], Y[None, :, j], out=out[:, j].reshape(rows, k))
+    return out
+
+
+def pair_deltas(u, X, ux, Y):
+    """delta(u, x, y) for every row x of ``X`` and every row y of ``Y``,
+    shape (len(X), len(Y)); ``ux`` holds u at the rows of ``X``.  ``u`` is
+    evaluated once per sign, on all pairs at once."""
+    up = u.eval(_pair_points(X, Y, np.add))
+    d = up + u.eval(_pair_points(X, Y, np.subtract))
+    d = d.reshape(X.shape[0], Y.shape[0])
+    d -= 2.0 * ux[:, None]
+    return d
+
+
 def second_difference(u, x, y):
     """delta(u, x, y) = u(x+y) + u(x-y) - 2 u(x), vectorized over y rows."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -231,9 +256,7 @@ def estimate_c11_many(u, X, scale, directions=16, seed=7, safety=2.0):
     worst = np.zeros(rows)
     for fac in (0.5, 1.0, 2.0):
         y = dirs * (fac * scale)
-        up = u.eval((X[:, None, :] + y[None, :, :]).reshape(-1, n))
-        um = u.eval((X[:, None, :] - y[None, :, :]).reshape(-1, n))
-        d = np.abs((up + um).reshape(rows, -1) - 2.0 * ux[:, None])
+        d = np.abs(pair_deltas(u, X, ux, y))
         r2 = np.sum(y ** 2, axis=1)
         # fmax, like a running max(), skips a radius whose largest ratio is nan
         worst = np.fmax(worst, np.max(d / (2.0 * r2)[None, :], axis=1))

@@ -47,7 +47,7 @@ def row_norm(pts):
     acc = pts[:, 0] * pts[:, 0]
     for i in range(1, pts.shape[1]):
         acc += pts[:, i] * pts[:, i]
-    return np.sqrt(acc)
+    return np.sqrt(acc, out=acc)
 
 
 def unit_ball_volume(n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import estimate_c11_many
+from .fields import estimate_c11_many, pair_deltas
 from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
 from .quadrature import QuadratureScheme, node_table, stratum_moments
@@ -97,15 +97,6 @@ def _within(ov, tol):
     return ov
 
 
-def _deltas(u, X, ux, pts):
-    """delta(u, x, y) for every row x of ``X`` and every node y of ``pts``,
-    shape (len(X), len(pts)); ``ux`` holds u at the rows of ``X``."""
-    rows, n = X.shape
-    up = u.eval((X[:, None, :] + pts[None, :, :]).reshape(-1, n))
-    um = u.eval((X[:, None, :] - pts[None, :, :]).reshape(-1, n))
-    return (up + um).reshape(rows, -1) - 2.0 * ux[:, None]
-
-
 def _linear_members(u, x, kernels, quad, profile):
     """OpValues of L_k u(x) for each kernel k; delta(u, x, .) is evaluated
     once per stratum and shared by every kernel."""
@@ -117,7 +108,7 @@ def _linear_members(u, x, kernels, quad, profile):
     for s in node_table(profile, quad):
         if not s.pts.shape[0]:
             continue
-        d = _deltas(u, X, ux, s.pts)[0]
+        d = pair_deltas(u, X, ux, s.pts)[0]
         vals = np.stack([d * k.eval(s.pts) for k in kernels])
         mean_part, var_part = stratum_moments(s, vals)
         total += mean_part
@@ -169,9 +160,17 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
         step = max(1, BLOCK_PAIRS // s.count)
         for a in range(0, len(X), step):
             b = a + step
-            d = _deltas(u, X[a:b], ux[a:b], s.pts)
-            num = pos_w * np.maximum(d, 0.0) - neg_w * np.maximum(-d, 0.0)
-            mean_part, var_part = stratum_moments(s, cs * num / s.gauge)
+            d = pair_deltas(u, X[a:b], ux[a:b], s.pts)
+            # cs * (pos_w * max(d, 0) - neg_w * max(-d, 0)) / gauge, in place
+            neg = np.negative(d)
+            np.maximum(neg, 0.0, out=neg)
+            neg *= neg_w
+            np.maximum(d, 0.0, out=d)
+            d *= pos_w
+            d -= neg
+            d *= cs
+            d /= s.gauge
+            mean_part, var_part = stratum_moments(s, d)
             total[a:b] += mean_part
             var[a:b] += var_part
     se = np.sqrt(var)

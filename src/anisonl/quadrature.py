@@ -92,17 +92,19 @@ class Stratum:
 
     ``pts`` and ``gauge`` hold the accepted nodes and their gauge values,
     in draw order; ``mask`` marks them among the ``count`` drawn nodes,
-    which were uniform on a box of volume ``box``.
+    which were uniform on a box of volume ``box``, and ``index`` holds
+    their positions there.
     """
     pts: np.ndarray
     gauge: np.ndarray
     mask: np.ndarray
+    index: np.ndarray
     box: float
     count: int
 
 
 def _stratum(pts, g, mask, box):
-    arrays = (pts[mask], g[mask], mask)
+    arrays = (pts[mask], g[mask], mask, np.flatnonzero(mask))
     for a in arrays:
         a.flags.writeable = False
     return Stratum(*arrays, box=box, count=len(mask))
@@ -139,12 +141,18 @@ def stratum_moments(stratum, vals):
     stratum to the estimate and to its variance.
 
     ``vals`` has shape (rows, accepted): the integrand at the accepted
-    nodes; rejected nodes enter the mean and variance as zeros.
+    nodes; rejected nodes enter the mean and variance as zeros.  Each row
+    is summed once for its mean, and the variance is the mean square
+    deviation from it: the arithmetic of ``np.mean`` and ``np.var``.
     """
     full = np.zeros((vals.shape[0], stratum.count))
-    full[:, stratum.mask] = vals
-    return (stratum.box * np.mean(full, axis=1),
-            (stratum.box ** 2) * np.var(full, axis=1) / stratum.count)
+    full[:, stratum.index] = vals
+    mean = np.add.reduce(full, axis=1) / stratum.count
+    full -= mean[:, None]
+    np.square(full, out=full)
+    var = np.add.reduce(full, axis=1) / stratum.count
+    return (stratum.box * mean,
+            (stratum.box ** 2) * var / stratum.count)
 
 
 def integrate(profile, quad, integrand):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from anisonl.abp import (AbpCover, CoverDepthError, abp_cover, base_scale,
-                         detachment_measure, tile_half_widths,
-                         tilde_half_widths, verify_cover)
+from anisonl.abp import (AbpCover, CoverDepthError, CoverRectangle,
+                         DegenerateTileError, _eval_rect, _tiles_for_points,
+                         abp_cover, base_scale, detachment_measure,
+                         tile_half_widths, tilde_half_widths, verify_cover)
 from anisonl.envelope import ConcaveEnvelope1D, concave_envelope
 from anisonl.fields import AnalyticField, GridField
 from anisonl.profile import derive_constants
@@ -180,8 +181,30 @@ def test_cover_depth_cap_diagnostic(prof2):
         abp_cover(u, f, prof2, varsigma=5.0, depth_cap=3,
                   mc_samples=200, seed=6)
     assert len(err.value.chain) == 4     # gen 0 through gen 3
+    assert err.value.gen == 3
+    assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 3))
     gens = [g for g, _ in err.value.chain]
     assert gens == sorted(gens)
+
+
+def test_degenerate_tiles_name_generation_and_width(prof2):
+    # generation 30 edges are ~1e-20: a point at distance 1/2 has a tile
+    # index past 2^52, where float coordinates skip integers
+    with pytest.raises(DegenerateTileError) as err:
+        _tiles_for_points(prof2, np.array([[0.5, 0.25]]), 30)
+    assert err.value.gen == 30
+    assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 30))
+    assert "generation 30, tile width" in str(err.value)
+    # the origin keeps index 0 at every depth, but the tilde rectangle of
+    # a deep enough tile has zero volume
+    gen = next(g for g in range(400) if prof2.radius(g + 1) == 0.0)
+    assert (0, 0) in _tiles_for_points(prof2, np.zeros((1, 2)), gen)
+    u = polyhedral_cap_field(shape=33)
+    with pytest.raises(DegenerateTileError) as err:
+        _eval_rect(u, concave_envelope(u), const_field(8.0),
+                   CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)),
+                   4.0, 2.0, 50, np.random.default_rng(0))
+    assert err.value.gen == gen
 
 
 def test_cover_rejects_positive_exterior(prof2):

@@ -271,6 +271,39 @@ def test_psi_invariants(iso2):
             assert abs(left - right) < 20.0 * psi.tilde_c * h
 
 
+def masked_psi(psi, pts):
+    """The bump barrier by boolean masks: each piece only where it
+    applies, zero elsewhere."""
+    w = pts / psi._t[None, :]
+    r = np.linalg.norm(w, axis=1)
+    out = np.zeros(len(pts))
+    mid = (r >= 1.0) & (r < psi._outer)
+    out[mid] = r[mid] ** -psi.p - psi._outer ** -psi.p
+    core = r < 1.0
+    out[core] = psi._c - 0.5 * psi.p * r[core] ** 2
+    return psi.tilde_c * out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 3.0, 5.5])
+def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
+    prof = derive_constants(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
+    psi = build_psi(prof, p)
+    # all three pieces, the origin, the glue sphere and the support edge
+    dirs = rng.normal(size=(3, n))
+    edges = [psi._t * d / np.linalg.norm(d) * rad
+             for d in dirs for rad in (1.0, psi._outer)]
+    pts = np.vstack([rng.uniform(-3.0, 3.0, size=(4000, n))
+                     * rng.uniform(0.0, 1.0, size=(4000, 1)),
+                     np.zeros((1, n)), edges])
+    pts = np.asfortranarray(pts)
+    assert np.array_equal(psi.eval(pts), masked_psi(psi, pts))
+    radial = RadialBarrier(p, 2.0 ** p)
+    with np.errstate(divide="ignore"):
+        want = np.minimum(2.0 ** p, np.linalg.norm(pts, axis=1) ** -p)
+    assert np.array_equal(radial.eval(pts), want)
+
+
 def test_psi_gluing_first_derivative(iso2):
     psi = build_psi(iso2, 6.0)
     t = psi._t

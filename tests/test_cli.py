@@ -500,6 +500,46 @@ def test_cap_outside_unit_ball_exit_3(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("profile,params", [
+    # the paper's default rho0 and frak_c: tiles past generation 2 are
+    # narrower than 1e-18
+    (P2, {"grid": 33}),
+    (dict(P2, rho0=0.05), {"grid": 33}),
+    # frak_c 3: tile indices leave the exact integers at generation 17
+    ({"n": 2, "sigma": [1.5, 1.5], "rho0": 0.05, "frak_c": 3},
+     {"grid": 33, "mc_samples": 200}),
+], ids=["defaults", "rho0", "frak_c-3"])
+def test_abp_cover_degenerate_tiles_exit_3(tmp_path, capsys, profile,
+                                           params):
+    """A cover that splits below representable tiles is an invalid
+    experiment that names where it stopped: no traceback, no verdict
+    drawn from overflowed tile indices."""
+    cfg = write_config(tmp_path, {"command": "abp-cover", "profile": profile,
+                                  "params": params})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert "generation" in results["invalid"]
+    assert "tile width" in results["invalid"]
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
+def test_abp_cover_depth_cap_exit_3(tmp_path, capsys, monkeypatch):
+    """A tripped depth cap is an invalid experiment, with the chain's last
+    generation and its tile width."""
+    from anisonl import abp
+    # every rectangle fails the gradient test; no split is allowed
+    monkeypatch.setattr(abp, "abp_cover", functools.partial(
+        abp.abp_cover, grad_threshold=-1.0, depth_cap=0))
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS["abp-cover"],
+                                      command="abp-cover"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert "depth cap" in results["invalid"]
+    assert "(generation 0, tile width" in results["invalid"]
+    assert capsys.readouterr().err == ""
+
+
 def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
     """(2^generation)^n cells: generation 40 in 2D is refused before any
     array is allocated."""
@@ -512,18 +552,20 @@ def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
 
 # modules each command must not load: jsonschema nowhere; the extremal
 # operators only in barrier-verify; the solver (and the numpy.fft it uses)
-# only where a command solves; scipy and numpy.ma not on the solver path.
-# envelope and abp-cover need scipy, which loads numpy.fft and numpy.ma
-# itself.
+# only where a command solves; scipy and numpy.ma not on the solver path;
+# the experiments only in the commands that run one.  envelope and
+# abp-cover need scipy, which loads numpy.fft and numpy.ma itself.
 NO_SOLVER = ["jsonschema", "anisonl.solver", "numpy.fft"]
 SOLVER = ["jsonschema", "anisonl.operators", "scipy", "numpy.ma"]
+CAP = ["jsonschema", "anisonl.operators", "anisonl.solver"]
+NO_EXPERIMENT = ["anisonl.experiments"]
 IMPORT_BUDGET = {
-    "constants": NO_SOLVER + ["anisonl.operators"],
-    "barrier-verify": NO_SOLVER,
-    "envelope": ["jsonschema", "anisonl.operators", "anisonl.solver"],
-    "abp-cover": ["jsonschema", "anisonl.operators", "anisonl.solver"],
-    "cz": NO_SOLVER + ["anisonl.operators"],
-    "solve": SOLVER,
+    "constants": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
+    "barrier-verify": NO_SOLVER + NO_EXPERIMENT,
+    "envelope": CAP + NO_EXPERIMENT,
+    "abp-cover": CAP + NO_EXPERIMENT,
+    "cz": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
+    "solve": SOLVER + NO_EXPERIMENT,
     "harnack": SOLVER,
     "decay": SOLVER,
     "sweep": SOLVER,

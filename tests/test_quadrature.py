@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anisonl import operators
-from anisonl.barriers import RadialBarrier
-from anisonl.fields import AnalyticField, ConstantExterior, GridField
+from anisonl.barriers import RadialBarrier, build_psi
+from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
+                            ConstantExterior, GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import (eval_extremal, eval_extremal_many,
                                eval_inf_sup, eval_linear)
+from anisonl.profile import derive_constants
 from anisonl.quadrature import QuadratureScheme, node_table, shell_radii
 
 QUAD = QuadratureScheme(shells=10, nodes_per_shell=600, far_radius=12.0,
@@ -60,6 +64,93 @@ def oracle_extremal(u, x, profile, quad, which):
     return total, np.sqrt(var)
 
 
+def broadcast_extremal(u, X, profile, quad, which):
+    """(quadrature value, standard error) per row of ``X`` by the plain
+    formulas over the redrawn nodes: x +- y as a (rows, nodes, n)
+    broadcast, the sign split as pos * max(d, 0) - neg * max(-d, 0), and
+    np.mean / np.var over the zero-filled row of each stratum."""
+    lam, Lam = profile.lambda_lo, profile.lambda_hi
+    a, b = (Lam, lam) if which == "plus" else (lam, Lam)
+    ex = np.array([profile.n + s for s in profile.sigma])
+    rows, n = X.shape
+    ux = u.eval(X)
+    total, var = np.zeros(rows), np.zeros(rows)
+    for pts, ok, box in redrawn_strata(profile, quad):
+        y = pts[ok]
+        if not len(y):
+            continue
+        up = u.eval((X[:, None, :] + y[None, :, :]).reshape(-1, n))
+        um = u.eval((X[:, None, :] - y[None, :, :]).reshape(-1, n))
+        d = (up + um).reshape(rows, -1) - 2.0 * ux[:, None]
+        num = a * np.maximum(d, 0.0) - b * np.maximum(-d, 0.0)
+        full = np.zeros((rows, len(pts)))
+        full[:, ok] = profile.c_sigma * num / np.sum(np.abs(y) ** ex, axis=1)
+        total += box * np.mean(full, axis=1)
+        var += box ** 2 * np.var(full, axis=1) / len(pts)
+    return total, np.sqrt(var)
+
+
+def oracle_fields(profile):
+    n = profile.n
+    lo, hi = [-1.5] * n, [1.5] * n
+
+    def bump(p):
+        return np.cos(p[:, 0]) * np.exp(-np.sum(p ** 2, axis=1))
+
+    def grid(exterior):
+        return GridField.from_function(bump, lo, hi, (9,) * n, exterior)
+
+    return {
+        "radial": RadialBarrier(3.0, 8.0),
+        "psi": build_psi(profile, 3.0),
+        "grid-constant": grid(ConstantExterior(0.2)),
+        "grid-affine": grid(AffineExterior(0.1, tuple(np.linspace(
+            0.3, -0.4, n)))),
+        "grid-callable": grid(CallableExterior(
+            lambda p: 0.5 * np.tanh(p @ np.linspace(1.0, 2.0, n)), 0.5)),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["radial", "psi", "grid-constant",
+                                  "grid-affine", "grid-callable"])
+def test_extremal_many_bitwise_equals_broadcast_formulas(n, name, rng):
+    profile = derive_constants(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
+    u = oracle_fields(profile)[name]
+    # inside and outside the grid box, the cap radius and the psi core
+    X = np.vstack([rng.uniform(-2.5, 2.5, size=(6, n)), np.zeros((1, n)),
+                   np.full((1, n), 0.5 / np.sqrt(n))])
+    for which in ("plus", "minus"):
+        total, se = broadcast_extremal(u, X, profile, QUAD, which)
+        got = eval_extremal_many(u, X, profile, QUAD, which)
+        assert [ov.parts["quadrature_value"] for ov in got] == total.tolist()
+        assert [ov.parts["mc_se"] for ov in got] == se.tolist()
+
+
+@pytest.mark.parametrize("name", ["radial", "psi", "grid-constant"])
+def test_extremal_many_memory_is_bounded(aniso2, name):
+    """Peak allocation of a 400-point batch stays within a fixed number of
+    BLOCK_PAIRS-pair blocks plus the node table: it does not grow with the
+    batch, whose x + y pairs over one shell's 512 drawn nodes would take
+    up to 400 * 512 * 2 floats (3.3 MB, 12.5 blocks) in one piece.  No
+    other test uses the scheme, so its table is built inside the
+    measurement."""
+    u = oracle_fields(aniso2)[name]
+    X = np.random.default_rng(0).uniform(-2.5, 2.5, size=(400, 2))
+    quad = QuadratureScheme(shells=4, nodes_per_shell=512, far_radius=12.0,
+                            seed=9001)
+    tracemalloc.start()
+    try:
+        eval_extremal_many(u, X, aniso2, quad, "minus")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = sum(a.nbytes for s in node_table(aniso2, quad)
+                for a in (s.pts, s.gauge, s.mask, s.index))
+    block = operators.BLOCK_PAIRS * aniso2.n * 8
+    assert peak < 8 * block + table
+
+
 def test_node_table_matches_redrawn_nodes(aniso2):
     table = node_table(aniso2, QUAD)
     ref = redrawn_strata(aniso2, QUAD)
@@ -76,7 +167,8 @@ def test_node_table_matches_redrawn_nodes(aniso2):
 
 def test_node_table_is_read_only_and_bounded(aniso2):
     for s in node_table(aniso2, QUAD):
-        for arr in (s.pts, s.gauge, s.mask):
+        assert np.array_equal(s.index, np.flatnonzero(s.mask))
+        for arr in (s.pts, s.gauge, s.mask, s.index):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
     assert node_table.cache_info().maxsize == 8
