@@ -15,8 +15,8 @@ Per rectangle the two measure properties are evaluated:
                     >= varsigma |R~_j|
 
 Rectangles failing either are split, up to a depth cap.  The thresholds
-C_grad, C_det, varsigma and the expansion constant C are exposed
-parameters; ``verify_cover`` reports the measured constants.
+C_grad and varsigma are parameters, C_det and the expansion constant C
+are fixed; ``verify_cover`` reports the measured constants.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ import numpy as np
 from .envelope import concave_envelope, contact_set, default_contact_tol
 from .geometry import theta_unit_volume
 from .profile import AnisotropyProfile
+
+# C_det and the expansion constant C of the detachment test
+DETACH_CONSTANT = 4.0
+EXPAND_C = 2.0
+# a point within this fraction of a tile edge of a face lies in both tiles
+# the face separates; relative, so it holds at every generation's scale
+FACE_EPS = 1e-9
 
 
 class CoverError(RuntimeError):
@@ -109,13 +116,14 @@ class CoverRectangle:
     def tilde_diameter(self):
         return 2.0 * float(np.linalg.norm(self.tilde_half))
 
-    def closure_contains(self, pts, eps=1e-12):
+    def closure_contains(self, pts):
         pts = np.atleast_2d(pts)
-        return np.all((pts >= self.lo[None, :] - eps)
-                      & (pts <= self.hi[None, :] + eps), axis=1)
+        slack = FACE_EPS * 2.0 * self.half
+        return np.all((pts >= self.lo - slack) & (pts <= self.hi + slack),
+                      axis=1)
 
 
-def _tiles_for_points(profile, pts, gen, eps=1e-12):
+def _tiles_for_points(profile, pts, gen):
     """Every generation-``gen`` tile whose closure holds one of the points."""
     h = tile_half_widths(profile, gen)
     edge = 2.0 * h
@@ -128,14 +136,14 @@ def _tiles_for_points(profile, pts, gen, eps=1e-12):
     for p in pts:
         t = p / edge
         base = np.floor(t).astype(int)
-        # points within eps of a face belong to both neighbours
+        # points within FACE_EPS edges of a face belong to both neighbours
         choices = []
         for d in range(len(base)):
             frac = t[d] - base[d]
             opts = [base[d]]
-            if frac < eps / edge[d]:
+            if frac < FACE_EPS:
                 opts.append(base[d] - 1)
-            if frac > 1.0 - eps / edge[d]:
+            if frac > 1.0 - FACE_EPS:
                 opts.append(base[d] + 1)
             choices.append(opts)
         stack = [()]
@@ -145,9 +153,9 @@ def _tiles_for_points(profile, pts, gen, eps=1e-12):
     return sorted(found)
 
 
-def _children_with_points(profile, rect, pts, eps=1e-12):
+def _children_with_points(profile, rect, pts):
     factor = 2 ** profile.frak_c
-    child_idx = _tiles_for_points(profile, pts, rect.gen + 1, eps=eps)
+    child_idx = _tiles_for_points(profile, pts, rect.gen + 1)
     out = []
     for idx in child_idx:
         parent = tuple(i // factor for i in idx)
@@ -180,7 +188,7 @@ class AbpCover:
 
 
 def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
-                       seed=0, k_max=200):
+                       seed=0):
     """Monte Carlo measure of the detachment set W_k at a contact point.
 
     W_k lives on the annulus Theta_{r_k} \\ Theta_{r_k+1}; the threshold is
@@ -188,8 +196,8 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
     envelope.  Also reports the annulus measure and the y -> -y symmetry
     rate of the sampled membership.
     """
-    if not 0 <= k <= k_max:
-        raise ValueError(f"annulus index {k} outside configured range")
+    if not 0 <= k <= 200:
+        raise ValueError(f"annulus index {k} outside 0..200")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r_hi, r_lo = profile.radius(k), profile.radius(k + 1)
     grad = env.gradient_at(x)
@@ -268,10 +276,8 @@ def _eval_rect(u, env, f, rect, contact_pts, detach_c, expand_c, samples,
     return rect.record
 
 
-def abp_cover(u, f, profile, env=None, contact_tol=None,
-              grad_threshold=1e6, detach_constant=4.0, varsigma=1e-3,
-              expand_c=2.0, depth_cap=40, mc_samples=2000, seed=0,
-              positive_tol=1e-9, quad=None):
+def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
+              depth_cap=40, mc_samples=2000, seed=0, quad=None):
     """Build the disjoint rectangle family covering the contact set.
 
     Splits rectangles violating the measured gradient-image or detachment
@@ -282,9 +288,8 @@ def abp_cover(u, f, profile, env=None, contact_tol=None,
     is itself a noisy measurement).
     """
     if env is None:
-        env = concave_envelope(u, positive_tol=positive_tol)
-    if contact_tol is None:
-        contact_tol = default_contact_tol(u, env)
+        env = concave_envelope(u)
+    contact_tol = default_contact_tol(u, env)
     pts, degenerate = contact_set(u, env, contact_tol)
     inside = np.linalg.norm(np.atleast_2d(pts), axis=1) <= 1.0 + 1e-9
     pts = np.atleast_2d(pts)[inside]
@@ -309,7 +314,7 @@ def abp_cover(u, f, profile, env=None, contact_tol=None,
     chain_of = {(r.gen, r.index): [(r.gen, r.index)] for r in queue}
     while queue:
         rect = queue.pop()
-        rec = _eval_rect(u, env, f, rect, pts, detach_constant, expand_c,
+        rec = _eval_rect(u, env, f, rect, pts, DETACH_CONSTANT, EXPAND_C,
                          mc_samples, rng)
         grad_ok = rec["grad_ratio"] <= grad_threshold
         detach_ok = rec["varsigma_ratio"] >= varsigma
@@ -328,8 +333,8 @@ def abp_cover(u, f, profile, env=None, contact_tol=None,
     return AbpCover(profile, final, pts, degenerate,
                     {"contact_tol": contact_tol,
                      "grad_threshold": grad_threshold,
-                     "detach_constant": detach_constant, "varsigma": varsigma,
-                     "expand_c": expand_c, "mc_samples": mc_samples,
+                     "detach_constant": DETACH_CONSTANT, "varsigma": varsigma,
+                     "expand_c": EXPAND_C, "mc_samples": mc_samples,
                      "seed": seed, "supersolution_check": supersolution}, env)
 
 
@@ -361,7 +366,8 @@ def verify_cover(cover, u, env, f, profile):
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
             a, b = rects[i], rects[j]
-            if np.all(a.lo < b.hi - 1e-15) and np.all(b.lo < a.hi - 1e-15):
+            slack = FACE_EPS * 2.0 * np.minimum(a.half, b.half)
+            if np.all(a.lo < b.hi - slack) and np.all(b.lo < a.hi - slack):
                 disjoint = False
     report["disjoint"] = disjoint
 

@@ -119,7 +119,7 @@ class BarrierSearchError(RuntimeError):
             f"{worst_margin:.3e} at {worst_point}")
 
 
-def annulus_points(n, r_lo, r_hi, count, seed, avoid=None, avoid_dist=0.05):
+def annulus_points(n, r_lo, r_hi, count, seed):
     """Deterministic sample of the Euclidean annulus r_lo <= |x| <= r_hi."""
     rng = np.random.default_rng(seed)
     pts = []
@@ -129,13 +129,11 @@ def annulus_points(n, r_lo, r_hi, count, seed, avoid=None, avoid_dist=0.05):
         if nd == 0:
             continue
         radius = r_lo + (r_hi - r_lo) * rng.random()
-        if avoid is not None and abs(radius - avoid) < avoid_dist:
-            continue
         pts.append(d / nd * radius)
     return np.array(pts)
 
 
-# find_p refuses profiles with sigma_min at or below this floor by default
+# find_p refuses profiles with sigma_min at or below this floor
 SIGMA_FLOOR = 0.5
 
 
@@ -145,7 +143,7 @@ def _margins(barrier, pts, profile, quad):
 
 
 def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
-           sigma_floor=SIGMA_FLOOR, screen_points=24):
+           screen_points=24):
     """Smallest integer p in [1, p_max] with M^- min(2^p, |x|^-p) >= 0
     (within quadrature error) on a sample of {1 <= |x| <= R}.
 
@@ -161,10 +159,10 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
         raise ValueError("the annulus needs R > 1")
     if n_points < 1:
         raise ValueError("need at least one sample point")
-    if profile.sigma_min <= sigma_floor:
+    if profile.sigma_min <= SIGMA_FLOOR:
         raise ValueError(
             f"profile sigma_min {profile.sigma_min} at or below the "
-            f"configured floor {sigma_floor}; barrier certification refused")
+            f"floor {SIGMA_FLOOR}; barrier certification refused")
     if quad is None:
         quad = QuadratureScheme(shells=20, nodes_per_shell=1500,
                                 far_radius=8.0 * R, r_inner=1e-8, seed=seed)
@@ -284,9 +282,9 @@ class PsiBarrier:
         return rect(self.profile, 0.25, 3.0)
 
 
-def build_psi(profile, p, floor=3.0, safety=1.05):
+def build_psi(profile, p):
     """Solve the per-axis gluing systems and scale so the barrier clears
-    ``floor`` on the rectangle R_{1/4,3}."""
+    3 on the rectangle R_{1/4,3}, with a 5% margin."""
     n = profile.n
     t = ScalingMap(profile, 0.25).diagonal()
     outer = 3.0 * math.sqrt(n)
@@ -315,7 +313,7 @@ def build_psi(profile, p, floor=3.0, safety=1.05):
     if min_val <= 0:
         raise RuntimeError("degenerate floor: the box corner reaches the "
                            "support boundary")
-    tilde_c = safety * floor / min_val
+    tilde_c = 1.05 * 3.0 / min_val
     coeffs = np.concatenate([a, [c_x]])
     return PsiBarrier(profile, float(p), float(tilde_c), coeffs)
 

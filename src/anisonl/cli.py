@@ -247,17 +247,17 @@ def emit_results(out_dir, summary, rows, columns):
     emit_plotdata(os.path.join(out_dir, "data.csv"), rows, columns)
 
 
-def emit_plotdata(path, rows, columns, sidecar=True):
-    """Write one CSV series; header-only when the series is empty."""
+def emit_plotdata(path, rows, columns):
+    """Write one CSV series, header-only when the series is empty, and its
+    column list beside it in ``<path>.header.txt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
-    if sidecar:
-        with open(path + ".header.txt", "w") as fh:
-            fh.write("columns: " + ", ".join(columns) + "\n")
+    with open(path + ".header.txt", "w") as fh:
+        fh.write("columns: " + ", ".join(columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,6 @@ def emit_plotdata(path, rows, columns, sidecar=True):
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(profile, quad, params, seed):
-    from .profile import radii_sequence
     rows = [(i, profile.sigma[i], profile.q[i]) for i in range(profile.n)]
     summary = {
         "c_sigma": profile.c_sigma,
@@ -275,7 +274,7 @@ def _cmd_constants(profile, quad, params, seed):
         "frak_c": profile.frak_c,
         "rho0": profile.rho0,
         "matrix_a": profile.matrix_a().tolist(),
-        "r0": radii_sequence(profile, 0),
+        "r0": profile.radius(0),
     }
     return summary, rows, ("index", "sigma", "q"), all(q > 0 for q in profile.q)
 

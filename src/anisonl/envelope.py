@@ -20,6 +20,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 
+# u <= POSITIVE_TOL outside B_1 counts as nonpositive: the slack absorbs
+# interpolation round-off
+POSITIVE_TOL = 1e-9
+
+
 class PositiveExteriorError(ValueError):
     """The field is positive outside B_1, where the envelope needs it
     nonpositive."""
@@ -214,13 +219,13 @@ def _polygon_area(grads):
                            - np.dot(y, np.roll(x, -1))))
 
 
-def concave_envelope(u, positive_tol=1e-9, ring=256):
+def concave_envelope(u):
     """Concave envelope of u^+ over B_3 from the field's own grid.
 
-    Requires u <= positive_tol outside B_1 (checked on grid points and
+    Requires u <= POSITIVE_TOL outside B_1 (checked on grid points and
     exterior probe rings) and dimension <= 2.  Sample points on the B_3
-    sphere pin the hull domain; they carry value zero because u is
-    nonpositive there.
+    sphere (256 in 2-D) pin the hull domain; they carry value zero because
+    u is nonpositive there.
     """
     n = u.n
     if n > 2:
@@ -228,7 +233,7 @@ def concave_envelope(u, positive_tol=1e-9, ring=256):
     pts = u.grid_points()
     vals = u.eval(pts)
     r = np.linalg.norm(pts, axis=1)
-    bad = (r > 1.0) & (vals > positive_tol)
+    bad = (r > 1.0) & (vals > POSITIVE_TOL)
     if bad.any():
         worst = pts[np.argmax(np.where(bad, vals, -np.inf))]
         raise PositiveExteriorError(
@@ -236,14 +241,14 @@ def concave_envelope(u, positive_tol=1e-9, ring=256):
     for rad in (1.5, 2.0, 3.0, 5.0):
         probe = _sphere_points(n, rad, 64)
         pv = u.eval(probe)
-        if np.any(pv > positive_tol):
+        if np.any(pv > POSITIVE_TOL):
             raise PositiveExteriorError(
                 f"field is positive outside B_1 at radius {rad}")
 
     keep = r <= 3.0
     cloud = pts[keep]
     cvals = np.maximum(vals[keep], 0.0)
-    boundary = _sphere_points(n, 3.0, ring if n == 2 else 2)
+    boundary = _sphere_points(n, 3.0, 256)
     cloud = np.vstack([cloud, boundary])
     cvals = np.concatenate([cvals, np.zeros(boundary.shape[0])])
     if n == 1:
@@ -252,6 +257,8 @@ def concave_envelope(u, positive_tol=1e-9, ring=256):
 
 
 def _sphere_points(n, radius, count):
+    """``count`` equally spaced points on the circle of ``radius``, or the
+    two endpoints of the interval in 1-D."""
     if n == 1:
         return np.array([[-radius], [radius]])
     ang = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)

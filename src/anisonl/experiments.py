@@ -18,10 +18,12 @@ from .kernels import tail_gauge_bounds
 # the solver is imported inside the functions that call it, so
 # kernel_modulus_check does not load it
 
+# Euclidean dyadic shells of kernel_modulus_check: B_tau0 out to tau0 2^12
+MODULUS_SHELLS = 12
+
 
 @dataclass
 class ExperimentResult:
-    name: str
     scalars: dict = dfield(default_factory=dict)
     rows: list = dfield(default_factory=list)     # per-step CSV rows
     columns: tuple = ()
@@ -49,13 +51,13 @@ def _unit_cube_measure(u, predicate):
 
 
 def point_estimate_experiment(u, profile, m_level, problem=None,
-                              eps0=None, name="point-estimate"):
+                              eps0=None):
     """Measure of the sublevel set {u <= M} in the unit cube.
 
     Preconditions (u >= 0 everywhere, u(0) <= 1, M^- u <= eps0 on the
     grid) are verified; violations mark the run invalid.
     """
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
@@ -99,7 +101,7 @@ def fit_decay_exponent(ks, measures, m_level):
     return float(-coef[0]), float(math.exp(coef[1])), resid
 
 
-def distribution_decay(u, m_level, k_max, name="decay"):
+def distribution_decay(u, m_level, k_max):
     """|{u > M^k} cap Q_1| for k = 1..k_max and the fitted decay exponent.
 
     Fits log-measure against k log M by least squares over the nonzero
@@ -107,7 +109,7 @@ def distribution_decay(u, m_level, k_max, name="decay"):
     """
     if k_max < 2:
         raise ValueError("need at least two levels to fit a decay exponent")
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     rows = []
     for k in range(1, k_max + 1):
         t = m_level ** k
@@ -121,9 +123,9 @@ def distribution_decay(u, m_level, k_max, name="decay"):
     return result
 
 
-def harnack_quotient(u, c0, problem=None, name="harnack"):
+def harnack_quotient(u, c0, problem=None):
     """sup_{B_1/2} u / (u(0) + C_0), with lattice precondition checks."""
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
     if np.min(vals) < -1e-9:
@@ -153,13 +155,13 @@ def harnack_quotient(u, c0, problem=None, name="harnack"):
     return result
 
 
-def holder_estimate(u, center, radii, name="holder"):
+def holder_estimate(u, center, radii):
     """Oscillation of u over shrinking balls and the log-log slope."""
     radii = sorted({float(r) for r in radii}, reverse=True)
     if len(radii) < 3:
         raise ValueError("need at least three radii")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
     dist = np.linalg.norm(pts - center[None, :], axis=1)
@@ -189,7 +191,7 @@ def holder_estimate(u, center, radii, name="holder"):
     return result
 
 
-def sigma_sweep(profiles, runner, name="sweep"):
+def sigma_sweep(profiles, runner):
     """Run ``runner(profile) -> (quantity, valid)`` per profile and flag
     monotone divergence against x = 1/(2 - sigma_min)."""
     rows = []
@@ -202,7 +204,7 @@ def sigma_sweep(profiles, runner, name="sweep"):
             flags.append(f"sigma_min {prof.sigma_min}: {exc}")
         rows.append((prof.sigma_min, 1.0 / (2.0 - prof.sigma_min), value,
                      valid))
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     result.columns = ("sigma_min", "inv_gap", "quantity", "valid")
     result.rows = rows
     result.notes = flags
@@ -226,8 +228,7 @@ def sigma_sweep(profiles, runner, name="sweep"):
 
 
 def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
-                         nodes=20000, shells=12, seed=3,
-                         name="kernel-modulus"):
+                         nodes=20000, seed=3):
     """Translation-difference integral outside B_tau0, per shift h.
 
     Checks int_{R^n \\ B_tau0} |K(y) - K(y - h)| / |h| dy <= c0 + error.
@@ -238,11 +239,11 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
     for h in h_samples:
         if np.linalg.norm(h) >= tau0 / 2.0:
             raise ValueError("shifts must satisfy |h| < tau0 / 2")
-    result = ExperimentResult(name)
+    result = ExperimentResult()
     rows = []
     worst = 0.0
     rng_master = np.random.default_rng(seed)
-    far = tau0 * 2.0 ** shells
+    far = tau0 * 2.0 ** MODULUS_SHELLS
     n = profile.n
     for h in h_samples:
         hn = float(np.linalg.norm(h))
@@ -251,9 +252,9 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
             continue
         total = 0.0
         var = 0.0
-        for m in range(shells):
+        for m in range(MODULUS_SHELLS):
             r_lo, r_hi = tau0 * 2.0 ** m, tau0 * 2.0 ** (m + 1)
-            cnt = max(nodes // shells, 200)
+            cnt = max(nodes // MODULUS_SHELLS, 200)
             pts = rng_master.uniform(-r_hi, r_hi, size=(cnt, n))
             rad = np.linalg.norm(pts, axis=1)
             mask = (rad >= r_lo) & (rad < r_hi)

@@ -98,14 +98,14 @@ class GridField:
         self._declared_sup = sup_bound
 
     @classmethod
-    def from_function(cls, fn, lo, hi, shape, exterior, sup_bound=None):
+    def from_function(cls, fn, lo, hi, shape, exterior):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         vals = np.asarray(fn(pts), dtype=float).reshape(shape)
-        return cls(lo, hi, vals, exterior, sup_bound=sup_bound)
+        return cls(lo, hi, vals, exterior)
 
     def axes(self):
         return [np.linspace(self.lo[i], self.hi[i], self.values.shape[i])
@@ -231,22 +231,22 @@ def second_difference(u, x, y):
     return u.eval(x[None, :] + y) + u.eval(x[None, :] - y) - 2.0 * ux
 
 
-def estimate_c11_many(u, X, scale, directions=16, seed=7, safety=2.0):
+def estimate_c11_many(u, X, scale, safety=2.0):
     """Probe-based bounds M with |delta(u,x,y)| <= 2 M |y|^2 near each row
     x of ``X``, one per row.
 
-    Samples second differences along coordinate axes plus random
-    directions at a few radii around ``scale``; every row is probed with
-    the same directions and radii.  A measurement, not a certificate; the
-    safety factor covers curvature between probes.
+    Samples second differences along the coordinate axes plus seed-7
+    random directions, 16 in all, at a few radii around ``scale``; every
+    row is probed with the same directions and radii.  A measurement, not
+    a certificate; the safety factor covers curvature between probes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rows, n = X.shape
     if getattr(u, "c11_bound", None) is not None:
         return np.full(rows, float(u.c11_bound))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     dirs = [np.eye(n)[i] for i in range(n)]
-    extra = rng.normal(size=(max(directions - n, 0), n))
+    extra = rng.normal(size=(max(16 - n, 0), n))
     for v in extra:
         nv = np.linalg.norm(v)
         if nv > 0:
@@ -263,8 +263,7 @@ def estimate_c11_many(u, X, scale, directions=16, seed=7, safety=2.0):
     return safety * worst
 
 
-def estimate_c11(u, x, scale, directions=16, seed=7, safety=2.0):
+def estimate_c11(u, x, scale, safety=2.0):
     """``estimate_c11_many`` at the single point ``x``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(estimate_c11_many(u, x[None, :], scale, directions, seed,
-                                   safety)[0])
+    return float(estimate_c11_many(u, x[None, :], scale, safety)[0])

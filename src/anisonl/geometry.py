@@ -137,11 +137,13 @@ class AnisoSet:
 _THETA1_CACHE = {}
 
 
-def theta_unit_volume(profile, samples=2_000_000, seed=1234):
-    """|Theta_1| by Monte Carlo over the bounding box [-1, 1]^n (cached)."""
-    key = (profile.n, profile.sigma, samples, seed)
+def theta_unit_volume(profile):
+    """|Theta_1| by Monte Carlo over the bounding box [-1, 1]^n: two
+    million seed-1234 samples, cached per profile."""
+    key = (profile.n, profile.sigma)
     if key not in _THETA1_CACHE:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
+        samples = 2_000_000
         n = profile.n
         box = 2.0 ** n
         hits = 0
@@ -159,32 +161,20 @@ def theta_unit_volume(profile, samples=2_000_000, seed=1234):
     return _THETA1_CACHE[key]
 
 
-def set_membership(aset: AnisoSet, y) -> bool:
-    return bool(aset.contains(np.atleast_2d(y))[0])
+def theta(profile, r):
+    return AnisoSet(THETA, profile, (0.0,) * profile.n, r)
 
 
-def set_measure(aset: AnisoSet, mode="exact", samples=200_000, seed=0):
-    return aset.measure(mode=mode, samples=samples, seed=seed)
+def ellipse(profile, r, s):
+    return AnisoSet(ELLIPSE, profile, (0.0,) * profile.n, r, s)
 
 
-def theta(profile, r, center=None):
-    c = (0.0,) * profile.n if center is None else center
-    return AnisoSet(THETA, profile, c, r)
+def rect(profile, r, s):
+    return AnisoSet(RECT, profile, (0.0,) * profile.n, r, s)
 
 
-def ellipse(profile, r, s, center=None):
-    c = (0.0,) * profile.n if center is None else center
-    return AnisoSet(ELLIPSE, profile, c, r, s)
-
-
-def rect(profile, r, s, center=None):
-    c = (0.0,) * profile.n if center is None else center
-    return AnisoSet(RECT, profile, c, r, s)
-
-
-def tilde_rect(profile, r, s, center=None):
-    c = (0.0,) * profile.n if center is None else center
-    return AnisoSet(TILDE_RECT, profile, c, r, s)
+def tilde_rect(profile, r, s):
+    return AnisoSet(TILDE_RECT, profile, (0.0,) * profile.n, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +215,3 @@ class ScalingMap:
         y = np.asarray(y, dtype=float)
         d = self.diagonal()
         return y / d if inverse else y * d
-
-
-def scaling_apply(smap: ScalingMap, y, inverse=False):
-    return smap.apply(y, inverse=inverse)
-

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .geometry import gauge, sphere_area
-from .profile import AnisotropyProfile
 
 
 class PowerLawKernel:
@@ -208,14 +207,14 @@ def near_field_bound(profile, s, c11_bound, mult_hi):
 # ---------------------------------------------------------------------------
 
 def kernel_bounds_verify(kernel, profile, samples=4000, seed=0,
-                         mode="global", neighborhood=1.0, rtol=1e-9):
+                         mode="global", neighborhood=1.0):
     """Sample-check symmetry and the two-sided power-law bounds.
 
     Points are drawn from log-uniform Euclidean shells spanning radii
     1e-3..1e3 (or up to ``neighborhood`` in near-origin mode).  Returns
     (ok, worst_ratio, worst_point): worst_ratio is the largest of
     K/(upper bound) and (lower bound)/K over the sample; a value <= 1
-    (up to rtol) passes.
+    (up to 1e-9) passes.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -243,5 +242,5 @@ def kernel_bounds_verify(kernel, profile, samples=4000, seed=0,
         ratio_lo = np.where(kv > 0, lower / kv, np.inf)
     worst_idx = int(np.argmax(np.maximum(ratio_up, ratio_lo)))
     worst = float(max(ratio_up[worst_idx], ratio_lo[worst_idx]))
-    ok = sym_ok and worst <= 1.0 + rtol
+    ok = sym_ok and worst <= 1.0 + 1e-9
     return ok, worst, pts[worst_idx]

@@ -17,7 +17,7 @@ import numpy as np
 from .fields import estimate_c11_many, pair_deltas
 from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
-from .quadrature import QuadratureScheme, node_table, stratum_moments
+from .quadrature import Z_SCORE, QuadratureScheme, node_table, stratum_moments
 
 # (point, drawn node) pairs per evaluation block of eval_extremal_many: the
 # block's temporaries are a few arrays of this many floats.
@@ -35,10 +35,7 @@ class OpValue:
 
 
 def _c11_many(u, X, profile, quad):
-    """C^{1,1} bound at every row of ``X``: the scheme's declared bound, or
-    one batched probe."""
-    if quad.c11_bound is not None:
-        return [quad.c11_bound] * len(X)
+    """C^{1,1} bound at every row of ``X``, from one batched probe."""
     scale = (2.0 * quad.r_inner) ** (1.0 / (profile.n + profile.sigma_max))
     # probe at the inner-cutoff length scale, but not below fp resolution
     scale = max(scale, 1e-7)
@@ -77,10 +74,10 @@ def _tail_bracket_extremal(u, x, profile, quad, which, tg):
     return _bracket(cands)
 
 
-def _finish(mid_value, se, near, tail_lo, tail_hi, quad):
+def _finish(mid_value, se, near, tail_lo, tail_hi):
     mid_value, se = float(mid_value), float(se)
     value = mid_value + 0.5 * (tail_lo + tail_hi)
-    err = quad.z_score * se + near + 0.5 * (tail_hi - tail_lo)
+    err = Z_SCORE * se + near + 0.5 * (tail_hi - tail_lo)
     return OpValue(value, err, parts={
         "quadrature_value": mid_value,
         "mc_se": se,
@@ -88,13 +85,6 @@ def _finish(mid_value, se, near, tail_lo, tail_hi, quad):
         "tail_lo": tail_lo,
         "tail_hi": tail_hi,
     })
-
-
-def _within(ov, tol):
-    if tol is not None and ov.error > tol:
-        raise QuadratureToleranceError(
-            f"reported bound {ov.error:.3e} exceeds tolerance {tol:.3e}")
-    return ov
 
 
 def _linear_members(u, x, kernels, quad, profile):
@@ -124,15 +114,13 @@ def _linear_members(u, x, kernels, quad, profile):
             near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
         tail_lo, tail_hi = _tail_bracket_linear(u, x, quad, kernel, profile,
                                                 tg)
-        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi, quad))
+        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi))
     return out
 
 
-def eval_linear(u, x, kernel, quad: QuadratureScheme, profile=None,
-                tol=None) -> OpValue:
+def eval_linear(u, x, kernel, quad: QuadratureScheme) -> OpValue:
     """L u(x) = int delta(u, x, y) K(y) dy with a reported error bound."""
-    return _within(_linear_members(u, x, [kernel], quad,
-                                   profile or kernel.profile)[0], tol)
+    return _linear_members(u, x, [kernel], quad, kernel.profile)[0]
 
 
 def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
@@ -181,16 +169,15 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
         near = near_field_bound(profile, quad.r_inner, c11[i], Lam)
         tail_lo, tail_hi = _tail_bracket_extremal(u, x, profile, quad, which,
                                                   tg)
-        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi, quad))
+        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi))
     return out
 
 
-def eval_extremal(u, x, profile, quad: QuadratureScheme, which="plus",
-                  tol=None) -> OpValue:
+def eval_extremal(u, x, profile, quad: QuadratureScheme,
+                  which="plus") -> OpValue:
     """M^+ or M^- via the closed form with per-node sign split of delta."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _within(eval_extremal_many(u, x[None, :], profile, quad, which)[0],
-                   tol)
+    return eval_extremal_many(u, x[None, :], profile, quad, which)[0]
 
 
 def eval_inf_sup(u, x, family: KernelFamily, quad: QuadratureScheme) -> OpValue:
@@ -205,7 +192,3 @@ def eval_inf_sup(u, x, family: KernelFamily, quad: QuadratureScheme) -> OpValue:
             for i in range(0, len(ovs), width)]
     return OpValue(min(rows), max(ov.error for ov in ovs),
                    parts={"n_members": len(ovs)})
-
-
-class QuadratureToleranceError(RuntimeError):
-    pass

@@ -151,17 +151,6 @@ class AnisotropyProfile:
         return AnisotropyProfile(**kwargs)
 
 
-def derive_constants(n, sigma, lambda_lo=1.0, lambda_hi=1.0,
-                     rho0=None, frak_c=None) -> AnisotropyProfile:
-    """Validate inputs and populate every derived constant."""
-    return AnisotropyProfile(n=n, sigma=tuple(sigma), lambda_lo=lambda_lo,
-                             lambda_hi=lambda_hi, rho0=rho0, frak_c=frak_c)
-
-
-def radii_sequence(profile: AnisotropyProfile, k: int) -> float:
-    return profile.radius(k)
-
-
 def isotropic(n, sigma, lambda_lo=1.0, lambda_hi=1.0, **kw) -> AnisotropyProfile:
     """Convenience constructor with all orders equal."""
-    return derive_constants(n, (sigma,) * n, lambda_lo, lambda_hi, **kw)
+    return AnisotropyProfile(n, (sigma,) * n, lambda_lo, lambda_hi, **kw)

@@ -26,6 +26,11 @@ import numpy as np
 
 from .geometry import gauge
 
+# node multiplier for the B_far stratum
+OUTER_FACTOR = 4
+# Monte Carlo confidence multiplier of the reported error
+Z_SCORE = 3.0
+
 
 @dataclass(frozen=True)
 class QuadratureScheme:
@@ -34,9 +39,6 @@ class QuadratureScheme:
     far_radius: float = 16.0
     r_inner: float = 1e-6
     seed: int = 2024
-    c11_bound: float = None    # near-field M; probed per field when None
-    outer_factor: int = 4      # node multiplier for the B_far stratum
-    z_score: float = 3.0       # Monte Carlo confidence multiplier
 
     def __post_init__(self):
         if self.shells < 1 or self.nodes_per_shell < 2:
@@ -44,13 +46,13 @@ class QuadratureScheme:
         if self.far_radius <= 0 or self.r_inner <= 0:
             raise ValueError("far_radius and r_inner must be positive")
 
-    def refined(self, shell_factor=2, node_factor=2):
-        """Finer scheme: more shells, deeper inner cut, more nodes."""
+    def refined(self):
+        """Finer scheme: twice the shells and nodes, squared inner cut."""
         return replace(self,
-                       shells=self.shells * shell_factor,
-                       r_inner=self.r_inner ** shell_factor
+                       shells=self.shells * 2,
+                       r_inner=self.r_inner ** 2
                        if self.r_inner < 1 else self.r_inner,
-                       nodes_per_shell=self.nodes_per_shell * node_factor)
+                       nodes_per_shell=self.nodes_per_shell * 2)
 
     @staticmethod
     def from_dict(obj):
@@ -127,7 +129,7 @@ def node_table(profile, quad):
         table.append(_stratum(pts, g, (g < r_hi) & (g >= r_lo),
                               float(np.prod(2.0 * hw))))
 
-    count = quad.nodes_per_shell * quad.outer_factor
+    count = quad.nodes_per_shell * OUTER_FACTOR
     pts = _shell_rng(quad, quad.shells).uniform(
         -quad.far_radius, quad.far_radius, size=(count, n))
     g = gauge(profile, pts)
@@ -153,19 +155,3 @@ def stratum_moments(stratum, vals):
     var = np.add.reduce(full, axis=1) / stratum.count
     return (stratum.box * mean,
             (stratum.box ** 2) * var / stratum.count)
-
-
-def integrate(profile, quad, integrand):
-    """Monte Carlo of ``integrand`` over B_far \\ Theta_{r_inner}.
-
-    ``integrand(pts)`` maps (m, n) points to values; it must already
-    include the kernel.  Returns (value, standard_error).
-    """
-    total = 0.0
-    var = 0.0
-    for s in node_table(profile, quad):
-        if s.pts.shape[0]:
-            mean_part, var_part = stratum_moments(s, integrand(s.pts)[None, :])
-            total += float(mean_part[0])
-            var += float(var_part[0])
-    return total, math.sqrt(var)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AffineExterior, ConstantExterior, GridField
-from .kernels import PowerLawKernel, tail_gauge_bounds
+from .kernels import KernelFamily, PowerLawKernel, tail_gauge_bounds
 from .profile import AnisotropyProfile
 
 
@@ -374,16 +374,16 @@ def _cg(matvec, b, x, target, budget):
     return x, k
 
 
-def _gmres(matvec, b, x, target, budget, restart=40):
-    """Restarted GMRES from x until ||b - A x||_2 <= target or ``budget``
-    iterations; returns (x, iterations)."""
+def _gmres(matvec, b, x, target, budget):
+    """GMRES restarted every 40 iterations, from x until ||b - A x||_2 <=
+    target or ``budget`` iterations; returns (x, iterations)."""
     k = 0
     while k < budget:
         r = b - matvec(x)
         beta = float(np.linalg.norm(r))
         if beta <= target:
             break
-        m = min(restart, budget - k)
+        m = min(40, budget - k)
         basis = np.zeros((m + 1, r.size))
         hess = np.zeros((m + 1, m))
         basis[0] = r / beta
@@ -406,23 +406,19 @@ def _gmres(matvec, b, x, target, budget, restart=40):
     return x, k
 
 
-def solve_dirichlet(problem, u0=None, operator=None):
+def solve_dirichlet(problem):
     """Solve I_h u = f to residual sup-norm <= tolerance.
 
-    Starts from ``u0`` or else from the exterior rule sampled on the
-    grid, which makes globally harmonic data (constants, affine
-    functions) exact with no iteration.  The linear systems are solved to
-    half the tolerance; if the true residual, taken from ``apply``, still
-    misses the tolerance (the Krylov residual drifts), they are solved
-    again to a tenth of the previous target, until ``max_iters`` Krylov
-    iterations in total.
+    Starts from the exterior rule sampled on the grid, which makes
+    globally harmonic data (constants, affine functions) exact with no
+    iteration.  The linear systems are solved to half the tolerance; if
+    the true residual, taken from ``apply``, still misses the tolerance
+    (the Krylov residual drifts), they are solved again to a tenth of the
+    previous target, until ``max_iters`` Krylov iterations in total.
     """
-    op = operator or AssembledOperator(problem)
-    if u0 is None:
-        u = np.asarray(problem.exterior(problem.grid_points()),
-                       dtype=float).ravel()
-    else:
-        u = np.asarray(u0, dtype=float).ravel()
+    op = AssembledOperator(problem)
+    u = np.asarray(problem.exterior(problem.grid_points()),
+                   dtype=float).ravel()
     res_sup = float(np.max(np.abs(op.apply(u))))
     it = 0
     target = 0.5 * problem.tolerance

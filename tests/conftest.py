@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisonl.profile import derive_constants, isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
 
 
@@ -23,7 +23,7 @@ def iso2():
 
 @pytest.fixture(scope="session")
 def aniso2():
-    return derive_constants(2, (1.0, 1.5), 1.0, 2.0)
+    return AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +42,7 @@ def random_profile(rng, n=None):
     n = n or int(rng.integers(1, 4))
     sigma = tuple(rng.uniform(0.1, 1.99, size=n))
     lam = rng.uniform(0.5, 2.0)
-    return derive_constants(n, sigma, lam, lam * rng.uniform(1.0, 3.0))
+    return AnisotropyProfile(n, sigma, lam, lam * rng.uniform(1.0, 3.0))
 
 
 @pytest.fixture

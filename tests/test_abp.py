@@ -7,18 +7,18 @@ from anisonl.abp import (AbpCover, CoverDepthError, CoverRectangle,
                          tile_half_widths, tilde_half_widths, verify_cover)
 from anisonl.envelope import ConcaveEnvelope1D, concave_envelope
 from anisonl.fields import AnalyticField, GridField
-from anisonl.profile import derive_constants
+from anisonl.profile import AnisotropyProfile
 
 
 @pytest.fixture(scope="module")
 def prof2():
     # desk-scale cover geometry: rho0 and frak_c are configurable inputs
-    return derive_constants(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
+    return AnisotropyProfile(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
 
 
 @pytest.fixture(scope="module")
 def prof2_mixed():
-    return derive_constants(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05, frak_c=2)
+    return AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05, frak_c=2)
 
 
 def const_field(value, n=2, shape=9):
@@ -205,6 +205,20 @@ def test_degenerate_tiles_name_generation_and_width(prof2):
                    CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)),
                    4.0, 2.0, 50, np.random.default_rng(0))
     assert err.value.gen == gen
+
+
+def test_face_tolerance_is_relative_to_tile_edge():
+    # at the paper's default constants generation-2 edges are ~1e-14: an
+    # absolute face tolerance of 1e-12 put this interior point on every
+    # face, so it claimed all nine tiles around it
+    prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
+    x = np.array([[0.3, 0.2]])
+    tiles = _tiles_for_points(prof, x, 2)
+    assert len(tiles) == 1
+    (i, j), = tiles
+    holders = [(a, b) for a in (i - 1, i, i + 1) for b in (j - 1, j, j + 1)
+               if CoverRectangle(2, (a, b), prof).closure_contains(x)[0]]
+    assert holders == tiles
 
 
 def test_cover_rejects_positive_exterior(prof2):

@@ -15,7 +15,7 @@ from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
 from anisonl.geometry import ellipse, rect, theta, theta_unit_volume, tilde_rect
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import eval_extremal, eval_linear
-from anisonl.profile import derive_constants, isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
 from conftest import random_profile
 
@@ -71,7 +71,7 @@ def test_acceptance_2_geometry():
     n_samples = 10_000
     for p, r in ((isotropic(1, 1.2, 1.0, 2.0), 0.8),
                  (isotropic(2, 1.0, 1.0, 2.0), 1.0),
-                 (derive_constants(2, (0.9, 1.6), 1.0, 2.0), 2.5)):
+                 (AnisotropyProfile(2, (0.9, 1.6), 1.0, 2.0), 2.5)):
         inner = _sample_members(ellipse(p, r, 0.5), n_samples, rng)
         violations += int(np.count_nonzero(~theta(p, r).contains(inner)))
         mid = _sample_members(theta(p, r), n_samples, rng)
@@ -205,8 +205,8 @@ def test_acceptance_5_abp():
     from anisonl.abp import abp_cover, verify_cover
     from anisonl.envelope import ConcaveEnvelope2D
     t0 = time.time()
-    prof = derive_constants(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
-    prof_mixed = derive_constants(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05,
+    prof = AnisotropyProfile(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
+    prof_mixed = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05,
                                   frak_c=2)
 
     def f_const(v):

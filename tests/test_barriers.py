@@ -12,7 +12,7 @@ from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
 from anisonl.fields import AnalyticField, second_difference
 from anisonl.geometry import ScalingMap, ellipse, rect
 from anisonl.operators import eval_extremal
-from anisonl.profile import derive_constants, isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
 
 
@@ -127,7 +127,7 @@ SEARCH_QUAD = QuadratureScheme(shells=10, nodes_per_shell=300,
     ((0.8, 0.8), 1, 3),
 ])
 def test_find_p_matches_brute_force(sigma, screen_points, want_p):
-    prof = derive_constants(2, sigma, 1.0, 2.0)
+    prof = AnisotropyProfile(2, sigma, 1.0, 2.0)
     res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5,
                  screen_points=screen_points)
     p, (margin, error, point) = brute_force_p(prof, 4.0, SEARCH_QUAD, 30, 5,
@@ -164,7 +164,7 @@ def test_find_p_reuses_screened_rows(monkeypatch, sigma, want_p, want_rows):
         return batched(u, X, *args, **kwargs)
 
     monkeypatch.setattr(barriers, "eval_extremal_many", counted)
-    prof = derive_constants(2, sigma, 1.0, 2.0)
+    prof = AnisotropyProfile(2, sigma, 1.0, 2.0)
     res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5)
     assert res["p"] == want_p
     assert rows == want_rows
@@ -287,7 +287,7 @@ def masked_psi(psi, pts):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.0, 3.0, 5.5])
 def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
-    prof = derive_constants(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
+    prof = AnisotropyProfile(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
     psi = build_psi(prof, p)
     # all three pieces, the origin, the glue sphere and the support edge
     dirs = rng.normal(size=(3, n))

@@ -3,7 +3,7 @@ import pytest
 
 from anisonl.coverings import (CellSet, CzHypothesisError, DyadicCube,
                                ParamRectangleFamily, cc_cover, cz_decompose)
-from anisonl.profile import derive_constants
+from anisonl.profile import AnisotropyProfile
 
 
 def linear_family(points, t=None):
@@ -97,7 +97,7 @@ def test_dyadic_tilde_law(aniso2):
         assert hi[i] - c[i] == pytest.approx(expected, rel=1e-12)
         assert c[i] - lo[i] == pytest.approx(expected, rel=1e-12)
     # isotropic tilde is the cube itself
-    iso = derive_constants(2, (1.0, 1.0))
+    iso = AnisotropyProfile(2, (1.0, 1.0))
     lo2, hi2 = q.tilde_box(iso)
     blo, bhi = q.box()
     assert np.allclose(lo2, blo) and np.allclose(hi2, bhi)

@@ -10,7 +10,7 @@ from anisonl.experiments import (distribution_decay, fit_decay_exponent,
 from anisonl.fields import CallableExterior, ConstantExterior, GridField
 from anisonl.kernels import KernelFamily, PowerLawKernel
 from anisonl.profile import isotropic
-from anisonl.solver import DiscreteProblem, solve_dirichlet
+from anisonl.solver import DiscreteProblem, discrete_extremal, solve_dirichlet
 
 
 def const_field(value, n=1, shape=65, box=2.0):
@@ -60,6 +60,19 @@ def test_point_estimate_solved_instance_stable(iso1_ell):
     res2 = point_estimate_experiment(scaled2, iso1_ell, 2.0)
     assert res2.scalars["varsigma_measured"] == pytest.approx(
         res.scalars["varsigma_measured"], rel=0.10)
+
+
+def test_point_estimate_minus_operator_precondition(iso1_ell):
+    # the point estimate's hypothesis M^- u <= eps0, on the solved bump
+    prob = bump_problem(iso1_ell)
+    field, rep = solve_dirichlet(prob)
+    assert rep.converged
+    top = float(np.max(discrete_extremal(prob, field.values)[0]))
+    res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top + 1e-3)
+    assert res.valid and not res.notes
+    res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top - 1e-3)
+    assert not res.valid
+    assert res.notes == ["precondition M^- u <= eps0 fails"]
 
 
 def test_decay_bounded_field_all_zero():

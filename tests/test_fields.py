@@ -5,7 +5,7 @@ from anisonl.barriers import RadialBarrier, build_psi
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
                             ConstantExterior, GridField, estimate_c11,
                             estimate_c11_many, second_difference)
-from anisonl.profile import derive_constants
+from anisonl.profile import AnisotropyProfile
 
 
 def make_affine_field(n=1, offset=1.0, slope=2.0):
@@ -129,7 +129,7 @@ def probe_one_point(u, x, scale):
 
 
 def c11_probe_fields():
-    prof = derive_constants(2, (1.0, 1.5), 1.0, 2.0)
+    prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
     grid = GridField.from_function(
         lambda p: np.sin(3.0 * p[:, 0]) * np.abs(p[:, 1]),
         [-1.0, -1.0], [1.0, 1.0], (17, 13), ConstantExterior(0.5))

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from anisonl.geometry import (AnisoSet, ScalingMap, ellipse, gauge, rect,
-                              row_norm, scaling_apply, set_measure,
-                              set_membership, theta, theta_unit_volume,
-                              tilde_rect)
+                              row_norm, theta, theta_unit_volume, tilde_rect)
 from anisonl.profile import isotropic
 from conftest import random_profile
 
@@ -25,8 +23,8 @@ def sample_members(aset, count, rng):
 
 def test_theta_membership_1d(iso1):
     t = theta(iso1, 1.0)
-    assert set_membership(t, [0.9])          # |0.9|^2 < 1
-    assert not set_membership(t, [1.1])
+    assert t.contains([0.9])[0]          # |0.9|^2 < 1
+    assert not t.contains([1.1])[0]
 
 
 def test_inclusion_relations_sampled(rng):
@@ -48,7 +46,7 @@ def test_inclusion_relations_sampled(rng):
 
 def test_theta_measure_1d_closed_form(iso1):
     for r in (0.5, 1.0, 2.0):
-        val, err = set_measure(theta(iso1, r))
+        val, err = theta(iso1, r).measure()
         assert val == pytest.approx(2.0 * r ** 0.5, rel=1e-3)
         # n=1 the unit Theta is the interval (-1,1): MC is exact here
         assert err < 1e-2
@@ -66,12 +64,12 @@ def test_rect_measure_formula(rng):
     for _ in range(5):
         p = random_profile(rng)
         r, s = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 0.9))
-        val, err = set_measure(rect(p, r, s))
+        val, err = rect(p, r, s).measure()
         expected = 2.0 ** p.n * s ** (p.n / (p.n + p.sigma_min)) \
             * r ** float(np.sum(1.0 / p.exponents))
         assert err == 0.0
         assert val == pytest.approx(expected, rel=1e-12)
-        tv, _ = set_measure(tilde_rect(p, r, s))
+        tv, _ = tilde_rect(p, r, s).measure()
         assert tv == pytest.approx(
             2.0 ** p.n * (s * r) ** float(np.sum(1.0 / p.exponents)),
             rel=1e-12)
@@ -81,8 +79,8 @@ def test_theta_scaling_law_within_mc_error(iso2):
     v1, se1 = theta_unit_volume(iso2)
     ssum = float(np.sum(1.0 / iso2.exponents))
     for r in (0.1, 1.0, 10.0):
-        direct, se = set_measure(theta(iso2, r), mode="monte_carlo",
-                                 samples=400_000, seed=7)
+        direct, se = theta(iso2, r).measure(mode="monte_carlo",
+                                            samples=400_000, seed=7)
         predicted = r ** ssum * v1
         tol = 3.0 * (se + r ** ssum * se1)
         assert abs(direct - predicted) <= tol
@@ -90,7 +88,7 @@ def test_theta_scaling_law_within_mc_error(iso2):
 
 def test_measure_errors(iso1):
     with pytest.raises(ValueError):
-        set_measure(theta(iso1, 1.0), mode="monte_carlo", samples=0)
+        theta(iso1, 1.0).measure(mode="monte_carlo", samples=0)
     with pytest.raises(ValueError):
         AnisoSet("Blob", iso1, (0.0,), 1.0)
     with pytest.raises(ValueError):
@@ -124,7 +122,7 @@ def test_scaling_maps_annulus_to_ball(aniso2, rng):
     outer = sample_members(ellipse(aniso2, r, big_r), 3000, rng)
     inner_mask = ellipse(aniso2, r, 1.0).contains(outer)
     shell = outer[~inner_mask]
-    w = scaling_apply(m, shell, inverse=True)
+    w = m.apply(shell, inverse=True)
     radii = np.linalg.norm(w, axis=1)
     assert np.all(radii < big_r) and np.all(radii >= 1.0)
 

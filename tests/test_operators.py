@@ -4,9 +4,8 @@ import pytest
 from anisonl.fields import (AffineExterior, AnalyticField, ConstantExterior,
                             GridField, second_difference)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
-from anisonl.operators import (OpValue, QuadratureToleranceError, eval_extremal,
-                               eval_inf_sup, eval_linear)
-from anisonl.quadrature import QuadratureScheme, integrate, shell_radii
+from anisonl.operators import OpValue, eval_extremal, eval_inf_sup, eval_linear
+from anisonl.quadrature import QuadratureScheme, shell_radii
 
 # frozen reference values, computed beforehand with scipy.integrate.quad
 # (independent dense quadrature of the exact integrands)
@@ -142,9 +141,8 @@ def test_comparison_surrogate(iso1_ell, quad_fast, rng):
             - (lhs.error + a.error + b.error)
 
 
-def test_integrand_symmetry_under_reflection(iso1, quad_fast, rng):
-    # the quadrature integrand delta * K is pointwise even, so flipping
-    # the sign of every node leaves the estimate unchanged
+def test_integrand_symmetry_under_reflection(iso1, rng):
+    # the quadrature integrand delta * K is pointwise even
     u = gaussian_field()
     k = PowerLawKernel(iso1, 1.0)
     x = np.array([0.3])
@@ -154,9 +152,6 @@ def test_integrand_symmetry_under_reflection(iso1, quad_fast, rng):
 
     pts = rng.normal(size=(500, 1))
     assert np.allclose(f(pts), f(-pts), rtol=1e-12)
-    v1, _ = integrate(iso1, quad_fast, f)
-    v2, _ = integrate(iso1, quad_fast, lambda p: f(-p))
-    assert v1 == v2
 
 
 def test_refinement_convergence(iso1, quad_fast):
@@ -174,13 +169,6 @@ def test_continuity_surrogate(iso1, quad_fast):
     vals = [eval_extremal(u, [x], iso1, quad_fast, "plus").value for x in xs]
     slopes = np.abs(np.diff(vals)) / np.diff(xs)
     assert np.max(slopes) < 50.0
-
-
-def test_tolerance_error(iso1, quad_fast):
-    u = gaussian_field()
-    k = PowerLawKernel(iso1, 1.0)
-    with pytest.raises(QuadratureToleranceError):
-        eval_linear(u, [0.0], k, quad_fast, tol=1e-12)
 
 
 def test_truncated_kernel_linear_budget(iso1, quad_fast):

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from anisonl.profile import (AnisotropyProfile, default_frak_c, derive_constants,
-                             isotropic, radii_sequence)
+from anisonl.profile import AnisotropyProfile, default_frak_c, isotropic
 from conftest import random_profile
 
 
 def test_isotropic_reduction_exact():
-    p = derive_constants(2, (1.0, 1.0), 1.0, 1.0)
+    p = AnisotropyProfile(2, (1.0, 1.0), 1.0, 1.0)
     assert p.c_sigma == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert p.q == pytest.approx((1.0 / 3.0, 1.0 / 3.0), abs=1e-15)
     assert np.allclose(p.matrix_a(), [1.0, 1.0])
@@ -17,7 +16,7 @@ def test_isotropic_reduction_exact():
 
 def test_mixed_orders_frozen_values():
     # q_1 = 2/7, q_2 = 4/21, checked independently by symbolic evaluation
-    p = derive_constants(2, (1.0, 1.5))
+    p = AnisotropyProfile(2, (1.0, 1.5))
     assert p.q[0] == pytest.approx(2.0 / 7.0, rel=1e-14)
     assert p.q[1] == pytest.approx(4.0 / 21.0, rel=1e-14)
     assert p.c_sigma == pytest.approx(4.0 / 21.0, rel=1e-14)
@@ -28,7 +27,7 @@ def test_mixed_orders_frozen_values():
 
 
 def test_near_two_orders_stay_positive():
-    p = derive_constants(2, (1.999, 1.999))
+    p = AnisotropyProfile(2, (1.999, 1.999))
     assert p.c_sigma == pytest.approx((2.0 - 1.999) / (2.0 + 1.999), rel=1e-10)
     assert p.c_sigma > 0
     assert all(q > 0 for q in p.q)
@@ -44,20 +43,20 @@ def test_near_two_orders_stay_positive():
 ])
 def test_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
-        derive_constants(**bad)
+        AnisotropyProfile(**bad)
 
 
 def test_radii_sequence():
-    p = derive_constants(2, (1.0, 1.0), rho0=1.0, frak_c=7)
-    assert radii_sequence(p, 0) == pytest.approx(2.0 ** (-1.0 / p.q_max))
+    p = AnisotropyProfile(2, (1.0, 1.0), rho0=1.0, frak_c=7)
+    assert p.radius(0) == pytest.approx(2.0 ** (-1.0 / p.q_max))
     # rho0=1, frak_c=7, k=1: 2^-3 * 2^-21 = 2^-24
-    assert radii_sequence(p, 1) == pytest.approx(2.0 ** -24, rel=1e-14)
+    assert p.radius(1) == pytest.approx(2.0 ** -24, rel=1e-14)
     for k in range(5):
-        ratio = radii_sequence(p, k + 1) / radii_sequence(p, k)
+        ratio = p.radius(k + 1) / p.radius(k)
         assert ratio == pytest.approx(2.0 ** (-p.frak_c * (p.n + p.sigma_min)),
                                       rel=1e-12)
     with pytest.raises(ValueError):
-        radii_sequence(p, -1)
+        p.radius(-1)
 
 
 def test_constants_invariants_random(rng):
@@ -83,7 +82,7 @@ def test_series_factor_bounded_towards_two():
 
 
 def test_i_min_tie_break_smallest_index():
-    p = derive_constants(3, (0.7, 0.7, 1.2))
+    p = AnisotropyProfile(3, (0.7, 0.7, 1.2))
     assert p.i_min == 0
 
 
@@ -110,7 +109,7 @@ def test_inf_quad_outside_on_axis(aniso2):
 
 
 def test_serialization_recomputes_derived():
-    p = derive_constants(2, (1.0, 1.5), 1.0, 2.0)
+    p = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
     # derived constants in the input are ignored, never trusted
     q = AnisotropyProfile.from_dict({"n": 2, "sigma": [1.0, 1.5],
                                      "lambda_lo": 1.0, "lambda_hi": 2.0,

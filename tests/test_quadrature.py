@@ -10,8 +10,9 @@ from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import (eval_extremal, eval_extremal_many,
                                eval_inf_sup, eval_linear)
-from anisonl.profile import derive_constants
-from anisonl.quadrature import QuadratureScheme, node_table, shell_radii
+from anisonl.profile import AnisotropyProfile
+from anisonl.quadrature import (OUTER_FACTOR, QuadratureScheme, node_table,
+                                shell_radii)
 
 QUAD = QuadratureScheme(shells=10, nodes_per_shell=600, far_radius=12.0,
                         r_inner=1e-7, seed=5)
@@ -35,7 +36,7 @@ def redrawn_strata(profile, quad):
         else:
             far = quad.far_radius
             pts = rng.uniform(-far, far, size=(quad.nodes_per_shell
-                                               * quad.outer_factor,
+                                               * OUTER_FACTOR,
                                                profile.n))
             g = np.sum(np.abs(pts) ** ex, axis=1)
             ok = (g >= radii[0]) & (np.linalg.norm(pts, axis=1) < far)
@@ -115,7 +116,7 @@ def oracle_fields(profile):
 @pytest.mark.parametrize("name", ["radial", "psi", "grid-constant",
                                   "grid-affine", "grid-callable"])
 def test_extremal_many_bitwise_equals_broadcast_formulas(n, name, rng):
-    profile = derive_constants(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
+    profile = AnisotropyProfile(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
     u = oracle_fields(profile)[name]
     # inside and outside the grid box, the cap radius and the psi core
     X = np.vstack([rng.uniform(-2.5, 2.5, size=(6, n)), np.zeros((1, n)),
