@@ -194,19 +194,24 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
     W_k lives on the annulus Theta_{r_k} \\ Theta_{r_k+1}; the threshold is
     m_threshold * inf_{annulus} <Az, z> below the tangent plane of the
     envelope.  Also reports the annulus measure and the y -> -y symmetry
-    rate of the sampled membership.
+    rate of the sampled membership.  An annulus whose inner radius
+    underflows to zero is refused with ``DegenerateTileError``.
     """
     if not 0 <= k <= 200:
         raise ValueError(f"annulus index {k} outside 0..200")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r_hi, r_lo = profile.radius(k), profile.radius(k + 1)
+    hw = r_hi ** (1.0 / profile.exponents)
+    if r_lo == 0.0:
+        raise DegenerateTileError(
+            f"annulus {k}: its inner radius r_{k + 1} underflows to zero "
+            f"(r_{k} = {r_hi:.3e})", k, 2.0 * hw)
     grad = env.gradient_at(x)
     ux = float(u.eval(x[None, :])[0])
     inf_quad = profile.inf_quad_outside(r_lo)
     cut = m_threshold * inf_quad
 
     rng = np.random.default_rng(seed)
-    hw = r_hi ** (1.0 / profile.exponents)
     pts = rng.uniform(-hw, hw, size=(samples, profile.n))
     box = float(np.prod(2.0 * hw))
     from .geometry import gauge
@@ -236,7 +241,7 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
         "w_se": w_se,
         "shell_measure": shell_measure,
         "shell_se": shell_se,
-        "ratio": w_measure / shell_measure if shell_measure > 0 else math.inf,
+        "ratio": w_measure / shell_measure,
         "symmetry_rate": sym_rate,
         "inf_quad": inf_quad,
     }

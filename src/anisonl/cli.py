@@ -477,18 +477,22 @@ def _cmd_sweep(profile, quad, params, seed):
     profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
                                   profile.lambda_lo, profile.lambda_hi)
                 for s in sigmas]
-
-    def runner(prof):
-        u, problem, _ = _normalized_solution(prof, params, seed)
-        res = harnack_quotient(u, params.get("c0", 1.0), problem)
-        if not res.valid:
-            raise PreconditionError("; ".join(res.notes))
-        return res.scalars["quotient"], True
-
-    res = sigma_sweep(profiles, runner)
+    measured, notes = [], []
+    for prof in profiles:
+        # a failed solve or precondition flags the row; other errors raise
+        try:
+            u, problem, _ = _normalized_solution(prof, params, seed)
+            res = harnack_quotient(u, params.get("c0", 1.0), problem)
+            if not res.valid:
+                raise PreconditionError("; ".join(res.notes))
+            measured.append((prof.sigma_min, res.scalars["quotient"], True))
+        except PreconditionError as exc:
+            measured.append((prof.sigma_min, math.nan, False))
+            notes.append(f"sigma_min {prof.sigma_min}: {exc}")
+    res = sigma_sweep(measured)
     if not res.valid:
         raise PreconditionError("no valid sweep row"
-                                + "".join(f"; {n}" for n in res.notes))
+                                + "".join(f"; {n}" for n in notes))
     ok = not res.scalars.get("diverging", False)
     rows = [(r[0], r[2]) for r in res.rows]
     summary = _null_sentinels(dict(res.scalars), {

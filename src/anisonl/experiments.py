@@ -69,7 +69,7 @@ def point_estimate_experiment(u, profile, m_level, problem=None,
         result.notes.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
     if problem is not None and eps0 is not None:
         from .solver import discrete_extremal
-        mminus, _ = discrete_extremal(problem, u.values)
+        mminus, _ = discrete_extremal(problem, u)
         if float(np.max(mminus)) > eps0 + 1e-9:
             result.valid = False
             result.notes.append("precondition M^- u <= eps0 fails")
@@ -124,7 +124,8 @@ def distribution_decay(u, m_level, k_max):
 
 
 def harnack_quotient(u, c0, problem=None):
-    """sup_{B_1/2} u / (u(0) + C_0), with lattice precondition checks."""
+    """sup_{B_1/2} u / (u(0) + C_0), with lattice precondition checks of
+    the grid field ``u``, its exterior data included."""
     result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
@@ -135,7 +136,7 @@ def harnack_quotient(u, c0, problem=None):
     if problem is not None:
         from .solver import discrete_extremal
         in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
-        mminus, mplus = discrete_extremal(problem, u.values)
+        mminus, mplus = discrete_extremal(problem, u)
         if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
             result.valid = False
             result.notes.append("precondition M^- u <= C0 fails on B_2")
@@ -191,23 +192,14 @@ def holder_estimate(u, center, radii):
     return result
 
 
-def sigma_sweep(profiles, runner):
-    """Run ``runner(profile) -> (quantity, valid)`` per profile and flag
-    monotone divergence against x = 1/(2 - sigma_min)."""
-    rows = []
-    flags = []
-    for prof in profiles:
-        try:
-            value, valid = runner(prof)
-        except Exception as exc:   # propagate as a flagged row
-            value, valid = math.nan, False
-            flags.append(f"sigma_min {prof.sigma_min}: {exc}")
-        rows.append((prof.sigma_min, 1.0 / (2.0 - prof.sigma_min), value,
-                     valid))
+def sigma_sweep(measured):
+    """Flag monotone divergence of measured (sigma_min, quantity, valid)
+    rows against x = 1/(2 - sigma_min)."""
+    rows = [(s, 1.0 / (2.0 - s), value, valid)
+            for s, value, valid in measured]
     result = ExperimentResult()
     result.columns = ("sigma_min", "inv_gap", "quantity", "valid")
     result.rows = rows
-    result.notes = flags
     good = [(r[1], r[2]) for r in rows if r[3] and not math.isnan(r[2])]
     if len(good) >= 3:
         x = np.array([g[0] for g in good])

@@ -169,11 +169,10 @@ class GridField:
 class AnalyticField:
     """Field given by a closed-form rule; no grid, no interpolation error."""
 
-    def __init__(self, fn, sup_bound, range_outside=None, c11_bound=None):
+    def __init__(self, fn, sup_bound, range_outside=None):
         self.fn = fn
         self._sup = float(sup_bound)
         self._range_outside = range_outside
-        self.c11_bound = c11_bound
         self.n = None   # dimension-agnostic
 
     def eval(self, pts):
@@ -242,8 +241,6 @@ def estimate_c11_many(u, X, scale, safety=2.0):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rows, n = X.shape
-    if getattr(u, "c11_bound", None) is not None:
-        return np.full(rows, float(u.c11_bound))
     rng = np.random.default_rng(7)
     dirs = [np.eye(n)[i] for i in range(n)]
     extra = rng.normal(size=(max(16 - n, 0), n))

@@ -19,7 +19,7 @@ from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
 from .quadrature import Z_SCORE, QuadratureScheme, node_table, stratum_moments
 
-# (point, drawn node) pairs per evaluation block of eval_extremal_many: the
+# (point, drawn node) pairs per evaluation block of _shell_sums: the
 # block's temporaries are a few arrays of this many floats.
 BLOCK_PAIRS = 1 << 14
 
@@ -42,36 +42,40 @@ def _c11_many(u, X, profile, quad):
     return estimate_c11_many(u, X, scale).tolist()
 
 
-def _bracket(candidates):
-    return min(candidates), max(candidates)
+def _shell_sums(u, X, profile, quad, integrand):
+    """Shell-quadrature estimates over B_far \\ Theta_{r_inner} and their
+    standard errors at every row of ``X``.
+
+    ``integrand(d, s)`` maps the second differences ``d`` of a row block
+    at the accepted nodes of stratum ``s`` to the integrand there, and may
+    overwrite ``d``.  Every point is integrated on the same node table, in
+    row blocks of at most ``BLOCK_PAIRS`` (point, drawn node) pairs, or one
+    point when a stratum alone draws more nodes, so memory stays bounded
+    for any batch size.
+    """
+    ux = u.eval(X)
+    total = np.zeros(len(X))
+    var = np.zeros(len(X))
+    for s in node_table(profile, quad):
+        if not s.pts.shape[0]:
+            continue
+        step = max(1, BLOCK_PAIRS // s.count)
+        for a in range(0, len(X), step):
+            b = a + step
+            d = pair_deltas(u, X[a:b], ux[a:b], s.pts)
+            mean_part, var_part = stratum_moments(s, integrand(d, s))
+            total[a:b] += mean_part
+            var[a:b] += var_part
+    return total, np.sqrt(var)
 
 
-def _tail_bracket_linear(u, x, quad, kernel, profile, tg):
-    """Tail contribution interval for int_{|y|>far} delta * K, given the
-    tail gauge bounds ``tg``."""
-    dlo, dhi = u.tail_delta_range(x, quad.far_radius)
-    cs = profile.c_sigma
-    cands = [cs * m * d * t
-             for m in (kernel.mult_lo, kernel.mult_hi)
-             for d in (dlo, dhi)
-             for t in tg]
-    lo, hi = _bracket(cands)
-    if isinstance(kernel, TruncatedKernel):
-        extra = 2.0 * max(abs(dlo), abs(dhi)) * kernel.l1_budget
-        lo, hi = lo - extra, hi + extra
-    return lo, hi
-
-
-def _tail_bracket_extremal(u, x, profile, quad, which, tg):
-    dlo, dhi = u.tail_delta_range(x, quad.far_radius)
-    lam, Lam = profile.lambda_lo, profile.lambda_hi
-    if which == "plus":
-        g = lambda d: Lam * max(d, 0.0) - lam * max(-d, 0.0)
-    else:
-        g = lambda d: lam * max(d, 0.0) - Lam * max(-d, 0.0)
-    cs = profile.c_sigma
-    cands = [cs * g(d) * t for d in (dlo, dhi) for t in tg]
-    return _bracket(cands)
+def _tail_bracket(drange, profile, tg, laws):
+    """Interval of the far tail int_{|y| > far} c_sigma g(delta) / gauge
+    over the integrand laws g, for delta in the range ``drange`` and the
+    tail gauge mass bounds ``tg``."""
+    cands = [profile.c_sigma * g(d) * t
+             for g in laws for d in drange for t in tg]
+    return min(cands), max(cands)
 
 
 def _finish(mid_value, se, near, tail_lo, tail_hi):
@@ -87,51 +91,35 @@ def _finish(mid_value, se, near, tail_lo, tail_hi):
     })
 
 
-def _linear_members(u, x, kernels, quad, profile):
-    """OpValues of L_k u(x) for each kernel k; delta(u, x, .) is evaluated
-    once per stratum and shared by every kernel."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    X = x[None, :]
-    ux = u.eval(X)
-    total = np.zeros(len(kernels))
-    var = np.zeros(len(kernels))
-    for s in node_table(profile, quad):
-        if not s.pts.shape[0]:
-            continue
-        d = pair_deltas(u, X, ux, s.pts)[0]
-        vals = np.stack([d * k.eval(s.pts) for k in kernels])
-        mean_part, var_part = stratum_moments(s, vals)
-        total += mean_part
-        var += var_part
-    se = np.sqrt(var)
-    m = _c11_many(u, X, profile, quad)[0]
-    tg = tail_gauge_bounds(profile, quad.far_radius)
-    out = []
-    for i, kernel in enumerate(kernels):
-        near = near_field_bound(profile, quad.r_inner, m, kernel.mult_hi)
-        if isinstance(kernel, TruncatedKernel):
-            hw = quad.r_inner ** (1.0 / profile.exponents)
-            near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
-        tail_lo, tail_hi = _tail_bracket_linear(u, x, quad, kernel, profile,
-                                                tg)
-        out.append(_finish(total[i], se[i], near, tail_lo, tail_hi))
-    return out
-
-
 def eval_linear(u, x, kernel, quad: QuadratureScheme) -> OpValue:
     """L u(x) = int delta(u, x, y) K(y) dy with a reported error bound."""
-    return _linear_members(u, x, [kernel], quad, kernel.profile)[0]
+    profile = kernel.profile
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    X = x[None, :]
+    total, se = _shell_sums(u, X, profile, quad,
+                            lambda d, s: d * kernel.eval(s.pts))
+    m = _c11_many(u, X, profile, quad)[0]
+    near = near_field_bound(profile, quad.r_inner, m, kernel.mult_hi)
+    drange = u.tail_delta_range(x, quad.far_radius)
+    tail_lo, tail_hi = _tail_bracket(
+        drange, profile, tail_gauge_bounds(profile, quad.far_radius),
+        [lambda d: kernel.mult_lo * d, lambda d: kernel.mult_hi * d])
+    if isinstance(kernel, TruncatedKernel):
+        # the integrable part: |delta| times its L1 budget, near and far
+        hw = quad.r_inner ** (1.0 / profile.exponents)
+        near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
+        extra = 2.0 * max(map(abs, drange)) * kernel.l1_budget
+        tail_lo, tail_hi = tail_lo - extra, tail_hi + extra
+    return _finish(total[0], se[0], near, tail_lo, tail_hi)
 
 
 def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
                        which="plus") -> list:
     """M^+ or M^- at every row of ``X``, one OpValue per row.
 
-    Every point is integrated on the same node table.  The integrand is
-    evaluated in row blocks of at most ``BLOCK_PAIRS`` (point, drawn node)
-    pairs, or one point when a stratum alone draws more nodes, so memory
-    stays bounded for any batch size; the C^{1,1} probe runs once for the
-    batch and the tail bracket is taken per point.
+    The shell sums split each second difference by sign in place; the
+    C^{1,1} probe runs once for the batch and the tail bracket is taken
+    per point.
     """
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
@@ -139,36 +127,28 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
     lam, Lam = profile.lambda_lo, profile.lambda_hi
     pos_w, neg_w = (Lam, lam) if which == "plus" else (lam, Lam)
     cs = profile.c_sigma
-    ux = u.eval(X)
-    total = np.zeros(len(X))
-    var = np.zeros(len(X))
-    for s in node_table(profile, quad):
-        if not s.pts.shape[0]:
-            continue
-        step = max(1, BLOCK_PAIRS // s.count)
-        for a in range(0, len(X), step):
-            b = a + step
-            d = pair_deltas(u, X[a:b], ux[a:b], s.pts)
-            # cs * (pos_w * max(d, 0) - neg_w * max(-d, 0)) / gauge, in place
-            neg = np.negative(d)
-            np.maximum(neg, 0.0, out=neg)
-            neg *= neg_w
-            np.maximum(d, 0.0, out=d)
-            d *= pos_w
-            d -= neg
-            d *= cs
-            d /= s.gauge
-            mean_part, var_part = stratum_moments(s, d)
-            total[a:b] += mean_part
-            var[a:b] += var_part
-    se = np.sqrt(var)
+
+    def sign_split(d, s):
+        # cs * (pos_w * max(d, 0) - neg_w * max(-d, 0)) / gauge, in place
+        neg = np.negative(d)
+        np.maximum(neg, 0.0, out=neg)
+        neg *= neg_w
+        np.maximum(d, 0.0, out=d)
+        d *= pos_w
+        d -= neg
+        d *= cs
+        d /= s.gauge
+        return d
+
+    total, se = _shell_sums(u, X, profile, quad, sign_split)
     tg = tail_gauge_bounds(profile, quad.far_radius)
     c11 = _c11_many(u, X, profile, quad)
+    law = [lambda d: pos_w * max(d, 0.0) - neg_w * max(-d, 0.0)]
     out = []
     for i, x in enumerate(X):
         near = near_field_bound(profile, quad.r_inner, c11[i], Lam)
-        tail_lo, tail_hi = _tail_bracket_extremal(u, x, profile, quad, which,
-                                                  tg)
+        tail_lo, tail_hi = _tail_bracket(
+            u.tail_delta_range(x, quad.far_radius), profile, tg, law)
         out.append(_finish(total[i], se[i], near, tail_lo, tail_hi))
     return out
 
@@ -183,12 +163,11 @@ def eval_extremal(u, x, profile, quad: QuadratureScheme,
 def eval_inf_sup(u, x, family: KernelFamily, quad: QuadratureScheme) -> OpValue:
     """I u(x) = inf_alpha sup_beta L_{alpha beta} u(x), exact enumeration.
 
-    All members are integrated on the same node set with one evaluation of
-    delta(u, x, .), so the inf-sup acts on consistently coupled estimates.
+    Every member is integrated on the same node table, so the inf-sup
+    acts on consistently coupled estimates.
     """
-    ovs = _linear_members(u, x, family.flat(), quad, family.profile)
-    width = family.n_sup
-    rows = [max(ov.value for ov in ovs[i:i + width])
-            for i in range(0, len(ovs), width)]
-    return OpValue(min(rows), max(ov.error for ov in ovs),
-                   parts={"n_members": len(ovs)})
+    table = [[eval_linear(u, x, k, quad) for k in row]
+             for row in family.members]
+    return OpValue(min(max(ov.value for ov in row) for row in table),
+                   max(ov.error for row in table for ov in row),
+                   parts={"n_members": family.n_inf * family.n_sup})

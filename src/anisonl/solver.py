@@ -157,8 +157,8 @@ def assemble_weights(kernel, h, profile, window):
     return off, 2.0 * w, 2.0 * tail_mass
 
 
-def _pad_exterior(problem, pad):
-    """Padded value array holding exterior data around the box."""
+def _pad_exterior(problem, exterior, pad):
+    """Padded value array holding ``exterior`` data around the box."""
     axes = [np.concatenate([
         problem.lo[d] + problem.h[d] * np.arange(-pad, 0),
         np.linspace(problem.lo[d], problem.hi[d], problem.shape[d]),
@@ -166,12 +166,10 @@ def _pad_exterior(problem, pad):
         for d in range(problem.lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return problem.exterior(pts).reshape([a.size for a in axes])
+    return exterior(pts).reshape([a.size for a in axes])
 
 
-def _far_values(problem):
-    pts = problem.grid_points()
-    ext = problem.exterior
+def _far_values(ext, pts):
     if isinstance(ext, ConstantExterior):
         return np.full(pts.shape[0], ext.value)
     if isinstance(ext, AffineExterior):
@@ -267,10 +265,10 @@ class AssembledOperator:
             kernels = [PowerLawKernel(fam.profile, 1.0)]
         else:
             kernels = fam.flat()
-        ext_pad = _pad_exterior(problem, problem.window)
+        ext_pad = _pad_exterior(problem, problem.exterior, problem.window)
         ext_pad[tuple(slice(problem.window, problem.window + s)
                       for s in problem.shape)] = 0.0
-        far = _far_values(problem)
+        far = _far_values(problem.exterior, problem.grid_points())
         self.stencils = [_Stencil(problem, k, ext_pad, far) for k in kernels]
         self.rhs = self._rhs_values()
 
@@ -450,7 +448,7 @@ def dense_matrix(problem, member=(0, 0)):
     pts = p.grid_points()
     A = np.zeros((size, size))
     b = np.zeros(size)
-    far = _far_values(p)
+    far = _far_values(p.exterior, pts)
     rhs = np.zeros(size) if p.rhs is None else np.asarray(p.rhs(pts))
     total = float(np.sum(w)) + tail
     for flat, x in enumerate(pts):
@@ -468,28 +466,27 @@ def dense_matrix(problem, member=(0, 0)):
     return A, b
 
 
-def discrete_extremal(problem, values):
-    """Cellwise extremal operators (M^-_h u, M^+_h u) on the problem lattice.
+def discrete_extremal(problem, u):
+    """Cellwise extremal operators (M^-_h u, M^+_h u) of the grid field
+    ``u`` on the problem lattice, with ``u``'s own exterior data.
 
     Uses multiplier-one base weights; the closed form splits the full
-    second difference by sign per offset pair, so the sum runs over a
-    canonical half of the offsets with doubled cell weights.  One pass
-    over the offsets accumulates both operators.
+    second difference by sign per offset pair, so the sum runs over the
+    canonical half of the offsets, off[len // 2:], with doubled cell
+    weights.  One pass over the offsets accumulates both operators.
     """
     p = problem
     base = PowerLawKernel(p.profile, 1.0)
     off, w, tail = assemble_weights(base, p.h, p.profile, p.window)
     pad = p.window
-    u_pad = _pad_exterior(p, pad)
+    u_pad = _pad_exterior(p, u.exterior, pad)
     core = tuple(slice(pad, pad + s) for s in p.shape)
-    u_pad[core] = np.asarray(values, dtype=float).reshape(p.shape)
+    u_pad[core] = u.values
     lam, Lam = p.profile.lambda_lo, p.profile.lambda_hi
     u0 = u_pad[core]
     mminus = np.zeros(p.shape)
     mplus = np.zeros(p.shape)
-    first_pos = np.argmax(off != 0, axis=1)
-    canonical = off[np.arange(off.shape[0]), first_pos] > 0
-    for k in np.nonzero(canonical)[0]:
+    for k in range(len(off) // 2, len(off)):
         o = off[k]
         sl_p = tuple(slice(pad + o[d], pad + o[d] + p.shape[d])
                      for d in range(p.lo.size))
@@ -501,7 +498,7 @@ def discrete_extremal(problem, values):
         # w[k] holds twice the cell integral: exactly the +-pair's mass
         mminus += w[k] * (lam * pos - Lam * neg)
         mplus += w[k] * (Lam * pos - lam * neg)
-    far = _far_values(p).reshape(p.shape)
+    far = _far_values(u.exterior, p.grid_points()).reshape(p.shape)
     d = far - u0
     pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
     mminus += tail * (lam * pos - Lam * neg)

@@ -119,6 +119,35 @@ def test_detachment_lemma_scaling(prof2):
     assert min(ratios) <= eps
 
 
+def test_detachment_refuses_underflowed_annulus():
+    # default rho0 and frak_c: r_26 underflows to zero at sigma = (1, 1.5)
+    prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
+    assert prof.radius(26) == 0.0
+
+    def fn(p):
+        r2 = np.sum(p ** 2, axis=1)
+        return np.where(r2 < 0.01, 1.0 - r2, -50.0)
+
+    class FlatTangent:
+        def gradient_at(self, x):
+            return np.zeros(2)
+
+    u = AnalyticField(fn, sup_bound=50.0)
+    with pytest.raises(DegenerateTileError) as err:
+        detachment_measure(u, FlatTangent(), [0.0, 0.0], 30, prof, 1.0,
+                           4000, 3)
+    assert err.value.gen == 30 and "r_31 underflows" in str(err.value)
+    # a representable annulus reports what it always did
+    d = detachment_measure(u, FlatTangent(), [0.0, 0.0], 0, prof, 1.0,
+                           4000, 3)
+    assert d == {"k": 0, "w_measure": 0.0019489624237246739,
+                 "w_se": 1.0888901749367957e-05,
+                 "shell_measure": 0.001965483632710237,
+                 "shell_se": 4.7213391620238465e-07,
+                 "ratio": 0.9915943288915706, "symmetry_rate": 1.0,
+                 "inf_quad": 1.145891519531574e-12}
+
+
 def test_detachment_rejects_bad_k(prof2):
     u = const_field(0.5)
     from anisonl.envelope import ConcaveEnvelope2D

@@ -238,19 +238,49 @@ def test_sweep_unconverged_rows_are_invalid(tmp_path):
     assert "passed" not in results
 
 
+def test_sweep_propagates_errors_other_than_preconditions(tmp_path,
+                                                          monkeypatch):
+    # only a failed solve or precondition flags a row; a fault is raised
+    from anisonl import experiments
+
+    def broken(*args):
+        raise RuntimeError("broken measurement")
+
+    monkeypatch.setattr(experiments, "harnack_quotient", broken)
+    cfg = write_config(tmp_path, dict(
+        SOLVER_BASE, command="sweep",
+        params=dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])))
+    with pytest.raises(RuntimeError, match="broken measurement"):
+        main(["--config", cfg, "--out", str(tmp_path / "o")])
+
+
 def test_sweep_without_valid_row_does_not_pass(tmp_path):
-    # box 2: the Harnack preconditions fail at every order
+    # C0 = -1: both Harnack preconditions fail at every order
     cfg = write_config(tmp_path, {
         "command": "sweep",
         "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0,
                     "lambda_hi": 2.0},
         "params": {"sigma_min_values": [1.0, 1.5, 1.9], "grid": 25,
-                   "tolerance": 1e-10, "box": 2},
+                   "tolerance": 1e-10, "box": 2, "c0": -1},
     })
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
     results = json.loads((tmp_path / "o" / "results.json").read_text())
     assert results["invalid"].startswith("no valid sweep row")
     assert "passed" not in results
+
+
+def test_harnack_checks_the_normalized_exterior(tmp_path):
+    # box 2 puts the exterior bump near B_2: checked against the solution's
+    # own exterior, scaled by 1/u(0) with it, M^+ u >= -C0 holds there
+    cfg = write_config(tmp_path, {
+        "command": "harnack",
+        "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0,
+                    "lambda_hi": 2.0},
+        "params": {"grid": 33, "tolerance": 1e-10, "box": 2},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["passed"] is True and "invalid" not in results
 
 
 P1 = {"n": 1, "sigma": [1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}

@@ -67,7 +67,7 @@ def test_point_estimate_minus_operator_precondition(iso1_ell):
     prob = bump_problem(iso1_ell)
     field, rep = solve_dirichlet(prob)
     assert rep.converged
-    top = float(np.max(discrete_extremal(prob, field.values)[0]))
+    top = float(np.max(discrete_extremal(prob, field)[0]))
     res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top + 1e-3)
     assert res.valid and not res.notes
     res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top - 1e-3)
@@ -199,10 +199,7 @@ def test_sweep_degenerate_single_profile(iso1_ell):
                   ConstantExterior(0.0))
     single = harnack_quotient(u, 1.0).scalars["quotient"]
 
-    def runner(prof):
-        return single, True
-
-    res = sigma_sweep([iso1_ell], runner)
+    res = sigma_sweep([(iso1_ell.sigma_min, single, True)])
     assert res.rows[0][2] == single
     assert math.isnan(res.scalars["slope"])
 
@@ -210,16 +207,12 @@ def test_sweep_degenerate_single_profile(iso1_ell):
 def test_sweep_flags_divergence():
     profiles = [isotropic(1, s, 1.0, 2.0) for s in (1.0, 1.5, 1.9, 1.99)]
 
-    def runner(prof):
-        return 1.0 / (2.0 - prof.sigma_min), True     # blows up by design
-
-    res = sigma_sweep(profiles, runner)
+    # blows up by design
+    res = sigma_sweep([(p.sigma_min, 1.0 / (2.0 - p.sigma_min), True)
+                       for p in profiles])
     assert res.scalars["diverging"]
 
-    def stable_runner(prof):
-        return 42.0, True
-
-    res2 = sigma_sweep(profiles, stable_runner)
+    res2 = sigma_sweep([(p.sigma_min, 42.0, True) for p in profiles])
     assert not res2.scalars["diverging"]
 
 

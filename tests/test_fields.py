@@ -151,12 +151,6 @@ def test_estimate_c11_many_matches_per_point_probe(rng, name):
         assert [estimate_c11(u, x, scale) for x in X[:3]] == want[:3]
 
 
-def test_estimate_c11_many_declared_bound():
-    u = AnalyticField(lambda p: np.zeros(len(p)), sup_bound=1.0,
-                      c11_bound=2.5)
-    assert estimate_c11_many(u, np.zeros((4, 3)), 1e-3).tolist() == [2.5] * 4
-
-
 def test_grid_rejects_bad_shapes():
     with pytest.raises(ValueError):
         GridField([-1.0, -1.0], [1.0, 1.0], np.zeros(9), 0.0)

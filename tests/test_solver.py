@@ -131,7 +131,7 @@ def test_solution_bracketed_by_extremal_operators(iso1_ell):
                            CallableExterior(ind, 1.0), tolerance=1e-9,
                            window=48)
     field, _ = solve_dirichlet(prob)
-    mm, mp = discrete_extremal(prob, field.values)
+    mm, mp = discrete_extremal(prob, field)
     assert np.max(mm) <= 1e-8       # M^- u <= I u = 0
     assert np.min(mp) >= -1e-8      # M^+ u >= I u = 0
 

@@ -1,5 +1,6 @@
 """Source checks no linter is needed for: every import of an ``anisonl``
-module is used there, and every annotation there resolves."""
+module is used there, every annotation there resolves, and no handler
+there catches every error."""
 
 import ast
 import importlib
@@ -33,6 +34,27 @@ def test_every_import_is_used(name):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def catch_all_lines(tree):
+    """Lines of bare ``except``, ``except Exception`` and ``except
+    BaseException`` handlers, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) \
+            else [node.type]
+        if any(t is None or isinstance(t, ast.Name)
+               and t.id in ("Exception", "BaseException") for t in types):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_catch_all_handler(name):
+    path = Path(anisonl.__file__).parent / f"{name}.py"
+    assert catch_all_lines(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
