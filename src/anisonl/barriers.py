@@ -14,7 +14,6 @@ compactly supported continuous defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +74,6 @@ class RadialBarrier(AnalyticField):
                          range_outside=self._range_outside)
 
     def _range_outside(self, R):
-        if R <= 0:
-            return 0.0, self.cap
         return 0.0, min(self.cap, R ** -self.p)
 
     @property
@@ -101,8 +98,6 @@ class ScaledBarrier(AnalyticField):
         super().__init__(fn, sup_bound=cap, range_outside=self._range_outside)
 
     def _range_outside(self, R):
-        if R <= 0:
-            return 0.0, self.cap
         return 0.0, min(self.cap, (R / self._max_diag) ** -self.p)
 
 
@@ -222,8 +217,7 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
 # the bump barrier
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PsiBarrier:
+class PsiBarrier(AnalyticField):
     """Power annulus glued C^{1,1} to a per-axis quadratic cap.
 
     In the straightened coordinates w = T_{1/4}^{-1} x the unscaled shape
@@ -232,19 +226,21 @@ class PsiBarrier:
     gradient match on |w| = 1 by construction.  quad_coeffs are the
     x-coordinate coefficients (a_1..a_n, c) of the cap.
     """
-    profile: object
-    p: float
-    tilde_c: float
-    quad_coeffs: np.ndarray      # (n + 1,): a_i then the constant c
 
-    def __post_init__(self):
-        self.map = ScalingMap(self.profile, 0.25)
+    def __init__(self, profile, p, tilde_c, quad_coeffs):
+        self.profile = profile
+        self.p = p
+        self.tilde_c = tilde_c
+        self.quad_coeffs = quad_coeffs   # (n + 1,): a_i, then the constant c
+        self.map = ScalingMap(profile, 0.25)
         self._t = self.map.diagonal()
-        self._outer = 3.0 * math.sqrt(self.profile.n)
-        self._c = float(self.quad_coeffs[-1])
+        self._outer = 3.0 * math.sqrt(profile.n)
+        self._c = float(quad_coeffs[-1])
+        self._support_radius = self._outer * float(np.max(self._t))
+        super().__init__(self._shape, sup_bound=tilde_c * self._c,
+                         range_outside=self._range_outside)
 
-    def eval(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def _shape(self, pts):
         w = pts / self._t[None, :]
         r = row_norm(w)
         outer_val = self._outer ** -self.p
@@ -260,20 +256,10 @@ class PsiBarrier:
         out = np.where(r < 1.0, core, np.where(r < self._outer, mid, 0.0))
         return self.tilde_c * out
 
-    def __call__(self, pts):
-        return self.eval(pts)
-
-    @property
-    def sup_bound(self):
-        return self.tilde_c * self._c
-
-    def tail_delta_range(self, x, far):
-        x = np.asarray(x, dtype=float)
-        ux = float(self.eval(x[None, :])[0])
-        support_radius = self._outer * float(np.max(self._t))
-        if far - float(np.linalg.norm(x)) >= support_radius:
-            return -2.0 * ux, -2.0 * ux
-        return -2.0 * ux, 2.0 * self.sup_bound - 2.0 * ux
+    def _range_outside(self, R):
+        # x +- y lies at least R from the origin: past the support once R
+        # reaches its radius
+        return 0.0, (0.0 if R >= self._support_radius else self.sup_bound)
 
     def support_set(self):
         return ellipse(self.profile, 0.25, self._outer)
@@ -338,15 +324,10 @@ def verify_supersolution(barrier, points, profile, quad, phi=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         raise ValueError("need at least one sample point")
-    margins = []
-    errors = []
     ovs = eval_extremal_many(barrier, points, profile, quad, which="minus")
-    for x, ov in zip(points, ovs):
-        bump = float(phi(x[None, :])[0]) if phi is not None else 0.0
-        margins.append(ov.value + bump)
-        errors.append(ov.error)
-    margins = np.array(margins)
-    errors = np.array(errors)
+    margins = np.array([ov.value for ov in ovs]) \
+        + (phi(points) if phi is not None else 0.0)
+    errors = np.array([ov.error for ov in ovs])
     worst = int(np.argmin(margins))
     return {
         "min_margin": float(margins[worst]),

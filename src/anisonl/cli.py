@@ -224,7 +224,7 @@ def _json_default(o):
         return o.item()
     if isinstance(o, np.ndarray):
         return o.tolist()
-    return str(o)
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def _null_sentinels(summary, reasons):
@@ -248,16 +248,13 @@ def emit_results(out_dir, summary, rows, columns):
 
 
 def emit_plotdata(path, rows, columns):
-    """Write one CSV series, header-only when the series is empty, and its
-    column list beside it in ``<path>.header.txt``."""
+    """Write one CSV series, header-only when the series is empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
-    with open(path + ".header.txt", "w") as fh:
-        fh.write("columns: " + ", ".join(columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +277,8 @@ def _cmd_constants(profile, quad, params, seed):
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
-    from .barriers import (SIGMA_FLOOR, annulus_points, build_psi, find_p,
-                           make_phi, verify_supersolution)
+    from .barriers import (SIGMA_FLOOR, BarrierSearchError, annulus_points,
+                           build_psi, find_p, make_phi, verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
     n_points = int(params.get("n_points", 60))
     psi_points = int(params.get("psi_points", 40))
@@ -293,7 +290,10 @@ def _cmd_barrier_verify(profile, quad, params, seed):
         raise PreconditionError(
             f"profile sigma_min {profile.sigma_min} at or below the barrier "
             f"floor {SIGMA_FLOOR}: barrier certification refused")
-    found = find_p(profile, R, quad, n_points=n_points, seed=seed)
+    try:
+        found = find_p(profile, R, quad, n_points=n_points, seed=seed)
+    except BarrierSearchError as exc:
+        raise PreconditionError(str(exc))
     psi = build_psi(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
                          2.0 * float(np.max(psi._t)), psi_points, seed + 1)
@@ -537,7 +537,7 @@ def config_digest(obj):
     # hashlib loads OpenSSL, about 10 ms: imported when a command runs, so
     # the CLI's start-up does not pay for it
     import hashlib
-    text = json.dumps(obj, sort_keys=True, default=str)
+    text = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

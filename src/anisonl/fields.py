@@ -4,7 +4,9 @@ All operators evaluate these objects anywhere in R^n.  Inside the box the
 value is multilinear interpolation of the lattice values (the sole
 smoothing assumption of the toolkit); outside, the exterior rule applies.
 Exterior data is first-class: it may be a constant, an affine function or
-an arbitrary bounded callable.
+an arbitrary bounded callable.  Each rule reports its far range: the
+values it can take far from a point, which bracket the far tail of the
+shell quadrature and set the tail reaction of the lattice scheme.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ class ConstantExterior:
     def bounds(self):
         return float(self.value), float(self.value)
 
+    def far_range(self, pts):
+        v = self(pts)
+        return v, v
+
 
 @dataclass(frozen=True)
 class AffineExterior:
@@ -38,8 +44,9 @@ class AffineExterior:
     def bounds(self):
         return -math.inf, math.inf
 
-    def at(self, x):
-        return self.offset + float(np.dot(self.slope, x))
+    def far_range(self, pts):
+        v = self(pts)
+        return v, v
 
 
 class CallableExterior:
@@ -52,6 +59,10 @@ class CallableExterior:
 
     def bounds(self):
         return -self.sup_bound, self.sup_bound
+
+    def far_range(self, pts):
+        s = np.full(pts.shape[0], self.sup_bound)
+        return -s, s
 
 
 def _interp(pts, lo, inv_h, shape, flat_vals):
@@ -99,11 +110,7 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, lo, hi, shape, exterior):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(lo.size)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = cls(lo, hi, np.zeros(shape), exterior).grid_points()
         vals = np.asarray(fn(pts), dtype=float).reshape(shape)
         return cls(lo, hi, vals, exterior)
 
@@ -147,23 +154,18 @@ class GridField:
     def tail_delta_range(self, x, far):
         """Bracket of delta(u, x, y) over |y| >= far.
 
-        Exact (a point) when the exterior rule is constant or affine and
-        the far radius clears the box; otherwise derived from the field's
-        sup bound.
+        The exterior's far range once the far radius clears the box (a
+        point for a constant or affine rule); otherwise the field's sup
+        bound.
         """
         x = np.asarray(x, dtype=float)
         ux = float(self.eval(x[None, :])[0])
         if far > self.clearance(x):
-            if isinstance(self.exterior, ConstantExterior):
-                d = 2.0 * self.exterior.value - 2.0 * ux
-                return d, d
-            if isinstance(self.exterior, AffineExterior):
-                d = 2.0 * self.exterior.at(x) - 2.0 * ux
-                return d, d
-            lo, hi = self.exterior.bounds()
-            return 2.0 * lo - 2.0 * ux, 2.0 * hi - 2.0 * ux
-        s = self.sup_bound
-        return -2.0 * s - 2.0 * ux, 2.0 * s - 2.0 * ux
+            lo, hi = (float(v[0])
+                      for v in self.exterior.far_range(x[None, :]))
+        else:
+            lo, hi = -self.sup_bound, self.sup_bound
+        return 2.0 * lo - 2.0 * ux, 2.0 * hi - 2.0 * ux
 
 
 class AnalyticField:

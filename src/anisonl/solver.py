@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AffineExterior, ConstantExterior, GridField
+from .fields import ConstantExterior, GridField
 from .kernels import KernelFamily, PowerLawKernel, tail_gauge_bounds
 from .profile import AnisotropyProfile
 
@@ -157,8 +157,11 @@ def assemble_weights(kernel, h, profile, window):
     return off, 2.0 * w, 2.0 * tail_mass
 
 
-def _pad_exterior(problem, exterior, pad):
-    """Padded value array holding ``exterior`` data around the box."""
+def _padded(problem, exterior, interior):
+    """The lattice padded by ``problem.window`` cells of ``exterior`` data
+    per side, with ``interior`` written into the box, and the far value at
+    each lattice point: the midpoint of the exterior's far range."""
+    pad = problem.window
     axes = [np.concatenate([
         problem.lo[d] + problem.h[d] * np.arange(-pad, 0),
         np.linspace(problem.lo[d], problem.hi[d], problem.shape[d]),
@@ -166,15 +169,10 @@ def _pad_exterior(problem, exterior, pad):
         for d in range(problem.lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return exterior(pts).reshape([a.size for a in axes])
-
-
-def _far_values(ext, pts):
-    if isinstance(ext, ConstantExterior):
-        return np.full(pts.shape[0], ext.value)
-    if isinstance(ext, AffineExterior):
-        return ext(pts)
-    return np.zeros(pts.shape[0])
+    out = exterior(pts).reshape([a.size for a in axes])
+    out[tuple(slice(pad, pad + s) for s in problem.shape)] = interior
+    lo, hi = exterior.far_range(problem.grid_points())
+    return out, 0.5 * (lo + hi)
 
 
 def _fast_len(n):
@@ -265,10 +263,7 @@ class AssembledOperator:
             kernels = [PowerLawKernel(fam.profile, 1.0)]
         else:
             kernels = fam.flat()
-        ext_pad = _pad_exterior(problem, problem.exterior, problem.window)
-        ext_pad[tuple(slice(problem.window, problem.window + s)
-                      for s in problem.shape)] = 0.0
-        far = _far_values(problem.exterior, problem.grid_points())
+        ext_pad, far = _padded(problem, problem.exterior, 0.0)
         self.stencils = [_Stencil(problem, k, ext_pad, far) for k in kernels]
         self.rhs = self._rhs_values()
 
@@ -448,7 +443,8 @@ def dense_matrix(problem, member=(0, 0)):
     pts = p.grid_points()
     A = np.zeros((size, size))
     b = np.zeros(size)
-    far = _far_values(p.exterior, pts)
+    lo, hi = p.exterior.far_range(pts)
+    far = 0.5 * (lo + hi)
     rhs = np.zeros(size) if p.rhs is None else np.asarray(p.rhs(pts))
     total = float(np.sum(w)) + tail
     for flat, x in enumerate(pts):
@@ -479,11 +475,9 @@ def discrete_extremal(problem, u):
     base = PowerLawKernel(p.profile, 1.0)
     off, w, tail = assemble_weights(base, p.h, p.profile, p.window)
     pad = p.window
-    u_pad = _pad_exterior(p, u.exterior, pad)
-    core = tuple(slice(pad, pad + s) for s in p.shape)
-    u_pad[core] = u.values
+    u_pad, far = _padded(p, u.exterior, u.values)
     lam, Lam = p.profile.lambda_lo, p.profile.lambda_hi
-    u0 = u_pad[core]
+    u0 = u.values
     mminus = np.zeros(p.shape)
     mplus = np.zeros(p.shape)
     for k in range(len(off) // 2, len(off)):
@@ -498,8 +492,7 @@ def discrete_extremal(problem, u):
         # w[k] holds twice the cell integral: exactly the +-pair's mass
         mminus += w[k] * (lam * pos - Lam * neg)
         mplus += w[k] * (Lam * pos - lam * neg)
-    far = _far_values(u.exterior, p.grid_points()).reshape(p.shape)
-    d = far - u0
+    d = far.reshape(p.shape) - u0
     pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
     mminus += tail * (lam * pos - Lam * neg)
     mplus += tail * (Lam * pos - lam * neg)

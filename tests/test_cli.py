@@ -180,7 +180,14 @@ def test_emit_plotdata_empty_series(tmp_path):
     emit_plotdata(path, [], ("k", "measure"))
     text = (tmp_path / "empty.csv").read_text()
     assert text == "k,measure\r\n" or text == "k,measure\n"
-    assert (tmp_path / "empty.csv.header.txt").exists()
+
+
+def test_emit_results_refuses_unknown_types(tmp_path):
+    """A value the encoder does not know fails, not lands as its repr."""
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli.emit_results(str(tmp_path / "o"), {"value": object()}, [],
+                         ("empty",))
+    assert not (tmp_path / "o" / "results.json").exists()
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -481,6 +488,23 @@ def test_barrier_sigma_below_floor_exit_3(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
     results = json.loads((tmp_path / "o" / "results.json").read_text())
     assert "sigma_min 0.4" in results["invalid"]
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
+def test_barrier_without_certified_exponent_exit_3(tmp_path, capsys):
+    """At Lambda / lambda = 1e20 no exponent up to p = 64 certifies: a
+    failed precondition with the search's worst margin, not a crash."""
+    cfg = write_config(tmp_path, {
+        "command": "barrier-verify",
+        "profile": {"n": 1, "sigma": [0.51], "lambda_lo": 1.0,
+                    "lambda_hi": 1e20},
+        "params": {"n_points": 10, "psi_points": 5}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].startswith(
+        "no admissible exponent up to p = 64; worst margin ")
+    assert " at [" in results["invalid"]
     assert "passed" not in results
     assert capsys.readouterr().err == ""
 

@@ -4,7 +4,7 @@ import pytest
 from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
-from anisonl.profile import isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.solver import (AssembledOperator, DiscreteProblem,
                             assemble_weights, cell_weight, dense_matrix,
                             discrete_extremal, lattice_offsets,
@@ -325,3 +325,43 @@ def test_apply_matches_dense_2d(family, aniso2, rng):
     want = np.max([a @ u - b for a, b in dense], axis=0)
     scale = max(np.max(np.abs(a)) for a, _ in dense) * np.max(np.abs(u))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+EXTERIORS = {
+    "constant": lambda n: ConstantExterior(0.4),
+    "affine": lambda n: AffineExterior(0.3, (0.5, -0.2)[:n]),
+    "bump": lambda n: CallableExterior(
+        lambda p: np.exp(-np.sum((p - 1.2) ** 2, axis=1)), 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXTERIORS))
+@pytest.mark.parametrize("box", [((-1.0,), (1.0,), (17,)),
+                                 ((-1.0, -0.8), (1.0, 0.8), (9, 7))])
+def test_discrete_extremal_matches_dense(kind, box, rng):
+    """M^-_h and M^+_h against the dense rows A u - b of the members
+    lambda L and Lambda L: equal to both at lambda = Lambda; otherwise
+    they bracket each member and sum to the two members' sum."""
+    lo, hi, shape = box
+    n = len(shape)
+    ext = EXTERIORS[kind](n)
+    vals = rng.normal(size=shape)
+    for lam_hi in (1.0, 2.0):
+        prof = AnisotropyProfile(n, (1.0, 1.5)[:n], 1.0, lam_hi)
+        prob = DiscreteProblem(prof, lo, hi, shape,
+                               KernelFamily.extremal_pair(prof), ext)
+        mm, mp = (m.ravel() for m in discrete_extremal(
+            prob, GridField(lo, hi, vals, ext)))
+        u = vals.ravel()
+        # at lambda = Lambda both members are the same matrix
+        dense = [dense_matrix(prob, (0, b)) for b in range(1 + (lam_hi > 1))]
+        members = [a @ u - b for a, b in dense]
+        tol = 1e-12 * max(np.max(np.abs(a)) for a, _ in dense) \
+            * np.max(np.abs(u))
+        if len(members) == 1:
+            assert np.max(np.abs(mm - members[0])) <= tol
+            assert np.max(np.abs(mp - members[0])) <= tol
+        else:
+            assert np.max(np.abs(mm + mp - members[0] - members[1])) <= tol
+            for m in members:
+                assert np.all(mm <= m + tol) and np.all(m <= mp + tol)

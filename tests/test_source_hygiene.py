@@ -1,6 +1,7 @@
 """Source checks no linter is needed for: every import of an ``anisonl``
-module is used there, every annotation there resolves, and no handler
-there catches every error."""
+module is used there, every annotation there resolves, no handler there
+catches every error, and no code there switches on the type of an
+exterior rule."""
 
 import ast
 import importlib
@@ -55,6 +56,32 @@ def catch_all_lines(tree):
 def test_no_catch_all_handler(name):
     path = Path(anisonl.__file__).parent / f"{name}.py"
     assert catch_all_lines(ast.parse(path.read_text())) == []
+
+
+EXTERIOR_RULES = {"ConstantExterior", "AffineExterior", "CallableExterior"}
+
+
+def exterior_type_switch_lines(tree):
+    """Lines of ``isinstance`` calls whose class argument names an exterior
+    rule, alone or in a tuple: each rule answers for itself."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        cls = node.args[1]
+        types = cls.elts if isinstance(cls, ast.Tuple) else [cls]
+        names = {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)
+                 for t in types}
+        if names & EXTERIOR_RULES:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_exterior_type_switch(name):
+    path = Path(anisonl.__file__).parent / f"{name}.py"
+    assert exterior_type_switch_lines(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
