@@ -507,6 +507,9 @@ def _cmd_kernel_check(profile, quad, params, seed):
     kernel = PowerLawKernel(profile, profile.lambda_lo)
     tau0 = params.get("tau0", 0.5)
     scales = params.get("h_scales", [0.05, 0.1])
+    if not any(scales):
+        raise PreconditionError(
+            f"no nonzero shift to check: h_scales {scales}")
     h_samples = [np.concatenate([[s * tau0], np.zeros(profile.n - 1)])
                  for s in scales]
     res = kernel_modulus_check(kernel, profile, tau0, h_samples,

@@ -133,6 +133,11 @@ def harnack_quotient(u, c0, problem=None):
         result.valid = False
         result.notes.append("precondition u >= 0 fails")
         return result
+    in_half = np.linalg.norm(pts, axis=1) <= 0.5
+    if not np.any(in_half):                 # B_1/2 lies in B_2: both empty
+        result.valid = False
+        result.notes.append("no lattice point in B_1/2")
+        return result
     if problem is not None:
         from .solver import discrete_extremal
         in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
@@ -145,7 +150,6 @@ def harnack_quotient(u, c0, problem=None):
             result.notes.append("precondition M^+ u >= -C0 fails on B_2")
         if not result.valid:
             return result
-    in_half = np.linalg.norm(pts, axis=1) <= 0.5
     sup_half = float(np.max(vals[in_half]))
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
     q = sup_half / (origin + c0)

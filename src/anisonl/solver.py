@@ -431,34 +431,28 @@ def dense_matrix(problem, member=(0, 0)):
     """Dense matrix and right-hand side of one linear member.
 
     For the oracle comparison: solve A u = b directly and match the
-    solver's solution.  Exterior data and the tail term land in b.
+    solver's solution.  Exterior data and the tail term land in b; the
+    rows are built one offset at a time, over all lattice points.
     """
     p = problem
     kernel = p.family.members[member[0]][member[1]]
     off, w, tail = assemble_weights(kernel, p.h, p.profile, p.window)
-    n = p.lo.size
-    shape = p.shape
-    size = int(np.prod(shape))
-    idx = np.arange(size).reshape(shape)
+    size = int(np.prod(p.shape))
+    rows = np.arange(size)
+    multi = np.indices(p.shape).reshape(len(p.shape), size).T
     pts = p.grid_points()
     A = np.zeros((size, size))
+    A[rows, rows] = -(float(np.sum(w)) + tail)
     b = np.zeros(size)
+    for k, o in enumerate(off):
+        nb = multi + o
+        inside = np.all((nb >= 0) & (nb < np.array(p.shape)), axis=1)
+        A[rows[inside], np.ravel_multi_index(nb[inside].T, p.shape)] += w[k]
+        b[~inside] -= w[k] * p.exterior(pts[~inside] + o * p.h)
     lo, hi = p.exterior.far_range(pts)
-    far = 0.5 * (lo + hi)
-    rhs = np.zeros(size) if p.rhs is None else np.asarray(p.rhs(pts))
-    total = float(np.sum(w)) + tail
-    for flat, x in enumerate(pts):
-        A[flat, flat] = -total
-        multi = np.unravel_index(flat, shape)
-        for k, o in enumerate(off):
-            nb = tuple(multi[d] + o[d] for d in range(n))
-            if all(0 <= nb[d] < shape[d] for d in range(n)):
-                A[flat, idx[nb]] += w[k]
-            else:
-                y = x + o * p.h
-                b[flat] -= w[k] * float(p.exterior(y[None, :])[0])
-        b[flat] -= tail * far[flat]
-    b += rhs
+    b -= tail * (0.5 * (lo + hi))
+    if p.rhs is not None:
+        b += np.asarray(p.rhs(pts))
     return A, b
 
 
@@ -466,34 +460,27 @@ def discrete_extremal(problem, u):
     """Cellwise extremal operators (M^-_h u, M^+_h u) of the grid field
     ``u`` on the problem lattice, with ``u``'s own exterior data.
 
-    Uses multiplier-one base weights; the closed form splits the full
-    second difference by sign per offset pair, so the sum runs over the
-    canonical half of the offsets, off[len // 2:], with doubled cell
-    weights.  One pass over the offsets accumulates both operators.
+    With a = (Lambda + lambda) / 2 and b = (Lambda - lambda) / 2, M^-+_h u
+    = a L_h u -+ b |L|_h u: the multiplier-one base weights times the second
+    differences and their absolute values, summed in one pass over the
+    canonical half of the offsets, off[len // 2:], with doubled weights.
     """
     p = problem
     base = PowerLawKernel(p.profile, 1.0)
     off, w, tail = assemble_weights(base, p.h, p.profile, p.window)
     pad = p.window
     u_pad, far = _padded(p, u.exterior, u.values)
-    lam, Lam = p.profile.lambda_lo, p.profile.lambda_hi
     u0 = u.values
-    mminus = np.zeros(p.shape)
-    mplus = np.zeros(p.shape)
+    lin = tail * (far.reshape(p.shape) - u0)
+    mag = np.abs(lin)
     for k in range(len(off) // 2, len(off)):
         o = off[k]
-        sl_p = tuple(slice(pad + o[d], pad + o[d] + p.shape[d])
-                     for d in range(p.lo.size))
-        sl_m = tuple(slice(pad - o[d], pad - o[d] + p.shape[d])
-                     for d in range(p.lo.size))
+        sl_p = tuple(slice(pad + i, pad + i + s) for i, s in zip(o, p.shape))
+        sl_m = tuple(slice(pad - i, pad - i + s) for i, s in zip(o, p.shape))
         delta = u_pad[sl_p] + u_pad[sl_m] - 2.0 * u0
-        pos = np.maximum(delta, 0.0)
-        neg = np.maximum(-delta, 0.0)
         # w[k] holds twice the cell integral: exactly the +-pair's mass
-        mminus += w[k] * (lam * pos - Lam * neg)
-        mplus += w[k] * (Lam * pos - lam * neg)
-    d = far.reshape(p.shape) - u0
-    pos, neg = np.maximum(d, 0.0), np.maximum(-d, 0.0)
-    mminus += tail * (lam * pos - Lam * neg)
-    mplus += tail * (Lam * pos - lam * neg)
-    return mminus, mplus
+        lin += w[k] * delta
+        mag += w[k] * np.abs(delta)
+    a = 0.5 * (p.profile.lambda_hi + p.profile.lambda_lo)
+    b = 0.5 * (p.profile.lambda_hi - p.profile.lambda_lo)
+    return a * lin - b * mag, a * lin + b * mag

@@ -290,6 +290,32 @@ def test_harnack_checks_the_normalized_exterior(tmp_path):
     assert results["passed"] is True and "invalid" not in results
 
 
+@pytest.mark.parametrize("command", ["harnack", "sweep"])
+@pytest.mark.parametrize("profile, grid", [
+    ({"n": 1, "sigma": [1.0]}, 4),               # nodes +-4/3 and +-4
+    ({"n": 2, "sigma": [1.0, 1.5]}, 2),          # corners only: B_2 empty
+])
+def test_no_lattice_point_in_half_ball_exit_3(tmp_path, command, profile,
+                                              grid):
+    cfg = write_config(tmp_path, {"command": command, "profile": profile,
+                                  "params": {"grid": grid}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert "no lattice point in B_1/2" in results["invalid"]
+    assert "passed" not in results
+
+
+@pytest.mark.parametrize("scales", [[], [0.0]])
+def test_kernel_check_without_nonzero_shift_exit_3(tmp_path, scales):
+    cfg = write_config(tmp_path, {
+        "command": "kernel-check", "profile": {"n": 1, "sigma": [1.0]},
+        "params": {"h_scales": scales}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].startswith("no nonzero shift to check")
+    assert "passed" not in results
+
+
 P1 = {"n": 1, "sigma": [1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
 P2 = {"n": 2, "sigma": [1.0, 1.5], "lambda_lo": 1.0, "lambda_hi": 2.0}
 SMALL_SOLVE = {"grid": 33, "tolerance": 1e-7, "window": 32,

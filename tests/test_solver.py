@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from anisonl.cli import _normalized_solution
 from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
@@ -365,3 +368,19 @@ def test_discrete_extremal_matches_dense(kind, box, rng):
             assert np.max(np.abs(mm + mp - members[0] - members[1])) <= tol
             for m in members:
                 assert np.all(mm <= m + tol) and np.all(m <= mp + tol)
+
+
+def test_discrete_extremal_memory_is_bounded():
+    """Peak allocation on the 2D 33^2 normalised Harnack solution stays
+    below an eighth of one (canonical offsets x lattice points) float64
+    array: the pair sums hold one offset's second differences at a time."""
+    prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
+    u, prob, _ = _normalized_solution(prof, {"grid": 33}, 0)
+    tracemalloc.start()
+    try:
+        discrete_extremal(prob, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = len(lattice_offsets(2, prob.window)) // 2
+    assert peak < pairs * 33 ** 2 * 8 // 8      # bytes of the array / 8

@@ -1,7 +1,7 @@
 """Source checks no linter is needed for: every import of an ``anisonl``
 module is used there, every annotation there resolves, no handler there
-catches every error, and no code there switches on the type of an
-exterior rule."""
+catches every error, no code there switches on the type of an exterior
+rule, and the dense oracle shares no code with the fast lattice paths."""
 
 import ast
 import importlib
@@ -82,6 +82,27 @@ def exterior_type_switch_lines(tree):
 def test_no_exterior_type_switch(name):
     path = Path(anisonl.__file__).parent / f"{name}.py"
     assert exterior_type_switch_lines(ast.parse(path.read_text())) == []
+
+
+FAST_PATHS = {"_padded", "_Stencil", "_circulant_stencil", "AssembledOperator",
+              "discrete_extremal", "fft"}
+
+
+def test_dense_oracle_is_independent():
+    """``solver.dense_matrix`` loops over the offsets only, never over the
+    lattice points, and names none of the FFT or padded-lattice paths it
+    is the oracle for."""
+    path = Path(anisonl.__file__).parent / "solver.py"
+    dense = next(node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "dense_matrix")
+    for node in ast.walk(dense):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            assert ast.unparse(node.iter) in ("off", "enumerate(off)")
+    names = {node.id for node in ast.walk(dense) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(dense)
+             if isinstance(node, ast.Attribute)}
+    assert (names | attrs) & FAST_PATHS == set()
 
 
 @pytest.mark.parametrize("name", MODULES)
