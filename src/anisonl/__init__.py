@@ -5,3 +5,8 @@ submodules (``anisonl.profile``, ``anisonl.operators``, ...) directly.
 """
 
 __version__ = "0.1.0"
+
+
+class PreconditionError(ValueError):
+    """The data fail a hypothesis of the estimate being measured: the run
+    is invalid, not failed.  Every library exception derives from it."""

@@ -21,11 +21,13 @@ are fixed; ``verify_cover`` reports the measured constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import PreconditionError
 from .envelope import concave_envelope, contact_set, default_contact_tol
 from .geometry import theta_unit_volume
 from .profile import AnisotropyProfile
@@ -38,7 +40,7 @@ EXPAND_C = 2.0
 FACE_EPS = 1e-9
 
 
-class CoverError(RuntimeError):
+class CoverError(PreconditionError):
     """The cover cannot be built at these constants; ``gen`` and ``width``
     (the tile edges) name the generation where it stopped."""
 
@@ -146,10 +148,7 @@ def _tiles_for_points(profile, pts, gen):
             if frac > 1.0 - FACE_EPS:
                 opts.append(base[d] + 1)
             choices.append(opts)
-        stack = [()]
-        for opts in choices:
-            stack = [s + (o,) for s in stack for o in opts]
-        found.update(stack)
+        found.update(itertools.product(*choices))
     return sorted(found)
 
 
@@ -164,16 +163,12 @@ def _children_with_points(profile, rect, pts):
     return out
 
 
-def _max_f(f, rect, extra_pts=None):
-    corners = [rect.lo, rect.hi, rect.center]
-    n = rect.lo.size
-    if n <= 2:
-        mesh = np.meshgrid(*[np.array([rect.lo[d], rect.center[d], rect.hi[d]])
-                             for d in range(n)], indexing="ij")
-        corners = [np.stack([m.ravel() for m in mesh], axis=1)]
-    pts = np.vstack([np.atleast_2d(c) for c in corners])
-    if extra_pts is not None and len(extra_pts):
-        pts = np.vstack([pts, np.atleast_2d(extra_pts)])
+def _max_f(f, rect, extra_pts):
+    """max f^+ over the rows of ``extra_pts`` and the rectangle's 3^n
+    corners, edge midpoints and centre (n <= 2, as for the envelope)."""
+    mesh = np.meshgrid(*np.stack([rect.lo, rect.center, rect.hi], axis=1),
+                       indexing="ij")
+    pts = np.vstack([np.stack([m.ravel() for m in mesh], axis=1), extra_pts])
     return float(np.max(np.maximum(f.eval(pts), 0.0)))
 
 

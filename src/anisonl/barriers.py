@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import PreconditionError
 from .fields import AnalyticField
 from .geometry import ScalingMap, ellipse, rect, row_norm
 from .operators import eval_extremal_many
@@ -105,7 +106,7 @@ class ScaledBarrier(AnalyticField):
 # exponent search
 # ---------------------------------------------------------------------------
 
-class BarrierSearchError(RuntimeError):
+class BarrierSearchError(PreconditionError):
     def __init__(self, worst_margin, worst_point, p_max):
         self.worst_margin = worst_margin
         self.worst_point = worst_point
@@ -155,9 +156,9 @@ def find_p(profile, R, quad=None, n_points=200, p_max=64, seed=11,
     if n_points < 1:
         raise ValueError("need at least one sample point")
     if profile.sigma_min <= SIGMA_FLOOR:
-        raise ValueError(
-            f"profile sigma_min {profile.sigma_min} at or below the "
-            f"floor {SIGMA_FLOOR}; barrier certification refused")
+        raise PreconditionError(
+            f"profile sigma_min {profile.sigma_min} at or below the barrier "
+            f"floor {SIGMA_FLOOR}: barrier certification refused")
     if quad is None:
         quad = QuadratureScheme(shells=20, nodes_per_shell=1500,
                                 far_radius=8.0 * R, r_inner=1e-8, seed=seed)

@@ -27,6 +27,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
+from . import PreconditionError  # noqa: E402
 from .profile import AnisotropyProfile  # noqa: E402
 from .quadrature import QuadratureScheme, shell_radii  # noqa: E402
 
@@ -237,6 +238,16 @@ def _null_sentinels(summary, reasons):
     return summary
 
 
+def _non_finite(value, path=()):
+    """``path = value`` of the first non-finite float in a summary, or None."""
+    if isinstance(value, (dict, list, tuple)):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        return next(filter(None, (_non_finite(value[k], path + (k,))
+                                  for k in keys)), None)
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{'.'.join(map(str, path))} = {value}"
+
+
 def emit_results(out_dir, summary, rows, columns):
     # serialised first, so a value strict JSON refuses truncates no file
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
@@ -277,8 +288,8 @@ def _cmd_constants(profile, quad, params, seed):
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
-    from .barriers import (SIGMA_FLOOR, BarrierSearchError, annulus_points,
-                           build_psi, find_p, make_phi, verify_supersolution)
+    from .barriers import (annulus_points, build_psi, find_p, make_phi,
+                           verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
     n_points = int(params.get("n_points", 60))
     psi_points = int(params.get("psi_points", 40))
@@ -286,14 +297,7 @@ def _cmd_barrier_verify(profile, quad, params, seed):
         shell_radii(profile, quad)
     except ValueError as exc:
         raise _invalid_config("invalid quadrature", exc)
-    if profile.sigma_min <= SIGMA_FLOOR:
-        raise PreconditionError(
-            f"profile sigma_min {profile.sigma_min} at or below the barrier "
-            f"floor {SIGMA_FLOOR}: barrier certification refused")
-    try:
-        found = find_p(profile, R, quad, n_points=n_points, seed=seed)
-    except BarrierSearchError as exc:
-        raise PreconditionError(str(exc))
+    found = find_p(profile, R, quad, n_points=n_points, seed=seed)
     psi = build_psi(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
                          2.0 * float(np.max(psi._t)), psi_points, seed + 1)
@@ -319,7 +323,7 @@ def _cap_envelope(profile, shape):
         raise _schema_violation(["profile", "n"], f"{n} is greater than the "
                                 "maximum of 2: exact envelopes are "
                                 "implemented for n <= 2 only")
-    from .envelope import PositiveExteriorError, concave_envelope
+    from .envelope import concave_envelope
     from .fields import GridField
 
     def cap(pts):
@@ -327,10 +331,7 @@ def _cap_envelope(profile, shape):
         return np.maximum(0.0, 1.0 - 2.0 * r2)
 
     u = GridField.from_function(cap, [-2.0] * n, [2.0] * n, (shape,) * n, 0.0)
-    try:
-        return u, concave_envelope(u)
-    except PositiveExteriorError as exc:
-        raise PreconditionError(str(exc))
+    return u, concave_envelope(u)
 
 
 def _cmd_envelope(profile, quad, params, seed):
@@ -349,18 +350,15 @@ def _cmd_envelope(profile, quad, params, seed):
 
 
 def _cmd_abp_cover(profile, quad, params, seed):
-    from .abp import CoverError, abp_cover, cover_dump, verify_cover
+    from .abp import abp_cover, cover_dump, verify_cover
     from .fields import GridField
     u, env = _cap_envelope(profile, int(params.get("grid", 65)))
     fconst = params.get("f_const", 8.0)
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    try:
-        cover = abp_cover(u, f, profile, env=env, seed=seed,
-                          mc_samples=int(params.get("mc_samples", 1000)))
-    except CoverError as exc:
-        raise PreconditionError(str(exc))
+    cover = abp_cover(u, f, profile, env=env, seed=seed,
+                      mc_samples=int(params.get("mc_samples", 1000)))
     report = _null_sentinels(verify_cover(cover, u, env, f, profile), {
         "varsigma_measured": "the cover has no rectangle"})
     report.pop("per_rectangle")
@@ -395,7 +393,7 @@ def _cmd_cz(profile, quad, params, seed):
     return summary, rows, cols, res.certified
 
 
-def _solve_setup(profile, params, seed):
+def _solve_setup(profile, params):
     from .kernels import KernelFamily
     from .solver import DiscreteProblem
     n = profile.n
@@ -421,7 +419,7 @@ def _solve_setup(profile, params, seed):
 
 def _cmd_solve(profile, quad, params, seed):
     from .solver import solve_dirichlet
-    problem = _solve_setup(profile, params, seed)
+    problem = _solve_setup(profile, params)
     field, report = solve_dirichlet(problem)
     summary = {"converged": report.converged, "iterations": report.iterations,
                "residual": report.residual,
@@ -433,7 +431,7 @@ def _cmd_solve(profile, quad, params, seed):
 
 def _normalized_solution(profile, params, seed):
     from .solver import solve_dirichlet
-    problem = _solve_setup(profile, params, seed)
+    problem = _solve_setup(profile, params)
     field, report = solve_dirichlet(problem)
     if not report.converged:
         raise PreconditionError(
@@ -450,20 +448,26 @@ def _normalized_solution(profile, params, seed):
     return scaled, problem, report
 
 
-def _cmd_harnack(profile, quad, params, seed):
+def _harnack(profile, params, seed, c0):
+    """The Harnack quotient of the normalised solution; a failed solve or
+    hypothesis raises PreconditionError."""
     from .experiments import harnack_quotient
-    u, problem, report = _normalized_solution(profile, params, seed)
-    res = harnack_quotient(u, params.get("c0", 1.0), problem)
+    u, problem, _ = _normalized_solution(profile, params, seed)
+    res = harnack_quotient(u, c0, problem)
     if not res.valid:
         raise PreconditionError("; ".join(res.notes))
-    summary = dict(res.scalars)
-    summary["converged"] = report.converged
-    return summary, res.rows, res.columns, res.valid
+    return res
+
+
+def _cmd_harnack(profile, quad, params, seed):
+    res = _harnack(profile, params, seed, params.get("c0", 1.0))
+    # an unconverged solve never reaches here
+    return dict(res.scalars, converged=True), res.rows, res.columns, True
 
 
 def _cmd_decay(profile, quad, params, seed):
     from .experiments import distribution_decay
-    u, problem, report = _normalized_solution(profile, params, seed)
+    u, _, _ = _normalized_solution(profile, params, seed)
     res = distribution_decay(u, params.get("M", 2.0),
                              int(params.get("k_max", 6)))
     summary = _null_sentinels(dict(res.scalars), {
@@ -472,20 +476,16 @@ def _cmd_decay(profile, quad, params, seed):
 
 
 def _cmd_sweep(profile, quad, params, seed):
-    from .experiments import harnack_quotient, sigma_sweep
-    sigmas = params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99])
-    profiles = [AnisotropyProfile(profile.n, (s,) * profile.n,
-                                  profile.lambda_lo, profile.lambda_hi)
-                for s in sigmas]
+    from .experiments import sigma_sweep
+    c0 = params.get("c0", 1.0)
     measured, notes = [], []
-    for prof in profiles:
+    for s in params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99]):
+        prof = AnisotropyProfile(profile.n, (s,) * profile.n,
+                                 profile.lambda_lo, profile.lambda_hi)
         # a failed solve or precondition flags the row; other errors raise
         try:
-            u, problem, _ = _normalized_solution(prof, params, seed)
-            res = harnack_quotient(u, params.get("c0", 1.0), problem)
-            if not res.valid:
-                raise PreconditionError("; ".join(res.notes))
-            measured.append((prof.sigma_min, res.scalars["quotient"], True))
+            quotient = _harnack(prof, params, seed, c0).scalars["quotient"]
+            measured.append((prof.sigma_min, quotient, True))
         except PreconditionError as exc:
             measured.append((prof.sigma_min, math.nan, False))
             notes.append(f"sigma_min {prof.sigma_min}: {exc}")
@@ -496,7 +496,7 @@ def _cmd_sweep(profile, quad, params, seed):
     ok = not res.scalars.get("diverging", False)
     rows = [(r[0], r[2]) for r in res.rows]
     summary = _null_sentinels(dict(res.scalars), {
-        "slope": "fewer than three valid rows",
+        "slope": "; ".join(res.notes),
         "slope_se": "fewer than three valid rows, or all share one sigma_min"})
     return summary, rows, ("sigma_min", "quantity"), ok
 
@@ -516,10 +516,6 @@ def _cmd_kernel_check(profile, quad, params, seed):
                                params.get("c0", 1e3), seed=seed)
     return dict(res.scalars, passed=res.passed), res.rows, res.columns, \
         res.passed
-
-
-class PreconditionError(Exception):
-    pass
 
 
 _DISPATCH = {
@@ -558,17 +554,24 @@ def run(config, out_dir=None, seed=None):
     out_dir = out_dir or config.get("out", "anisonl-out")
     digest = config_digest({k: v for k, v in config.items() if k != "out"})
 
+    head = {"command": command, "digest": digest, "seed": seed}
+    # failed hypotheses, float overflows and non-finite results: invalid
     try:
         summary, rows, columns, ok = _DISPATCH[command](profile, quad,
                                                         params, seed)
-    except PreconditionError as exc:
-        emit_results(out_dir, {"command": command, "digest": digest,
-                               "seed": seed, "invalid": str(exc)}, [],
-                     ("empty",))
+        where = _non_finite(summary)
+        if where:
+            raise PreconditionError(f"non-finite result {where}")
+    except (PreconditionError, OverflowError) as exc:
+        reason = str(exc)
+        if isinstance(exc, OverflowError):     # name where it overflowed
+            import traceback
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            reason = f"float overflow in {frame.name}: {frame.line}"
+        emit_results(out_dir, dict(head, invalid=reason), [], ("empty",))
         return 3
-    summary = {"command": command, "digest": digest, "seed": seed,
-               "passed": bool(ok), **summary}
-    emit_results(out_dir, summary, rows, columns)
+    emit_results(out_dir, {**head, "passed": bool(ok), **summary}, rows,
+                 columns)
     print(f"[anisonl] {command} digest={digest} passed={bool(ok)}")
     return 0 if ok else 1
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PreconditionError
+
 
 # ---------------------------------------------------------------------------
 # bounded-overlap rectangle covering
@@ -209,7 +211,7 @@ class CellSet:
         return True
 
 
-class CzHypothesisError(RuntimeError):
+class CzHypothesisError(PreconditionError):
     def __init__(self, cube, message):
         self.cube = cube
         super().__init__(message)
@@ -241,7 +243,8 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
     if not a_set.issubset(b_set):
         raise ValueError("A must be a subset of B")
     if a_set.measure > delta:
-        raise ValueError("hypothesis |A| <= delta violated")
+        raise PreconditionError(f"hypothesis |A| <= delta violated: "
+                                f"|A| = {a_set.measure} > {delta}")
 
     n, gen_max = a_set.n, a_set.gen
     selected = []

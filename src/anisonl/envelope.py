@@ -19,13 +19,15 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from . import PreconditionError
+
 
 # u <= POSITIVE_TOL outside B_1 counts as nonpositive: the slack absorbs
 # interpolation round-off
 POSITIVE_TOL = 1e-9
 
 
-class PositiveExteriorError(ValueError):
+class PositiveExteriorError(PreconditionError):
     """The field is positive outside B_1, where the envelope needs it
     nonpositive."""
 
@@ -74,9 +76,6 @@ class ConcaveEnvelope1D:
         out = np.interp(x, self.vx, self.vy)
         out[(x < self.vx[0]) | (x > self.vx[-1])] = 0.0
         return out
-
-    def __call__(self, pts):
-        return self.eval(pts)
 
     def _slope_left(self, x):
         if x <= self.vx[0]:
@@ -176,9 +175,6 @@ class ConcaveEnvelope2D:
         np.maximum(out, 0.0, out=out)
         out[np.linalg.norm(q, axis=1) > 3.0] = 0.0
         return out
-
-    def __call__(self, q):
-        return self.eval(q)
 
     def gradient_at(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

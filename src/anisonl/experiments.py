@@ -205,21 +205,21 @@ def sigma_sweep(measured):
     result.columns = ("sigma_min", "inv_gap", "quantity", "valid")
     result.rows = rows
     good = [(r[1], r[2]) for r in rows if r[3] and not math.isnan(r[2])]
-    if len(good) >= 3:
-        x = np.array([g[0] for g in good])
-        y = np.array([g[1] for g in good])
+    x, y = np.array(good, dtype=float).reshape(-1, 2).T
+    sxx = float(np.sum((x - x.mean()) ** 2)) if good else 0.0
+    if len(good) >= 3 and sxx > 0:
         slope, intercept = np.polyfit(x, y, 1)
-        dof = len(good) - 2
         resid = y - (slope * x + intercept)
-        s2 = float(np.sum(resid ** 2)) / max(dof, 1)
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        se = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
+        se = math.sqrt(float(np.sum(resid ** 2)) / (len(good) - 2) / sxx)
         result.scalars = {"slope": float(slope), "slope_se": se,
                           "diverging": bool(slope > 2.0 * se)}
-    else:
-        result.scalars = {"slope": math.nan, "slope_se": math.nan,
-                          "diverging": False}
-        result.valid = len(good) > 0
+        return result
+    # no fit through fewer than three rows or through a single abscissa
+    result.notes.append("fewer than three valid rows" if len(good) < 3
+                        else "all valid rows share one sigma_min")
+    result.scalars = {"slope": math.nan, "slope_se": math.nan,
+                      "diverging": False}
+    result.valid = len(good) > 0
     return result
 
 
@@ -232,8 +232,9 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
     the last shell is bounded by the gradient-tail estimate.
     """
     h_samples = np.atleast_2d(np.asarray(h_samples, dtype=float))
+    # math.hypot, not np.linalg.norm: |h| squared overflows past 1e154
     for h in h_samples:
-        if np.linalg.norm(h) >= tau0 / 2.0:
+        if math.hypot(*h) >= tau0 / 2.0:
             raise ValueError("shifts must satisfy |h| < tau0 / 2")
     result = ExperimentResult()
     rows = []
@@ -242,7 +243,7 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
     far = tau0 * 2.0 ** MODULUS_SHELLS
     n = profile.n
     for h in h_samples:
-        hn = float(np.linalg.norm(h))
+        hn = math.hypot(*h)
         if hn == 0.0:
             rows.append((0.0, 0.0, 0.0))
             continue
@@ -279,14 +280,13 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
 def truncated_control_check(problem_full, problem_base, values, c0):
     """|I_K u - I_K1 u| <= 4 c0 sup|u| at every lattice point."""
     from .solver import AssembledOperator
-    op_full = AssembledOperator(problem_full)
-    op_base = AssembledOperator(problem_base)
-    i_full = op_full.apply(np.asarray(values, dtype=float).ravel())
-    i_base = op_base.apply(np.asarray(values, dtype=float).ravel())
-    field = GridField(problem_full.lo, problem_full.hi,
-                      np.asarray(values, dtype=float).reshape(
-                          problem_full.shape), problem_full.exterior)
-    sup_u = max(float(np.max(np.abs(values))), abs(field.sup_bound))
+    v = np.asarray(values, dtype=float).ravel()
+    i_full = AssembledOperator(problem_full).apply(v)
+    i_base = AssembledOperator(problem_base).apply(v)
+    # sup |u| over the lattice values and the exterior rule
+    sup_u = GridField(problem_full.lo, problem_full.hi,
+                      v.reshape(problem_full.shape),
+                      problem_full.exterior).sup_bound
     gap = float(np.max(np.abs(i_full - i_base)))
     budget = 4.0 * c0 * sup_u
     return {"max_gap": gap, "budget": budget, "ok": gap <= budget + 1e-12}

@@ -142,9 +142,6 @@ class GridField:
             out[~inside] = self.exterior(pts[~inside])
         return out
 
-    def __call__(self, pts):
-        return self.eval(pts)
-
     def clearance(self, x):
         """Radius beyond which x +- y is guaranteed outside the box."""
         x = np.asarray(x, dtype=float)
@@ -180,9 +177,6 @@ class AnalyticField:
     def eval(self, pts):
         return np.asarray(self.fn(np.atleast_2d(np.asarray(pts, dtype=float))),
                           dtype=float)
-
-    def __call__(self, pts):
-        return self.eval(pts)
 
     @property
     def sup_bound(self):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,21 @@ def test_sweep_slope_without_three_rows_is_null(tmp_path):
     assert results["slope_reason"] == "fewer than three valid rows"
 
 
+def test_sweep_slope_at_one_sigma_min_is_null(tmp_path):
+    """Three valid rows at one sigma_min fix no slope: no fit is made, so
+    no rank warning either."""
+    params = {"grid": 17, "sigma_min_values": [1.0, 1.0, 1.0]}
+    cfg = write_config(tmp_path, {"command": "sweep", "profile": P1,
+                                  "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "results.json").read_text()
+    results = json.loads(text, parse_constant=_reject_constant)
+    assert results["slope"] is None and results["slope_se"] is None
+    assert results["slope_reason"] == "all valid rows share one sigma_min"
+
+
 def _config_error(capsys):
     detail = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert set(detail) == {"error", "detail"}
@@ -628,6 +644,56 @@ def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
     assert detail["error"] == "config schema violation"
     assert detail["path"] == ["params", "generation"]
     assert "at most 24" in detail["detail"]
+
+
+@pytest.mark.parametrize("profile, seed, delta", [
+    ({"n": 1, "sigma": [1.0]}, 3, 0.5),
+    ({"n": 2, "sigma": [1.0, 1.5]}, 2, 0.9),
+    ({"n": 2, "sigma": [1.0, 1.5]}, 3, 0.9),
+])
+def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
+    """At generation 0 the single cell can fall in A, so |A| = 1 > delta:
+    the decomposition's hypothesis fails, which is no crash."""
+    cfg = write_config(tmp_path, {"command": "cz", "profile": profile,
+                                  "seed": seed,
+                                  "params": {"generation": 0,
+                                             "delta": delta}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].startswith("hypothesis |A| <= delta violated")
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"command": "solve", "profile": P1,
+      "params": {"grid": 9, "box": 1e-200}}, "non-finite result "),
+    ({"command": "solve", "profile": P1,
+      "params": {"grid": 9, "bump_height": 1e300}}, "non-finite result "),
+    ({"command": "decay", "profile": P1,
+      "params": {"grid": 17, "M": 1e300, "k_max": 3}},
+     "float overflow in distribution_decay: "),
+    ({"command": "barrier-verify", "profile": P1,
+      "quadrature": {"shells": 2, "nodes_per_shell": 16, "far_radius": 1e300},
+      "params": {"n_points": 3, "psi_points": 2}},
+     "float overflow in outer_theta_radius: "),
+    ({"command": "kernel-check", "profile": P2, "params": {"tau0": 1e80}},
+     "float overflow in kernel_modulus_check: "),
+    # |h| = 5e158 is below tau0 / 2, though |h|^2 overflows
+    ({"command": "kernel-check", "profile": P1, "params": {"tau0": 1e160}},
+     "float overflow in kernel_modulus_check: "),
+], ids=["solve-box", "solve-bump", "decay-M", "barrier-far-radius",
+        "kernel-check-2d", "kernel-check-1d"])
+def test_out_of_range_numbers_exit_3(tmp_path, capsys, config, reason):
+    """Data whose numbers leave the double range make an invalid run that
+    names the quantity, in strict JSON and with no traceback."""
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    text = (tmp_path / "o" / "results.json").read_text()
+    results = json.loads(text, parse_constant=_reject_constant)
+    assert results["invalid"].startswith(reason)
+    assert "passed" not in results
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # modules each command must not load: jsonschema nowhere; the extremal

@@ -1,7 +1,9 @@
 """Source checks no linter is needed for: every import of an ``anisonl``
 module is used there, every annotation there resolves, no handler there
 catches every error, no code there switches on the type of an exterior
-rule, and the dense oracle shares no code with the fast lattice paths."""
+rule, the dense oracle shares no code with the fast lattice paths, and
+every library exception is a ``PreconditionError`` that no handler
+rewraps by name."""
 
 import ast
 import importlib
@@ -103,6 +105,43 @@ def test_dense_oracle_is_independent():
     attrs = {node.attr for node in ast.walk(dense)
              if isinstance(node, ast.Attribute)}
     assert (names | attrs) & FAST_PATHS == set()
+
+
+def exception_classes():
+    """Every exception class defined in an ``anisonl`` module."""
+    for name in MODULES:
+        module = importlib.import_module(f"anisonl.{name}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, BaseException) \
+                    and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_every_exception_is_a_precondition():
+    """A library exception means the data fail a hypothesis, exit 3; only
+    the CLI's ``ConfigError`` (exit 2) stands apart."""
+    from anisonl.cli import ConfigError
+    others = [cls.__qualname__ for cls in exception_classes()
+              if cls is not ConfigError
+              and not issubclass(cls, anisonl.PreconditionError)]
+    assert others == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_handler_names_a_precondition_subclass(name):
+    """``run`` catches ``PreconditionError`` itself, once: no per-command
+    handler catches a subclass to rewrap it."""
+    subclasses = {cls.__name__ for cls in exception_classes()
+                  if issubclass(cls, anisonl.PreconditionError)}
+    path = Path(anisonl.__file__).parent / f"{name}.py"
+    named = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            named += [getattr(t, "id", getattr(t, "attr", None))
+                      for t in types]
+    assert sorted(subclasses & set(named)) == []
 
 
 @pytest.mark.parametrize("name", MODULES)
