@@ -174,12 +174,10 @@ def _max_f(f, rect, extra_pts):
 
 @dataclass
 class AbpCover:
-    profile: AnisotropyProfile
     rectangles: list
     contact_points: np.ndarray
-    contact_degenerate: bool
-    params: dict
     envelope: object
+    supersolution_check: list | None
 
 
 def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
@@ -242,8 +240,7 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
     }
 
 
-def _eval_rect(u, env, f, rect, contact_pts, detach_c, expand_c, samples,
-               rng):
+def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
     in_rect = rect.closure_contains(contact_pts)
     max_f = _max_f(f, rect, contact_pts[in_rect])
     grad_img = env.grad_image_measure(rect.lo, rect.hi)
@@ -252,14 +249,14 @@ def _eval_rect(u, env, f, rect, contact_pts, detach_c, expand_c, samples,
     grad_ratio = grad_img / denom if denom > 0 else (
         0.0 if grad_img == 0.0 else math.inf)
 
-    t_half = expand_c * rect.tilde_half
+    t_half = EXPAND_C * rect.tilde_half
     t_vol_plain = float(np.prod(2.0 * rect.tilde_half))
     if vol == 0.0 or t_vol_plain == 0.0:
         raise DegenerateTileError("tile volume underflows to zero", rect.gen,
                                   2.0 * rect.half)
     pts = rng.uniform(rect.center - t_half, rect.center + t_half,
                       size=(samples, rect.lo.size))
-    slack = detach_c * max_f * rect.tilde_diameter ** 2
+    slack = DETACH_CONSTANT * max_f * rect.tilde_diameter ** 2
     good = u.eval(pts) >= env.eval(pts) - slack
     frac = float(np.mean(good))
     detach_measure = frac * float(np.prod(2.0 * t_half))
@@ -282,15 +279,15 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
 
     Splits rectangles violating the measured gradient-image or detachment
     properties until all pass or the depth cap trips (CoverDepthError
-    with the offending chain).  The returned cover carries per-rectangle records.  Passing a
-    quadrature scheme additionally samples the supersolution inequality
-    M^+ u >= -f at a few contact points (recorded, not fatal: the check
-    is itself a noisy measurement).
+    with the offending chain).  Each rectangle carries its record.  Passing
+    a quadrature scheme additionally samples the supersolution inequality
+    M^+ u >= -f at a few contact points (recorded in the cover's
+    ``supersolution_check``, not fatal: the check is itself a noisy
+    measurement).
     """
     if env is None:
         env = concave_envelope(u)
-    contact_tol = default_contact_tol(u, env)
-    pts, degenerate = contact_set(u, env, contact_tol)
+    pts, _ = contact_set(u, env, default_contact_tol(u, env))
     inside = np.linalg.norm(np.atleast_2d(pts), axis=1) <= 1.0 + 1e-9
     pts = np.atleast_2d(pts)[inside]
     supersolution = None
@@ -304,8 +301,7 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
             supersolution.append({"point": x.tolist(), "m_plus": ov.value,
                                   "f": fx, "ok": ov.value + ov.error >= -fx})
     if pts.shape[0] == 0:
-        return AbpCover(profile, [], pts, degenerate,
-                        {"contact_tol": contact_tol}, env)
+        return AbpCover([], pts, env, supersolution)
 
     rng = np.random.default_rng(seed)
     queue = [CoverRectangle(0, idx, profile)
@@ -314,8 +310,7 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
     chain_of = {(r.gen, r.index): [(r.gen, r.index)] for r in queue}
     while queue:
         rect = queue.pop()
-        rec = _eval_rect(u, env, f, rect, pts, DETACH_CONSTANT, EXPAND_C,
-                         mc_samples, rng)
+        rec = _eval_rect(u, env, f, rect, pts, mc_samples, rng)
         grad_ok = rec["grad_ratio"] <= grad_threshold
         detach_ok = rec["varsigma_ratio"] >= varsigma
         if grad_ok and detach_ok:
@@ -330,12 +325,7 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
                 chain_of[(rect.gen, rect.index)] + [(kid.gen, kid.index)]
         queue.extend(kids)
     final.sort(key=lambda r: (r.gen, r.index))
-    return AbpCover(profile, final, pts, degenerate,
-                    {"contact_tol": contact_tol,
-                     "grad_threshold": grad_threshold,
-                     "detach_constant": DETACH_CONSTANT, "varsigma": varsigma,
-                     "expand_c": EXPAND_C, "mc_samples": mc_samples,
-                     "seed": seed, "supersolution_check": supersolution}, env)
+    return AbpCover(final, pts, env, supersolution)
 
 
 def cover_dump(cover):
@@ -399,6 +389,4 @@ def verify_cover(cover, u, env, f, profile):
         report["grad_constant_measured"] = 0.0
         report["varsigma_measured"] = math.inf
         report["sup_u_bound_sum"] = 0.0
-    report["per_rectangle"] = [dict(r.record, gen=r.gen, index=r.index)
-                               for r in rects]
     return report

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 # One BLAS thread, pinned before numpy first loads.  No command uses BLAS
 # parallelism, so the thread pool numpy's OpenBLAS starts on import only
@@ -288,7 +289,7 @@ def _cmd_constants(profile, quad, params, seed):
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
-    from .barriers import (annulus_points, build_psi, find_p, make_phi,
+    from .barriers import (annulus_points, build_psi, find_p,
                            verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
     n_points = int(params.get("n_points", 60))
@@ -301,8 +302,7 @@ def _cmd_barrier_verify(profile, quad, params, seed):
     psi = build_psi(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
                          2.0 * float(np.max(psi._t)), psi_points, seed + 1)
-    rep = verify_supersolution(psi, pts, profile, quad,
-                               phi=make_phi(profile, 0.0))
+    rep = verify_supersolution(psi, pts, profile, quad)
     summary = {"p": found["p"], "min_margin_f": found["min_margin"],
                "tilde_c": psi.tilde_c,
                "quad_coeffs": psi.quad_coeffs.tolist(),
@@ -361,7 +361,6 @@ def _cmd_abp_cover(profile, quad, params, seed):
                       mc_samples=int(params.get("mc_samples", 1000)))
     report = _null_sentinels(verify_cover(cover, u, env, f, profile), {
         "varsigma_measured": "the cover has no rectangle"})
-    report.pop("per_rectangle")
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)
             for r in cover.rectangles]
@@ -411,7 +410,7 @@ def _solve_setup(profile, params):
     family = KernelFamily.extremal_pair(profile)
     return DiscreteProblem(
         profile, (-box,) * n, (box,) * n, (shape,) * n, family,
-        CallableExterior(exterior_fn, bump_height),
+        CallableExterior(exterior_fn, abs(bump_height)),
         tolerance=params.get("tolerance", 1e-8),
         max_iters=int(params.get("max_iters", 20000)),
         window=window if window is None else int(window))
@@ -429,7 +428,7 @@ def _cmd_solve(profile, quad, params, seed):
     return summary, rows, ("iterations", "residual"), report.converged
 
 
-def _normalized_solution(profile, params, seed):
+def _normalized_solution(profile, params):
     from .solver import solve_dirichlet
     problem = _solve_setup(profile, params)
     field, report = solve_dirichlet(problem)
@@ -448,11 +447,11 @@ def _normalized_solution(profile, params, seed):
     return scaled, problem, report
 
 
-def _harnack(profile, params, seed, c0):
+def _harnack(profile, params, c0):
     """The Harnack quotient of the normalised solution; a failed solve or
     hypothesis raises PreconditionError."""
     from .experiments import harnack_quotient
-    u, problem, _ = _normalized_solution(profile, params, seed)
+    u, problem, _ = _normalized_solution(profile, params)
     res = harnack_quotient(u, c0, problem)
     if not res.valid:
         raise PreconditionError("; ".join(res.notes))
@@ -460,14 +459,14 @@ def _harnack(profile, params, seed, c0):
 
 
 def _cmd_harnack(profile, quad, params, seed):
-    res = _harnack(profile, params, seed, params.get("c0", 1.0))
+    res = _harnack(profile, params, params.get("c0", 1.0))
     # an unconverged solve never reaches here
     return dict(res.scalars, converged=True), res.rows, res.columns, True
 
 
 def _cmd_decay(profile, quad, params, seed):
     from .experiments import distribution_decay
-    u, _, _ = _normalized_solution(profile, params, seed)
+    u, _, _ = _normalized_solution(profile, params)
     res = distribution_decay(u, params.get("M", 2.0),
                              int(params.get("k_max", 6)))
     summary = _null_sentinels(dict(res.scalars), {
@@ -484,7 +483,7 @@ def _cmd_sweep(profile, quad, params, seed):
                                  profile.lambda_lo, profile.lambda_hi)
         # a failed solve or precondition flags the row; other errors raise
         try:
-            quotient = _harnack(prof, params, seed, c0).scalars["quotient"]
+            quotient = _harnack(prof, params, c0).scalars["quotient"]
             measured.append((prof.sigma_min, quotient, True))
         except PreconditionError as exc:
             measured.append((prof.sigma_min, math.nan, False))
@@ -557,12 +556,15 @@ def run(config, out_dir=None, seed=None):
     head = {"command": command, "digest": digest, "seed": seed}
     # failed hypotheses, float overflows and non-finite results: invalid
     try:
-        summary, rows, columns, ok = _DISPATCH[command](profile, quad,
-                                                        params, seed)
-        where = _non_finite(summary)
-        if where:
-            raise PreconditionError(f"non-finite result {where}")
+        # warnings wait in ``held`` until the run is known to be valid
+        with warnings.catch_warnings(record=True) as held:
+            summary, rows, columns, ok = _DISPATCH[command](profile, quad,
+                                                            params, seed)
+            where = _non_finite(summary)
+            if where:
+                raise PreconditionError(f"non-finite result {where}")
     except (PreconditionError, OverflowError) as exc:
+        held.clear()            # an invalid run writes nothing to stderr
         reason = str(exc)
         if isinstance(exc, OverflowError):     # name where it overflowed
             import traceback
@@ -570,6 +572,9 @@ def run(config, out_dir=None, seed=None):
             reason = f"float overflow in {frame.name}: {frame.line}"
         emit_results(out_dir, dict(head, invalid=reason), [], ("empty",))
         return 3
+    finally:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     emit_results(out_dir, {**head, "passed": bool(ok), **summary}, rows,
                  columns)
     print(f"[anisonl] {command} digest={digest} passed={bool(ok)}")

@@ -191,12 +191,10 @@ class CellSet:
     def overlap_measure(self, lo, hi):
         """Exact measure of (set intersect box [lo, hi])."""
         w = self._axis_overlap(np.asarray(lo, float), np.asarray(hi, float))
-        if self.n == 1:
-            return float(np.sum(self.mask * w[0]))
-        if self.n == 2:
-            return float(w[0] @ self.mask @ w[1])
-        return float(np.einsum("ijk,i,j,k->", self.mask.astype(float),
-                               w[0], w[1], w[2]))
+        total = self.mask.astype(float)
+        for wd in reversed(w):
+            total = total @ wd
+        return float(total)
 
     def covered_by_boxes(self, boxes):
         """True when every cell lies inside at least one of the boxes."""

@@ -50,8 +50,7 @@ def _unit_cube_measure(u, predicate):
     return float(np.sum(overlap[predicate(vals)])), float(np.sum(overlap))
 
 
-def point_estimate_experiment(u, profile, m_level, problem=None,
-                              eps0=None):
+def point_estimate_experiment(u, m_level, problem=None, eps0=None):
     """Measure of the sublevel set {u <= M} in the unit cube.
 
     Preconditions (u >= 0 everywhere, u(0) <= 1, M^- u <= eps0 on the
@@ -112,7 +111,10 @@ def distribution_decay(u, m_level, k_max):
     result = ExperimentResult()
     rows = []
     for k in range(1, k_max + 1):
-        t = m_level ** k
+        try:
+            t = m_level ** k
+        except OverflowError:       # a level past the float range
+            t = math.inf            # leaves {u > t} empty
         meas, _ = _unit_cube_measure(u, lambda v: v > t)
         rows.append((k, meas))
     result.columns = ("k", "measure")

@@ -4,9 +4,11 @@ All operators evaluate these objects anywhere in R^n.  Inside the box the
 value is multilinear interpolation of the lattice values (the sole
 smoothing assumption of the toolkit); outside, the exterior rule applies.
 Exterior data is first-class: it may be a constant, an affine function or
-an arbitrary bounded callable.  Each rule reports its far range: the
-values it can take far from a point, which bracket the far tail of the
-shell quadrature and set the tail reaction of the lattice scheme.
+an arbitrary bounded callable.  Each rule states its ``sup_bound``, a
+bound on |value| (inf for an affine rule), as every field does, and its
+far range: the values it can take far from a point, which bracket the far
+tail of the shell quadrature and set the tail reaction of the lattice
+scheme.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ class ConstantExterior:
     def __call__(self, pts):
         return np.full(pts.shape[0], float(self.value))
 
-    def bounds(self):
-        return float(self.value), float(self.value)
+    @property
+    def sup_bound(self):
+        return abs(float(self.value))
 
     def far_range(self, pts):
         v = self(pts)
@@ -41,8 +44,7 @@ class AffineExterior:
     def __call__(self, pts):
         return self.offset + pts @ np.asarray(self.slope, dtype=float)
 
-    def bounds(self):
-        return -math.inf, math.inf
+    sup_bound = math.inf
 
     def far_range(self, pts):
         v = self(pts)
@@ -56,9 +58,6 @@ class CallableExterior:
 
     def __call__(self, pts):
         return np.asarray(self.fn(pts), dtype=float)
-
-    def bounds(self):
-        return -self.sup_bound, self.sup_bound
 
     def far_range(self, pts):
         s = np.full(pts.shape[0], self.sup_bound)
@@ -90,7 +89,7 @@ def _interp(pts, lo, inv_h, shape, flat_vals):
 class GridField:
     """Lattice values on an axis-aligned box, evaluable on all of R^n."""
 
-    def __init__(self, lo, hi, values, exterior, sup_bound=None):
+    def __init__(self, lo, hi, values, exterior):
         self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         self.values = np.asarray(values, dtype=float)
@@ -106,7 +105,6 @@ class GridField:
         if isinstance(exterior, (int, float)):
             exterior = ConstantExterior(float(exterior))
         self.exterior = exterior
-        self._declared_sup = sup_bound
 
     @classmethod
     def from_function(cls, fn, lo, hi, shape, exterior):
@@ -124,11 +122,7 @@ class GridField:
 
     @property
     def sup_bound(self):
-        if self._declared_sup is not None:
-            return self._declared_sup
-        lo, hi = self.exterior.bounds()
-        grid = float(np.max(np.abs(self.values)))
-        return max(grid, abs(lo), abs(hi))
+        return max(float(np.max(np.abs(self.values))), self.exterior.sup_bound)
 
     def eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -172,7 +166,6 @@ class AnalyticField:
         self.fn = fn
         self._sup = float(sup_bound)
         self._range_outside = range_outside
-        self.n = None   # dimension-agnostic
 
     def eval(self, pts):
         return np.asarray(self.fn(np.atleast_2d(np.asarray(pts, dtype=float))),

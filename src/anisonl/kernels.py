@@ -47,9 +47,6 @@ class PowerLawKernel:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return self.mult_values(y) * self.profile.c_sigma / gauge(self.profile, y)
 
-    def __call__(self, y):
-        return self.eval(y)
-
 
 class TruncatedKernel:
     """K = K1 + K2 with K1 a power-law member and ||K2||_L1 <= l1_budget."""
@@ -65,9 +62,6 @@ class TruncatedKernel:
     def eval(self, y):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return self.base.eval(y) + np.asarray(self.k2(y), dtype=float)
-
-    def __call__(self, y):
-        return self.eval(y)
 
 
 class KernelFamily:
@@ -168,16 +162,6 @@ def tail_gauge_bounds(profile, R):
     low += max(R, 1.0) ** -smax / smax
     low *= area / n
     return low, up
-
-
-def tail_truncation_bound(sup_bound, far_radius, profile):
-    """4 Lambda c_sigma sup|u| * (upper tail gauge mass beyond B_far)."""
-    if far_radius <= 0:
-        raise ValueError("far radius must be positive")
-    if sup_bound < 0:
-        raise ValueError("sup bound must be nonnegative")
-    _, up = tail_gauge_bounds(profile, far_radius)
-    return 4.0 * profile.lambda_hi * profile.c_sigma * sup_bound * up
 
 
 def near_moment_bound(profile, s):

@@ -232,7 +232,7 @@ def test_degenerate_tiles_name_generation_and_width(prof2):
     with pytest.raises(DegenerateTileError) as err:
         _eval_rect(u, concave_envelope(u), const_field(8.0),
                    CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)),
-                   4.0, 2.0, 50, np.random.default_rng(0))
+                   50, np.random.default_rng(0))
     assert err.value.gen == gen
 
 
@@ -262,7 +262,7 @@ def test_cover_supersolution_probe(prof2, quad_fast):
     u = polyhedral_cap_field()
     f = const_field(50.0)
     cover = abp_cover(u, f, prof2, mc_samples=200, seed=7, quad=quad_fast)
-    checks = cover.params["supersolution_check"]
+    checks = cover.supersolution_check
     assert checks and all("m_plus" in c for c in checks)
 
 

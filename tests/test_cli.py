@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anisonl import cli
+from anisonl import PreconditionError, cli
 from anisonl.cli import (COMMANDS, CONFIG_SCHEMA, PARAMS_SCHEMA, ConfigError,
                          emit_plotdata, load_config, main)
 
@@ -646,6 +646,16 @@ def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
     assert "at most 24" in detail["detail"]
 
 
+def test_cz_runs_in_four_dimensions(tmp_path):
+    """The density test contracts the cell mask along any number of axes."""
+    cfg = write_config(tmp_path, {"command": "cz",
+                                  "profile": {"n": 4, "sigma": [1, 1, 1, 1]},
+                                  "params": {"generation": 3}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["covered"] and results["certified"]
+
+
 @pytest.mark.parametrize("profile, seed, delta", [
     ({"n": 1, "sigma": [1.0]}, 3, 0.5),
     ({"n": 2, "sigma": [1.0, 1.5]}, 2, 0.9),
@@ -670,9 +680,6 @@ def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
       "params": {"grid": 9, "box": 1e-200}}, "non-finite result "),
     ({"command": "solve", "profile": P1,
       "params": {"grid": 9, "bump_height": 1e300}}, "non-finite result "),
-    ({"command": "decay", "profile": P1,
-      "params": {"grid": 17, "M": 1e300, "k_max": 3}},
-     "float overflow in distribution_decay: "),
     ({"command": "barrier-verify", "profile": P1,
       "quadrature": {"shells": 2, "nodes_per_shell": 16, "far_radius": 1e300},
       "params": {"n_points": 3, "psi_points": 2}},
@@ -682,18 +689,57 @@ def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
     # |h| = 5e158 is below tau0 / 2, though |h|^2 overflows
     ({"command": "kernel-check", "profile": P1, "params": {"tau0": 1e160}},
      "float overflow in kernel_modulus_check: "),
-], ids=["solve-box", "solve-bump", "decay-M", "barrier-far-radius",
+], ids=["solve-box", "solve-bump", "barrier-far-radius",
         "kernel-check-2d", "kernel-check-1d"])
-def test_out_of_range_numbers_exit_3(tmp_path, capsys, config, reason):
+def test_out_of_range_numbers_exit_3(tmp_path, capsys, recwarn, config,
+                                     reason):
     """Data whose numbers leave the double range make an invalid run that
-    names the quantity, in strict JSON and with no traceback."""
+    names the quantity, in strict JSON, with nothing on stderr: no
+    traceback and no numpy warning."""
     cfg = write_config(tmp_path, config)
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
     text = (tmp_path / "o" / "results.json").read_text()
     results = json.loads(text, parse_constant=_reject_constant)
     assert results["invalid"].startswith(reason)
     assert "passed" not in results
-    assert "Traceback" not in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_decay_levels_past_float_range_are_empty(tmp_path):
+    """A level M^k past the double range holds no point: every measure is
+    0, so the run passes with the null exponent and its reason."""
+    cfg = write_config(tmp_path, {"command": "decay", "profile": P1,
+                                  "params": {"grid": 17, "M": 1e300,
+                                             "k_max": 3}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "results.json").read_text()
+    results = json.loads(text, parse_constant=_reject_constant)
+    assert results["epsilon_fit"] is None
+    assert results["epsilon_fit_reason"] == \
+        "fewer than two levels have a nonzero measure"
+    csv_text = (tmp_path / "o" / "data.csv").read_text()
+    assert csv_text.split() == ["k,measure", "1,0.0", "2,0.0", "3,0.0"]
+
+
+@pytest.mark.parametrize("outcome, code", [(True, 0), (False, 1),
+                                           (None, 3)])
+def test_warnings_shown_unless_invalid(tmp_path, monkeypatch, outcome, code):
+    """A command's warnings reach the caller when its run passes or fails,
+    and an invalid run drops them."""
+    def command(profile, quad, params, seed):
+        warnings.warn("held back", RuntimeWarning)
+        if outcome is None:
+            raise PreconditionError("hypothesis fails")
+        return {}, [], ("empty",), outcome
+
+    monkeypatch.setitem(cli._DISPATCH, "constants", command)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.run({"command": "constants", "profile": P1},
+                       out_dir=str(tmp_path)) == code
+    assert [str(w.message) for w in seen] == \
+        ([] if code == 3 else ["held back"])
 
 
 # modules each command must not load: jsonschema nowhere; the extremal

@@ -170,6 +170,27 @@ def test_cz_density_properties_exact(rng):
     assert a.covered_by_boxes(res.boxes)
 
 
+@pytest.mark.parametrize("n, gen", [(1, 6), (2, 4), (3, 3), (4, 2)])
+def test_overlap_measure_matches_per_cell_sum(n, gen):
+    """|A cap [lo, hi]| against a sum over A's cells, one cell at a time,
+    of the product of its per-axis interval overlaps."""
+    rng = np.random.default_rng(n)
+    m = 2 ** gen
+    a = CellSet(n, gen, rng.random((m,) * n) < 0.4)
+    for _ in range(5):
+        lo = rng.uniform(-0.2, 0.6, size=n)
+        hi = lo + rng.uniform(0.1, 0.8, size=n)
+        want = 0.0
+        for cell in np.argwhere(a.mask):
+            piece = 1.0
+            for d in range(n):
+                piece *= max(min((cell[d] + 1) / m, hi[d])
+                             - max(cell[d] / m, lo[d]), 0.0)
+            want += piece
+        assert a.overlap_measure(lo, hi) == pytest.approx(want, rel=1e-12,
+                                                          abs=1e-15)
+
+
 def test_cz_hypothesis_violation_witness():
     gen = 3
     a = CellSet.from_cells(2, gen, [(0, 0)])

@@ -32,14 +32,14 @@ def bump_problem(profile, height=1.0, center=2.5, shape=129, box=4.0,
 
 
 def test_point_estimate_trivial_zero():
-    res = point_estimate_experiment(const_field(0.0), isotropic(1, 1.0), 2.0)
+    res = point_estimate_experiment(const_field(0.0), 2.0)
     assert res.valid
     assert res.scalars["measure"] == pytest.approx(1.0, rel=0.05)
     assert res.scalars["varsigma_measured"] == pytest.approx(1.0)
 
 
 def test_point_estimate_invalid_precondition():
-    res = point_estimate_experiment(const_field(3.0), isotropic(1, 1.0), 2.0)
+    res = point_estimate_experiment(const_field(3.0), 2.0)
     assert not res.valid and res.notes
 
 
@@ -50,14 +50,14 @@ def test_point_estimate_solved_instance_stable(iso1_ell):
     origin = float(field.eval(np.zeros((1, 1)))[0])
     scaled = GridField(prob.lo, prob.hi, field.values / max(origin, 1e-9),
                        ConstantExterior(0.0))
-    res = point_estimate_experiment(scaled, iso1_ell, 2.0)
+    res = point_estimate_experiment(scaled, 2.0)
     assert res.valid and res.scalars["varsigma_measured"] > 0.0
     prob2 = bump_problem(iso1_ell, shape=257)
     field2, _ = solve_dirichlet(prob2)
     origin2 = float(field2.eval(np.zeros((1, 1)))[0])
     scaled2 = GridField(prob2.lo, prob2.hi, field2.values / max(origin2, 1e-9),
                         ConstantExterior(0.0))
-    res2 = point_estimate_experiment(scaled2, iso1_ell, 2.0)
+    res2 = point_estimate_experiment(scaled2, 2.0)
     assert res2.scalars["varsigma_measured"] == pytest.approx(
         res.scalars["varsigma_measured"], rel=0.10)
 
@@ -68,9 +68,9 @@ def test_point_estimate_minus_operator_precondition(iso1_ell):
     field, rep = solve_dirichlet(prob)
     assert rep.converged
     top = float(np.max(discrete_extremal(prob, field)[0]))
-    res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top + 1e-3)
+    res = point_estimate_experiment(field, 2.0, prob, top + 1e-3)
     assert res.valid and not res.notes
-    res = point_estimate_experiment(field, iso1_ell, 2.0, prob, top - 1e-3)
+    res = point_estimate_experiment(field, 2.0, prob, top - 1e-3)
     assert not res.valid
     assert res.notes == ["precondition M^- u <= eps0 fails"]
 
@@ -121,7 +121,7 @@ def test_point_estimate_decay_consistency():
 
     u = GridField.from_function(fn, [-0.6], [0.6], (4801,), 0.0)
     res = distribution_decay(u, m_level, k_max)
-    pe = point_estimate_experiment(u, isotropic(1, 1.0), m_level)
+    pe = point_estimate_experiment(u, m_level)
     assert pe.valid
     vs = pe.scalars["varsigma_measured"]
     predicted = -math.log(1.0 - vs) / math.log(m_level)

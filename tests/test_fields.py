@@ -74,7 +74,7 @@ def test_exterior_rules_vectorized():
     assert np.allclose(AffineExterior(1.0, (1.0, -1.0))(pts), [3.0, 3.0])
     ce = CallableExterior(lambda p: p[:, 0] * 0.0 + 4.0, sup_bound=4.0)
     assert np.allclose(ce(pts), [4.0, 4.0])
-    assert ce.bounds() == (-4.0, 4.0)
+    assert ce.sup_bound == 4.0
 
 
 def test_tail_delta_range_exact_for_constant_and_affine():
@@ -100,9 +100,31 @@ def test_sup_bound_declared_and_computed():
     u = GridField([-1.0], [1.0], np.array([0.5, -2.0, 1.0]),
                   ConstantExterior(0.25))
     assert u.sup_bound == 2.0
-    u2 = GridField([-1.0], [1.0], np.array([0.5, -2.0, 1.0]),
-                   ConstantExterior(0.25), sup_bound=9.0)
-    assert u2.sup_bound == 9.0
+
+
+def _cli_bump(height):
+    from anisonl.cli import _solve_setup
+    return _solve_setup(AnisotropyProfile(1, (1.0,)),
+                        {"grid": 5, "bump_height": height}).exterior
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda: ConstantExterior(0.25), 2.0),
+    (lambda: ConstantExterior(-3.0), 3.0),
+    (lambda: AffineExterior(0.5, (1.0,)), np.inf),
+    (lambda: CallableExterior(lambda p: 0.0 * p[:, 0], 9.0), 9.0),
+    # the CLI's bump exterior bounds itself by |height|, whatever the sign
+    (lambda: _cli_bump(-4.0), 4.0),
+], ids=["constant", "negative-constant", "affine", "callable",
+        "cli-negative-bump"])
+def test_grid_sup_bound_is_max_of_values_and_exterior(make, bound):
+    """One bound vocabulary: a grid field's sup bound is the larger of its
+    largest |value| and its exterior rule's own ``sup_bound``."""
+    ext = make()
+    u = GridField([-1.0], [1.0], np.array([0.5, -2.0, 1.0]), ext)
+    assert u.sup_bound == max(2.0, ext.sup_bound) == bound
+    lo, hi = ext.far_range(np.array([[5.0]]))
+    assert lo[0] <= hi[0]
 
 
 def test_estimate_c11_quadratic():

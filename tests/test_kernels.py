@@ -5,8 +5,7 @@ from scipy.integrate import quad as squad
 from anisonl.geometry import gauge
 from anisonl.kernels import (KernelFamily, PowerLawKernel, TruncatedKernel,
                              kernel_bounds_verify, near_field_bound,
-                             near_moment_bound, tail_gauge_bounds,
-                             tail_truncation_bound)
+                             near_moment_bound, tail_gauge_bounds)
 
 
 def test_lower_envelope_kernel_ratio_one(iso1_ell):
@@ -57,23 +56,13 @@ def test_family_shapes(iso1_ell):
         KernelFamily([[PowerLawKernel(iso1_ell, 1.0)], []])
 
 
-def test_tail_bound_zero_sup(iso1):
-    assert tail_truncation_bound(0.0, 1.0, iso1) == 0.0
-
-
-def test_tail_bound_1d_closed_form(iso1):
-    # n=1, sigma=1, far=1: 4 Lam c_sigma sup * 2 int_1^inf y^-2 dy
-    val = tail_truncation_bound(1.0, 1.0, iso1)
-    assert val == pytest.approx(8.0 * iso1.lambda_hi * iso1.c_sigma, rel=1e-8)
-
-
 def test_tail_bound_doubling(rng):
     from conftest import random_profile
     for _ in range(20):
         p = random_profile(rng)
         far = float(rng.uniform(0.2, 50.0))
-        b1 = tail_truncation_bound(1.0, far, p)
-        b2 = tail_truncation_bound(1.0, 2.0 * far, p)
+        b1 = tail_gauge_bounds(p, far)[1]
+        b2 = tail_gauge_bounds(p, 2.0 * far)[1]
         assert b2 <= 2.0 ** (-p.sigma_min) * b1 * (1.0 + 1e-12)
         assert b2 < b1
 
@@ -150,9 +139,7 @@ def test_near_field_bound_scales_with_m(iso1):
 
 def test_bad_inputs(iso1):
     with pytest.raises(ValueError):
-        tail_truncation_bound(1.0, 0.0, iso1)
-    with pytest.raises(ValueError):
-        tail_truncation_bound(-1.0, 1.0, iso1)
+        tail_gauge_bounds(iso1, 0.0)
     with pytest.raises(ValueError):
         near_moment_bound(iso1, 0.0)
     with pytest.raises(ValueError):

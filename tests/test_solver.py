@@ -375,7 +375,7 @@ def test_discrete_extremal_memory_is_bounded():
     below an eighth of one (canonical offsets x lattice points) float64
     array: the pair sums hold one offset's second differences at a time."""
     prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
-    u, prob, _ = _normalized_solution(prof, {"grid": 33}, 0)
+    u, prob, _ = _normalized_solution(prof, {"grid": 33})
     tracemalloc.start()
     try:
         discrete_extremal(prob, u)
