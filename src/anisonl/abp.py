@@ -1,4 +1,4 @@
-"""Rectangle covers of the contact set and the quadratic-detachment checks.
+"""Rectangle covers of the contact set and their verification.
 
 The cover construction tiles B_1 by translates of the rectangle
 R_{a, s}(0) with a = rho0 2^{-1/q_max} and s = 2^{-frak_c (n+sigma_min)};
@@ -16,7 +16,8 @@ Per rectangle the two measure properties are evaluated:
 
 Rectangles failing either are split, up to a depth cap.  The thresholds
 C_grad and varsigma are parameters, C_det and the expansion constant C
-are fixed; ``verify_cover`` reports the measured constants.
+are fixed; ``verify_cover`` re-checks the cover's geometry and reports
+the measured constants.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import PreconditionError
 from .envelope import concave_envelope, contact_set, default_contact_tol
-from .geometry import theta_unit_volume
 from .profile import AnisotropyProfile
 
 # C_det and the expansion constant C of the detachment test
@@ -177,67 +177,6 @@ class AbpCover:
     rectangles: list
     contact_points: np.ndarray
     envelope: object
-    supersolution_check: list | None
-
-
-def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
-                       seed=0):
-    """Monte Carlo measure of the detachment set W_k at a contact point.
-
-    W_k lives on the annulus Theta_{r_k} \\ Theta_{r_k+1}; the threshold is
-    m_threshold * inf_{annulus} <Az, z> below the tangent plane of the
-    envelope.  Also reports the annulus measure and the y -> -y symmetry
-    rate of the sampled membership.  An annulus whose inner radius
-    underflows to zero is refused with ``DegenerateTileError``.
-    """
-    if not 0 <= k <= 200:
-        raise ValueError(f"annulus index {k} outside 0..200")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r_hi, r_lo = profile.radius(k), profile.radius(k + 1)
-    hw = r_hi ** (1.0 / profile.exponents)
-    if r_lo == 0.0:
-        raise DegenerateTileError(
-            f"annulus {k}: its inner radius r_{k + 1} underflows to zero "
-            f"(r_{k} = {r_hi:.3e})", k, 2.0 * hw)
-    grad = env.gradient_at(x)
-    ux = float(u.eval(x[None, :])[0])
-    inf_quad = profile.inf_quad_outside(r_lo)
-    cut = m_threshold * inf_quad
-
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-hw, hw, size=(samples, profile.n))
-    box = float(np.prod(2.0 * hw))
-    from .geometry import gauge
-    g = gauge(profile, pts)
-    shell = (g < r_hi) & (g >= r_lo)
-
-    def in_w(y):
-        return u.eval(x[None, :] + y) < ux + y @ grad - cut
-
-    member = shell & in_w(pts)
-    frac = float(np.mean(member))
-    w_measure = box * frac
-    w_se = box * math.sqrt(max(frac * (1 - frac), 0.0) / samples)
-
-    v1, se1 = theta_unit_volume(profile)
-    ssum = float(np.sum(1.0 / profile.exponents))
-    shell_measure = (r_hi ** ssum - r_lo ** ssum) * v1
-    shell_se = (r_hi ** ssum - r_lo ** ssum) * se1
-
-    sym_rate = 1.0
-    if member.any():
-        mirrored = in_w(-pts[member])
-        sym_rate = float(np.mean(mirrored))
-    return {
-        "k": k,
-        "w_measure": w_measure,
-        "w_se": w_se,
-        "shell_measure": shell_measure,
-        "shell_se": shell_se,
-        "ratio": w_measure / shell_measure,
-        "symmetry_rate": sym_rate,
-        "inf_quad": inf_quad,
-    }
 
 
 def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
@@ -274,34 +213,20 @@ def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
 
 
 def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
-              depth_cap=40, mc_samples=2000, seed=0, quad=None):
+              depth_cap=40, mc_samples=2000, seed=0):
     """Build the disjoint rectangle family covering the contact set.
 
     Splits rectangles violating the measured gradient-image or detachment
     properties until all pass or the depth cap trips (CoverDepthError
-    with the offending chain).  Each rectangle carries its record.  Passing
-    a quadrature scheme additionally samples the supersolution inequality
-    M^+ u >= -f at a few contact points (recorded in the cover's
-    ``supersolution_check``, not fatal: the check is itself a noisy
-    measurement).
+    with the offending chain).  Each rectangle carries its record.
     """
     if env is None:
         env = concave_envelope(u)
     pts, _ = contact_set(u, env, default_contact_tol(u, env))
     inside = np.linalg.norm(np.atleast_2d(pts), axis=1) <= 1.0 + 1e-9
     pts = np.atleast_2d(pts)[inside]
-    supersolution = None
-    if quad is not None and pts.shape[0]:
-        from .operators import eval_extremal_many
-        supersolution = []
-        sample = pts[:: max(1, pts.shape[0] // 3)][:3]
-        for x, ov in zip(sample, eval_extremal_many(u, sample, profile, quad,
-                                                    which="plus")):
-            fx = float(f.eval(x[None, :])[0])
-            supersolution.append({"point": x.tolist(), "m_plus": ov.value,
-                                  "f": fx, "ok": ov.value + ov.error >= -fx})
     if pts.shape[0] == 0:
-        return AbpCover([], pts, env, supersolution)
+        return AbpCover([], pts, env)
 
     rng = np.random.default_rng(seed)
     queue = [CoverRectangle(0, idx, profile)
@@ -325,7 +250,7 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
                 chain_of[(rect.gen, rect.index)] + [(kid.gen, kid.index)]
         queue.extend(kids)
     final.sort(key=lambda r: (r.gen, r.index))
-    return AbpCover(final, pts, env, supersolution)
+    return AbpCover(final, pts, env)
 
 
 def cover_dump(cover):
@@ -345,7 +270,7 @@ def cover_dump(cover):
     return out
 
 
-def verify_cover(cover, u, env, f, profile):
+def verify_cover(cover, profile):
     """Re-check the cover contract (disjointness, contact coverage and
     meeting, diameter bound, gradient-image and detachment measures) and
     aggregate the empirical constants."""

@@ -2,13 +2,11 @@
 
 The radial barrier min(cap, |x|^-p) is a supersolution of the minimal
 operator on an annulus once p is large enough; ``find_p`` searches the
-smallest integer exponent whose sampled margins certify it.  The scaled
-variant g(x) = min(cap, |T_r^-1 x|^-p) inherits the property through the
-identity M^- g(x) = r^-1 |det T_r| M^- f(T_r^-1 x).  The bump barrier
-(power annulus glued to an axis-separable quadratic cap, capped at zero
-outside a large ellipse) is positive on a fixed rectangle and has
-nonnegative minimal operator outside the small ellipse, up to a
-compactly supported continuous defect.
+smallest integer exponent whose sampled margins certify it.  The bump
+barrier (power annulus glued to an axis-separable quadratic cap, capped
+at zero outside a large ellipse) is positive on a fixed rectangle and has
+nonnegative minimal operator outside the small ellipse;
+``verify_supersolution`` samples that margin.
 """
 
 from __future__ import annotations
@@ -22,34 +20,6 @@ from .fields import AnalyticField
 from .geometry import ScalingMap, ellipse, rect, row_norm
 from .operators import eval_extremal_many
 from .quadrature import QuadratureScheme
-
-
-# ---------------------------------------------------------------------------
-# the two elementary inequalities behind every barrier estimate
-# ---------------------------------------------------------------------------
-
-def elementary_inequality_convexity(a1, a2, s):
-    """(a2+a1)^-s + (a2-a1)^-s - [2 a2^-s + s(s+1) a1^2 a2^(-s-2)] >= 0."""
-    a1, a2, s = (np.asarray(v, dtype=float) for v in (a1, a2, s))
-    lhs = (a2 + a1) ** -s + (a2 - a1) ** -s
-    rhs = 2.0 * a2 ** -s + s * (s + 1.0) * a1 ** 2 * a2 ** (-s - 2.0)
-    return lhs - rhs
-
-
-def elementary_inequality_bernoulli(a1, a2, s):
-    """(a2+a1)^-s - a2^-s (1 - s a1/a2) >= 0."""
-    a1, a2, s = (np.asarray(v, dtype=float) for v in (a1, a2, s))
-    return (a2 + a1) ** -s - a2 ** -s * (1.0 - s * a1 / a2)
-
-
-def delta_lower_bound(p, y):
-    """Proof-side lower bound for delta(f, e1, y), |y| < 1/2, f = |x|^-p:
-    p [ -|y|^2 + (p+2) y1^2 - (p+2)(p+4) y1^2 |y|^2 / 2 ]."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    r2 = np.sum(y ** 2, axis=1)
-    y1sq = y[:, 0] ** 2
-    return p * (-r2 + (p + 2.0) * y1sq
-                - (p + 2.0) * (p + 4.0) * y1sq * r2 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +50,6 @@ class RadialBarrier(AnalyticField):
     @property
     def kink_radius(self):
         return self.cap ** (-1.0 / self.p)
-
-
-class ScaledBarrier(AnalyticField):
-    """g(x) = min(cap, |T_r^-1 x|^-p) = f(T_r^-1 x) with f = RadialBarrier."""
-
-    def __init__(self, profile, r, p, cap):
-        self.base = RadialBarrier(p, cap)
-        self.map = ScalingMap(profile, r)
-        self.p = float(p)
-        self.cap = float(cap)
-        d = self.map.diagonal()
-        self._max_diag = float(np.max(d))
-
-        def fn(pts):
-            return self.base.eval(self.map.apply(pts, inverse=True))
-
-        super().__init__(fn, sup_bound=cap, range_outside=self._range_outside)
-
-    def _range_outside(self, R):
-        return 0.0, min(self.cap, (R / self._max_diag) ** -self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +255,14 @@ def build_psi(profile, p):
     return PsiBarrier(profile, float(p), float(tilde_c), coeffs)
 
 
-def make_phi(profile, deficit):
-    """Continuous bump supported exactly on E_{1/4,1}, scaled by the
-    measured margin deficit."""
-    t = ScalingMap(profile, 0.25).diagonal()
-
-    def phi(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = pts / t[None, :]
-        r2 = np.sum(w ** 2, axis=1)
-        return deficit * np.maximum(0.0, 1.0 - r2) ** 2
-
-    return phi
-
-
-def verify_supersolution(barrier, points, profile, quad, phi=None):
-    """Minimum of M^- barrier + phi over the sample; PASS iff the minimum
-    clears minus the local quadrature error."""
+def verify_supersolution(barrier, points, profile, quad):
+    """Minimum of M^- barrier over the sample; PASS iff the minimum clears
+    minus the local quadrature error."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         raise ValueError("need at least one sample point")
     ovs = eval_extremal_many(barrier, points, profile, quad, which="minus")
-    margins = np.array([ov.value for ov in ovs]) \
-        + (phi(points) if phi is not None else 0.0)
+    margins = np.array([ov.value for ov in ovs])
     errors = np.array([ov.error for ov in ovs])
     worst = int(np.argmin(margins))
     return {

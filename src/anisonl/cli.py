@@ -359,7 +359,7 @@ def _cmd_abp_cover(profile, quad, params, seed):
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
     cover = abp_cover(u, f, profile, env=env, seed=seed,
                       mc_samples=int(params.get("mc_samples", 1000)))
-    report = _null_sentinels(verify_cover(cover, u, env, f, profile), {
+    report = _null_sentinels(verify_cover(cover, profile), {
         "varsigma_measured": "the cover has no rectangle"})
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)
@@ -438,7 +438,12 @@ def _normalized_solution(profile, params):
             f"tolerance {problem.tolerance:.3e} after {report.iterations} "
             "iterations")
     origin = float(field.eval(np.zeros((1, profile.n)))[0])
-    scale = 1.0 / max(origin, 1e-12)
+    if origin <= 0.0:
+        raise PreconditionError(
+            f"u(0) = {origin:.3e} <= 0 at solver tolerance "
+            f"{problem.tolerance:.3e}: the solution cannot be normalised "
+            "to u(0) = 1")
+    scale = 1.0 / origin
     from .fields import GridField, CallableExterior
     ext = problem.exterior
     scaled = GridField(problem.lo, problem.hi, field.values * scale,

@@ -1,8 +1,4 @@
-"""Bounded-overlap rectangle covers and the dyadic rectangle decomposition.
-
-``cc_cover``: greedy largest-parameter-first selection of center-anchored
-rectangles with shared monotone edge laws; covers the point set with
-dimension-bounded multiplicity (measured exhaustively at the points).
+"""The dyadic rectangle (Calderon-Zygmund) decomposition.
 
 ``cz_decompose``: dyadic selection on the unit cube with tilde-box
 densities.  Sets are unions of generation-G lattice cells, so every
@@ -19,75 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import PreconditionError
-
-
-# ---------------------------------------------------------------------------
-# bounded-overlap rectangle covering
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamRectangleFamily:
-    """Points with per-point parameters and shared monotone edge laws.
-
-    ``edge_laws[i](t)`` is the full edge length along axis i; increasing
-    in t, continuous at 0, zero at 0.
-    """
-    points: np.ndarray
-    t: np.ndarray
-    edge_laws: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points",
-                           np.atleast_2d(np.asarray(self.points, dtype=float)))
-        object.__setattr__(self, "t",
-                           np.asarray(self.t, dtype=float).reshape(-1))
-        if self.points.shape[0] != self.t.size:
-            raise ValueError("one parameter per point required")
-        if len(self.edge_laws) != self.points.shape[1]:
-            raise ValueError("one edge law per axis required")
-
-    def half_widths(self, t):
-        return np.array([0.5 * law(t) for law in self.edge_laws])
-
-
-def _check_monotone(laws, t_values):
-    ts = np.unique(np.concatenate([[0.0], t_values]))
-    for law in laws:
-        vals = np.array([law(t) for t in ts])
-        if vals[0] != 0.0:
-            raise ValueError("edge law must vanish at t = 0")
-        if np.any(np.diff(vals) < 0.0):
-            raise ValueError("edge law must be monotone increasing")
-
-
-def cc_cover(family: ParamRectangleFamily):
-    """Greedy cover; returns (selected list, max multiplicity over points).
-
-    Selection order is descending parameter, ties broken by lexicographic
-    center; the rectangle of the chosen point removes every still-uncovered
-    center it contains.
-    """
-    pts, t = family.points, family.t
-    _check_monotone(family.edge_laws, t)
-    m = pts.shape[0]
-    order = sorted(range(m), key=lambda i: (-t[i],) + tuple(pts[i]))
-    covered = np.zeros(m, dtype=bool)
-    selected = []
-    for i in order:
-        if covered[i]:
-            continue
-        hw = family.half_widths(t[i])
-        selected.append((pts[i].copy(), hw))
-        inside = np.all(np.abs(pts - pts[i][None, :]) <= hw[None, :] + 1e-15,
-                        axis=1)
-        covered |= inside
-    mult = np.zeros(m, dtype=int)
-    for c, hw in selected:
-        mult += np.all(np.abs(pts - c[None, :]) <= hw[None, :] + 1e-15,
-                       axis=1)
-    if np.any(mult == 0):
-        raise AssertionError("greedy cover failed to cover every point")
-    return selected, int(mult.max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Measurement experiments: point estimate, decay, Harnack, Hoelder, sweeps.
+"""Measurement experiments: distribution decay, Harnack quotients, order
+sweeps and the kernel modulus check.
 
 All quantities here are measured, never assumed; the runs report the
 empirical constants the qualitative theory asserts exist.  Preconditions
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .fields import GridField
 from .kernels import tail_gauge_bounds
 # the solver is imported inside the functions that call it, so
 # kernel_modulus_check does not load it
@@ -48,38 +48,6 @@ def _unit_cube_measure(u, predicate):
         hi = np.minimum(pts[:, d] + half[d], 0.5)
         overlap *= np.maximum(hi - lo, 0.0)
     return float(np.sum(overlap[predicate(vals)])), float(np.sum(overlap))
-
-
-def point_estimate_experiment(u, m_level, problem=None, eps0=None):
-    """Measure of the sublevel set {u <= M} in the unit cube.
-
-    Preconditions (u >= 0 everywhere, u(0) <= 1, M^- u <= eps0 on the
-    grid) are verified; violations mark the run invalid.
-    """
-    result = ExperimentResult()
-    pts = u.grid_points()
-    vals = u.eval(pts)
-    origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
-    if np.min(vals) < -1e-9:
-        result.valid = False
-        result.notes.append("precondition u >= 0 fails on the grid")
-    if origin > 1.0 + 1e-9:
-        result.valid = False
-        result.notes.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
-    if problem is not None and eps0 is not None:
-        from .solver import discrete_extremal
-        mminus, _ = discrete_extremal(problem, u)
-        if float(np.max(mminus)) > eps0 + 1e-9:
-            result.valid = False
-            result.notes.append("precondition M^- u <= eps0 fails")
-    if not result.valid:
-        return result
-    measure, q1 = _unit_cube_measure(u, lambda v: v <= m_level)
-    result.scalars = {"measure": measure, "q1_measure": q1,
-                      "varsigma_measured": measure / q1 if q1 else 0.0}
-    result.columns = ("level", "measure")
-    result.rows = [(m_level, measure)]
-    return result
 
 
 def fit_decay_exponent(ks, measures, m_level):
@@ -162,42 +130,6 @@ def harnack_quotient(u, c0, problem=None):
     return result
 
 
-def holder_estimate(u, center, radii):
-    """Oscillation of u over shrinking balls and the log-log slope."""
-    radii = sorted({float(r) for r in radii}, reverse=True)
-    if len(radii) < 3:
-        raise ValueError("need at least three radii")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    result = ExperimentResult()
-    pts = u.grid_points()
-    vals = u.eval(pts)
-    dist = np.linalg.norm(pts - center[None, :], axis=1)
-    rows = []
-    for r in radii:
-        sel = dist <= r
-        if np.count_nonzero(sel) < 2:
-            continue
-        osc = float(np.max(vals[sel]) - np.min(vals[sel]))
-        rows.append((r, osc))
-    result.columns = ("radius", "oscillation")
-    result.rows = rows
-    osc = np.array([r[1] for r in rows])
-    if np.all(osc == 0.0):
-        result.scalars = {"gamma_fit": math.nan, "constant": True}
-        return result
-    keep = osc > 0
-    x = np.log([r[0] for r in rows])
-    x = x[keep]
-    y = np.log(osc[keep])
-    if x.size < 2:
-        result.scalars = {"gamma_fit": math.nan, "constant": False}
-        return result
-    coef = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((np.polyval(coef, x) - y) ** 2)))
-    result.scalars = {"gamma_fit": float(coef[0]), "residual": resid}
-    return result
-
-
 def sigma_sweep(measured):
     """Flag monotone divergence of measured (sigma_min, quantity, valid)
     rows against x = 1/(2 - sigma_min)."""
@@ -277,18 +209,3 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
     result.scalars = {"worst_integral": max(r[1] for r in rows),
                       "c0": c0}
     return result
-
-
-def truncated_control_check(problem_full, problem_base, values, c0):
-    """|I_K u - I_K1 u| <= 4 c0 sup|u| at every lattice point."""
-    from .solver import AssembledOperator
-    v = np.asarray(values, dtype=float).ravel()
-    i_full = AssembledOperator(problem_full).apply(v)
-    i_base = AssembledOperator(problem_base).apply(v)
-    # sup |u| over the lattice values and the exterior rule
-    sup_u = GridField(problem_full.lo, problem_full.hi,
-                      v.reshape(problem_full.shape),
-                      problem_full.exterior).sup_bound
-    gap = float(np.max(np.abs(i_full - i_base)))
-    budget = 4.0 * c0 * sup_u
-    return {"max_gap": gap, "budget": budget, "ok": gap <= budget + 1e-12}

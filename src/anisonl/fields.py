@@ -247,9 +247,3 @@ def estimate_c11_many(u, X, scale, safety=2.0):
         # fmax, like a running max(), skips a radius whose largest ratio is nan
         worst = np.fmax(worst, np.max(d / (2.0 * r2)[None, :], axis=1))
     return safety * worst
-
-
-def estimate_c11(u, x, scale, safety=2.0):
-    """``estimate_c11_many`` at the single point ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(estimate_c11_many(u, x[None, :], scale, safety)[0])

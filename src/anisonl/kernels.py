@@ -184,47 +184,3 @@ def near_field_bound(profile, s, c11_bound, mult_hi):
     """|int_{Theta_s} delta K| <= 2 M mult_hi c_sigma * moment bound."""
     return 2.0 * c11_bound * mult_hi * profile.c_sigma \
         * near_moment_bound(profile, s)
-
-
-# ---------------------------------------------------------------------------
-# kernel verification
-# ---------------------------------------------------------------------------
-
-def kernel_bounds_verify(kernel, profile, samples=4000, seed=0,
-                         mode="global", neighborhood=1.0):
-    """Sample-check symmetry and the two-sided power-law bounds.
-
-    Points are drawn from log-uniform Euclidean shells spanning radii
-    1e-3..1e3 (or up to ``neighborhood`` in near-origin mode).  Returns
-    (ok, worst_ratio, worst_point): worst_ratio is the largest of
-    K/(upper bound) and (lower bound)/K over the sample; a value <= 1
-    (up to 1e-9) passes.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n = profile.n
-    lo_exp, hi_exp = -3.0, 3.0
-    if mode == "near_origin":
-        hi_exp = math.log10(neighborhood)
-    elif mode != "global":
-        raise ValueError(f"unknown verification mode {mode!r}")
-    radii = 10.0 ** rng.uniform(lo_exp, hi_exp, size=samples)
-    dirs = rng.normal(size=(samples, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = dirs * radii[:, None]
-
-    kv = kernel.eval(pts)
-    kv_neg = kernel.eval(-pts)
-    sym_ok = np.allclose(kv, kv_neg, rtol=1e-8, atol=0.0)
-
-    base = profile.c_sigma / gauge(profile, pts)
-    upper = profile.lambda_hi * base
-    lower = profile.lambda_lo * base
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_up = kv / upper
-        ratio_lo = np.where(kv > 0, lower / kv, np.inf)
-    worst_idx = int(np.argmax(np.maximum(ratio_up, ratio_lo)))
-    worst = float(max(ratio_up[worst_idx], ratio_lo[worst_idx]))
-    ok = sym_ok and worst <= 1.0 + 1e-9
-    return ok, worst, pts[worst_idx]

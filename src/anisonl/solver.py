@@ -96,23 +96,11 @@ def _refinement_level(j_inf):
     return 1
 
 
-def cell_weight(kernel, center, h, level):
-    """Cell integral of the kernel by tensor-midpoint refinement."""
-    n = center.size
-    if level == 1:
-        pts = center[None, :]
-    else:
-        axes = [center[d] - h[d] / 2 + (np.arange(level) + 0.5) * h[d] / level
-                for d in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vol = float(np.prod(h))
-    return float(np.mean(kernel.eval(pts))) * vol
-
-
 def _cell_weights(kernel, centers, h, level):
-    """``cell_weight`` for many cells of one refinement level, one
-    ``kernel.eval`` call: the same nodes in the same order."""
+    """Cell integrals of the kernel by tensor-midpoint refinement, for
+    many cells of one refinement level in one ``kernel.eval`` call: the
+    midpoints of a ``level``^n subdivision of each cell (the cell centre
+    alone at level 1), averaged and times the cell volume."""
     g, n = centers.shape
     vol = float(np.prod(h))
     if level == 1:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from anisonl.abp import (AbpCover, CoverDepthError, CoverRectangle,
+from anisonl.abp import (CoverDepthError, CoverRectangle,
                          DegenerateTileError, _eval_rect, _tiles_for_points,
-                         abp_cover, base_scale, detachment_measure,
-                         tile_half_widths, tilde_half_widths, verify_cover)
-from anisonl.envelope import ConcaveEnvelope1D, concave_envelope
+                         abp_cover, base_scale, tile_half_widths,
+                         tilde_half_widths, verify_cover)
+from anisonl.envelope import concave_envelope
 from anisonl.fields import AnalyticField, GridField
 from anisonl.profile import AnisotropyProfile
+from lemmas import detachment_measure
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,6 @@ def test_tile_geometry_matches_radii(prof2):
 
 def test_detachment_zero_for_constant_field(prof2):
     u = const_field(0.5)
-    env = ConcaveEnvelope1D  # unused; build a matching 2-D envelope instead
     from anisonl.envelope import ConcaveEnvelope2D
     pts = u.grid_points()
     env = ConcaveEnvelope2D.from_samples(pts, u.eval(pts))
@@ -164,7 +164,7 @@ def test_cover_single_contact_instance(prof2):
     f = const_field(8.0)
     cover = abp_cover(u, f, prof2, mc_samples=600, seed=2)
     assert 1 <= len(cover.rectangles) <= 8
-    rep = verify_cover(cover, u, cover.envelope, f, prof2)
+    rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
     assert rep["all_meet_contact"] and rep["diameter_ok"]
 
@@ -174,7 +174,7 @@ def test_cover_concave_cap_instance(prof2):
     f = const_field(8.0)
     cover = abp_cover(u, f, prof2, mc_samples=400, seed=3)
     assert len(cover.rectangles) >= 10
-    rep = verify_cover(cover, u, cover.envelope, f, prof2)
+    rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
     assert rep["all_meet_contact"] and rep["diameter_ok"]
     assert rep["varsigma_measured"] > 0.0
@@ -185,7 +185,7 @@ def test_cover_mixed_orders(prof2_mixed):
     u = polyhedral_cap_field()
     f = const_field(8.0)
     cover = abp_cover(u, f, prof2_mixed, mc_samples=400, seed=4)
-    rep = verify_cover(cover, u, cover.envelope, f, prof2_mixed)
+    rep = verify_cover(cover, prof2_mixed)
     assert rep["disjoint"] and rep["contact_covered"] and rep["diameter_ok"]
 
 
@@ -195,7 +195,7 @@ def test_cover_sup_bound_chain(prof2):
         u = field_maker()
         f = const_field(8.0)
         cover = abp_cover(u, f, prof2, mc_samples=400, seed=5)
-        rep = verify_cover(cover, u, cover.envelope, f, prof2)
+        rep = verify_cover(cover, prof2)
         sup_u = float(np.max(u.values))
         rhs = rep["sup_u_bound_sum"] ** (1.0 / prof2.n)
         assert rhs > 0
@@ -256,14 +256,6 @@ def test_cover_rejects_positive_exterior(prof2):
     f = const_field(1.0)
     with pytest.raises(ValueError):
         abp_cover(bad, f, prof2)
-
-
-def test_cover_supersolution_probe(prof2, quad_fast):
-    u = polyhedral_cap_field()
-    f = const_field(50.0)
-    cover = abp_cover(u, f, prof2, mc_samples=200, seed=7, quad=quad_fast)
-    checks = cover.supersolution_check
-    assert checks and all("m_plus" in c for c in checks)
 
 
 def test_w_k_symmetry_on_symmetric_instance(prof2):

@@ -154,9 +154,9 @@ def test_acceptance_3_operators():
 # -------------------------------------------------------------------------
 
 def test_acceptance_4_barriers():
-    from anisonl.barriers import (build_psi, elementary_inequality_bernoulli,
-                                  elementary_inequality_convexity, find_p,
-                                  make_phi, verify_supersolution)
+    from anisonl.barriers import build_psi, find_p, verify_supersolution
+    from lemmas import (elementary_inequality_bernoulli,
+                        elementary_inequality_convexity)
     t0 = time.time()
     ok = True
     details = []
@@ -182,8 +182,7 @@ def test_acceptance_4_barriers():
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     w = d * rng.uniform(1.05, 2.8, size=(200, 1))
     pts = w * psi._t[None, :]
-    rep = verify_supersolution(psi, pts, prof2, quadp,
-                               phi=make_phi(prof2, 0.0))
+    rep = verify_supersolution(psi, pts, prof2, quadp)
     ok &= rep["passed"]
 
     a2 = rng.uniform(0.2, 5.0, size=10_000)
@@ -235,7 +234,7 @@ def test_acceptance_5_abp():
     for i, (u, pp) in enumerate(instances):
         cover = abp_cover(u, f_const(8.0), pp, mc_samples=500, seed=i,
                           depth_cap=40)
-        rep = verify_cover(cover, u, cover.envelope, f_const(8.0), pp)
+        rep = verify_cover(cover, pp)
         good = (rep["disjoint"] and rep["contact_covered"]
                 and rep["all_meet_contact"] and rep["diameter_ok"])
         ok &= good
@@ -265,8 +264,8 @@ def test_acceptance_5_abp():
 # -------------------------------------------------------------------------
 
 def test_acceptance_6_coverings():
-    from anisonl.coverings import CellSet, ParamRectangleFamily, cc_cover, \
-        cz_decompose
+    from anisonl.coverings import CellSet, cz_decompose
+    from lemmas import ParamRectangleFamily, cc_cover
     t0 = time.time()
     rng = np.random.default_rng(606)
     ok = True
@@ -383,8 +382,8 @@ def _sweep_instance(prof, seed):
 
 
 def test_acceptance_8_sweep_stability():
-    from anisonl.experiments import (distribution_decay, harnack_quotient,
-                                     holder_estimate)
+    from anisonl.experiments import distribution_decay, harnack_quotient
+    from lemmas import holder_estimate
     t0 = time.time()
     sigmas = (1.0, 1.5, 1.9, 1.99)
     quotients, gammas, epsilons, xs = [], [], [], []
@@ -433,8 +432,8 @@ def test_acceptance_8_sweep_stability():
 # -------------------------------------------------------------------------
 
 def test_acceptance_9_truncated_control():
-    from anisonl.experiments import truncated_control_check
     from anisonl.solver import DiscreteProblem
+    from lemmas import truncated_control_check
     t0 = time.time()
     prof = isotropic(1, 1.0)
     base = PowerLawKernel(prof, 1.0)

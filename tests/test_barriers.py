@@ -4,16 +4,15 @@ from scipy.integrate import quad as squad
 
 from anisonl import barriers
 from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
-                              ScaledBarrier, annulus_points, build_psi,
-                              delta_lower_bound,
-                              elementary_inequality_bernoulli,
-                              elementary_inequality_convexity, find_p,
-                              make_phi, verify_supersolution)
+                              annulus_points, build_psi, find_p,
+                              verify_supersolution)
 from anisonl.fields import AnalyticField, second_difference
-from anisonl.geometry import ScalingMap, ellipse, rect
+from anisonl.geometry import ScalingMap
 from anisonl.operators import eval_extremal
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
+from lemmas import (delta_lower_bound, elementary_inequality_bernoulli,
+                    elementary_inequality_convexity)
 
 
 def draw_inequality_samples(rng, count):
@@ -197,36 +196,37 @@ def test_sign_of_m_minus_matches_dense_reference(iso1):
     assert got.value == pytest.approx(ref, rel=0.05)
 
 
+def scaled_barrier(f, smap):
+    """g = f o T_r^-1 for a radial barrier f, bounded by f's cap.  A point
+    at least R from the origin keeps a norm of at least R / max_i t_i
+    under T_r^-1, which bounds g there."""
+    top = float(np.max(smap.diagonal()))
+    return AnalyticField(lambda pts: f.eval(smap.apply(pts, inverse=True)),
+                         sup_bound=f.cap, range_outside=lambda R: (
+                             0.0, min(f.cap, (R / top) ** -f.p)))
+
+
 def test_build_barrier_variants(iso1_ell):
     f2 = RadialBarrier(4.0, 2.0 ** 4.0)
     assert f2.cap == 16.0
     fs = RadialBarrier(4.0, 0.25 ** -4.0)
     assert fs.cap == pytest.approx(0.25 ** -4.0)
-    g1 = ScaledBarrier(iso1_ell, 1.0, 4.0, 0.25 ** -4.0)
+    g1 = scaled_barrier(fs, ScalingMap(iso1_ell, 1.0))
     pts = np.random.default_rng(0).normal(size=(40, 1)) * 2.0
     assert np.allclose(g1.eval(pts), fs.eval(pts))    # r = 1 collapses to f
     with pytest.raises(ValueError):
         RadialBarrier(4.0, 0.0)
     with pytest.raises(ValueError):
-        ScaledBarrier(iso1_ell, 1.0, -4.0, 16.0)
-
-
-def test_scaled_barrier_pointwise_identity(aniso2, rng):
-    p, s, r = 4.0, 0.25, 0.37
-    g = ScaledBarrier(aniso2, r, p, s ** -p)
-    f = RadialBarrier(p, s ** -p)
-    smap = ScalingMap(aniso2, r)
-    pts = rng.normal(size=(200, 2)) * 2.0
-    assert np.allclose(g.eval(pts), f.eval(smap.apply(pts, inverse=True)))
+        RadialBarrier(-4.0, 16.0)
 
 
 def test_scaling_identity_for_m_minus(iso2):
     # M^- g(x) = r^{-1} |det T_r| M^- f(T_r^{-1} x), both sides by
     # independent quadratures
     p, s, r = 3.0, 0.5, 0.3
-    g = ScaledBarrier(iso2, r, p, s ** -p)
     f = RadialBarrier(p, s ** -p)
     smap = ScalingMap(iso2, r)
+    g = scaled_barrier(f, smap)
     factor = smap.det() / r
     quad_g = QuadratureScheme(shells=22, nodes_per_shell=4000,
                               far_radius=24.0, r_inner=1e-9, seed=21)
@@ -347,8 +347,7 @@ def test_verify_supersolution_psi_outside_inner_ellipse(iso2):
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     w = d * rng.uniform(1.1, 2.5, size=(12, 1))
     pts = w * psi._t[None, :]
-    rep = verify_supersolution(psi, pts, iso2, quad,
-                               phi=make_phi(iso2, 0.0))
+    rep = verify_supersolution(psi, pts, iso2, quad)
     assert rep["passed"]
 
 
@@ -375,14 +374,3 @@ def test_verify_supersolution_adversarial_bump(iso2):
     rep = verify_supersolution(bad, pts, iso2, quad)
     assert not rep["passed"]
     assert np.allclose(rep["worst_point"], spike_center)
-
-
-def test_phi_support(iso2, rng):
-    phi = make_phi(iso2, 1.5)
-    inner = ellipse(iso2, 0.25, 1.0)
-    hw = inner.half_widths()
-    pts = rng.uniform(-2 * hw, 2 * hw, size=(3000, 2))
-    inside = inner.contains(pts)
-    vals = phi(pts)
-    assert np.all(vals[~inside] == 0.0)
-    assert np.all(vals[inside] > 0.0)

@@ -306,6 +306,27 @@ def test_no_lattice_point_in_half_ball_exit_3(tmp_path, command, profile,
     assert "passed" not in results
 
 
+def test_nonpositive_origin_exit_3_names_u0(tmp_path, capsys):
+    """At grid 9 the 3D bump's value at the origin lies below the solver's
+    resolution and comes out negative: the solution cannot be normalised
+    to u(0) = 1, so the run is invalid and says so with u(0) and the
+    solver tolerance, instead of dividing by a clamped u(0)."""
+    cfg = write_config(tmp_path, {
+        "command": "harnack",
+        "profile": {"n": 3, "sigma": [1.0, 1.5, 1.2], "lambda_lo": 1.0,
+                    "lambda_hi": 2.0},
+        "params": {"grid": 9},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    head, _, tail = results["invalid"].partition(" <= 0 at solver tolerance ")
+    assert head.startswith("u(0) = ")
+    assert -1e-8 < float(head[len("u(0) = "):]) <= 0.0
+    assert tail == "1.000e-08: the solution cannot be normalised to u(0) = 1"
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("scales", [[], [0.0]])
 def test_kernel_check_without_nonzero_shift_exit_3(tmp_path, scales):
     cfg = write_config(tmp_path, {

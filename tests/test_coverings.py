@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from anisonl.coverings import (CellSet, CzHypothesisError, DyadicCube,
-                               ParamRectangleFamily, cc_cover, cz_decompose)
+                               cz_decompose)
 from anisonl.profile import AnisotropyProfile
+from lemmas import ParamRectangleFamily, cc_cover
 
 
 def linear_family(points, t=None):

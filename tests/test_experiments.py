@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from anisonl.experiments import (distribution_decay, fit_decay_exponent,
-                                 harnack_quotient, holder_estimate,
-                                 kernel_modulus_check,
-                                 point_estimate_experiment, sigma_sweep)
+                                 harnack_quotient, kernel_modulus_check,
+                                 sigma_sweep)
 from anisonl.fields import CallableExterior, ConstantExterior, GridField
 from anisonl.kernels import KernelFamily, PowerLawKernel
 from anisonl.profile import isotropic
+from lemmas import holder_estimate, point_estimate_experiment
 from anisonl.solver import DiscreteProblem, discrete_extremal, solve_dirichlet
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from anisonl.barriers import RadialBarrier, build_psi
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
-                            ConstantExterior, GridField, estimate_c11,
-                            estimate_c11_many, second_difference)
+                            ConstantExterior, GridField, estimate_c11_many,
+                            second_difference)
 from anisonl.profile import AnisotropyProfile
 
 
@@ -129,7 +129,8 @@ def test_grid_sup_bound_is_max_of_values_and_exterior(make, bound):
 
 def test_estimate_c11_quadratic():
     u = AnalyticField(lambda p: np.sum(p ** 2, axis=1), sup_bound=np.inf)
-    m = estimate_c11(u, np.array([0.0, 0.0]), scale=1e-3, safety=1.0)
+    m = estimate_c11_many(u, np.array([[0.0, 0.0]]), scale=1e-3,
+                          safety=1.0)[0]
     # |delta| = 2|y|^2 means the probe sees exactly M = 1
     assert m == pytest.approx(1.0, rel=1e-6)
 
@@ -170,7 +171,9 @@ def test_estimate_c11_many_matches_per_point_probe(rng, name):
         want = [probe_one_point(u, x, scale) for x in X]
         got = estimate_c11_many(u, X, scale)
         assert got.tolist() == want
-        assert [estimate_c11(u, x, scale) for x in X[:3]] == want[:3]
+        # one row at a time, as a batch of one
+        assert [float(estimate_c11_many(u, x[None, :], scale)[0])
+                for x in X[:3]] == want[:3]
 
 
 def test_grid_rejects_bad_shapes():

@@ -4,8 +4,9 @@ from scipy.integrate import quad as squad
 
 from anisonl.geometry import gauge
 from anisonl.kernels import (KernelFamily, PowerLawKernel, TruncatedKernel,
-                             kernel_bounds_verify, near_field_bound,
-                             near_moment_bound, tail_gauge_bounds)
+                             near_field_bound, near_moment_bound,
+                             tail_gauge_bounds)
+from lemmas import kernel_bounds_verify
 
 
 def test_lower_envelope_kernel_ratio_one(iso1_ell):

@@ -1,9 +1,11 @@
 """Source checks no linter is needed for: every import of an ``anisonl``
 module is used there, every annotation there resolves, no handler there
 catches every error, no code there switches on the type of an exterior
-rule, the dense oracle shares no code with the fast lattice paths, and
-every library exception is a ``PreconditionError`` that no handler
-rewraps by name."""
+rule, the dense oracle shares no code with the fast lattice paths, every
+library exception is a ``PreconditionError`` that no handler rewraps by
+name, every public function and class of the library is run by a command
+or named as an oracle, and every lemma check in ``tests/lemmas.py`` has a
+test that calls it."""
 
 import ast
 import importlib
@@ -17,6 +19,8 @@ import pytest
 import anisonl
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(anisonl.__path__))
+SOURCE = Path(anisonl.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def imported_names(tree):
@@ -158,3 +162,110 @@ def test_annotations_resolve(name):
                     typing.get_type_hints(attr)
         elif inspect.isfunction(obj):
             typing.get_type_hints(obj)
+
+
+# Public names no command runs, kept because each is the independent
+# oracle of a path a command does run, or the case that oracle needs.
+ORACLES = {
+    "solver.dense_matrix": "the dense lattice operator that the FFT "
+                           "stencils and the Krylov solves are checked on",
+    "operators.eval_extremal": "M^+ or M^- at one point, the reference of "
+                               "the batched eval_extremal_many",
+    "operators.eval_inf_sup": "inf-sup by enumerating linear members, the "
+                              "check of the extremal closed form",
+    "fields.second_difference": "delta(u, x, y) at one point, the reference "
+                                "of the batched pair_deltas",
+    "fields.AffineExterior": "affine data, which every operator must map "
+                             "to zero exactly",
+    "profile.isotropic": "equal orders, where the closed forms hold",
+    "geometry.theta": "the level set Theta_r of the geometry inclusions",
+    "geometry.tilde_rect": "the tilde rectangle of the geometry inclusions",
+}
+
+
+def module_name_table():
+    """Per module: its top-level definitions (functions, classes and
+    assigned names, each with the statement that binds it) and the names
+    it imports from sibling modules, at any depth, as ``(module, name)``."""
+    defs, imports = {}, {}
+    for path in SOURCE.glob("*.py"):
+        module = "" if path.stem == "__init__" else path.stem
+        tree = ast.parse(path.read_text())
+        defs[module] = {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs[module][stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name):
+                            defs[module][node.id] = stmt
+        imports[module] = {
+            alias.asname or alias.name: (node.module or "", alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+    return defs, imports
+
+
+def reachable_names(defs, imports):
+    """``(module, name)`` of every top-level definition reached from the
+    body of ``anisonl.cli`` and from the oracles, following each name and
+    attribute a reached definition references to the definition it
+    resolves to in that module: its own, or the one it imports."""
+    def references(module, tree):
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in defs[module]:
+                yield module, name
+            elif name in imports[module]:
+                yield imports[module][name]
+
+    todo = list(references("cli", ast.parse((SOURCE / "cli.py").read_text())))
+    todo += [tuple(key.split(".")) for key in ORACLES]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        module, name = key
+        if name in defs.get(module, {}):
+            todo.extend(references(module, defs[module][name]))
+    return seen
+
+
+def test_every_public_name_is_run_or_an_oracle():
+    """A public function or class that no command reaches and no oracle
+    names is dead code: two such names that only call each other count
+    as dead too.  Every oracle names a definition that exists."""
+    defs, imports = module_name_table()
+    stale = [key for key in ORACLES
+             if key.split(".")[1] not in defs.get(key.split(".")[0], {})]
+    assert stale == []
+    reached = reachable_names(defs, imports)
+    dead = []
+    for module in MODULES:
+        tree = ast.parse((SOURCE / f"{module}.py").read_text())
+        dead += [f"{module}.{stmt.name}" for stmt in tree.body
+                 if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                 and not stmt.name.startswith("_")
+                 and (module, stmt.name) not in reached]
+    assert dead == []
+
+
+def test_every_lemma_check_has_a_caller():
+    """Every public function and class of ``tests/lemmas.py`` is named in
+    another test module: a lemma check nothing calls is dead code too."""
+    tree = ast.parse((TESTS / "lemmas.py").read_text())
+    public = {stmt.name for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")}
+    named = set()
+    for path in TESTS.glob("*.py"):
+        if path.name != "lemmas.py":
+            named |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                      for node in ast.walk(ast.parse(path.read_text()))}
+    assert sorted(public - named) == []
