@@ -47,10 +47,6 @@ class RadialBarrier(AnalyticField):
     def _range_outside(self, R):
         return 0.0, min(self.cap, R ** -self.p)
 
-    @property
-    def kink_radius(self):
-        return self.cap ** (-1.0 / self.p)
-
 
 # ---------------------------------------------------------------------------
 # exponent search

@@ -123,18 +123,6 @@ class CellSet:
             total = total @ wd
         return float(total)
 
-    def covered_by_boxes(self, boxes):
-        """True when every cell lies inside at least one of the boxes."""
-        idx = np.argwhere(self.mask)
-        side = 1.0 / self.m
-        for cell in idx:
-            lo_c = cell * side
-            hi_c = lo_c + side
-            if not any(np.all(lo_c >= lo - 1e-12) and np.all(hi_c <= hi + 1e-12)
-                       for lo, hi in boxes):
-                return False
-        return True
-
 
 class CzHypothesisError(PreconditionError):
     def __init__(self, cube, message):

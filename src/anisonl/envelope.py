@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import PreconditionError
 
@@ -129,6 +128,7 @@ class ConcaveEnvelope2D:
 
     @staticmethod
     def from_samples(pts, vals):
+        from scipy.spatial import ConvexHull, QhullError
         pts = np.asarray(pts, dtype=float)
         vals = np.asarray(vals, dtype=float)
         if np.max(vals) <= 0.0:

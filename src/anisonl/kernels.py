@@ -15,6 +15,7 @@ reported quadrature error:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -103,32 +104,29 @@ class KernelFamily:
 # closed-form gauge integrals
 # ---------------------------------------------------------------------------
 
-_ISO_ANGULAR_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _iso_angular_constant(n, sigma):
     """int over the unit sphere of dw / sum_i |w_i|^(n+sigma), exact for
-    equal orders (the gauge is then (n+sigma)-homogeneous)."""
-    key = (n, round(sigma, 14))
-    if key not in _ISO_ANGULAR_CACHE:
-        p = n + sigma
-        if n == 1:
-            val = 2.0
-        elif n == 2:
-            from scipy.integrate import quad as squad
-            val, _ = squad(lambda t: 1.0 / (abs(math.cos(t)) ** p
-                                            + abs(math.sin(t)) ** p),
-                           0.0, 2.0 * math.pi, limit=200)
-        else:
-            from scipy.integrate import dblquad
+    equal orders (the gauge is then (n+sigma)-homogeneous).
 
-            def g(phi, th):
-                w = (math.sin(th) * math.cos(phi),
-                     math.sin(th) * math.sin(phi), math.cos(th))
-                return math.sin(th) / sum(abs(c) ** p for c in w)
-            val, _ = dblquad(g, 0.0, math.pi, 0.0, 2.0 * math.pi)
-        _ISO_ANGULAR_CACHE[key] = val
-    return _ISO_ANGULAR_CACHE[key]
+    2^n times the positive orthant, onto which x -> x/|x| maps the unit
+    simplex with dw = dx / |x|^n: the integrand is |x|^sigma / sum_i
+    x_i^(n+sigma).  Collapsed coordinates carry the simplex to [0,1]^(n-1),
+    summed by composite Gauss-Legendre, 4 panels of 64 nodes per axis."""
+    if n == 1:
+        return 2.0
+    t, w = np.polynomial.legendre.leggauss(64)
+    u = ((t + 1.0) / 8.0 + np.arange(4.0)[:, None] / 4.0).ravel()
+    axes = np.meshgrid(*[u] * (n - 1), indexing="ij")
+    wts = np.prod(np.meshgrid(*[np.tile(w / 8.0, 4)] * (n - 1),
+                              indexing="ij"), axis=0)
+    x, rest = [], 1.0
+    for a in axes:               # x_k = rest a_k; the Jacobian is prod rest
+        x.append(rest * a)
+        wts, rest = wts * rest, rest * (1.0 - a)
+    x = np.array(x + [rest])
+    return 2.0 ** n * float(np.sum(wts * np.sum(x * x, axis=0) ** (sigma / 2)
+                                   / np.sum(x ** (n + sigma), axis=0)))
 
 
 def tail_gauge_bounds(profile, R):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PreconditionError
 from .fields import ConstantExterior, GridField
 from .kernels import KernelFamily, PowerLawKernel, tail_gauge_bounds
 from .profile import AnisotropyProfile
@@ -339,17 +340,23 @@ class AssembledOperator:
 
 def _cg(matvec, b, x, target, budget):
     """Conjugate gradients from x until ||b - A x||_2 <= target or
-    ``budget`` iterations; returns (x, iterations)."""
+    ``budget`` iterations; returns (x, iterations).  An inner product past
+    the float range raises PreconditionError: CG cannot recover from it."""
+    def dot(v, w, name):
+        out = float(v @ w)
+        if not math.isfinite(out):
+            raise PreconditionError(f"non-finite {name} = {out} in _cg")
+        return out
     r = b - matvec(x)
     p = r.copy()
-    rr = float(r @ r)
+    rr = dot(r, r, "r @ r")
     k = 0
     while k < budget and math.sqrt(rr) > target:
         q = matvec(p)
-        a = rr / float(p @ q)
+        a = rr / dot(p, q, "p @ q")
         x = x + a * p
         r = r - a * q
-        rr, rr_old = float(r @ r), rr
+        rr, rr_old = dot(r, r, "r @ r"), rr
         p = r + (rr / rr_old) * p
         k += 1
     return x, k

@@ -60,7 +60,7 @@ def test_cap_activation():
     p = 5.0
     f = RadialBarrier(p, 2.0 ** p)
     assert f.eval(np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
-    kink = f.kink_radius
+    kink = f.cap ** (-1.0 / f.p)      # where |x|^-p meets the cap
     assert kink == pytest.approx(0.5)
     assert f.eval(np.array([[0.4, 0.0]]))[0] == 2.0 ** p
     assert f.eval(np.array([[0.6, 0.0]]))[0] == pytest.approx(0.6 ** -p)

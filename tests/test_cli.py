@@ -700,7 +700,12 @@ def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
     ({"command": "solve", "profile": P1,
       "params": {"grid": 9, "box": 1e-200}}, "non-finite result "),
     ({"command": "solve", "profile": P1,
-      "params": {"grid": 9, "bump_height": 1e300}}, "non-finite result "),
+      "params": {"grid": 9, "bump_height": 1e300}},
+     "non-finite r @ r = inf in _cg"),
+    # weights near h^-sigma = 4e150: CG's p @ q overflows at the first step
+    ({"command": "solve", "profile": P1,
+      "params": {"grid": 9, "box": 1e-150}},
+     "non-finite p @ q = inf in _cg"),
     ({"command": "barrier-verify", "profile": P1,
       "quadrature": {"shells": 2, "nodes_per_shell": 16, "far_radius": 1e300},
       "params": {"n_points": 3, "psi_points": 2}},
@@ -710,8 +715,8 @@ def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
     # |h| = 5e158 is below tau0 / 2, though |h|^2 overflows
     ({"command": "kernel-check", "profile": P1, "params": {"tau0": 1e160}},
      "float overflow in kernel_modulus_check: "),
-], ids=["solve-box", "solve-bump", "barrier-far-radius",
-        "kernel-check-2d", "kernel-check-1d"])
+], ids=["solve-box", "solve-bump", "solve-box-1e-150",
+        "barrier-far-radius", "kernel-check-2d", "kernel-check-1d"])
 def test_out_of_range_numbers_exit_3(tmp_path, capsys, recwarn, config,
                                      reason):
     """Data whose numbers leave the double range make an invalid run that
@@ -766,8 +771,9 @@ def test_warnings_shown_unless_invalid(tmp_path, monkeypatch, outcome, code):
 # modules each command must not load: jsonschema nowhere; the extremal
 # operators only in barrier-verify; the solver (and the numpy.fft it uses)
 # only where a command solves; scipy and numpy.ma not on the solver path;
-# the experiments only in the commands that run one.  envelope and
-# abp-cover need scipy, which loads numpy.fft and numpy.ma itself.
+# the experiments only in the commands that run one.  The 2D envelope and
+# abp-cover need scipy for the convex hull, which loads numpy.fft and
+# numpy.ma itself; the 1D ones do not load scipy.
 NO_SOLVER = ["jsonschema", "anisonl.solver", "numpy.fft"]
 SOLVER = ["jsonschema", "anisonl.operators", "scipy", "numpy.ma"]
 CAP = ["jsonschema", "anisonl.operators", "anisonl.solver"]
@@ -775,7 +781,7 @@ NO_EXPERIMENT = ["anisonl.experiments"]
 IMPORT_BUDGET = {
     "constants": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "barrier-verify": NO_SOLVER + NO_EXPERIMENT,
-    "envelope": CAP + NO_EXPERIMENT,
+    "envelope": CAP + NO_EXPERIMENT + ["scipy"],
     "abp-cover": CAP + NO_EXPERIMENT,
     "cz": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "solve": SOLVER + NO_EXPERIMENT,
@@ -786,20 +792,48 @@ IMPORT_BUDGET = {
 }
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_import_budget(tmp_path, command):
-    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[command],
-                                      command=command))
+def _run_loading(tmp_path, config, modules):
+    """``"<exit code> <loaded>"``: one CLI run of ``config`` in a fresh
+    interpreter, and which of ``modules`` it loaded."""
+    cfg = write_config(tmp_path, config)
     code = (
         "import sys\n"
         "from anisonl.cli import main\n"
         f"rc = main(['--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
-        f"print(rc, [m for m in {IMPORT_BUDGET[command]!r} "
-        "if m in sys.modules])\n")
+        f"print(rc, [m for m in {modules!r} if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_import_budget(tmp_path, command):
+    config = dict(SMALL_CONFIGS[command], command=command)
+    assert _run_loading(tmp_path, config, IMPORT_BUDGET[command]) == "0 []"
+
+
+P2_EQUAL = {"n": 2, "sigma": [1.0, 1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
+
+
+# equal orders take the tail constant from a numpy rule, and a 1D envelope
+# needs no hull: scipy stays unloaded (the 2D sweep fails its divergence fit)
+@pytest.mark.parametrize("config, code", [
+    ({"command": "solve", "profile": P2_EQUAL, "params": {"grid": 17}}, 0),
+    ({"command": "harnack", "profile": P2_EQUAL, "params": {"grid": 17}}, 0),
+    ({"command": "sweep", "profile": P2_EQUAL,
+      "params": {"grid": 17, "sigma_min_values": [1.0, 1.5, 1.9]}}, 1),
+    (dict(SMALL_CONFIGS["barrier-verify"], command="barrier-verify",
+          profile=P2_EQUAL), 0),
+    ({"command": "kernel-check", "profile": P2_EQUAL,
+      "params": {"c0": 100.0}}, 0),
+    ({"command": "abp-cover",
+      "profile": {"n": 1, "sigma": [1.0], "rho0": 0.05, "frak_c": 2},
+      "params": {"grid": 33, "mc_samples": 200}}, 0),
+], ids=["solve-2d", "harnack-2d", "sweep-2d", "barrier-verify-2d",
+        "kernel-check-2d", "abp-cover-1d"])
+def test_equal_orders_and_1d_hulls_load_no_scipy(tmp_path, config, code):
+    assert _run_loading(tmp_path, config, ["scipy"]) == f"{code} []"
 
 
 def test_package_import_loads_no_numpy():

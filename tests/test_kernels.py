@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.integrate import quad as squad
 
 from anisonl.geometry import gauge
 from anisonl.kernels import (KernelFamily, PowerLawKernel, TruncatedKernel,
-                             near_field_bound, near_moment_bound,
-                             tail_gauge_bounds)
+                             _iso_angular_constant, near_field_bound,
+                             near_moment_bound, tail_gauge_bounds)
 from lemmas import kernel_bounds_verify
 
 
@@ -94,6 +95,47 @@ def test_tail_gauge_bracket_contains_truth_2d(iso2):
     lo_cap, hi_cap = tail_gauge_bounds(iso2, cap)
     assert lo <= est + hi_cap + 3 * se
     assert est <= hi + 3 * se
+
+
+# int over the unit sphere of dw / sum_i |w_i|^(n+sigma), rounded from
+# 30-digit (n = 2) and 25-digit (n = 3) evaluations
+ISO_ANGULAR_REFERENCES = [
+    (2, 0.05, 6.343814456203819), (2, 0.5, 6.889641532947767),
+    (2, 1.0, 7.512658152200954), (2, 1.5, 8.172597710126373),
+    (2, 1.99, 8.870884763804446), (3, 0.05, 17.33947227099742),
+    (3, 1.0, 22.71428188401991), (3, 1.99, 30.04485851109711),
+]
+
+
+def test_iso_angular_constant_1d_builds_no_nodes(monkeypatch):
+    def refuse(deg):
+        raise AssertionError("n = 1 needs no quadrature nodes")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for sigma in (0.05, 1.0, 1.99):
+        assert _iso_angular_constant(1, sigma) == 2.0
+
+
+@pytest.mark.parametrize("n, sigma, ref", ISO_ANGULAR_REFERENCES)
+def test_iso_angular_constant_matches_references(n, sigma, ref):
+    assert abs(_iso_angular_constant(n, sigma) / ref - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n, sigma, ref", ISO_ANGULAR_REFERENCES)
+def test_iso_angular_constant_agrees_with_quadpack(n, sigma, ref):
+    """scipy's adaptive QUADPACK in polar angles: the circle for n = 2,
+    (theta, phi) with the sin(theta) factor for n = 3."""
+    p = n + sigma
+    if n == 2:
+        oracle, _ = squad(lambda t: 1.0 / (abs(np.cos(t)) ** p
+                                           + abs(np.sin(t)) ** p),
+                          0.0, 2.0 * np.pi, limit=200)
+    else:
+        def g(phi, th):
+            w = np.array([np.sin(th) * np.cos(phi),
+                          np.sin(th) * np.sin(phi), np.cos(th)])
+            return np.sin(th) / np.sum(np.abs(w) ** p)
+        oracle, _ = dblquad(g, 0.0, np.pi, 0.0, 2.0 * np.pi)
+    assert abs(_iso_angular_constant(n, sigma) / oracle - 1.0) <= 1e-11
 
 
 def test_tail_gauge_mixed_orders_bracket(aniso2, rng):
