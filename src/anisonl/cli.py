@@ -289,7 +289,7 @@ def _cmd_constants(profile, quad, params, seed):
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
-    from .barriers import (annulus_points, build_psi, find_p,
+    from .barriers import (PsiBarrier, annulus_points, find_p,
                            verify_supersolution)
     R = params.get("R", 8.0 * math.sqrt(profile.n))
     n_points = int(params.get("n_points", 60))
@@ -299,16 +299,18 @@ def _cmd_barrier_verify(profile, quad, params, seed):
     except ValueError as exc:
         raise _invalid_config("invalid quadrature", exc)
     found = find_p(profile, R, quad, n_points=n_points, seed=seed)
-    psi = build_psi(profile, found["p"])
+    psi = PsiBarrier(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
                          2.0 * float(np.max(psi._t)), psi_points, seed + 1)
     rep = verify_supersolution(psi, pts, profile, quad)
     summary = {"p": found["p"], "min_margin_f": found["min_margin"],
+               "certified_f": found["certified"],
                "tilde_c": psi.tilde_c,
                "quad_coeffs": psi.quad_coeffs.tolist(),
                "min_margin": rep["min_margin"],
                "worst_point": rep["worst_point"].tolist(),
-               "quadrature_error": rep["quadrature_error"]}
+               "quadrature_error": rep["quadrature_error"],
+               "certified": rep["certified"]}
     rows = [(found["p"], found["min_margin"], rep["min_margin"])]
     return summary, rows, ("p", "margin_f", "margin_psi"), rep["passed"]
 

@@ -88,13 +88,6 @@ class CellSet:
             mask = np.zeros((self.m,) * n, dtype=bool)
         self.mask = mask
 
-    @classmethod
-    def from_cells(cls, n, gen, cells):
-        out = cls(n, gen)
-        for c in cells:
-            out.mask[tuple(c)] = True
-        return out
-
     def cells(self):
         return sorted(map(tuple, np.argwhere(self.mask)))
 

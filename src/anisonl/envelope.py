@@ -89,10 +89,6 @@ class ConcaveEnvelope1D:
         return self.slopes[min(k - 1, self.slopes.size - 1)] \
             if k - 1 < self.slopes.size else self.slopes[-1]
 
-    def gradient_at(self, x):
-        x = float(np.atleast_1d(x)[0])
-        return np.array([0.5 * (self._slope_left(x) + self._slope_right(x))])
-
     def lipschitz(self):
         return float(np.max(np.abs(self.slopes))) if self.slopes.size else 0.0
 
@@ -175,11 +171,6 @@ class ConcaveEnvelope2D:
         np.maximum(out, 0.0, out=out)
         out[np.linalg.norm(q, axis=1) > 3.0] = 0.0
         return out
-
-    def gradient_at(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.facet_planes[:, :2] @ x + self.facet_planes[:, 2]
-        return self.facet_grads[int(np.argmin(vals))].copy()
 
     def lipschitz(self):
         if self.facet_grads.size == 0:

@@ -208,9 +208,6 @@ class ScalingMap:
         d[self.j] = self.r
         return d
 
-    def det(self):
-        return float(np.prod(self.diagonal()))
-
     def apply(self, y, inverse=False):
         y = np.asarray(y, dtype=float)
         d = self.diagonal()

@@ -95,10 +95,6 @@ class KernelFamily:
         return KernelFamily([[PowerLawKernel(profile, profile.lambda_lo),
                               PowerLawKernel(profile, profile.lambda_hi)]])
 
-    @staticmethod
-    def singleton(kernel):
-        return KernelFamily([[kernel]])
-
 
 # ---------------------------------------------------------------------------
 # closed-form gauge integrals

@@ -153,13 +153,6 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
     return out
 
 
-def eval_extremal(u, x, profile, quad: QuadratureScheme,
-                  which="plus") -> OpValue:
-    """M^+ or M^- via the closed form with per-node sign split of delta."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return eval_extremal_many(u, x[None, :], profile, quad, which)[0]
-
-
 def eval_inf_sup(u, x, family: KernelFamily, quad: QuadratureScheme) -> OpValue:
     """I u(x) = inf_alpha sup_beta L_{alpha beta} u(x), exact enumeration.
 

@@ -121,18 +121,6 @@ class AnisotropyProfile:
         return (self.rho0 * 2.0 ** (-1.0 / self.q_max)
                 * 2.0 ** (-self.frak_c * (self.n + self.sigma_min) * k))
 
-    def inf_quad_outside(self, r: float) -> float:
-        """inf of <Az, z> over gauge(z) >= r.
-
-        The infimum of the diagonal quadratic over the region outside the
-        level set Theta_r sits on a coordinate axis (the per-axis powers
-        2/(n+sigma_i) < 1 make the constrained problem concave), so it is
-        min_i a_ii * r^{2/(n+sigma_i)}.
-        """
-        a = self.matrix_a()
-        return min(a[i] * r ** (2.0 / (self.n + self.sigma[i]))
-                   for i in range(self.n))
-
     # -- serialization ------------------------------------------------------
 
     @staticmethod

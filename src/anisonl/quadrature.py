@@ -19,7 +19,7 @@ read-only node table that every evaluation shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,14 +45,6 @@ class QuadratureScheme:
             raise ValueError("need at least one shell and two nodes per shell")
         if self.far_radius <= 0 or self.r_inner <= 0:
             raise ValueError("far_radius and r_inner must be positive")
-
-    def refined(self):
-        """Finer scheme: twice the shells and nodes, squared inner cut."""
-        return replace(self,
-                       shells=self.shells * 2,
-                       r_inner=self.r_inner ** 2
-                       if self.r_inner < 1 else self.r_inner,
-                       nodes_per_shell=self.nodes_per_shell * 2)
 
     @staticmethod
     def from_dict(obj):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,14 @@ def quad_fast():
 def quad_tight():
     return QuadratureScheme(shells=28, nodes_per_shell=4000, far_radius=64.0,
                             r_inner=1e-9, seed=42)
+
+
+def refined(quad):
+    """A finer scheme: twice the shells and nodes, squared inner cut."""
+    return replace(quad, shells=quad.shells * 2,
+                   r_inner=quad.r_inner ** 2
+                   if quad.r_inner < 1 else quad.r_inner,
+                   nodes_per_shell=quad.nodes_per_shell * 2)
 
 
 def random_profile(rng, n=None):

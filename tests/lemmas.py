@@ -123,6 +123,26 @@ def cc_cover(family: ParamRectangleFamily):
 # the detachment set W_k of the ABP estimate
 # ---------------------------------------------------------------------------
 
+def inf_quad_outside(profile, r):
+    """inf of <Az, z> over gauge(z) >= r.
+
+    The infimum of the diagonal quadratic over the region outside the
+    level set Theta_r sits on a coordinate axis (the per-axis powers
+    2/(n+sigma_i) < 1 make the constrained problem concave), so it is
+    min_i a_ii * r^{2/(n+sigma_i)}.
+    """
+    a = profile.matrix_a()
+    return min(a[i] * r ** (2.0 / (profile.n + profile.sigma[i]))
+               for i in range(profile.n))
+
+
+def _gradient_at(env, x):
+    """Gradient of the 2D concave envelope ``env`` at x: that of its
+    lowest facet plane there."""
+    vals = env.facet_planes[:, :2] @ x + env.facet_planes[:, 2]
+    return env.facet_grads[int(np.argmin(vals))]
+
+
 def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
                        seed=0):
     """Monte Carlo measure of the detachment set W_k at a contact point.
@@ -142,9 +162,9 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
         raise DegenerateTileError(
             f"annulus {k}: its inner radius r_{k + 1} underflows to zero "
             f"(r_{k} = {r_hi:.3e})", k, 2.0 * hw)
-    grad = env.gradient_at(x)
+    grad = _gradient_at(env, x)
     ux = float(u.eval(x[None, :])[0])
-    inf_quad = profile.inf_quad_outside(r_lo)
+    inf_quad = inf_quad_outside(profile, r_lo)
     cut = m_threshold * inf_quad
 
     rng = np.random.default_rng(seed)

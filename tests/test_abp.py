@@ -5,10 +5,15 @@ from anisonl.abp import (CoverDepthError, CoverRectangle,
                          DegenerateTileError, _eval_rect, _tiles_for_points,
                          abp_cover, base_scale, tile_half_widths,
                          tilde_half_widths, verify_cover)
-from anisonl.envelope import concave_envelope
+from anisonl.envelope import ConcaveEnvelope2D, concave_envelope
 from anisonl.fields import AnalyticField, GridField
 from anisonl.profile import AnisotropyProfile
 from lemmas import detachment_measure
+
+
+# the envelope of a nonpositive field is one flat plane, whose zero
+# gradient is the exact tangent at a symmetric maximum
+FLAT = ConcaveEnvelope2D.from_samples(np.zeros((1, 2)), np.zeros(1))
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +68,6 @@ def test_tile_geometry_matches_radii(prof2):
 
 def test_detachment_zero_for_constant_field(prof2):
     u = const_field(0.5)
-    from anisonl.envelope import ConcaveEnvelope2D
     pts = u.grid_points()
     env = ConcaveEnvelope2D.from_samples(pts, u.eval(pts))
     for k in (0, 1, 3):
@@ -80,18 +84,11 @@ def test_detachment_deep_well(prof2):
         return np.where(r2 < 0.01, 1.0 - r2, -50.0)
 
     u = AnalyticField(fn, sup_bound=50.0)
-
-    class FlatTangent:
-        # the exact tangent plane at the symmetric maximum
-        def gradient_at(self, x):
-            return np.zeros(2)
-
-    env = FlatTangent()
-    ratios = [detachment_measure(u, env, [0.0, 0.0], k, prof2,
+    ratios = [detachment_measure(u, FLAT, [0.0, 0.0], k, prof2,
                                  m_threshold=1.0, samples=8000,
                                  seed=3)["ratio"] for k in (2, 3)]
     assert max(ratios) > 0.9
-    d = detachment_measure(u, env, [0.0, 0.0], 2, prof2, m_threshold=1.0,
+    d = detachment_measure(u, FLAT, [0.0, 0.0], 2, prof2, m_threshold=1.0,
                            samples=8000, seed=3)
     assert d["symmetry_rate"] == 1.0     # radially symmetric instance
 
@@ -105,7 +102,6 @@ def test_detachment_lemma_scaling(prof2):
         return 0.25 - kappa * np.sum(p ** 2, axis=1)
 
     u = AnalyticField(fn, sup_bound=10.0)
-    from anisonl.envelope import ConcaveEnvelope2D
     ax = np.linspace(-3, 3, 61)
     mesh = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -128,18 +124,12 @@ def test_detachment_refuses_underflowed_annulus():
         r2 = np.sum(p ** 2, axis=1)
         return np.where(r2 < 0.01, 1.0 - r2, -50.0)
 
-    class FlatTangent:
-        def gradient_at(self, x):
-            return np.zeros(2)
-
     u = AnalyticField(fn, sup_bound=50.0)
     with pytest.raises(DegenerateTileError) as err:
-        detachment_measure(u, FlatTangent(), [0.0, 0.0], 30, prof, 1.0,
-                           4000, 3)
+        detachment_measure(u, FLAT, [0.0, 0.0], 30, prof, 1.0, 4000, 3)
     assert err.value.gen == 30 and "r_31 underflows" in str(err.value)
     # a representable annulus reports what it always did
-    d = detachment_measure(u, FlatTangent(), [0.0, 0.0], 0, prof, 1.0,
-                           4000, 3)
+    d = detachment_measure(u, FLAT, [0.0, 0.0], 0, prof, 1.0, 4000, 3)
     assert d == {"k": 0, "w_measure": 0.0019489624237246739,
                  "w_se": 1.0888901749367957e-05,
                  "shell_measure": 0.001965483632710237,
@@ -150,7 +140,6 @@ def test_detachment_refuses_underflowed_annulus():
 
 def test_detachment_rejects_bad_k(prof2):
     u = const_field(0.5)
-    from anisonl.envelope import ConcaveEnvelope2D
     pts = u.grid_points()
     env = ConcaveEnvelope2D.from_samples(pts, u.eval(pts))
     with pytest.raises(ValueError):
@@ -264,7 +253,6 @@ def test_w_k_symmetry_on_symmetric_instance(prof2):
         return 0.25 - np.abs(p[:, 0]) - 0.5 * np.abs(p[:, 1])
 
     u = AnalyticField(fn, sup_bound=10.0)
-    from anisonl.envelope import ConcaveEnvelope2D
     ax = np.linspace(-3, 3, 41)
     mesh = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

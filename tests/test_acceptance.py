@@ -14,10 +14,10 @@ from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
 from anisonl.geometry import ellipse, rect, theta, theta_unit_volume, tilde_rect
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
-from anisonl.operators import eval_extremal, eval_linear
+from anisonl.operators import eval_extremal_many, eval_linear
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
-from conftest import random_profile
+from conftest import random_profile, refined
 
 
 def _report(num, name, ok, budget, elapsed, detail=""):
@@ -114,7 +114,7 @@ def test_acceptance_3_operators():
                                     [-2.0], [2.0], (65,),
                                     AffineExterior(0.5, (-1.5,)))
     for which in ("plus", "minus"):
-        ov = eval_extremal(u_aff, [0.2], prof, quad, which)
+        ov = eval_extremal_many(u_aff, [[0.2]], prof, quad, which)[0]
         ok &= abs(ov.value) <= max(ov.error, 1e-9)
 
     rng = np.random.default_rng(303)
@@ -125,13 +125,13 @@ def test_acceptance_3_operators():
         u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
         w = GridField([-2.0], [2.0], -vals, ConstantExterior(0.0))
         x = [float(rng.uniform(-1.5, 1.5))]
-        a = eval_extremal(w, x, prof, quad, "plus")
-        b = eval_extremal(u, x, prof, quad, "minus")
+        a = eval_extremal_many(w, [x], prof, quad, "plus")[0]
+        b = eval_extremal_many(u, [x], prof, quad, "minus")[0]
         duality_ok &= (a.value == -b.value)
         mult = float(rng.uniform(prof.lambda_lo, prof.lambda_hi))
         lv = eval_linear(u, x, PowerLawKernel(prof, mult), quad)
-        mm = eval_extremal(u, x, prof, quad, "minus")
-        mp = eval_extremal(u, x, prof, quad, "plus")
+        mm = eval_extremal_many(u, [x], prof, quad, "minus")[0]
+        mp = eval_extremal_many(u, [x], prof, quad, "plus")[0]
         ordering_ok &= (mm.value <= lv.value + mm.error + lv.error)
         ordering_ok &= (lv.value <= mp.value + mp.error + lv.error)
 
@@ -139,8 +139,8 @@ def test_acceptance_3_operators():
     ug = AnalyticField(lambda p: np.exp(-np.sum(p ** 2, axis=1)),
                        sup_bound=1.0,
                        range_outside=lambda R: (0.0, float(np.exp(-R * R))))
-    coarse = eval_extremal(ug, [0.0], prof, quad, "plus")
-    fine = eval_extremal(ug, [0.0], prof, quad.refined(), "plus")
+    coarse = eval_extremal_many(ug, [[0.0]], prof, quad, "plus")[0]
+    fine = eval_extremal_many(ug, [[0.0]], prof, refined(quad), "plus")[0]
     refine_ok = abs(fine.value - coarse.value) <= coarse.error
 
     ok &= duality_ok and ordering_ok and refine_ok
@@ -154,7 +154,7 @@ def test_acceptance_3_operators():
 # -------------------------------------------------------------------------
 
 def test_acceptance_4_barriers():
-    from anisonl.barriers import build_psi, find_p, verify_supersolution
+    from anisonl.barriers import PsiBarrier, find_p, verify_supersolution
     from lemmas import (elementary_inequality_bernoulli,
                         elementary_inequality_convexity)
     t0 = time.time()
@@ -174,7 +174,7 @@ def test_acceptance_4_barriers():
             details.append(f"n={n} s={sig}: p={res['p']}")
 
     prof2 = isotropic(2, 1.0, 1.0, 2.0)
-    psi = build_psi(prof2, 6.0)
+    psi = PsiBarrier(prof2, 6.0)
     quadp = QuadratureScheme(shells=14, nodes_per_shell=600, far_radius=16.0,
                              r_inner=1e-8, seed=405)
     rng = np.random.default_rng(404)
@@ -304,7 +304,7 @@ def test_acceptance_7_solver():
     from anisonl.solver import DiscreteProblem, dense_matrix, solve_dirichlet
     t0 = time.time()
     prof = isotropic(1, 1.0)
-    fam = KernelFamily.singleton(PowerLawKernel(prof, 1.0))
+    fam = KernelFamily([[PowerLawKernel(prof, 1.0)]])
     ok = True
 
     prob0 = DiscreteProblem(prof, (-2.0,), (2.0,), (65,), fam, 0.0,
@@ -453,10 +453,10 @@ def test_acceptance_9_truncated_control():
         trunc = TruncatedKernel(base, k2, l1_budget=c0)
         vals = rng.normal(size=33)
         prob_full = DiscreteProblem(
-            prof, (-1.0,), (1.0,), (33,), KernelFamily.singleton(trunc),
+            prof, (-1.0,), (1.0,), (33,), KernelFamily([[trunc]]),
             ConstantExterior(0.0), window=48)
         prob_base = DiscreteProblem(
-            prof, (-1.0,), (1.0,), (33,), KernelFamily.singleton(base),
+            prof, (-1.0,), (1.0,), (33,), KernelFamily([[base]]),
             ConstantExterior(0.0), window=48)
         out = truncated_control_check(prob_full, prob_base, vals, c0=c0)
         ok &= out["ok"]

@@ -1,14 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as squad
 
 from anisonl import barriers
 from anisonl.barriers import (BarrierSearchError, PsiBarrier, RadialBarrier,
-                              annulus_points, build_psi, find_p,
-                              verify_supersolution)
+                              annulus_points, find_p, verify_supersolution)
 from anisonl.fields import AnalyticField, second_difference
-from anisonl.geometry import ScalingMap
-from anisonl.operators import eval_extremal
+from anisonl.geometry import ScalingMap, ellipse, rect
+from anisonl.operators import eval_extremal_many
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
 from lemmas import (delta_lower_bound, elementary_inequality_bernoulli,
@@ -72,9 +73,9 @@ def test_find_p_margin_monotone(iso1_ell):
     pts = annulus_points(1, 1.0, 6.0, 24, seed=3)
     margins = {}
     for p in (2, 6):
-        vals = [eval_extremal(RadialBarrier(p, 2.0 ** p), x, iso1_ell, quad,
-                              "minus").value for x in pts]
-        margins[p] = min(vals)
+        ovs = eval_extremal_many(RadialBarrier(p, 2.0 ** p), pts, iso1_ell,
+                                 quad, "minus")
+        margins[p] = min(ov.value for ov in ovs)
     assert margins[6] >= margins[2]
 
 
@@ -87,15 +88,16 @@ def test_find_p_returns_smallest_certified(iso1_ell):
 
 
 def brute_force_p(profile, R, quad, n_points, seed, p_max, screen_points):
-    """find_p's answer by exhaustion with per-point ``eval_extremal``: the
-    smallest p whose screen clears, advanced while the full sample fails.
-    Returns p (None when no p <= p_max certifies) and the worst
+    """find_p's answer by exhaustion, one ``eval_extremal_many`` row at a
+    time: the smallest p whose screen clears, advanced while the full
+    sample fails.  Returns p (None when no p <= p_max certifies) and the worst
     (margin, error, point) at p, or at p_max when none does."""
     pts = annulus_points(profile.n, 1.0, R, n_points, seed)
 
     def margins(p, rows):
         f = RadialBarrier(p, 2.0 ** p)
-        return [eval_extremal(f, x, profile, quad, "minus") for x in rows]
+        return [eval_extremal_many(f, [x], profile, quad, "minus")[0]
+                for x in rows]
 
     def clears(ovs):
         return all(ov.value >= -ov.error for ov in ovs)
@@ -172,9 +174,11 @@ def test_find_p_reuses_screened_rows(monkeypatch, sigma, want_p, want_rows):
 def test_find_p_refuses_low_sigma():
     prof = isotropic(1, 0.4, 1.0, 2.0)
     with pytest.raises(ValueError):
-        find_p(prof, 4.0)
+        find_p(prof, 4.0, SEARCH_QUAD)
     with pytest.raises(ValueError):
-        find_p(isotropic(1, 1.0), 0.5)
+        find_p(isotropic(1, 1.0), 0.5, SEARCH_QUAD)
+    with pytest.raises(ValueError):
+        find_p(isotropic(1, 1.0), 4.0, SEARCH_QUAD, screen_points=0)
 
 
 def test_sign_of_m_minus_matches_dense_reference(iso1):
@@ -191,7 +195,7 @@ def test_sign_of_m_minus_matches_dense_reference(iso1):
     ref *= iso1.c_sigma * 2.0
     quad = QuadratureScheme(shells=24, nodes_per_shell=3000, far_radius=64.0,
                             r_inner=1e-9, seed=11)
-    got = eval_extremal(f, [x0], iso1, quad, "minus")
+    got = eval_extremal_many(f, [[x0]], iso1, quad, "minus")[0]
     assert np.sign(got.value) == np.sign(ref) == 1.0
     assert got.value == pytest.approx(ref, rel=0.05)
 
@@ -227,7 +231,7 @@ def test_scaling_identity_for_m_minus(iso2):
     f = RadialBarrier(p, s ** -p)
     smap = ScalingMap(iso2, r)
     g = scaled_barrier(f, smap)
-    factor = smap.det() / r
+    factor = np.prod(smap.diagonal()) / r
     quad_g = QuadratureScheme(shells=22, nodes_per_shell=4000,
                               far_radius=24.0, r_inner=1e-9, seed=21)
     quad_f = QuadratureScheme(shells=22, nodes_per_shell=4000,
@@ -239,8 +243,8 @@ def test_scaling_identity_for_m_minus(iso2):
         d /= np.linalg.norm(d)
         w = d * rng.uniform(1.3, 2.5)      # straightened annulus point
         x = smap.apply(w)
-        lhs = eval_extremal(g, x, iso2, quad_g, "minus")
-        rhs = eval_extremal(f, w, iso2, quad_f, "minus")
+        lhs = eval_extremal_many(g, [x], iso2, quad_g, "minus")[0]
+        rhs = eval_extremal_many(f, [w], iso2, quad_f, "minus")[0]
         scale = max(abs(rhs.value), 1e-12)
         tol = 0.02 + (lhs.error / factor + rhs.error) / scale
         assert abs(lhs.value / factor - rhs.value) <= tol * scale
@@ -248,14 +252,14 @@ def test_scaling_identity_for_m_minus(iso2):
 
 
 def test_psi_invariants(iso2):
-    psi = build_psi(iso2, 6.0)
+    psi = PsiBarrier(iso2, 6.0)
     rng = np.random.default_rng(3)
-    sup_set = psi.support_set()
+    sup_set = ellipse(iso2, 0.25, psi._outer)
     hw = sup_set.half_widths()
     pts = rng.uniform(-3 * hw, 3 * hw, size=(5000, 2))
     outside = ~sup_set.contains(pts)
     assert np.all(psi.eval(pts[outside]) == 0.0)
-    floor = psi.floor_set()
+    floor = rect(iso2, 0.25, 3.0)
     fh = floor.half_widths()
     inner = rng.uniform(-fh, fh, size=(5000, 2))
     assert np.min(psi.eval(inner)) > 3.0
@@ -288,7 +292,7 @@ def masked_psi(psi, pts):
 @pytest.mark.parametrize("p", [1.0, 3.0, 5.5])
 def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
     prof = AnisotropyProfile(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
-    psi = build_psi(prof, p)
+    psi = PsiBarrier(prof, p)
     # all three pieces, the origin, the glue sphere and the support edge
     dirs = rng.normal(size=(3, n))
     edges = [psi._t * d / np.linalg.norm(d) * rad
@@ -305,7 +309,7 @@ def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
 
 
 def test_psi_gluing_first_derivative(iso2):
-    psi = build_psi(iso2, 6.0)
+    psi = PsiBarrier(iso2, 6.0)
     t = psi._t
     e1 = np.array([1.0, 0.0])
     for h in (1e-3, 1e-4):
@@ -316,8 +320,32 @@ def test_psi_gluing_first_derivative(iso2):
         assert abs(inner_slope - outer_slope) <= 60.0 * psi.tilde_c * h
 
 
+@pytest.mark.parametrize("sigma", [(1.3,), (1.0, 1.5), (0.7, 1.5, 1.9)])
+@pytest.mark.parametrize("p", [1.0, 2.5, 6.0, 64.0])
+def test_psi_closed_form_matches_gluing_solve(sigma, p):
+    """The cap sum a_i x_i^2 + c against the per-axis 2x2 system that
+    matches value and slope of |x/t|^-p - (3 sqrt n)^-p at x = t_i e_i:
+    the a_i bit for bit, c within one ulp of each axis's solve and of
+    the exact sum."""
+    prof = AnisotropyProfile(len(sigma), sigma, 1.0, 2.0)
+    psi = PsiBarrier(prof, p)
+    *a, c = psi.quad_coeffs
+    outer_val = psi._outer ** -p
+    glue = 1.0 - outer_val          # the annulus piece on |w| = 1
+    exact = 1 - Fraction(outer_val) + Fraction(p) / 2
+    assert abs(Fraction(c) - exact) <= Fraction(np.spacing(c))
+    for ai, ti in zip(a, psi._t):
+        sol = np.linalg.solve([[ti ** 2, 1.0], [2.0 * ti, 0.0]],
+                              [glue, -p / ti])
+        assert ai == sol[0]
+        assert abs(c - sol[1]) <= np.spacing(c)
+        # value and slope continuity on the axis
+        assert ai * ti ** 2 + c == pytest.approx(glue, rel=1e-14)
+        assert 2.0 * ai * ti == pytest.approx(-p / ti, rel=1e-14)
+
+
 def test_psi_quadratic_matches_straightened_form(aniso2):
-    psi = build_psi(aniso2, 5.0)
+    psi = PsiBarrier(aniso2, 5.0)
     rng = np.random.default_rng(4)
     w = rng.normal(size=(200, 2))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -339,7 +367,7 @@ def test_verify_supersolution_constant_barrier(iso1, quad_fast):
 
 
 def test_verify_supersolution_psi_outside_inner_ellipse(iso2):
-    psi = build_psi(iso2, 6.0)
+    psi = PsiBarrier(iso2, 6.0)
     quad = QuadratureScheme(shells=18, nodes_per_shell=1200, far_radius=16.0,
                             r_inner=1e-8, seed=31)
     rng = np.random.default_rng(6)
@@ -349,10 +377,27 @@ def test_verify_supersolution_psi_outside_inner_ellipse(iso2):
     pts = w * psi._t[None, :]
     rep = verify_supersolution(psi, pts, iso2, quad)
     assert rep["passed"]
+    ovs = eval_extremal_many(psi, pts, iso2, quad, "minus")
+    assert rep["certified"] == sum(ov.value - ov.error >= 0 for ov in ovs)
+
+
+def test_certificate_counts_strict_rule_beside_verdict():
+    """PASS reads margin >= -error at every point; ``certified`` counts
+    the points with margin - error >= 0, a verdict it does not change."""
+    pts = np.arange(8.0).reshape(4, 2)
+    margins = np.array([[1.0, 0.5], [0.2, 0.5], [-0.1, 0.5], [0.5, 0.5]])
+    cert = barriers._certificate(pts, margins)
+    assert cert["passed"] and cert["certified"] == 2
+    assert (cert["min_margin"], cert["quadrature_error"]) == (-0.1, 0.5)
+    assert np.array_equal(cert["worst_point"], pts[2])
+    assert cert["n_points"] == 4
+    margins[:, 1] = 0.05
+    cert = barriers._certificate(pts, margins)
+    assert not cert["passed"] and cert["certified"] == 3
 
 
 def test_verify_supersolution_adversarial_bump(iso2):
-    psi = build_psi(iso2, 6.0)
+    psi = PsiBarrier(iso2, 6.0)
     spike_center = psi._t * np.array([1.8, 0.0])
 
     def spiked(p):

@@ -582,10 +582,13 @@ def test_barrier_verify_benchmark_config_frozen(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
     results = json.loads((tmp_path / "o" / "results.json").read_text())
     assert results["p"] == 1
-    assert results["min_margin"] == -42.98893469353471
+    assert results["min_margin"] == -42.988934693534645
     assert results["min_margin_f"] == -1.4711167141205312
     assert results["quadrature_error"] == 193.39104239113632
     assert results["tilde_c"] == 12.373408321831254
+    # passed under margin >= -error, yet no point has margin - error >= 0
+    assert results["passed"] is True
+    assert results["certified_f"] == results["certified"] == 0
 
 
 @pytest.mark.parametrize("profile", [

@@ -16,6 +16,14 @@ def linear_family(points, t=None):
     return ParamRectangleFamily(points, t, laws)
 
 
+def cell_set(n, gen, cells):
+    """The CellSet of the listed generation-``gen`` cells."""
+    out = CellSet(n, gen)
+    for c in cells:
+        out.mask[tuple(c)] = True
+    return out
+
+
 def covered_by_boxes(cells, boxes):
     """True when every cell of the CellSet lies inside one of the boxes."""
     side = 1.0 / cells.m
@@ -126,9 +134,9 @@ def test_cz_empty_a():
 def test_cz_single_cube_instance():
     # A = one deep cube, B = its predecessor: the cube itself is selected
     gen = 3
-    a = CellSet.from_cells(2, gen, [(2, 2), (2, 3), (3, 2), (3, 3)])
+    a = cell_set(2, gen, [(2, 2), (2, 3), (3, 2), (3, 3)])
     pred_cells = [(i, j) for i in range(0, 4) for j in range(0, 4)]
-    b = CellSet.from_cells(2, gen, pred_cells)
+    b = cell_set(2, gen, pred_cells)
     res = cz_decompose(a, b, 0.9)
     assert len(res.selected) == 1
     sel = res.selected[0]
@@ -157,10 +165,10 @@ def test_cz_relabeling_invariance(rng):
     cells = [(i, j) for i in range(m) for j in range(m)
              if rng.random() < 0.2]
     b = CellSet(2, gen, np.ones((m, m), dtype=bool))
-    a1 = CellSet.from_cells(2, gen, cells)
+    a1 = cell_set(2, gen, cells)
     perm = list(cells)
     rng.shuffle(perm)
-    a2 = CellSet.from_cells(2, gen, perm)
+    a2 = cell_set(2, gen, perm)
     r1 = cz_decompose(a1, b, 0.5)
     r2 = cz_decompose(a2, b, 0.5)
     assert [c.index for c in r1.selected] == [c.index for c in r2.selected]
@@ -206,11 +214,11 @@ def test_overlap_measure_matches_per_cell_sum(n, gen):
 
 def test_cz_hypothesis_violation_witness():
     gen = 3
-    a = CellSet.from_cells(2, gen, [(0, 0)])
+    a = cell_set(2, gen, [(0, 0)])
 
     # B too small: the dense cube's predecessor box is not inside B
-    b = CellSet.from_cells(2, gen, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    bsmall = CellSet.from_cells(2, gen, [(0, 0)])
+    b = cell_set(2, gen, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    bsmall = cell_set(2, gen, [(0, 0)])
     with pytest.raises(CzHypothesisError) as err:
         cz_decompose(a, bsmall, 0.9)
     assert err.value.cube.gen >= 1
@@ -220,7 +228,7 @@ def test_cz_hypothesis_violation_witness():
 
 def test_cz_rejects_bad_inputs(rng):
     b = CellSet(2, 2, np.ones((4, 4), dtype=bool))
-    a = CellSet.from_cells(2, 2, [(0, 0)])
+    a = cell_set(2, 2, [(0, 0)])
     with pytest.raises(ValueError):
         cz_decompose(a, b, 1.0)
     with pytest.raises(ValueError):
@@ -228,11 +236,11 @@ def test_cz_rejects_bad_inputs(rng):
     big = CellSet(2, 2, np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
         cz_decompose(big, b, 0.5)       # |A| > delta
-    a3 = CellSet.from_cells(2, 3, [(0, 0)])
+    a3 = cell_set(2, 3, [(0, 0)])
     with pytest.raises(ValueError):
         cz_decompose(a3, b, 0.5)        # lattice mismatch
-    not_subset = CellSet.from_cells(2, 2, [(1, 1)])
-    bsub = CellSet.from_cells(2, 2, [(0, 0)])
+    not_subset = cell_set(2, 2, [(1, 1)])
+    bsub = cell_set(2, 2, [(0, 0)])
     with pytest.raises(ValueError):
         cz_decompose(not_subset, bsub, 0.5)
 

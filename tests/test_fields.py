@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisonl.barriers import RadialBarrier, build_psi
+from anisonl.barriers import PsiBarrier, RadialBarrier
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
                             ConstantExterior, GridField, estimate_c11_many,
                             second_difference)
@@ -156,7 +156,7 @@ def c11_probe_fields():
     grid = GridField.from_function(
         lambda p: np.sin(3.0 * p[:, 0]) * np.abs(p[:, 1]),
         [-1.0, -1.0], [1.0, 1.0], (17, 13), ConstantExterior(0.5))
-    return {"radial": RadialBarrier(3.0, 8.0), "psi": build_psi(prof, 4.0),
+    return {"radial": RadialBarrier(3.0, 8.0), "psi": PsiBarrier(prof, 4.0),
             "grid": grid}
 
 

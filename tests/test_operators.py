@@ -4,8 +4,10 @@ import pytest
 from anisonl.fields import (AffineExterior, AnalyticField, ConstantExterior,
                             GridField, second_difference)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
-from anisonl.operators import OpValue, eval_extremal, eval_inf_sup, eval_linear
+from anisonl.operators import (OpValue, eval_extremal_many, eval_inf_sup,
+                               eval_linear)
 from anisonl.quadrature import QuadratureScheme, shell_radii
+from conftest import refined
 
 # frozen reference values, computed beforehand with scipy.integrate.quad
 # (independent dense quadrature of the exact integrands)
@@ -28,7 +30,7 @@ def test_constant_field_zero(iso1, quad_fast):
     assert ov.value == 0.0
     assert ov.error < 1e-10
     for which in ("plus", "minus"):
-        ov = eval_extremal(u, [0.0], iso1, quad_fast, which)
+        ov = eval_extremal_many(u, [[0.0]], iso1, quad_fast, which)[0]
         assert ov.value == 0.0
 
 
@@ -40,7 +42,7 @@ def test_affine_field_zero_within_bound(iso1, quad_fast):
     ov = eval_linear(u, [0.3], k, quad_fast)
     assert abs(ov.value) <= max(ov.error, 1e-9)
     for which in ("plus", "minus"):
-        ovx = eval_extremal(u, [0.3], iso1, quad_fast, which)
+        ovx = eval_extremal_many(u, [[0.3]], iso1, quad_fast, which)[0]
         assert abs(ovx.value) <= max(ovx.error, 1e-9)
 
 
@@ -64,7 +66,7 @@ def test_extremal_oracle_2d_cap():
                       range_outside=lambda R: (-4.0, -min(R * R, 4.0)))
     quad = QuadratureScheme(shells=28, nodes_per_shell=16000, far_radius=16.0,
                             r_inner=1e-9, seed=7)
-    ov = eval_extremal(u, [0.0, 0.0], prof, quad, "plus")
+    ov = eval_extremal_many(u, [[0.0, 0.0]], prof, quad, "plus")[0]
     assert ov.value == pytest.approx(MPLUS_CAP_2D, rel=0.01)
     assert abs(ov.value - MPLUS_CAP_2D) <= ov.error
 
@@ -74,8 +76,8 @@ def test_sign_duality_exact(iso1_ell, quad_fast, rng):
     u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
     w = GridField([-2.0], [2.0], -vals, ConstantExterior(0.0))
     for x in ([0.1], [-0.7], [0.9]):
-        a = eval_extremal(w, x, iso1_ell, quad_fast, "plus")
-        b = eval_extremal(u, x, iso1_ell, quad_fast, "minus")
+        a = eval_extremal_many(w, [x], iso1_ell, quad_fast, "plus")[0]
+        b = eval_extremal_many(u, [x], iso1_ell, quad_fast, "minus")[0]
         assert a.value == -b.value
 
 
@@ -87,8 +89,8 @@ def test_ordering_random_triples(iso1_ell, quad_fast, rng):
         mult = float(rng.uniform(iso1_ell.lambda_lo, iso1_ell.lambda_hi))
         k = PowerLawKernel(iso1_ell, mult)
         lv = eval_linear(u, x, k, quad_fast)
-        mm = eval_extremal(u, x, iso1_ell, quad_fast, "minus")
-        mp = eval_extremal(u, x, iso1_ell, quad_fast, "plus")
+        mm = eval_extremal_many(u, [x], iso1_ell, quad_fast, "minus")[0]
+        mp = eval_extremal_many(u, [x], iso1_ell, quad_fast, "plus")[0]
         assert mm.value <= lv.value + mm.error + lv.error
         assert lv.value <= mp.value + mp.error + lv.error
 
@@ -97,7 +99,7 @@ def test_inf_sup_singleton_equals_linear(iso1_ell, quad_fast, rng):
     vals = rng.normal(size=33)
     u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
     k = PowerLawKernel(iso1_ell, 1.3)
-    fam = KernelFamily.singleton(k)
+    fam = KernelFamily([[k]])
     assert eval_inf_sup(u, [0.2], fam, quad_fast).value \
         == eval_linear(u, [0.2], k, quad_fast).value
 
@@ -134,9 +136,9 @@ def test_comparison_surrogate(iso1_ell, quad_fast, rng):
         v = GridField([-2.0], [2.0], vv, ConstantExterior(0.0))
         w = GridField([-2.0], [2.0], uv - vv, ConstantExterior(0.0))
         x = [float(rng.uniform(-1.0, 1.0))]
-        lhs = eval_extremal(w, x, iso1_ell, quad_fast, "plus")
-        a = eval_extremal(u, x, iso1_ell, quad_fast, "minus")
-        b = eval_extremal(v, x, iso1_ell, quad_fast, "plus")
+        lhs = eval_extremal_many(w, [x], iso1_ell, quad_fast, "plus")[0]
+        a = eval_extremal_many(u, [x], iso1_ell, quad_fast, "minus")[0]
+        b = eval_extremal_many(v, [x], iso1_ell, quad_fast, "plus")[0]
         assert lhs.value >= a.value - b.value \
             - (lhs.error + a.error + b.error)
 
@@ -158,7 +160,7 @@ def test_refinement_convergence(iso1, quad_fast):
     u = gaussian_field()
     k = PowerLawKernel(iso1, 1.0)
     coarse = eval_linear(u, [0.0], k, quad_fast)
-    fine = eval_linear(u, [0.0], k, quad_fast.refined())
+    fine = eval_linear(u, [0.0], k, refined(quad_fast))
     assert abs(fine.value - coarse.value) <= coarse.error
 
 
@@ -166,7 +168,8 @@ def test_continuity_surrogate(iso1, quad_fast):
     # C^{1,1} field: extremal values along a segment obey a Lipschitz bound
     u = gaussian_field()
     xs = np.linspace(-0.5, 0.5, 9)
-    vals = [eval_extremal(u, [x], iso1, quad_fast, "plus").value for x in xs]
+    vals = [ov.value for ov in
+            eval_extremal_many(u, xs[:, None], iso1, quad_fast, "plus")]
     slopes = np.abs(np.diff(vals)) / np.diff(xs)
     assert np.max(slopes) < 50.0
 
@@ -200,6 +203,6 @@ def test_shell_radii_partition(iso1, quad_fast):
 
 def test_opvalue_float_protocol(iso1, quad_fast):
     u = gaussian_field()
-    ov = eval_extremal(u, [0.0], iso1, quad_fast, "minus")
+    ov = eval_extremal_many(u, [[0.0]], iso1, quad_fast, "minus")[0]
     assert isinstance(ov, OpValue)
     assert float(ov) == ov.value

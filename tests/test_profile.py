@@ -5,6 +5,7 @@ import pytest
 
 from anisonl.profile import AnisotropyProfile, default_frak_c, isotropic
 from conftest import random_profile
+from lemmas import inf_quad_outside
 
 
 def test_isotropic_reduction_exact():
@@ -97,7 +98,7 @@ def test_inf_quad_outside_on_axis(aniso2):
     r = 1e-3
     a = aniso2.matrix_a()
     expected = min(a[i] * r ** (2.0 / (2 + aniso2.sigma[i])) for i in range(2))
-    assert aniso2.inf_quad_outside(r) == pytest.approx(expected, rel=1e-14)
+    assert inf_quad_outside(aniso2, r) == pytest.approx(expected, rel=1e-14)
     # brute force over the gauge sphere
     rng = np.random.default_rng(0)
     z = rng.normal(size=(20000, 2))
@@ -105,7 +106,7 @@ def test_inf_quad_outside_on_axis(aniso2):
     g = gauge(aniso2, z)
     z = z * (r / g[:, None]) ** (1.0 / aniso2.exponents[None, :])
     vals = (a[None, :] * z ** 2).sum(axis=1)
-    assert vals.min() >= aniso2.inf_quad_outside(r) - 1e-12
+    assert vals.min() >= inf_quad_outside(aniso2, r) - 1e-12
 
 
 def test_serialization_recomputes_derived():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from anisonl import operators
-from anisonl.barriers import RadialBarrier, build_psi
+from anisonl.barriers import PsiBarrier, RadialBarrier
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
                             ConstantExterior, GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
-from anisonl.operators import (eval_extremal, eval_extremal_many,
-                               eval_inf_sup, eval_linear)
+from anisonl.operators import eval_extremal_many, eval_inf_sup, eval_linear
 from anisonl.profile import AnisotropyProfile
 from anisonl.quadrature import (OUTER_FACTOR, QuadratureScheme, node_table,
                                 shell_radii)
@@ -103,7 +102,7 @@ def oracle_fields(profile):
 
     return {
         "radial": RadialBarrier(3.0, 8.0),
-        "psi": build_psi(profile, 3.0),
+        "psi": PsiBarrier(profile, 3.0),
         "grid-constant": grid(ConstantExterior(0.2)),
         "grid-affine": grid(AffineExterior(0.1, tuple(np.linspace(
             0.3, -0.4, n)))),
@@ -185,7 +184,7 @@ def test_extremal_many_matches_pointwise_oracle(aniso2, which, rng):
         val, se = oracle_extremal(u, x, aniso2, QUAD, which)
         assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
         assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)
-        one = eval_extremal(u, x, aniso2, QUAD, which)
+        one = eval_extremal_many(u, [x], aniso2, QUAD, which)[0]
         assert (one.value, one.error) == (ov.value, ov.error)
 
 
@@ -224,7 +223,7 @@ def test_field_with_no_accepted_nodes_in_a_stratum(iso1):
                             r_inner=1e-6, seed=3)
     assert any(s.pts.shape[0] == 0 for s in node_table(iso1, quad))
     u = AnalyticField(lambda p: np.exp(-p[:, 0] ** 2), sup_bound=1.0)
-    ov = eval_extremal(u, [0.1], iso1, quad, "plus")
+    ov = eval_extremal_many(u, [[0.1]], iso1, quad, "plus")[0]
     val, se = oracle_extremal(u, np.array([0.1]), iso1, quad, "plus")
     assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
     assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)

@@ -17,7 +17,7 @@ from lemmas import truncated_control_check
 
 @pytest.fixture(scope="module")
 def prob1(iso1):
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     return DiscreteProblem(iso1, (-2.0,), (2.0,), (65,), fam, 0.0,
                            tolerance=1e-10, window=64)
 
@@ -47,7 +47,7 @@ def test_weights_far_field_scaling(iso1):
 
 
 def test_operator_kills_affine(iso1):
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     prob = DiscreteProblem(iso1, (-2.0,), (2.0,), (33,), fam,
                            AffineExterior(0.7, (1.3,)), window=48)
     op = AssembledOperator(prob)
@@ -64,7 +64,7 @@ def test_solve_zero_case(prob1):
 
 
 def test_solve_affine_case(iso1):
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     prob = DiscreteProblem(iso1, (-2.0,), (2.0,), (65,), fam,
                            AffineExterior(1.0, (2.0,)), tolerance=1e-10,
                            window=64)
@@ -81,7 +81,7 @@ def test_dense_direct_solve_oracle(iso1):
         x = pts[:, 0]
         return ((x >= 1.0) & (x <= 2.0)).astype(float)
 
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     prob = DiscreteProblem(iso1, (-0.9,), (0.9,), (49,), fam,
                            CallableExterior(ind, 1.0), tolerance=1e-10,
                            window=96)
@@ -145,7 +145,7 @@ def test_max_iters_reports_partial(iso1):
         x = pts[:, 0]
         return ((x >= 1.0) & (x <= 2.0)).astype(float)
 
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     prob = DiscreteProblem(iso1, (-0.9,), (0.9,), (33,), fam,
                            CallableExterior(ind, 1.0), tolerance=1e-14,
                            max_iters=5, window=48)
@@ -168,10 +168,10 @@ def test_truncated_kernel_control(iso1, rng):
         vals = rng.normal(size=33)
         prob_full = DiscreteProblem(
             iso1, (-1.0,), (1.0,), (33,),
-            KernelFamily.singleton(trunc), ConstantExterior(0.0), window=48)
+            KernelFamily([[trunc]]), ConstantExterior(0.0), window=48)
         prob_base = DiscreteProblem(
             iso1, (-1.0,), (1.0,), (33,),
-            KernelFamily.singleton(base), ConstantExterior(0.0), window=48)
+            KernelFamily([[base]]), ConstantExterior(0.0), window=48)
         out = truncated_control_check(prob_full, prob_base, vals,
                                       c0=2.0 * c0)
         assert out["ok"]
@@ -186,7 +186,7 @@ def test_lattice_offsets_involution():
 
 
 def test_bad_spacing_rejected(iso1):
-    fam = KernelFamily.singleton(PowerLawKernel(iso1, 1.0))
+    fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     with pytest.raises(ValueError):
         DiscreteProblem(iso1, (0.0,), (0.0,), (5,), fam, 0.0)
 
@@ -331,9 +331,9 @@ def test_apply_matches_dense_2d(family, aniso2, rng):
         ext = CallableExterior(
             lambda p: np.exp(-np.sum((p - 1.2) ** 2, axis=1)), 1.0)
     else:
-        fam = KernelFamily.singleton(PowerLawKernel(
+        fam = KernelFamily([[PowerLawKernel(
             aniso2, lambda y: 1.5 + 0.5 * np.cos(y[:, 0] - y[:, 1]),
-            1.0, 2.0))
+            1.0, 2.0)]])
         ext = AffineExterior(0.3, (0.5, -0.2))    # tail couples to far data
     prob = DiscreteProblem(aniso2, (-1.0, -0.8), (1.0, 0.8), (9, 7), fam,
                            ext, rhs=lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])

@@ -3,9 +3,9 @@ module is used there, every annotation there resolves, no handler there
 catches every error, no code there switches on the type of an exterior
 rule, the dense oracle shares no code with the fast lattice paths, every
 library exception is a ``PreconditionError`` that no handler rewraps by
-name, every public function and class of the library is run by a command
-or named as an oracle, and every lemma check in ``tests/lemmas.py`` has a
-test that calls it."""
+name, every public function, class and method of the library is run by a
+command or named as an oracle, and every lemma check in
+``tests/lemmas.py`` has a test that calls it."""
 
 import ast
 import importlib
@@ -169,8 +169,6 @@ def test_annotations_resolve(name):
 ORACLES = {
     "solver.dense_matrix": "the dense lattice operator that the FFT "
                            "stencils and the Krylov solves are checked on",
-    "operators.eval_extremal": "M^+ or M^- at one point, the reference of "
-                               "the batched eval_extremal_many",
     "operators.eval_inf_sup": "inf-sup by enumerating linear members, the "
                               "check of the extremal closed form",
     "fields.second_difference": "delta(u, x, y) at one point, the reference "
@@ -179,6 +177,8 @@ ORACLES = {
                              "to zero exactly",
     "profile.isotropic": "equal orders, where the closed forms hold",
     "geometry.theta": "the level set Theta_r of the geometry inclusions",
+    "geometry.ellipse": "the ellipse of the geometry inclusions",
+    "geometry.rect": "the rectangle of the geometry inclusions",
     "geometry.tilde_rect": "the tilde rectangle of the geometry inclusions",
 }
 
@@ -210,22 +210,29 @@ def module_name_table():
     return defs, imports
 
 
+def referenced(tree):
+    """Every name and attribute the tree references."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)} - {None}
+
+
 def reachable_names(defs, imports):
     """``(module, name)`` of every top-level definition reached from the
     body of ``anisonl.cli`` and from the oracles, following each name and
     attribute a reached definition references to the definition it
-    resolves to in that module: its own, or the one it imports."""
+    resolves to in that module: its own, or the one it imports.  Also
+    every name and attribute those definitions reference."""
     def references(module, tree):
-        for node in ast.walk(tree):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
+        for name in referenced(tree):
             if name in defs[module]:
                 yield module, name
             elif name in imports[module]:
                 yield imports[module][name]
 
-    todo = list(references("cli", ast.parse((SOURCE / "cli.py").read_text())))
+    cli = ast.parse((SOURCE / "cli.py").read_text())
+    todo = list(references("cli", cli))
     todo += [tuple(key.split(".")) for key in ORACLES]
-    seen = set()
+    seen, names = set(), referenced(cli)
     while todo:
         key = todo.pop()
         if key in seen:
@@ -234,25 +241,36 @@ def reachable_names(defs, imports):
         module, name = key
         if name in defs.get(module, {}):
             todo.extend(references(module, defs[module][name]))
-    return seen
+            names |= referenced(defs[module][name])
+    return seen, names
 
 
 def test_every_public_name_is_run_or_an_oracle():
     """A public function or class that no command reaches and no oracle
     names is dead code: two such names that only call each other count
-    as dead too.  Every oracle names a definition that exists."""
+    as dead too.  So is a public method of a reached class whose name no
+    reached definition references.  Every oracle names a definition that
+    exists."""
     defs, imports = module_name_table()
     stale = [key for key in ORACLES
              if key.split(".")[1] not in defs.get(key.split(".")[0], {})]
     assert stale == []
-    reached = reachable_names(defs, imports)
+    reached, names = reachable_names(defs, imports)
     dead = []
     for module in MODULES:
         tree = ast.parse((SOURCE / f"{module}.py").read_text())
-        dead += [f"{module}.{stmt.name}" for stmt in tree.body
-                 if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                 and not stmt.name.startswith("_")
-                 and (module, stmt.name) not in reached]
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    or stmt.name.startswith("_"):
+                continue
+            if (module, stmt.name) not in reached:
+                dead.append(f"{module}.{stmt.name}")
+            elif isinstance(stmt, ast.ClassDef):
+                dead += [f"{module}.{stmt.name}.{method.name}"
+                         for method in stmt.body
+                         if isinstance(method, ast.FunctionDef)
+                         and not method.name.startswith("_")
+                         and method.name not in names]
     assert dead == []
 
 
