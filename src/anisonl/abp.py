@@ -15,9 +15,9 @@ Per rectangle the two measure properties are evaluated:
                     >= varsigma |R~_j|
 
 Rectangles failing either are split, up to a depth cap.  The thresholds
-C_grad and varsigma are parameters, C_det and the expansion constant C
-are fixed; ``verify_cover`` re-checks the cover's geometry and reports
-the measured constants.
+C_grad and varsigma, the depth cap, C_det and the expansion constant C
+are module constants; ``verify_cover`` re-checks the cover's geometry and
+reports the measured constants.
 """
 
 from __future__ import annotations
@@ -29,12 +29,17 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import PreconditionError
-from .envelope import concave_envelope, contact_set, default_contact_tol
+from .envelope import contact_set, default_contact_tol
 from .profile import AnisotropyProfile
 
-# C_det and the expansion constant C of the detachment test
+# C_det and the expansion constant C of the detachment test; a rectangle
+# passes at gradient-image ratio at most GRAD_THRESHOLD and detachment
+# ratio at least VARSIGMA, and splits stop at generation DEPTH_CAP
 DETACH_CONSTANT = 4.0
 EXPAND_C = 2.0
+GRAD_THRESHOLD = 1e6
+VARSIGMA = 1e-3
+DEPTH_CAP = 40
 # a point within this fraction of a tile edge of a face lies in both tiles
 # the face separates; relative, so it holds at every generation's scale
 FACE_EPS = 1e-9
@@ -176,7 +181,6 @@ def _max_f(f, rect, extra_pts):
 class AbpCover:
     rectangles: list
     contact_points: np.ndarray
-    envelope: object
 
 
 def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
@@ -212,21 +216,19 @@ def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
     return rect.record
 
 
-def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
-              depth_cap=40, mc_samples=2000, seed=0):
-    """Build the disjoint rectangle family covering the contact set.
+def abp_cover(u, f, profile, env, mc_samples, seed):
+    """Build the disjoint rectangle family covering the contact set of
+    ``u`` under its concave envelope ``env``.
 
     Splits rectangles violating the measured gradient-image or detachment
     properties until all pass or the depth cap trips (CoverDepthError
     with the offending chain).  Each rectangle carries its record.
     """
-    if env is None:
-        env = concave_envelope(u)
     pts, _ = contact_set(u, env, default_contact_tol(u, env))
     inside = np.linalg.norm(np.atleast_2d(pts), axis=1) <= 1.0 + 1e-9
     pts = np.atleast_2d(pts)[inside]
     if pts.shape[0] == 0:
-        return AbpCover([], pts, env)
+        return AbpCover([], pts)
 
     rng = np.random.default_rng(seed)
     queue = [CoverRectangle(0, idx, profile)
@@ -236,12 +238,12 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
     while queue:
         rect = queue.pop()
         rec = _eval_rect(u, env, f, rect, pts, mc_samples, rng)
-        grad_ok = rec["grad_ratio"] <= grad_threshold
-        detach_ok = rec["varsigma_ratio"] >= varsigma
+        grad_ok = rec["grad_ratio"] <= GRAD_THRESHOLD
+        detach_ok = rec["varsigma_ratio"] >= VARSIGMA
         if grad_ok and detach_ok:
             final.append(rect)
             continue
-        if rect.gen + 1 > depth_cap:
+        if rect.gen + 1 > DEPTH_CAP:
             raise CoverDepthError(chain_of[(rect.gen, rect.index)],
                                   2.0 * rect.half)
         kids = _children_with_points(profile, rect, pts)
@@ -250,7 +252,7 @@ def abp_cover(u, f, profile, env=None, grad_threshold=1e6, varsigma=1e-3,
                 chain_of[(rect.gen, rect.index)] + [(kid.gen, kid.index)]
         queue.extend(kids)
     final.sort(key=lambda r: (r.gen, r.index))
-    return AbpCover(final, pts, env)
+    return AbpCover(final, pts)
 
 
 def cover_dump(cover):

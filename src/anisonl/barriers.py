@@ -52,14 +52,14 @@ class RadialBarrier(AnalyticField):
 # ---------------------------------------------------------------------------
 
 class BarrierSearchError(PreconditionError):
-    """No exponent up to p_max passes; ``cert`` is the sample's
-    certificate at p_max."""
+    """No exponent up to P_MAX passes; ``cert`` is the sample's
+    certificate at P_MAX."""
 
-    def __init__(self, cert, p_max):
+    def __init__(self, cert):
         self.worst_margin = cert["min_margin"]
         self.worst_point = cert["worst_point"]
         super().__init__(
-            f"no admissible exponent up to p = {p_max}; worst margin "
+            f"no admissible exponent up to p = {P_MAX}; worst margin "
             f"{self.worst_margin:.3e} at {self.worst_point}")
 
 
@@ -77,8 +77,11 @@ def annulus_points(n, r_lo, r_hi, count, seed):
     return np.array(pts)
 
 
-# find_p refuses profiles with sigma_min at or below this floor
+# find_p refuses profiles with sigma_min at or below this floor, searches
+# p up to P_MAX and screens each exponent on its first SCREEN_POINTS points
 SIGMA_FLOOR = 0.5
+P_MAX = 64
+SCREEN_POINTS = 24
 
 
 def _margins(barrier, pts, profile, quad):
@@ -104,13 +107,12 @@ def _certificate(pts, margins):
     }
 
 
-def find_p(profile, R, quad, n_points=200, p_max=64, seed=11,
-           screen_points=24):
-    """Smallest integer p in [1, p_max] with M^- min(2^p, |x|^-p) >= 0
+def find_p(profile, R, quad, n_points, seed):
+    """Smallest integer p in [1, P_MAX] with M^- min(2^p, |x|^-p) >= 0
     (within quadrature error) on a sample of {1 <= |x| <= R}.
 
-    Strategy: screen the first ``screen_points`` sample points at
-    p = 1, 2, 4, ... (capped at ``p_max``) until a screen passes, then
+    Strategy: screen the first ``SCREEN_POINTS`` sample points at
+    p = 1, 2, 4, ... (capped at ``P_MAX``) until a screen passes, then
     bisect between the last failing and the passing exponent (margins are
     monotone in p, so this is the smallest p whose screen passes).  Full
     certification follows at that candidate, advancing p if the full
@@ -119,14 +121,14 @@ def find_p(profile, R, quad, n_points=200, p_max=64, seed=11,
     """
     if R <= 1:
         raise ValueError("the annulus needs R > 1")
-    if n_points < 1 or screen_points < 1:
-        raise ValueError("need at least one sample and one screen point")
+    if n_points < 1:
+        raise ValueError("need at least one sample point")
     if profile.sigma_min <= SIGMA_FLOOR:
         raise PreconditionError(
             f"profile sigma_min {profile.sigma_min} at or below the barrier "
             f"floor {SIGMA_FLOOR}: barrier certification refused")
     pts = annulus_points(profile.n, 1.0, R, n_points, seed)
-    screen = min(screen_points, n_points)
+    screen = min(SCREEN_POINTS, n_points)
     # margins evaluated so far per p; rows of eval_extremal_many do not
     # depend on the batch, so a screen's rows stand in for a full pass's
     done = {}
@@ -141,11 +143,11 @@ def find_p(profile, R, quad, n_points=200, p_max=64, seed=11,
 
     lo, hi = 0, 1
     while True:
-        hi = min(hi, p_max)
+        hi = min(hi, P_MAX)
         if certify(hi, screen)["passed"]:
             break
-        if hi == p_max:
-            raise BarrierSearchError(certify(p_max, n_points), p_max)
+        if hi == P_MAX:
+            raise BarrierSearchError(certify(P_MAX, n_points))
         lo, hi = hi, 2 * hi
     lo += 1
     while lo < hi:
@@ -154,11 +156,11 @@ def find_p(profile, R, quad, n_points=200, p_max=64, seed=11,
             hi = mid
         else:
             lo = mid + 1
-    for p in range(lo, p_max + 1):
+    for p in range(lo, P_MAX + 1):
         cert = certify(p, n_points)
         if cert["passed"]:
             return dict(cert, p=p)
-    raise BarrierSearchError(cert, p_max)
+    raise BarrierSearchError(cert)
 
 
 # ---------------------------------------------------------------------------

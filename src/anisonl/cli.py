@@ -35,8 +35,8 @@ from .quadrature import QuadratureScheme, shell_radii  # noqa: E402
 COMMANDS = ("constants", "barrier-verify", "envelope", "abp-cover", "cz",
             "solve", "harnack", "decay", "sweep", "kernel-check")
 
-_INTEGER = {"type": "integer"}
 _NUMBER = {"type": "number"}
+_NONNEGATIVE = {"type": "number", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _ORDER = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 2}
 # numpy's generators take no negative seed
@@ -85,23 +85,24 @@ CONFIG_SCHEMA = {
 # commands take int() of the integer params.
 _GRID = {"type": "integer", "minimum": 2}
 _COUNT = {"type": "integer", "minimum": 1}
+_SIZE = {"type": "integer", "minimum": 0}
 _SOLVER = {"grid": _GRID, "box": _POSITIVE, "bump_center": _NUMBER,
            "bump_height": _NUMBER, "tolerance": _POSITIVE,
-           "max_iters": _INTEGER, "window": {"type": "integer", "minimum": 0}}
+           "max_iters": _SIZE, "window": _SIZE}
 PARAMS_SCHEMA = {
     "constants": {},
     "barrier-verify": {"R": {"type": "number", "exclusiveMinimum": 1},
                        "n_points": _COUNT, "psi_points": _COUNT},
     "envelope": {"grid": _GRID},
     "abp-cover": {"grid": _GRID, "f_const": _NUMBER, "mc_samples": _COUNT},
-    "cz": {"generation": {"type": "integer", "minimum": 0},
+    "cz": {"generation": _SIZE,
            "delta": {"type": "number", "exclusiveMinimum": 0,
                      "exclusiveMaximum": 1}},
     "solve": _SOLVER,
-    "harnack": dict(_SOLVER, c0=_NUMBER),
+    "harnack": dict(_SOLVER, c0=_NONNEGATIVE),
     "decay": dict(_SOLVER, M={"type": "number", "exclusiveMinimum": 1},
                   k_max={"type": "integer", "minimum": 2}),
-    "sweep": dict(_SOLVER, c0=_NUMBER,
+    "sweep": dict(_SOLVER, c0=_NONNEGATIVE,
                   sigma_min_values={"type": "array", "items": _ORDER}),
     "kernel-check": {"tau0": _POSITIVE, "c0": _NUMBER,
                      "h_scales": {"type": "array",
@@ -298,7 +299,7 @@ def _cmd_barrier_verify(profile, quad, params, seed):
         shell_radii(profile, quad)
     except ValueError as exc:
         raise _invalid_config("invalid quadrature", exc)
-    found = find_p(profile, R, quad, n_points=n_points, seed=seed)
+    found = find_p(profile, R, quad, n_points, seed)
     psi = PsiBarrier(profile, found["p"])
     pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
                          2.0 * float(np.max(psi._t)), psi_points, seed + 1)
@@ -359,8 +360,8 @@ def _cmd_abp_cover(profile, quad, params, seed):
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    cover = abp_cover(u, f, profile, env=env, seed=seed,
-                      mc_samples=int(params.get("mc_samples", 1000)))
+    cover = abp_cover(u, f, profile, env,
+                      int(params.get("mc_samples", 1000)), seed)
     report = _null_sentinels(verify_cover(cover, profile), {
         "varsigma_measured": "the cover has no rectangle"})
     report["rectangles"] = cover_dump(cover)
@@ -402,7 +403,10 @@ def _solve_setup(profile, params):
     box = params.get("box", 4.0)
     bump_center = params.get("bump_center", 2.5)
     bump_height = params.get("bump_height", 1.0)
-    window = params.get("window")
+    # a solver setting the config omits keeps DiscreteProblem's default
+    settings = {"tolerance": params.get("tolerance"),
+                "max_iters": params.get("max_iters"),
+                "window": params.get("window")}
 
     def exterior_fn(pts):
         r2 = np.sum((pts - bump_center) ** 2, axis=1)
@@ -413,9 +417,7 @@ def _solve_setup(profile, params):
     return DiscreteProblem(
         profile, (-box,) * n, (box,) * n, (shape,) * n, family,
         CallableExterior(exterior_fn, abs(bump_height)),
-        tolerance=params.get("tolerance", 1e-8),
-        max_iters=int(params.get("max_iters", 20000)),
-        window=window if window is None else int(window))
+        **{key: value for key, value in settings.items() if value is not None})
 
 
 def _cmd_solve(profile, quad, params, seed):
@@ -519,7 +521,7 @@ def _cmd_kernel_check(profile, quad, params, seed):
     h_samples = [np.concatenate([[s * tau0], np.zeros(profile.n - 1)])
                  for s in scales]
     res = kernel_modulus_check(kernel, profile, tau0, h_samples,
-                               params.get("c0", 1e3), seed=seed)
+                               params.get("c0", 1e3), seed)
     return dict(res.scalars, passed=res.passed), res.rows, res.columns, \
         res.passed
 
@@ -558,6 +560,16 @@ def run(config, out_dir=None, seed=None):
     if seed is None:
         seed = int(config.get("seed", 0))
     out_dir = out_dir or config.get("out", "anisonl-out")
+    # refused before any work: an empty output directory, or one whose
+    # nearest existing path is no writable directory, cannot be made
+    if not out_dir:
+        raise _invalid_config("unwritable output directory", "empty path")
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise _invalid_config("unwritable output directory",
+                              f"{out_dir}: {path} is not a writable directory")
     digest = config_digest({k: v for k, v in config.items() if k != "out"})
 
     head = {"command": command, "digest": digest, "seed": seed}

@@ -80,12 +80,10 @@ class DyadicCube:
 class CellSet:
     """Union of generation-G lattice cells of Q_1 as a boolean array."""
 
-    def __init__(self, n, gen, mask=None):
+    def __init__(self, n, gen, mask):
         self.n = n
         self.gen = gen
         self.m = 2 ** gen
-        if mask is None:
-            mask = np.zeros((self.m,) * n, dtype=bool)
         self.mask = mask
 
     def cells(self):

@@ -18,8 +18,10 @@ from .kernels import tail_gauge_bounds
 # the solver is imported inside the functions that call it, so
 # kernel_modulus_check does not load it
 
-# Euclidean dyadic shells of kernel_modulus_check: B_tau0 out to tau0 2^12
+# Euclidean dyadic shells of kernel_modulus_check, B_tau0 out to tau0 2^12,
+# and the Monte Carlo nodes it spreads over them
 MODULUS_SHELLS = 12
+MODULUS_NODES = 20000
 
 
 @dataclass
@@ -93,9 +95,9 @@ def distribution_decay(u, m_level, k_max):
     return result
 
 
-def harnack_quotient(u, c0, problem=None):
-    """sup_{B_1/2} u / (u(0) + C_0), with lattice precondition checks of
-    the grid field ``u``, its exterior data included."""
+def harnack_quotient(u, c0, problem):
+    """sup_{B_1/2} u / (u(0) + C_0), with precondition checks of the grid
+    field ``u`` on the lattice of ``problem``, its exterior data included."""
     result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
@@ -108,18 +110,17 @@ def harnack_quotient(u, c0, problem=None):
         result.valid = False
         result.notes.append("no lattice point in B_1/2")
         return result
-    if problem is not None:
-        from .solver import discrete_extremal
-        in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
-        mminus, mplus = discrete_extremal(problem, u)
-        if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
-            result.valid = False
-            result.notes.append("precondition M^- u <= C0 fails on B_2")
-        if float(np.min(mplus.ravel()[in_b2])) < -c0 - 1e-7:
-            result.valid = False
-            result.notes.append("precondition M^+ u >= -C0 fails on B_2")
-        if not result.valid:
-            return result
+    from .solver import discrete_extremal
+    in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
+    mminus, mplus = discrete_extremal(problem, u)
+    if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
+        result.valid = False
+        result.notes.append("precondition M^- u <= C0 fails on B_2")
+    if float(np.min(mplus.ravel()[in_b2])) < -c0 - 1e-7:
+        result.valid = False
+        result.notes.append("precondition M^+ u >= -C0 fails on B_2")
+    if not result.valid:
+        return result
     sup_half = float(np.max(vals[in_half]))
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
     q = sup_half / (origin + c0)
@@ -157,8 +158,7 @@ def sigma_sweep(measured):
     return result
 
 
-def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
-                         nodes=20000, seed=3):
+def kernel_modulus_check(kernel, profile, tau0, h_samples, c0, seed):
     """Translation-difference integral outside B_tau0, per shift h.
 
     Checks int_{R^n \\ B_tau0} |K(y) - K(y - h)| / |h| dy <= c0 + error.
@@ -172,7 +172,6 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
             raise ValueError("shifts must satisfy |h| < tau0 / 2")
     result = ExperimentResult()
     rows = []
-    worst = 0.0
     rng_master = np.random.default_rng(seed)
     far = tau0 * 2.0 ** MODULUS_SHELLS
     n = profile.n
@@ -185,7 +184,7 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
         var = 0.0
         for m in range(MODULUS_SHELLS):
             r_lo, r_hi = tau0 * 2.0 ** m, tau0 * 2.0 ** (m + 1)
-            cnt = max(nodes // MODULUS_SHELLS, 200)
+            cnt = MODULUS_NODES // MODULUS_SHELLS
             pts = rng_master.uniform(-r_hi, r_hi, size=(cnt, n))
             rad = np.linalg.norm(pts, axis=1)
             mask = (rad >= r_lo) & (rad < r_hi)
@@ -202,7 +201,6 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0,
             * (n + profile.sigma_max) * math.sqrt(n) * 2.0 / far * tg
         err = 3.0 * math.sqrt(var) + tail
         rows.append((hn, total, err))
-        worst = max(worst, total - err if total > err else total)
         result.passed = result.passed and (total <= c0 + err)
     result.columns = ("h_norm", "integral", "error")
     result.rows = rows

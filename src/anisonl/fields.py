@@ -219,14 +219,18 @@ def second_difference(u, x, y):
     return u.eval(x[None, :] + y) + u.eval(x[None, :] - y) - 2.0 * ux
 
 
-def estimate_c11_many(u, X, scale, safety=2.0):
+# estimate_c11_many's factor for curvature between probes
+C11_SAFETY = 2.0
+
+
+def estimate_c11_many(u, X, scale):
     """Probe-based bounds M with |delta(u,x,y)| <= 2 M |y|^2 near each row
     x of ``X``, one per row.
 
     Samples second differences along the coordinate axes plus seed-7
     random directions, 16 in all, at a few radii around ``scale``; every
     row is probed with the same directions and radii.  A measurement, not
-    a certificate; the safety factor covers curvature between probes.
+    a certificate; ``C11_SAFETY`` covers curvature between probes.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     rows, n = X.shape
@@ -246,4 +250,4 @@ def estimate_c11_many(u, X, scale, safety=2.0):
         r2 = np.sum(y ** 2, axis=1)
         # fmax, like a running max(), skips a radius whose largest ratio is nan
         worst = np.fmax(worst, np.max(d / (2.0 * r2)[None, :], axis=1))
-    return safety * worst
+    return C11_SAFETY * worst

@@ -26,10 +26,8 @@ from .geometry import gauge, sphere_area
 class PowerLawKernel:
     """K(y) = m(y) c_sigma / sum_i |y_i|^(n+sigma_i), m in [mult_lo, mult_hi]."""
 
-    def __init__(self, profile, multiplier=None, mult_lo=None, mult_hi=None):
+    def __init__(self, profile, multiplier, mult_lo=None, mult_hi=None):
         self.profile = profile
-        if multiplier is None:
-            multiplier = profile.lambda_lo
         self.multiplier = multiplier
         if callable(multiplier):
             if mult_lo is None or mult_hi is None:

@@ -24,14 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 
-def default_frak_c(n: int) -> int:
-    return math.ceil((n + 2) * math.log2(8.0 * math.sqrt(n)))
-
-
-def default_rho0(n: int) -> float:
-    return (8.0 * math.sqrt(n)) ** (-(n + 2))
-
-
 @dataclass(frozen=True)
 class AnisotropyProfile:
     """Validated bundle of dimension, orders, ellipticity and constants.
@@ -84,11 +76,12 @@ class AnisotropyProfile:
             raise ValueError(f"degenerate exponents: some q_i <= 0 ({q})")
 
         if self.rho0 is None:
-            object.__setattr__(self, "rho0", default_rho0(n))
+            object.__setattr__(self, "rho0", (8.0 * math.sqrt(n)) ** -(n + 2))
         elif self.rho0 <= 0.0:
             raise ValueError("rho0 must be positive")
         if self.frak_c is None:
-            object.__setattr__(self, "frak_c", default_frak_c(n))
+            frak_c = math.ceil((n + 2) * math.log2(8.0 * math.sqrt(n)))
+            object.__setattr__(self, "frak_c", frak_c)
         elif not (isinstance(self.frak_c, int) and self.frak_c >= 1):
             raise ValueError("frak_c must be a natural number")
 
@@ -126,17 +119,12 @@ class AnisotropyProfile:
     @staticmethod
     def from_dict(obj: dict) -> "AnisotropyProfile":
         """Build from a JSON object; derived constants are always recomputed."""
-        kwargs = dict(
-            n=int(obj["n"]),
-            sigma=tuple(obj["sigma"]),
-            lambda_lo=float(obj.get("lambda_lo", 1.0)),
-            lambda_hi=float(obj.get("lambda_hi", 1.0)),
-        )
-        if obj.get("rho0") is not None:
-            kwargs["rho0"] = float(obj["rho0"])
-        if obj.get("frak_c") is not None:
-            kwargs["frak_c"] = int(obj["frak_c"])
-        return AnisotropyProfile(**kwargs)
+        casts = {"lambda_lo": float, "lambda_hi": float, "rho0": float,
+                 "frak_c": int}
+        # an omitted or null key keeps the dataclass default
+        return AnisotropyProfile(int(obj["n"]), tuple(obj["sigma"]), **{
+            key: cast(obj[key]) for key, cast in casts.items()
+            if obj.get(key) is not None})
 
 
 def isotropic(n, sigma, lambda_lo=1.0, lambda_hi=1.0, **kw) -> AnisotropyProfile:

@@ -19,7 +19,7 @@ read-only node table that every evaluation shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -48,13 +48,10 @@ class QuadratureScheme:
 
     @staticmethod
     def from_dict(obj):
-        return QuadratureScheme(
-            shells=int(obj.get("shells", 24)),
-            nodes_per_shell=int(obj.get("nodes_per_shell", 2048)),
-            far_radius=float(obj.get("far_radius", 16.0)),
-            r_inner=float(obj.get("r_inner", 1e-6)),
-            seed=int(obj.get("seed", 2024)),
-        )
+        """The scheme of a JSON object, each key cast as its default."""
+        return QuadratureScheme(**{
+            f.name: type(f.default)(obj[f.name])
+            for f in fields(QuadratureScheme) if f.name in obj})
 
 
 def outer_theta_radius(profile, far_radius):

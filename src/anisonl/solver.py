@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import PreconditionError
-from .fields import ConstantExterior, GridField
+from .fields import GridField
 from .kernels import KernelFamily, PowerLawKernel, tail_gauge_bounds
 from .profile import AnisotropyProfile
 
@@ -56,10 +56,10 @@ class DiscreteProblem:
         self.shape = tuple(int(s) for s in np.atleast_1d(self.shape))
         if min(self.shape) < 2:
             raise ValueError("need at least two lattice points per axis")
-        if isinstance(self.exterior, (int, float)):
-            self.exterior = ConstantExterior(float(self.exterior))
-        if self.window is None:
-            self.window = 2 * (max(self.shape) - 1)
+        # the counts may arrive as integral floats, such as 33.0
+        self.max_iters = int(self.max_iters)
+        self.window = 2 * (max(self.shape) - 1) if self.window is None \
+            else int(self.window)
         h = (self.hi - self.lo) / (np.array(self.shape) - 1)
         if np.any(h <= 0):
             raise ValueError("grid spacing must be positive")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisonl import abp
 from anisonl.abp import (CoverDepthError, CoverRectangle,
                          DegenerateTileError, _eval_rect, _tiles_for_points,
                          abp_cover, base_scale, tile_half_widths,
@@ -151,7 +152,8 @@ def test_detachment_rejects_bad_k(prof2):
 def test_cover_single_contact_instance(prof2):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, mc_samples=600, seed=2)
+    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=600,
+                      seed=2)
     assert 1 <= len(cover.rectangles) <= 8
     rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
@@ -161,7 +163,8 @@ def test_cover_single_contact_instance(prof2):
 def test_cover_concave_cap_instance(prof2):
     u = flat_top_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, mc_samples=400, seed=3)
+    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=400,
+                      seed=3)
     assert len(cover.rectangles) >= 10
     rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
@@ -173,7 +176,8 @@ def test_cover_concave_cap_instance(prof2):
 def test_cover_mixed_orders(prof2_mixed):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2_mixed, mc_samples=400, seed=4)
+    cover = abp_cover(u, f, prof2_mixed, concave_envelope(u),
+                      mc_samples=400, seed=4)
     rep = verify_cover(cover, prof2_mixed)
     assert rep["disjoint"] and rep["contact_covered"] and rep["diameter_ok"]
 
@@ -183,7 +187,8 @@ def test_cover_sup_bound_chain(prof2):
     for field_maker in (polyhedral_cap_field, flat_top_cap_field):
         u = field_maker()
         f = const_field(8.0)
-        cover = abp_cover(u, f, prof2, mc_samples=400, seed=5)
+        cover = abp_cover(u, f, prof2, concave_envelope(u),
+                          mc_samples=400, seed=5)
         rep = verify_cover(cover, prof2)
         sup_u = float(np.max(u.values))
         rhs = rep["sup_u_bound_sum"] ** (1.0 / prof2.n)
@@ -191,13 +196,14 @@ def test_cover_sup_bound_chain(prof2):
         assert sup_u <= 2e3 * rhs
 
 
-def test_cover_depth_cap_diagnostic(prof2):
+def test_cover_depth_cap_diagnostic(monkeypatch, prof2):
     u = polyhedral_cap_field()
     f = const_field(8.0)
     # varsigma above the geometric maximum of expand_c^n forces splits forever
+    monkeypatch.setattr(abp, "VARSIGMA", 5.0)
+    monkeypatch.setattr(abp, "DEPTH_CAP", 3)
     with pytest.raises(CoverDepthError) as err:
-        abp_cover(u, f, prof2, varsigma=5.0, depth_cap=3,
-                  mc_samples=200, seed=6)
+        abp_cover(u, f, prof2, concave_envelope(u), mc_samples=200, seed=6)
     assert len(err.value.chain) == 4     # gen 0 through gen 3
     assert err.value.gen == 3
     assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 3))
@@ -244,7 +250,8 @@ def test_cover_rejects_positive_exterior(prof2):
                                   [-2.0, -2.0], [2.0, 2.0], (17, 17), 1.0)
     f = const_field(1.0)
     with pytest.raises(ValueError):
-        abp_cover(bad, f, prof2)
+        abp_cover(bad, f, prof2, concave_envelope(bad), mc_samples=2000,
+                  seed=0)
 
 
 def test_w_k_symmetry_on_symmetric_instance(prof2):
@@ -267,7 +274,8 @@ def test_cover_dump_json_ready(prof2):
     import json
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, mc_samples=200, seed=9)
+    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=200,
+                      seed=9)
     from anisonl.abp import cover_dump
     dump = cover_dump(cover)
     text = json.dumps(dump)

@@ -153,10 +153,12 @@ def test_acceptance_3_operators():
 # 4. barriers
 # -------------------------------------------------------------------------
 
-def test_acceptance_4_barriers():
+def test_acceptance_4_barriers(monkeypatch):
+    from anisonl import barriers
     from anisonl.barriers import PsiBarrier, find_p, verify_supersolution
     from lemmas import (elementary_inequality_bernoulli,
                         elementary_inequality_convexity)
+    monkeypatch.setattr(barriers, "SCREEN_POINTS", 16)
     t0 = time.time()
     ok = True
     details = []
@@ -167,8 +169,7 @@ def test_acceptance_4_barriers():
             quad = QuadratureScheme(shells=14, nodes_per_shell=500,
                                     far_radius=8.0 * big_r, r_inner=1e-8,
                                     seed=404)
-            res = find_p(prof, big_r, quad, n_points=200, seed=7,
-                         screen_points=16)
+            res = find_p(prof, big_r, quad, n_points=200, seed=7)
             good = res["min_margin"] >= -res["quadrature_error"]
             ok &= good
             details.append(f"n={n} s={sig}: p={res['p']}")
@@ -202,7 +203,7 @@ def test_acceptance_4_barriers():
 
 def test_acceptance_5_abp():
     from anisonl.abp import abp_cover, verify_cover
-    from anisonl.envelope import ConcaveEnvelope2D
+    from anisonl.envelope import ConcaveEnvelope2D, concave_envelope
     t0 = time.time()
     prof = AnisotropyProfile(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
     prof_mixed = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05,
@@ -232,8 +233,8 @@ def test_acceptance_5_abp():
     ok = True
     details = []
     for i, (u, pp) in enumerate(instances):
-        cover = abp_cover(u, f_const(8.0), pp, mc_samples=500, seed=i,
-                          depth_cap=40)
+        cover = abp_cover(u, f_const(8.0), pp, concave_envelope(u),
+                          mc_samples=500, seed=i)
         rep = verify_cover(cover, pp)
         good = (rep["disjoint"] and rep["contact_covered"]
                 and rep["all_meet_contact"] and rep["diameter_ok"])
@@ -307,8 +308,8 @@ def test_acceptance_7_solver():
     fam = KernelFamily([[PowerLawKernel(prof, 1.0)]])
     ok = True
 
-    prob0 = DiscreteProblem(prof, (-2.0,), (2.0,), (65,), fam, 0.0,
-                            tolerance=1e-10, window=64)
+    prob0 = DiscreteProblem(prof, (-2.0,), (2.0,), (65,), fam,
+                            ConstantExterior(0.0), tolerance=1e-10, window=64)
     f0, r0 = solve_dirichlet(prob0)
     ok &= r0.converged and float(np.max(np.abs(f0.values))) <= 1e-10
 

@@ -127,10 +127,11 @@ SEARCH_QUAD = QuadratureScheme(shells=10, nodes_per_shell=300,
     # a one-point screen clears at p = 2, the full sample only at p = 3
     ((0.8, 0.8), 1, 3),
 ])
-def test_find_p_matches_brute_force(sigma, screen_points, want_p):
+def test_find_p_matches_brute_force(monkeypatch, sigma, screen_points,
+                                    want_p):
+    monkeypatch.setattr(barriers, "SCREEN_POINTS", screen_points)
     prof = AnisotropyProfile(2, sigma, 1.0, 2.0)
-    res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5,
-                 screen_points=screen_points)
+    res = find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5)
     p, (margin, error, point) = brute_force_p(prof, 4.0, SEARCH_QUAD, 30, 5,
                                               64, screen_points)
     assert res["p"] == p == want_p
@@ -139,13 +140,14 @@ def test_find_p_matches_brute_force(sigma, screen_points, want_p):
     assert np.array_equal(res["worst_point"], point)
 
 
-def test_find_p_search_error_matches_brute_force():
+def test_find_p_search_error_matches_brute_force(monkeypatch):
+    monkeypatch.setattr(barriers, "P_MAX", 2)
     prof = isotropic(2, 0.8, 1.0, 2.0)
     p, (margin, _, point) = brute_force_p(prof, 4.0, SEARCH_QUAD, 30, 5, 2,
                                           24)
     assert p is None
     with pytest.raises(BarrierSearchError) as err:
-        find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5, p_max=2)
+        find_p(prof, 4.0, SEARCH_QUAD, n_points=30, seed=5)
     assert err.value.worst_margin == margin
     assert np.array_equal(err.value.worst_point, point)
 
@@ -174,11 +176,9 @@ def test_find_p_reuses_screened_rows(monkeypatch, sigma, want_p, want_rows):
 def test_find_p_refuses_low_sigma():
     prof = isotropic(1, 0.4, 1.0, 2.0)
     with pytest.raises(ValueError):
-        find_p(prof, 4.0, SEARCH_QUAD)
+        find_p(prof, 4.0, SEARCH_QUAD, n_points=200, seed=11)
     with pytest.raises(ValueError):
-        find_p(isotropic(1, 1.0), 0.5, SEARCH_QUAD)
-    with pytest.raises(ValueError):
-        find_p(isotropic(1, 1.0), 4.0, SEARCH_QUAD, screen_points=0)
+        find_p(isotropic(1, 1.0), 0.5, SEARCH_QUAD, n_points=200, seed=11)
 
 
 def test_sign_of_m_minus_matches_dense_reference(iso1):

@@ -263,13 +263,13 @@ def test_sweep_propagates_errors_other_than_preconditions(tmp_path,
 
 
 def test_sweep_without_valid_row_does_not_pass(tmp_path):
-    # C0 = -1: both Harnack preconditions fail at every order
+    # one Krylov iteration: the solve converges at no order
     cfg = write_config(tmp_path, {
         "command": "sweep",
         "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0,
                     "lambda_hi": 2.0},
         "params": {"sigma_min_values": [1.0, 1.5, 1.9], "grid": 25,
-                   "tolerance": 1e-10, "box": 2, "c0": -1},
+                   "tolerance": 1e-10, "box": 2, "max_iters": 1},
     })
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
     results = json.loads((tmp_path / "o" / "results.json").read_text())
@@ -535,6 +535,69 @@ def test_negative_seed_exit_2(tmp_path, capsys, config, argv):
     assert detail["detail"] == "-1 is less than the minimum of 0"
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "max_iters", -5),
+    ("harnack", "c0", -1),
+    ("harnack", "c0", -0.999),
+    ("sweep", "c0", -1),
+])
+def test_negative_solver_setting_exit_2(tmp_path, capsys, command, key,
+                                        value):
+    """A negative iteration cap or Harnack constant C_0 is a config error:
+    the cap counts iterations, and the Harnack class needs C_0 >= 0."""
+    config = {"command": command, "profile": P1,
+              "params": {"grid": 9, key: value}}
+    detail = _schema_exit_2(tmp_path, capsys, config, ["params", key])
+    assert detail["detail"] == f"{value} is less than the minimum of 0"
+
+
+def test_zero_max_iters_runs(tmp_path):
+    """No iteration allowed is a setting, not an error: the solve reports
+    that it did not converge."""
+    cfg = write_config(tmp_path, {"command": "solve", "profile": P1,
+                                  "params": {"grid": 9, "max_iters": 0}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["converged"] is False and results["iterations"] == 0
+
+
+@pytest.mark.parametrize("below", [(), ("o",), ("o", "p")],
+                         ids=["file", "child", "grandchild"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_unwritable_output_directory_exit_2(tmp_path, capsys, monkeypatch,
+                                            below, where):
+    """An output directory at or under a regular file cannot be made: the
+    run is refused before the command runs, with one JSON line."""
+    monkeypatch.setitem(cli._DISPATCH, "constants", None)   # never called
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker.joinpath(*below))
+    config = dict(SMALL_CONFIGS["constants"], command="constants")
+    if where == "flag":
+        detail = _exit_2_line(tmp_path, capsys, config, ["--out", out])
+    else:
+        cfg = write_config(tmp_path, dict(config, out=out))
+        assert main(["--config", cfg]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        detail = json.loads(lines[0])
+    assert detail["error"] == "unwritable output directory"
+    assert detail["detail"].startswith(out)
+    assert blocker.read_text() == ""
+
+
+def test_empty_output_directory_exit_2(tmp_path, capsys, monkeypatch):
+    """The config's ``out`` may not be empty: no directory has that name."""
+    monkeypatch.setitem(cli._DISPATCH, "constants", None)   # never called
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS["constants"],
+                                      command="constants", out=""))
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "unwritable output directory", "detail": "empty path"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command", ["envelope", "abp-cover"])
 def test_cap_envelope_above_two_dimensions_exit_2(tmp_path, capsys, command):
     """The exact concave envelope exists for n <= 2 only: a 3D profile is
@@ -649,8 +712,8 @@ def test_abp_cover_depth_cap_exit_3(tmp_path, capsys, monkeypatch):
     generation and its tile width."""
     from anisonl import abp
     # every rectangle fails the gradient test; no split is allowed
-    monkeypatch.setattr(abp, "abp_cover", functools.partial(
-        abp.abp_cover, grad_threshold=-1.0, depth_cap=0))
+    monkeypatch.setattr(abp, "GRAD_THRESHOLD", -1.0)
+    monkeypatch.setattr(abp, "DEPTH_CAP", 0)
     cfg = write_config(tmp_path, dict(SMALL_CONFIGS["abp-cover"],
                                       command="abp-cover"))
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -18,7 +18,7 @@ def linear_family(points, t=None):
 
 def cell_set(n, gen, cells):
     """The CellSet of the listed generation-``gen`` cells."""
-    out = CellSet(n, gen)
+    out = CellSet(n, gen, np.zeros((2 ** gen,) * n, dtype=bool))
     for c in cells:
         out.mask[tuple(c)] = True
     return out
@@ -126,7 +126,7 @@ def test_dyadic_tilde_law(aniso2):
 
 def test_cz_empty_a():
     b = CellSet(2, 3, np.ones((8, 8), dtype=bool))
-    a = CellSet(2, 3)
+    a = CellSet(2, 3, np.zeros((8, 8), dtype=bool))
     res = cz_decompose(a, b, 0.5)
     assert res.selected == [] and res.covered and res.certified
 

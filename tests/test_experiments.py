@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anisonl import experiments
 from anisonl.experiments import (distribution_decay, fit_decay_exponent,
                                  harnack_quotient, kernel_modulus_check,
                                  sigma_sweep)
@@ -16,6 +17,13 @@ from anisonl.solver import DiscreteProblem, discrete_extremal, solve_dirichlet
 def const_field(value, n=1, shape=65, box=2.0):
     return GridField.from_function(lambda p: np.full(p.shape[0], value),
                                    [-box] * n, [box] * n, (shape,) * n, value)
+
+
+def field_problem(u, profile):
+    """The extremal-pair problem on the lattice of the grid field ``u``:
+    the lattice of harnack_quotient's M^+- checks."""
+    return DiscreteProblem(profile, u.lo, u.hi, u.values.shape,
+                           KernelFamily.extremal_pair(profile), u.exterior)
 
 
 def bump_problem(profile, height=1.0, center=2.5, shape=129, box=4.0,
@@ -128,11 +136,11 @@ def test_point_estimate_decay_consistency():
     assert res.scalars["epsilon_fit"] == pytest.approx(predicted, rel=0.25)
 
 
-def test_harnack_constant_field():
-    res = harnack_quotient(const_field(1.0), 0.0)
-    assert res.valid and res.scalars["quotient"] == pytest.approx(1.0)
-    res2 = harnack_quotient(const_field(5.0), 0.0)
-    assert res2.scalars["quotient"] == pytest.approx(1.0)
+def test_harnack_constant_field(iso1_ell):
+    for value in (1.0, 5.0):
+        u = const_field(value)
+        res = harnack_quotient(u, 0.0, field_problem(u, iso1_ell))
+        assert res.valid and res.scalars["quotient"] == pytest.approx(1.0)
 
 
 def test_harnack_scale_covariance_exact(iso1_ell):
@@ -141,10 +149,10 @@ def test_harnack_scale_covariance_exact(iso1_ell):
     u = GridField(prob.lo, prob.hi, np.abs(field.values),
                   ConstantExterior(0.0))
     c0 = 0.7
-    q1 = harnack_quotient(u, c0).scalars["quotient"]
+    q1 = harnack_quotient(u, c0, prob).scalars["quotient"]
     scaled = GridField(prob.lo, prob.hi, 3.0 * np.abs(field.values),
                        ConstantExterior(0.0))
-    q2 = harnack_quotient(scaled, 3.0 * c0).scalars["quotient"]
+    q2 = harnack_quotient(scaled, 3.0 * c0, prob).scalars["quotient"]
     assert q1 == pytest.approx(q2, rel=1e-12)
 
 
@@ -165,8 +173,9 @@ def test_harnack_family_bounded(iso1_ell):
     assert max(quotients) < 1e4
 
 
-def test_harnack_invalid_on_negative_field():
-    res = harnack_quotient(const_field(-1.0), 1.0)
+def test_harnack_invalid_on_negative_field(iso1_ell):
+    u = const_field(-1.0)
+    res = harnack_quotient(u, 1.0, field_problem(u, iso1_ell))
     assert not res.valid
 
 
@@ -197,7 +206,7 @@ def test_sweep_degenerate_single_profile(iso1_ell):
     field, _ = solve_dirichlet(prob)
     u = GridField(prob.lo, prob.hi, np.abs(field.values),
                   ConstantExterior(0.0))
-    single = harnack_quotient(u, 1.0).scalars["quotient"]
+    single = harnack_quotient(u, 1.0, prob).scalars["quotient"]
 
     res = sigma_sweep([(iso1_ell.sigma_min, single, True)])
     assert res.rows[0][2] == single
@@ -219,22 +228,22 @@ def test_sweep_flags_divergence():
 def test_kernel_modulus_zero_shift(iso1_ell):
     k = PowerLawKernel(iso1_ell, 1.0)
     res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
-                               h_samples=[[0.0]], c0=100.0)
+                               h_samples=[[0.0]], c0=100.0, seed=3)
     assert res.rows[0][1] == 0.0 and res.passed
 
 
-def test_kernel_modulus_smooth_finite_ratio(iso1_ell):
+def test_kernel_modulus_smooth_finite_ratio(monkeypatch, iso1_ell):
+    monkeypatch.setattr(experiments, "MODULUS_NODES", 40000)
     k = PowerLawKernel(iso1_ell, 1.0)
     res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
-                               h_samples=[[0.02], [0.04]], c0=1e4,
-                               nodes=40000)
+                               h_samples=[[0.02], [0.04]], c0=1e4, seed=3)
     vals = [r[1] for r in res.rows]
     # difference quotient has a finite limit: the two integrals agree
     assert vals[0] == pytest.approx(vals[1], rel=0.25)
     assert res.passed
 
 
-def test_kernel_modulus_jump_kernel_fails(iso1_ell):
+def test_kernel_modulus_jump_kernel_fails(monkeypatch, iso1_ell):
     smooth = PowerLawKernel(iso1_ell, 1.0)
     jump = PowerLawKernel(
         iso1_ell, lambda y: np.where(np.abs(y[:, 0]) < 1.0, 1.0, 2.0),
@@ -243,12 +252,13 @@ def test_kernel_modulus_jump_kernel_fails(iso1_ell):
     # measured beforehand: smooth = 3.96 +- 0.13, jump = 5.79 +- 0.35
     # (the jump alone contributes 2 dK = 2 (Lam-lam) c_sigma at |y| = 1)
     tight_c0 = 4.5
+    monkeypatch.setattr(experiments, "MODULUS_NODES", 120000)
     ok = kernel_modulus_check(smooth, iso1_ell, tau0, [[0.01]], c0=tight_c0,
-                              nodes=120000)
+                              seed=3)
     assert ok.passed
     verdict = kernel_modulus_check(jump, iso1_ell, tau0, [[0.01]],
-                                   c0=tight_c0, nodes=120000)
+                                   c0=tight_c0, seed=3)
     assert not verdict.passed
     assert verdict.rows[0][1] > ok.rows[0][1] + 0.8
     with pytest.raises(ValueError):
-        kernel_modulus_check(smooth, iso1_ell, tau0, [[0.3]], c0=1.0)
+        kernel_modulus_check(smooth, iso1_ell, tau0, [[0.3]], c0=1.0, seed=3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anisonl import fields
 from anisonl.barriers import PsiBarrier, RadialBarrier
 from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
                             ConstantExterior, GridField, estimate_c11_many,
@@ -127,10 +128,10 @@ def test_grid_sup_bound_is_max_of_values_and_exterior(make, bound):
     assert lo[0] <= hi[0]
 
 
-def test_estimate_c11_quadratic():
+def test_estimate_c11_quadratic(monkeypatch):
+    monkeypatch.setattr(fields, "C11_SAFETY", 1.0)
     u = AnalyticField(lambda p: np.sum(p ** 2, axis=1), sup_bound=np.inf)
-    m = estimate_c11_many(u, np.array([[0.0, 0.0]]), scale=1e-3,
-                          safety=1.0)[0]
+    m = estimate_c11_many(u, np.array([[0.0, 0.0]]), scale=1e-3)[0]
     # |delta| = 2|y|^2 means the probe sees exactly M = 1
     assert m == pytest.approx(1.0, rel=1e-6)
 

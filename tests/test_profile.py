@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anisonl.profile import AnisotropyProfile, default_frak_c, isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from conftest import random_profile
 from lemmas import inf_quad_outside
 
@@ -120,4 +120,5 @@ def test_serialization_recomputes_derived():
 
 def test_default_frak_c_guarantee():
     for n in (1, 2, 3):
-        assert default_frak_c(n) >= (n + 2) * math.log2(8 * math.sqrt(n)) - 1e-9
+        assert isotropic(n, 1.0).frak_c \
+            >= (n + 2) * math.log2(8 * math.sqrt(n)) - 1e-9

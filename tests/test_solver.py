@@ -18,8 +18,8 @@ from lemmas import truncated_control_check
 @pytest.fixture(scope="module")
 def prob1(iso1):
     fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
-    return DiscreteProblem(iso1, (-2.0,), (2.0,), (65,), fam, 0.0,
-                           tolerance=1e-10, window=64)
+    return DiscreteProblem(iso1, (-2.0,), (2.0,), (65,), fam,
+                           ConstantExterior(0.0), tolerance=1e-10, window=64)
 
 
 def test_weights_symmetric_nonnegative(iso1):
@@ -188,7 +188,7 @@ def test_lattice_offsets_involution():
 def test_bad_spacing_rejected(iso1):
     fam = KernelFamily([[PowerLawKernel(iso1, 1.0)]])
     with pytest.raises(ValueError):
-        DiscreteProblem(iso1, (0.0,), (0.0,), (5,), fam, 0.0)
+        DiscreteProblem(iso1, (0.0,), (0.0,), (5,), fam, ConstantExterior(0.0))
 
 
 def cell_weight(kernel, center, h, level):

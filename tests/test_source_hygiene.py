@@ -4,8 +4,9 @@ catches every error, no code there switches on the type of an exterior
 rule, the dense oracle shares no code with the fast lattice paths, every
 library exception is a ``PreconditionError`` that no handler rewraps by
 name, every public function, class and method of the library is run by a
-command or named as an oracle, and every lemma check in
-``tests/lemmas.py`` has a test that calls it."""
+command or named as an oracle, every lemma check in ``tests/lemmas.py``
+has a test that calls it, and every defaulted parameter of the library is
+passed by a call in it or allowlisted with its reason."""
 
 import ast
 import importlib
@@ -287,3 +288,122 @@ def test_every_lemma_check_has_a_caller():
             named |= {getattr(node, "id", None) or getattr(node, "attr", None)
                       for node in ast.walk(ast.parse(path.read_text()))}
     assert sorted(public - named) == []
+
+
+# Defaulted parameters that no call in the library passes, each kept for
+# a caller outside it.
+UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point reads sys.argv; the tests "
+                      "pass their own arguments",
+    "coverings.cz_decompose(profile)": "anisotropic tilde boxes, which no "
+                                       "command selects yet (ROADMAP item 6)",
+    "kernels.PowerLawKernel.__init__(mult_lo, mult_hi)": "the bounds of a "
+        "callable multiplier, the kernels of the Howard path",
+    "profile.isotropic(lambda_lo, lambda_hi)": "the equal-order oracle "
+        "profiles, at unit ellipticity unless a test sets it",
+    "solver.dense_matrix(member)": "the oracle's matrix of one family member",
+    "geometry.AnisoSet.measure(mode, samples, seed)": "the oracle's exact "
+                                                      "or sampled measure",
+    "geometry.ScalingMap.apply(inverse)": "the oracle's inverse map of the "
+                                          "geometry inclusions",
+}
+
+
+def library_defs_and_calls():
+    """Every function and method of the library, nested ones too, as
+    ``(module, qualname, node, cls)``, every call as ``(call, cls)``, and
+    every class by name; ``cls`` is the class whose body holds the
+    definition or the call."""
+    defs, calls, classes = [], [], {}
+
+    def visit(module, node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                classes[child.name] = child
+                visit(module, child, f"{prefix}{child.name}.", child)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                defs.append((module, prefix + child.name, child, cls))
+                visit(module, child, f"{prefix}{child.name}.", cls)
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((child, cls))
+            visit(module, child, prefix, cls)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), "", None)
+    return defs, calls, classes
+
+
+def call_targets(call, cls, defs, classes):
+    """``(node, bound)`` of each definition ``call`` may run, matched by
+    name; ``bound`` says the call passes the first parameter implicitly."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+
+    def inits(c):
+        own = [s for s in c.body
+               if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+        return [(s, True) for s in own] or [
+            t for base in c.bases if getattr(base, "id", None) in classes
+            for t in inits(classes[base.id])]
+
+    if name == "__init__" and isinstance(func.value, ast.Call) \
+            and getattr(func.value.func, "id", None) == "super":
+        return [t for base in cls.bases if getattr(base, "id", None) in classes
+                for t in inits(classes[base.id])]
+    targets = inits(classes[name]) if name in classes else []
+    for _, _, node, owner in defs:
+        if node.name != name or owner is not None and \
+                isinstance(func, ast.Name):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod"
+                     for d in node.decorator_list)
+        targets.append((node, owner is not None and not static))
+    return targets
+
+
+def passes(call, node, bound):
+    """The names of the parameters of ``node`` that ``call`` passes."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        named = set(positional)
+    else:
+        named = set(positional[:len(call.args) + bound])
+    for kw in call.keywords:
+        if kw.arg is None:                  # **kwargs
+            return named | set(positional) | {a.arg for a in args.kwonlyargs}
+        named.add(kw.arg)
+    return named
+
+
+def unpassed_defaults():
+    """``module.qualname(params)`` of each library function with
+    defaulted parameters that no call in the library passes."""
+    defs, calls, classes = library_defs_and_calls()
+    passed = {}
+    for call, cls in calls:
+        for node, bound in call_targets(call, cls, defs, classes):
+            passed.setdefault(id(node), set()).update(
+                passes(call, node, bound))
+    found = []
+    for module, qualname, node, _ in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+        unpassed = [a.arg for a in defaulted
+                    if a.arg not in passed.get(id(node), set())]
+        if unpassed:
+            found.append(f"{module}.{qualname}({', '.join(unpassed)})")
+    return sorted(found)
+
+
+def test_every_default_is_passed_by_the_library():
+    """A default no call in the library overrides is one value in use: a
+    module constant, or a required argument where every caller fills it.
+    The allowlist names each exception once, and every entry still
+    applies."""
+    assert unpassed_defaults() == sorted(UNPASSED_DEFAULTS)
