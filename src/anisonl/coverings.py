@@ -5,10 +5,15 @@ densities.  Sets are unions of generation-G lattice cells, so every
 measure is an exact cell-overlap computation.  The hypothesis is the
 literal one: a dyadic cube whose tilde box holds more than a delta
 fraction of A forces the tilde box of its predecessor inside B.
+
+Each generation is tested in one pass over the lattice: the tilde boxes
+of its cubes form a product grid, and a set's measure in every box of
+that grid is read off its cumulative measure along each axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,65 +22,43 @@ import numpy as np
 from . import PreconditionError
 
 
-# ---------------------------------------------------------------------------
-# dyadic cubes on Q_1 = [0, 1)^n
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class DyadicCube:
-    n: int
+    """The cube prod_d [index_d, index_d + 1) * 2^-gen of Q_1 = [0, 1)^n."""
     gen: int
     index: tuple
 
-    def __post_init__(self):
-        if self.gen < 0 or len(self.index) != self.n:
-            raise ValueError("malformed dyadic cube")
-        if any(not 0 <= i < 2 ** self.gen for i in self.index):
-            raise ValueError("cube index out of range for its generation")
 
-    @property
-    def side(self):
-        return 2.0 ** (-self.gen)
-
-    def box(self):
-        lo = np.asarray(self.index, dtype=float) * self.side
-        return lo, lo + self.side
-
-    @property
-    def center(self):
-        lo, hi = self.box()
-        return 0.5 * (lo + hi)
-
-    def children(self):
-        out = []
-        for corner in range(2 ** self.n):
-            idx = tuple(2 * self.index[d] + ((corner >> d) & 1)
-                        for d in range(self.n))
-            out.append(DyadicCube(self.n, self.gen + 1, idx))
-        return out
-
-    def predecessor(self):
-        if self.gen == 0:
-            raise ValueError("the root cube has no predecessor")
-        return DyadicCube(self.n, self.gen - 1,
-                          tuple(i // 2 for i in self.index))
-
-    def tilde_box(self, profile=None):
-        """Tilde rectangle: same center, half-widths following the
-        R_{r,s} -> R~_{r,s} law with r = 1 (cube side = 2 s^{1/(n+s_min)})."""
-        c = self.center
-        if profile is None:
-            h = np.full(self.n, 0.5 * self.side)
-            return c - h, c + h
-        expo = (self.gen + 1) * (profile.n + profile.sigma_min) \
-            / profile.exponents
-        h = 2.0 ** (-expo)
-        return c - h, c + h
+def tilde_boxes(n, gen, profile):
+    """Lower and upper edges, each of shape (n, 2^gen), of the tilde boxes
+    of the generation-``gen`` cubes along every axis: same centre as the
+    cube, half-widths following the R_{r,s} -> R~_{r,s} law with r = 1
+    (cube side = 2 s^{1/(n+s_min)}); without a profile, the cube itself."""
+    side = 2.0 ** (-gen)
+    lo = np.arange(2 ** gen, dtype=float) * side
+    centre = 0.5 * (lo + (lo + side))
+    if profile is None:
+        h = np.full((n, 1), 0.5 * side)
+    else:
+        expo = (gen + 1) * (profile.n + profile.sigma_min) / profile.exponents
+        h = 2.0 ** (-expo)[:, None]
+    return centre - h, centre + h
 
 
-# ---------------------------------------------------------------------------
-# lattice cell sets and exact box overlaps
-# ---------------------------------------------------------------------------
+def _outer(ufunc, rows):
+    """``ufunc`` of the per-axis rows over the product grid, taken over
+    the axes in order (for ``np.multiply``, the order of ``np.prod``)."""
+    return functools.reduce(ufunc.outer, rows)
+
+
+def _cumulative_at(cum, edges, m):
+    """The cumulative measure ``cum`` (along axis 0, in cell units, with a
+    leading zero) at the given coordinates, linear inside a cell."""
+    x = np.clip(edges * m, 0.0, m)
+    k = np.minimum(x.astype(int), m - 1)
+    frac = (x - k).reshape((-1,) + (1,) * (cum.ndim - 1))
+    return cum[k] + frac * (cum[k + 1] - cum[k])
+
 
 class CellSet:
     """Union of generation-G lattice cells of Q_1 as a boolean array."""
@@ -86,9 +69,6 @@ class CellSet:
         self.m = 2 ** gen
         self.mask = mask
 
-    def cells(self):
-        return sorted(map(tuple, np.argwhere(self.mask)))
-
     @property
     def measure(self):
         return float(np.count_nonzero(self.mask)) / self.m ** self.n
@@ -96,23 +76,17 @@ class CellSet:
     def issubset(self, other):
         return bool(np.all(other.mask[self.mask]))
 
-    def _axis_overlap(self, lo, hi):
-        """Per-axis vectors of cell-interval overlap lengths."""
-        edges = np.linspace(0.0, 1.0, self.m + 1)
-        out = []
-        for d in range(self.n):
-            left = np.maximum(edges[:-1], lo[d])
-            right = np.minimum(edges[1:], hi[d])
-            out.append(np.maximum(right - left, 0.0))
-        return out
-
-    def overlap_measure(self, lo, hi):
-        """Exact measure of (set intersect box [lo, hi])."""
-        w = self._axis_overlap(np.asarray(lo, float), np.asarray(hi, float))
-        total = self.mask.astype(float)
-        for wd in reversed(w):
-            total = total @ wd
-        return float(total)
+    def box_measures(self, lo, hi):
+        """Exact measure of (set intersect box) for every box of the
+        product grid prod_d [lo[d][i_d], hi[d][i_d]], as an array indexed
+        by (i_0, ..., i_{n-1})."""
+        out = self.mask
+        for lo_d, hi_d in zip(lo, hi):
+            cum = np.zeros((self.m + 1,) + out.shape[1:])
+            np.cumsum(out, axis=0, dtype=float, out=cum[1:])
+            out = np.moveaxis(_cumulative_at(cum, hi_d, self.m)
+                              - _cumulative_at(cum, lo_d, self.m), 0, -1)
+        return out / self.m ** self.n
 
 
 class CzHypothesisError(PreconditionError):
@@ -135,10 +109,13 @@ class CzResult:
 def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
     """Rectangle Calderon-Zygmund decomposition on exact lattice sets.
 
-    Walks the dyadic tree from the root, selecting maximal cubes whose
-    tilde boxes are delta-dense in A.  Every selected cube must satisfy
-    the containment hypothesis (tilde box of the predecessor inside B),
-    otherwise CzHypothesisError reports the witness cube.
+    Selects the maximal dyadic cubes whose tilde boxes are delta-dense in
+    A, one generation at a time, and lists them in the depth-first order
+    of the dyadic tree (children by the binary number whose bit d is the
+    cube's half along axis d).  Every selected cube must satisfy the
+    containment hypothesis (tilde box of the predecessor inside B),
+    otherwise CzHypothesisError reports the first failing cube in that
+    order as the witness.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -150,65 +127,82 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
         raise PreconditionError(f"hypothesis |A| <= delta violated: "
                                 f"|A| = {a_set.measure} > {delta}")
 
-    n, gen_max = a_set.n, a_set.gen
-    selected = []
-    covered_cells = np.zeros_like(a_set.mask)
+    n, top, m = a_set.n, a_set.gen, a_set.m
+    alive = np.ones((1,) * n, dtype=bool)
+    covered = ~alive
+    # the dense cubes of every generation: generation, lattice corner at
+    # generation G, predecessor tilde box and whether hypothesis (2) holds
+    gens, corners = [np.zeros(0, int)], [np.zeros((0, n), int)]
+    box_lo, box_hi = [np.zeros((0, n))], [np.zeros((0, n))]
+    holds = [np.zeros(0, bool)]
+    for gen in range(top + 1):
+        lo, hi = tilde_boxes(n, gen, profile)
+        dense = alive & (a_set.box_measures(lo, hi)
+                         > delta * _outer(np.multiply, hi - lo))
+        index = np.argwhere(dense)
+        if len(index) and gen == 0:
+            raise CzHypothesisError(
+                DyadicCube(0, (0,) * n),
+                "root cube is delta-dense; predecessor undefined "
+                "(hypothesis (1) should exclude this)")
+        if len(index):
+            inside = _outer(np.logical_and,
+                            (pred_lo >= -1e-12) & (pred_hi <= 1 + 1e-12))
+            in_b = b_set.box_measures(pred_lo, pred_hi) \
+                >= _outer(np.multiply, pred_hi - pred_lo) - 1e-12
+            pred = index // 2
+            gens.append(np.full(len(index), gen))
+            corners.append(index << (top - gen))
+            box_lo.append(pred_lo[np.arange(n), pred])
+            box_hi.append(pred_hi[np.arange(n), pred])
+            holds.append((inside & in_b)[tuple(pred.T)])
+        covered |= dense
+        alive &= ~dense
+        if gen == top or not alive.any():
+            break
+        children = np.ones((2,) * n, dtype=bool)
+        alive, covered = np.kron(alive, children), np.kron(covered, children)
+        pred_lo, pred_hi = lo, hi
+    covered = np.kron(covered, np.ones((2 ** (top - gen),) * n, dtype=bool))
 
-    def dense(cube):
-        lo, hi = cube.tilde_box(profile)
-        t_vol = float(np.prod(hi - lo))
-        return a_set.overlap_measure(lo, hi) > delta * t_vol
-
-    def recurse(cube):
-        if dense(cube):
-            if cube.gen == 0:
-                raise CzHypothesisError(
-                    cube, "root cube is delta-dense; predecessor undefined "
-                          "(hypothesis (1) should exclude this)")
-            pred_lo, pred_hi = cube.predecessor().tilde_box(profile)
-            inside_q1 = np.all(pred_lo >= -1e-12) and np.all(pred_hi <= 1 + 1e-12)
-            pb_vol = float(np.prod(pred_hi - pred_lo))
-            covered = b_set.overlap_measure(pred_lo, pred_hi) \
-                >= pb_vol - 1e-12
-            if not (inside_q1 and covered):
-                raise CzHypothesisError(
-                    cube, f"hypothesis (2) fails at gen {cube.gen} index "
-                          f"{cube.index}: predecessor tilde box not in B")
-            selected.append(cube)
-            lo, hi = cube.box()
-            m = a_set.m
-            sl = tuple(slice(int(round(lo[d] * m)), int(round(hi[d] * m)))
-                       for d in range(n))
-            covered_cells[sl] = True
-            return
-        if cube.gen < gen_max:
-            for child in cube.children():
-                recurse(child)
-
-    recurse(DyadicCube(n, 0, (0,) * n))
-
-    boxes = [c.predecessor().tilde_box(profile) for c in selected]
-    vacuous = int(np.count_nonzero(a_set.mask & ~covered_cells))
+    # depth-first order: the bits of the lattice corners interleaved, the
+    # coarsest level first; the dense cubes are disjoint, so keys differ
+    gens, corners, box_lo, box_hi, holds = map(
+        np.concatenate, (gens, corners, box_lo, box_hi, holds))
+    key = np.zeros(len(gens), dtype=int)
+    for b in range(top):
+        for d in range(n):
+            key |= ((corners[:, d] >> b) & 1) << (b * n + d)
+    order = np.argsort(key)
+    gens, corners, box_lo, box_hi, holds = (
+        x[order] for x in (gens, corners, box_lo, box_hi, holds))
+    selected = [DyadicCube(g, tuple(i >> (top - g) for i in c))
+                for g, c in zip(gens.tolist(), corners.tolist())]
+    if not holds.all():
+        cube = selected[int(np.argmin(holds))]
+        raise CzHypothesisError(
+            cube, f"hypothesis (2) fails at gen {cube.gen} index "
+                  f"{cube.index}: predecessor tilde box not in B")
+    vacuous = int(np.count_nonzero(a_set.mask & ~covered))
     covered = vacuous == 0
 
     b_measure = b_set.measure
-    if boxes:
-        total = sum(float(np.prod(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)))
-                    for lo, hi in boxes)
+    c_measured, max_mult = 0.0, 0
+    if selected:
+        total = sum(np.prod(np.minimum(box_hi, 1.0) - np.maximum(box_lo, 0.0),
+                            axis=1).tolist())
         c_measured = total / b_measure if b_measure > 0 else math.inf
-    else:
-        c_measured = 0.0
-
-    # overlap multiplicity of the R_j at cell centers
-    max_mult = 0
-    if boxes:
-        centers = (np.argwhere(np.ones_like(a_set.mask)) + 0.5) / a_set.m
-        mult = np.zeros(centers.shape[0], dtype=int)
-        for lo, hi in boxes:
-            mult += np.all((centers >= lo) & (centers <= hi), axis=1)
+        # overlap multiplicity of the R_j at the cell centres c, each box
+        # holding those with lo <= c <= hi on every axis
+        centres = (np.arange(m) + 0.5) / m
+        start = np.searchsorted(centres, box_lo, "left")
+        stop = np.searchsorted(centres, box_hi, "right")
+        mult = np.zeros((m,) * n, dtype=int)
+        for s, e in zip(start, stop):
+            mult[tuple(map(slice, s, e))] += 1
         max_mult = int(mult.max())
 
     certified = covered and (a_set.measure <= delta * c_measured * b_measure
                              + 1e-12)
-    return CzResult(selected, boxes, covered, vacuous, c_measured,
-                    max_mult, certified)
+    return CzResult(selected, list(zip(box_lo, box_hi)), covered, vacuous,
+                    c_measured, max_mult, certified)

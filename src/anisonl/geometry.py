@@ -15,6 +15,7 @@ once per profile by Monte Carlo (cached, standard error reported).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,9 +114,14 @@ class AnisoSet:
             rng = np.random.default_rng(seed)
             hw = self.half_widths()
             box = float(np.prod(2.0 * hw))
-            pts = rng.uniform(-hw, hw, size=(samples, p.n)) \
-                + np.asarray(self.center)[None, :]
-            frac = float(np.mean(self.contains(pts)))
+            hits = 0
+            chunk = 500_000
+            for start in range(0, samples, chunk):
+                pts = rng.uniform(-hw, hw,
+                                  size=(min(chunk, samples - start), p.n)) \
+                    + np.asarray(self.center)[None, :]
+                hits += int(np.count_nonzero(self.contains(pts)))
+            frac = hits / samples
             se = box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
             return box * frac, se
         ex = p.exponents
@@ -134,31 +140,16 @@ class AnisoSet:
         return scale * v1, scale * se1
 
 
-_THETA1_CACHE = {}
-
-
 def theta_unit_volume(profile):
     """|Theta_1| by Monte Carlo over the bounding box [-1, 1]^n: two
-    million seed-1234 samples, cached per profile."""
-    key = (profile.n, profile.sigma)
-    if key not in _THETA1_CACHE:
-        rng = np.random.default_rng(1234)
-        samples = 2_000_000
-        n = profile.n
-        box = 2.0 ** n
-        hits = 0
-        chunk = 500_000
-        left = samples
-        while left > 0:
-            m = min(chunk, left)
-            pts = rng.uniform(-1.0, 1.0, size=(m, n))
-            hits += int(np.count_nonzero(gauge(profile, pts) < 1.0))
-            left -= m
-        frac = hits / samples
-        vol = box * frac
-        se = box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-        _THETA1_CACHE[key] = (vol, se)
-    return _THETA1_CACHE[key]
+    million seed-1234 samples, cached per (n, sigma)."""
+    return _theta_unit_volume(profile.n, profile.sigma)
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_unit_volume(n, sigma):
+    return theta(AnisotropyProfile(n, sigma), 1.0).measure(
+        "monte_carlo", 2_000_000, 1234)
 
 
 def theta(profile, r):

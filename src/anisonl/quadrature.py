@@ -82,20 +82,19 @@ class Stratum:
     """One stratum of the node table; every array is read-only.
 
     ``pts`` and ``gauge`` hold the accepted nodes and their gauge values,
-    in draw order; ``mask`` marks them among the ``count`` drawn nodes,
-    which were uniform on a box of volume ``box``, and ``index`` holds
-    their positions there.
+    in draw order; they were accepted among ``count`` nodes drawn
+    uniform on a box of volume ``box``, and ``index`` holds their
+    positions there.
     """
     pts: np.ndarray
     gauge: np.ndarray
-    mask: np.ndarray
     index: np.ndarray
     box: float
     count: int
 
 
 def _stratum(pts, g, mask, box):
-    arrays = (pts[mask], g[mask], mask, np.flatnonzero(mask))
+    arrays = (pts[mask], g[mask], np.flatnonzero(mask))
     for a in arrays:
         a.flags.writeable = False
     return Stratum(*arrays, box=box, count=len(mask))

@@ -734,7 +734,8 @@ def test_cz_cell_count_bounded_by_profile(tmp_path, capsys):
 
 
 def test_cz_runs_in_four_dimensions(tmp_path):
-    """The density test contracts the cell mask along any number of axes."""
+    """The density test reads cumulative measures along any number of
+    axes."""
     cfg = write_config(tmp_path, {"command": "cz",
                                   "profile": {"n": 4, "sigma": [1, 1, 1, 1]},
                                   "params": {"generation": 3}})

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from anisonl.coverings import (CellSet, CzHypothesisError, DyadicCube,
-                               cz_decompose)
+from anisonl import PreconditionError
+from anisonl.coverings import (CellSet, CzHypothesisError, CzResult,
+                               DyadicCube, cz_decompose, tilde_boxes)
 from anisonl.profile import AnisotropyProfile
 from lemmas import ParamRectangleFamily, cc_cover
 
@@ -94,34 +98,27 @@ def test_cc_cover_rejects_bad_law(rng):
         cc_cover(fam2)
 
 
-def test_dyadic_children_partition():
-    for n in (1, 2, 3):
-        root = DyadicCube(n, 0, (0,) * n)
-        kids = root.children()
-        assert len(kids) == 2 ** n
-        vol = sum(float(np.prod(k.box()[1] - k.box()[0])) for k in kids)
-        assert vol == pytest.approx(1.0)
-        for k in kids:
-            assert k.predecessor() == root
-    with pytest.raises(ValueError):
-        DyadicCube(2, 0, (0, 0)).predecessor()
-
-
 def test_dyadic_tilde_law(aniso2):
     # half widths follow (s r)^(1/(n+sigma_i)) with r=1, s = side-law
-    q = DyadicCube(2, 3, (2, 5))
-    lo, hi = q.tilde_box(aniso2)
-    c = q.center
-    s_param = 2.0 ** (-(q.gen + 1) * (aniso2.n + aniso2.sigma_min))
+    gen, index = 3, (2, 5)
+    lo, hi = tilde_boxes(2, gen, aniso2)
+    assert lo.shape == hi.shape == (2, 2 ** gen)
+    centre = (np.asarray(index) + 0.5) * 2.0 ** -gen
+    s_param = 2.0 ** (-(gen + 1) * (aniso2.n + aniso2.sigma_min))
     for i in range(2):
         expected = s_param ** (1.0 / (aniso2.n + aniso2.sigma[i]))
-        assert hi[i] - c[i] == pytest.approx(expected, rel=1e-12)
-        assert c[i] - lo[i] == pytest.approx(expected, rel=1e-12)
+        assert hi[i, index[i]] - centre[i] == pytest.approx(expected,
+                                                            rel=1e-12)
+        assert centre[i] - lo[i, index[i]] == pytest.approx(expected,
+                                                            rel=1e-12)
     # isotropic tilde is the cube itself
-    iso = AnisotropyProfile(2, (1.0, 1.0))
-    lo2, hi2 = q.tilde_box(iso)
-    blo, bhi = q.box()
-    assert np.allclose(lo2, blo) and np.allclose(hi2, bhi)
+    edges = np.arange(2 ** gen) * 2.0 ** -gen
+    cube = np.tile(edges, (2, 1)), np.tile(edges + 2.0 ** -gen, (2, 1))
+    iso = tilde_boxes(2, gen, AnisotropyProfile(2, (1.0, 1.0)))
+    assert np.allclose(iso[0], cube[0]) and np.allclose(iso[1], cube[1])
+    plain = tilde_boxes(2, gen, None)
+    assert np.array_equal(plain[0], cube[0])
+    assert np.array_equal(plain[1], cube[1])
 
 
 def test_cz_empty_a():
@@ -187,29 +184,43 @@ def test_cz_density_properties_exact(rng):
     res = cz_decompose(a, b, delta)
     for lo, hi in res.boxes:
         vol = float(np.prod(hi - lo))
-        assert a.overlap_measure(lo, hi) <= delta * vol + 1e-12
+        assert a.box_measures(lo[:, None], hi[:, None]).item() \
+            <= delta * vol + 1e-12
     assert covered_by_boxes(a, res.boxes)
+
+
+def per_cell_measure(cells, lo, hi):
+    """|cells cap [lo, hi]|: a sum over the cells, one cell at a time, of
+    the product of its per-axis interval overlaps."""
+    m = cells.m
+    total = 0.0
+    for cell in np.argwhere(cells.mask):
+        piece = 1.0
+        for d in range(cells.n):
+            piece *= max(min((cell[d] + 1) / m, hi[d])
+                         - max(cell[d] / m, lo[d]), 0.0)
+        total += piece
+    return total
 
 
 @pytest.mark.parametrize("n, gen", [(1, 6), (2, 4), (3, 3), (4, 2)])
 def test_overlap_measure_matches_per_cell_sum(n, gen):
-    """|A cap [lo, hi]| against a sum over A's cells, one cell at a time,
-    of the product of its per-axis interval overlaps."""
+    """Every box of a product grid, and a single box, against a sum over
+    A's cells of the product of their per-axis interval overlaps."""
     rng = np.random.default_rng(n)
     m = 2 ** gen
     a = CellSet(n, gen, rng.random((m,) * n) < 0.4)
     for _ in range(5):
-        lo = rng.uniform(-0.2, 0.6, size=n)
-        hi = lo + rng.uniform(0.1, 0.8, size=n)
-        want = 0.0
-        for cell in np.argwhere(a.mask):
-            piece = 1.0
-            for d in range(n):
-                piece *= max(min((cell[d] + 1) / m, hi[d])
-                             - max(cell[d] / m, lo[d]), 0.0)
-            want += piece
-        assert a.overlap_measure(lo, hi) == pytest.approx(want, rel=1e-12,
-                                                          abs=1e-15)
+        lo = rng.uniform(-0.2, 0.6, size=(n, 2))
+        hi = lo + rng.uniform(0.1, 0.8, size=(n, 2))
+        got = a.box_measures(lo, hi)
+        assert got.shape == (2,) * n
+        for i in np.ndindex(got.shape):
+            want = per_cell_measure(a, lo[np.arange(n), i],
+                                    hi[np.arange(n), i])
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert a.box_measures(lo[:, :1], hi[:, :1]).item() \
+            == pytest.approx(got[(0,) * n], rel=1e-12, abs=1e-15)
 
 
 def test_cz_hypothesis_violation_witness():
@@ -258,3 +269,129 @@ def test_cz_anisotropic_tilde_flags(aniso2, rng):
         assert res.covered or res.vacuous_cells > 0
     except CzHypothesisError as err:
         assert err.cube is not None
+
+
+def depth_first_cz(a_set, b_set, delta, profile=None):
+    """The reference of ``cz_decompose``: the depth-first walk of the
+    dyadic tree, one cube at a time, each box measure summed over the
+    set's cells and each box's multiplicity over every cell centre."""
+    n, m = a_set.n, a_set.m
+    if a_set.measure > delta:
+        raise PreconditionError("hypothesis |A| <= delta violated")
+
+    def tilde_box(gen, index):
+        side = 2.0 ** (-gen)
+        lo = np.asarray(index, dtype=float) * side
+        centre = 0.5 * (lo + (lo + side))
+        if profile is None:
+            h = np.full(n, 0.5 * side)
+        else:
+            h = 2.0 ** (-((gen + 1) * (profile.n + profile.sigma_min)
+                          / profile.exponents))
+        return centre - h, centre + h
+
+    def measure(cells, lo, hi):
+        corner = np.argwhere(cells.mask)
+        part = np.minimum((corner + 1) / m, hi) - np.maximum(corner / m, lo)
+        return float(np.sum(np.prod(np.maximum(part, 0.0), axis=1)))
+
+    selected, boxes = [], []
+    covered = np.zeros_like(a_set.mask)
+
+    def walk(gen, index):
+        lo, hi = tilde_box(gen, index)
+        if measure(a_set, lo, hi) > delta * float(np.prod(hi - lo)):
+            cube = DyadicCube(gen, index)
+            if gen == 0:
+                raise CzHypothesisError(cube, "root cube is delta-dense")
+            plo, phi = tilde_box(gen - 1, tuple(i // 2 for i in index))
+            inside = np.all(plo >= -1e-12) and np.all(phi <= 1 + 1e-12)
+            if not (inside and measure(b_set, plo, phi)
+                    >= float(np.prod(phi - plo)) - 1e-12):
+                raise CzHypothesisError(cube, "hypothesis (2) fails")
+            selected.append(cube)
+            boxes.append((plo, phi))
+            k = 2 ** (a_set.gen - gen)
+            covered[tuple(slice(i * k, (i + 1) * k) for i in index)] = True
+            return
+        if gen < a_set.gen:
+            for corner in range(2 ** n):
+                walk(gen + 1, tuple(2 * index[d] + ((corner >> d) & 1)
+                                    for d in range(n)))
+
+    walk(0, (0,) * n)
+    vacuous = int(np.count_nonzero(a_set.mask & ~covered))
+    total = sum(float(np.prod(np.minimum(hi, 1.0) - np.maximum(lo, 0.0)))
+                for lo, hi in boxes)
+    c_measured = (total / b_set.measure if b_set.measure > 0 else math.inf) \
+        if boxes else 0.0
+    centres = (np.argwhere(np.ones_like(a_set.mask)) + 0.5) / m
+    mult = np.zeros(len(centres), dtype=int)
+    for lo, hi in boxes:
+        mult += np.all((centres >= lo) & (centres <= hi), axis=1)
+    certified = vacuous == 0 and (a_set.measure
+                                  <= delta * c_measured * b_set.measure
+                                  + 1e-12)
+    return CzResult(selected, boxes, vacuous == 0, vacuous, c_measured,
+                    int(mult.max()) if boxes else 0, certified)
+
+
+def cz_outcome(decompose, a, b, delta, profile):
+    """Everything a decomposition reports, to the bit: its result, or the
+    kind of its refusal with the witness cube."""
+    try:
+        res = decompose(a, b, delta, profile)
+    except CzHypothesisError as err:
+        kind = "root" if "root" in str(err) else "hypothesis (2)"
+        return kind, err.cube
+    except PreconditionError:
+        return "|A| > delta", None
+    boxes = [(lo.tobytes(), hi.tobytes()) for lo, hi in res.boxes]
+    return "result", (res.selected, boxes, res.covered, res.vacuous_cells,
+                      res.c_measured.hex(), res.max_multiplicity,
+                      res.certified)
+
+
+def test_cz_matches_depth_first_walk(rng):
+    """The generation-at-a-time decomposition selects the same cubes in
+    the same order, with the same boxes, constants and verdicts, and
+    names the same witness as the cube-by-cube depth-first walk, in one
+    to four dimensions, with and without (anisotropic) profiles, for a
+    full B and for a partial one."""
+    kinds = Counter()
+    for trial in range(240):
+        n = trial % 4 + 1
+        gen = int(rng.integers(1, (8, 5, 3, 3)[n - 1] + 1))
+        m = 2 ** gen
+        delta = float(rng.uniform(0.05, 0.95))
+        a_mask = rng.random((m,) * n) < rng.uniform(0.0, delta)
+        b_mask = a_mask | (rng.random(a_mask.shape) < rng.uniform(0.5, 1.0)) \
+            if trial // 4 % 2 else np.ones_like(a_mask)
+        profile = (None, AnisotropyProfile(n, (1.0,) * n),
+                   AnisotropyProfile(n, tuple(rng.uniform(0.1, 1.99, n))))[
+            trial // 8 % 3]
+        a, b = CellSet(n, gen, a_mask), CellSet(n, gen, b_mask)
+        got = cz_outcome(cz_decompose, a, b, delta, profile)
+        assert got == cz_outcome(depth_first_cz, a, b, delta, profile)
+        kinds[got[0], got[0] == "result" and len(got[1][0]) > 0] += 1
+    assert kinds["result", True] > 60 and kinds["hypothesis (2)", False] > 60
+
+
+def test_box_measures_once_per_set_and_generation(monkeypatch, rng):
+    """One lattice pass per set and generation: the A-densities of all
+    the generation's cubes, and the B-measures of their predecessors."""
+    seen = []
+    whole = CellSet.box_measures
+
+    def counted(self, lo, hi):
+        seen.append((self is a, lo.shape[1]))
+        return whole(self, lo, hi)
+
+    monkeypatch.setattr(CellSet, "box_measures", counted)
+    gen = 6
+    a = CellSet(2, gen, rng.random((2 ** gen,) * 2) < 0.2)
+    b = CellSet(2, gen, np.ones_like(a.mask))
+    res = cz_decompose(a, b, 0.5)
+    assert len(res.selected) > 0
+    assert len(seen) <= 2 * (gen + 1)
+    assert max(Counter(seen).values()) == 1
