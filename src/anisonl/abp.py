@@ -30,6 +30,7 @@ import numpy as np
 
 from . import PreconditionError
 from .envelope import contact_set, default_contact_tol
+from .geometry import theta_half_widths
 from .profile import AnisotropyProfile
 
 # C_det and the expansion constant C of the detachment test; a rectangle
@@ -79,12 +80,12 @@ def base_scale(profile):
 def tile_half_widths(profile, gen):
     a = base_scale(profile)
     shrink = 2.0 ** (-profile.frak_c * (gen + 1))
-    return shrink * a ** (1.0 / profile.exponents)
+    return shrink * theta_half_widths(profile, a)
 
 
 def tilde_half_widths(profile, gen):
     """Half-widths of the tilde rectangle: the Theta_{r_{gen+1}} box."""
-    return profile.radius(gen + 1) ** (1.0 / profile.exponents)
+    return theta_half_widths(profile, profile.radius(gen + 1))
 
 
 @dataclass

@@ -32,15 +32,46 @@ from . import PreconditionError  # noqa: E402
 from .profile import AnisotropyProfile  # noqa: E402
 from .quadrature import QuadratureScheme, shell_radii  # noqa: E402
 
-COMMANDS = ("constants", "barrier-verify", "envelope", "abp-cover", "cz",
-            "solve", "harnack", "decay", "sweep", "kernel-check")
-
 _NUMBER = {"type": "number"}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _ORDER = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 2}
 # numpy's generators take no negative seed
 _SEED = {"type": "integer", "minimum": 0}
+
+# The ``properties`` of each command's ``params`` object: every key the
+# command reads, and no other.  A bound is declared only where a value
+# outside it crashes the command; an integer may arrive as 33.0, so the
+# commands take int() of the integer params.
+_GRID = {"type": "integer", "minimum": 2}
+_COUNT = {"type": "integer", "minimum": 1}
+_SIZE = {"type": "integer", "minimum": 0}
+_SOLVER = {"grid": _GRID, "box": _POSITIVE, "bump_center": _NUMBER,
+           "bump_height": _NUMBER, "tolerance": _POSITIVE,
+           "max_iters": _SIZE, "window": _SIZE}
+PARAMS_SCHEMA = {
+    "constants": {},
+    "barrier-verify": {"R": {"type": "number", "exclusiveMinimum": 1},
+                       "n_points": _COUNT, "psi_points": _COUNT},
+    "envelope": {"grid": _GRID},
+    "abp-cover": {"grid": _GRID, "f_const": _NUMBER, "mc_samples": _COUNT},
+    "cz": {"generation": _SIZE,
+           "delta": {"type": "number", "exclusiveMinimum": 0,
+                     "exclusiveMaximum": 1}},
+    "solve": _SOLVER,
+    "harnack": dict(_SOLVER, c0=_NONNEGATIVE),
+    "decay": dict(_SOLVER, M={"type": "number", "exclusiveMinimum": 1},
+                  k_max={"type": "integer", "minimum": 2}),
+    "sweep": dict(_SOLVER, c0=_NONNEGATIVE,
+                  sigma_min_values={"type": "array", "items": _ORDER}),
+    "kernel-check": {"tau0": _POSITIVE, "c0": _NUMBER,
+                     "h_scales": {"type": "array",
+                                  "items": {"type": "number",
+                                            "exclusiveMinimum": -0.5,
+                                            "exclusiveMaximum": 0.5}}},
+}
+
+COMMANDS = tuple(PARAMS_SCHEMA)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -76,39 +107,6 @@ CONFIG_SCHEMA = {
         "params": {"type": "object"},
     },
     "additionalProperties": False,
-}
-
-
-# The ``properties`` of each command's ``params`` object: every key the
-# command reads, and no other.  A bound is declared only where a value
-# outside it crashes the command; an integer may arrive as 33.0, so the
-# commands take int() of the integer params.
-_GRID = {"type": "integer", "minimum": 2}
-_COUNT = {"type": "integer", "minimum": 1}
-_SIZE = {"type": "integer", "minimum": 0}
-_SOLVER = {"grid": _GRID, "box": _POSITIVE, "bump_center": _NUMBER,
-           "bump_height": _NUMBER, "tolerance": _POSITIVE,
-           "max_iters": _SIZE, "window": _SIZE}
-PARAMS_SCHEMA = {
-    "constants": {},
-    "barrier-verify": {"R": {"type": "number", "exclusiveMinimum": 1},
-                       "n_points": _COUNT, "psi_points": _COUNT},
-    "envelope": {"grid": _GRID},
-    "abp-cover": {"grid": _GRID, "f_const": _NUMBER, "mc_samples": _COUNT},
-    "cz": {"generation": _SIZE,
-           "delta": {"type": "number", "exclusiveMinimum": 0,
-                     "exclusiveMaximum": 1}},
-    "solve": _SOLVER,
-    "harnack": dict(_SOLVER, c0=_NONNEGATIVE),
-    "decay": dict(_SOLVER, M={"type": "number", "exclusiveMinimum": 1},
-                  k_max={"type": "integer", "minimum": 2}),
-    "sweep": dict(_SOLVER, c0=_NONNEGATIVE,
-                  sigma_min_values={"type": "array", "items": _ORDER}),
-    "kernel-check": {"tau0": _POSITIVE, "c0": _NUMBER,
-                     "h_scales": {"type": "array",
-                                  "items": {"type": "number",
-                                            "exclusiveMinimum": -0.5,
-                                            "exclusiveMaximum": 0.5}}},
 }
 
 # JSON-Schema type predicates, as jsonschema defines them: a bool is
@@ -478,9 +476,12 @@ def _cmd_decay(profile, quad, params, seed):
     u, _, _ = _normalized_solution(profile, params)
     res = distribution_decay(u, params.get("M", 2.0),
                              int(params.get("k_max", 6)))
-    summary = _null_sentinels(dict(res.scalars), {
-        "epsilon_fit": "fewer than two levels have a nonzero measure"})
-    return summary, res.rows, res.columns, True
+    measures = [meas for _, meas in res.rows]
+    if sum(meas > 0 for meas in measures) < 2:
+        raise PreconditionError(
+            "fewer than two levels {u > M^k} in Q_1 have a nonzero measure, "
+            f"no decay exponent to fit: measures {measures}")
+    return res.scalars, res.rows, res.columns, True
 
 
 def _cmd_sweep(profile, quad, params, seed):
@@ -538,6 +539,7 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
     "kernel-check": _cmd_kernel_check,
 }
+assert _DISPATCH.keys() == PARAMS_SCHEMA.keys()
 
 
 def config_digest(obj):

@@ -14,6 +14,7 @@ that grid is read off its cumulative measure along each axis.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,14 +194,18 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
                             axis=1).tolist())
         c_measured = total / b_measure if b_measure > 0 else math.inf
         # overlap multiplicity of the R_j at the cell centres c, each box
-        # holding those with lo <= c <= hi on every axis
+        # holding those with lo <= c <= hi on every axis: +-1 at the 2^n
+        # corners of each box's cell range, summed up along every axis
         centres = (np.arange(m) + 0.5) / m
-        start = np.searchsorted(centres, box_lo, "left")
-        stop = np.searchsorted(centres, box_hi, "right")
-        mult = np.zeros((m,) * n, dtype=int)
-        for s, e in zip(start, stop):
-            mult[tuple(map(slice, s, e))] += 1
-        max_mult = int(mult.max())
+        ends = (np.searchsorted(centres, box_lo, "left"),
+                np.searchsorted(centres, box_hi, "right"))
+        mult = np.zeros((m + 1,) * n, dtype=int)
+        for corner in itertools.product((0, 1), repeat=n):
+            np.add.at(mult, tuple(ends[c][:, d] for d, c in enumerate(corner)),
+                      (-1) ** sum(corner))
+        for d in range(n):
+            np.cumsum(mult, axis=d, out=mult)
+        max_mult = int(mult[(slice(m),) * n].max())
 
     certified = covered and (a_set.measure <= delta * c_measured * b_measure
                              + 1e-12)

@@ -1,21 +1,23 @@
 """Level sets, anisotropic boxes/ellipses, scaling maps and their measures.
 
-The four set kinds share one membership convention (all centered,
-strict inequalities):
+The four set kinds, each centered at x and open (strict inequalities):
 
     Theta(r):     sum_i |y_i - x_i|^(n+sigma_i) < r
     Ellipse(r,s): sum_i (y_i - x_i)^2 / r^(2/(n+sigma_i)) < s^2
     Rect(r,s):    |y_i - x_i| < s^(1/(n+sigma_min)) * r^(1/(n+sigma_i))
     TildeRect(r,s): |y_i - x_i| < (s r)^(1/(n+sigma_i))
 
-Measures of Ellipse/Rect/TildeRect are closed-form.  |Theta_r| follows the
-exact scaling r^(sum_i 1/(n+sigma_i)) |Theta_1|, with |Theta_1| estimated
-once per profile by Monte Carlo (cached, standard error reported).
+Every measure is closed-form.  |Theta_r| is a Dirichlet integral: with
+a_i = 1/(n+sigma_i) and A = sum_i a_i,
+
+    |Theta_r| = r^A 2^n prod_i Gamma(1 + a_i) / Gamma(1 + A).
+
+The diagonal r^(a_i) of T_r, which is also the half-width of the
+bounding box of Theta_r, is ``theta_half_widths``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,75 +83,36 @@ class AnisoSet:
     # half widths of the tight axis-parallel bounding box
     def half_widths(self):
         p = self.profile
-        ex = p.exponents
-        if self.kind == THETA:
-            return self.r ** (1.0 / ex)
-        if self.kind == ELLIPSE:
-            return self.s * self.r ** (1.0 / ex)
-        if self.kind == RECT:
-            return (self.s ** (1.0 / (p.n + p.sigma_min))) * self.r ** (1.0 / ex)
-        return (self.s * self.r) ** (1.0 / ex)
-
-    def contains(self, y):
-        """Vectorized membership test (exact defining inequality)."""
-        p = self.profile
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        d = y - np.asarray(self.center)[None, :]
-        if self.kind == THETA:
-            return gauge(p, d) < self.r
-        if self.kind == ELLIPSE:
-            scale = self.r ** (1.0 / p.exponents)
-            return np.sum((d / scale[None, :]) ** 2, axis=1) < self.s ** 2
-        hw = self.half_widths()
-        return np.all(np.abs(d) < hw[None, :], axis=1)
-
-    def measure(self, mode="exact", samples=200_000, seed=0):
-        """Lebesgue measure with an error bound; see module docstring."""
-        p = self.profile
-        if mode not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown measure mode {mode!r}")
-        if mode == "monte_carlo":
-            if samples < 1:
-                raise ValueError("need at least one sample")
-            rng = np.random.default_rng(seed)
-            hw = self.half_widths()
-            box = float(np.prod(2.0 * hw))
-            hits = 0
-            chunk = 500_000
-            for start in range(0, samples, chunk):
-                pts = rng.uniform(-hw, hw,
-                                  size=(min(chunk, samples - start), p.n)) \
-                    + np.asarray(self.center)[None, :]
-                hits += int(np.count_nonzero(self.contains(pts)))
-            frac = hits / samples
-            se = box * math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
-            return box * frac, se
-        ex = p.exponents
-        if self.kind == ELLIPSE:
-            semi = self.s * self.r ** (1.0 / ex)
-            return unit_ball_volume(p.n) * float(np.prod(semi)), 0.0
-        if self.kind == RECT:
-            val = 2.0 ** p.n * self.s ** (p.n / (p.n + p.sigma_min)) \
-                * self.r ** float(np.sum(1.0 / ex))
-            return val, 0.0
         if self.kind == TILDE_RECT:
-            return 2.0 ** p.n * (self.s * self.r) ** float(np.sum(1.0 / ex)), 0.0
-        # Theta: exact scaling off the cached unit-level estimate
-        v1, se1 = theta_unit_volume(p)
-        scale = self.r ** float(np.sum(1.0 / ex))
-        return scale * v1, scale * se1
+            return theta_half_widths(p, self.s * self.r)
+        hw = theta_half_widths(p, self.r)
+        if self.kind == ELLIPSE:
+            return self.s * hw
+        if self.kind == RECT:
+            return (self.s ** (1.0 / (p.n + p.sigma_min))) * hw
+        return hw
+
+    def measure(self):
+        """Lebesgue measure in closed form; see module docstring."""
+        p = self.profile
+        a = 1.0 / p.exponents
+        big_a = float(np.sum(a))
+        if self.kind == ELLIPSE:
+            return unit_ball_volume(p.n) * float(np.prod(self.half_widths()))
+        if self.kind == RECT:
+            return 2.0 ** p.n * self.s ** (p.n / (p.n + p.sigma_min)) \
+                * self.r ** big_a
+        if self.kind == TILDE_RECT:
+            return 2.0 ** p.n * (self.s * self.r) ** big_a
+        unit = 2.0 ** p.n * math.prod(math.gamma(1.0 + ai) for ai in a) \
+            / math.gamma(1.0 + big_a)
+        return self.r ** big_a * unit
 
 
-def theta_unit_volume(profile):
-    """|Theta_1| by Monte Carlo over the bounding box [-1, 1]^n: two
-    million seed-1234 samples, cached per (n, sigma)."""
-    return _theta_unit_volume(profile.n, profile.sigma)
-
-
-@functools.lru_cache(maxsize=None)
-def _theta_unit_volume(n, sigma):
-    return theta(AnisotropyProfile(n, sigma), 1.0).measure(
-        "monte_carlo", 2_000_000, 1234)
+def theta_half_widths(profile, r):
+    """r^(1/(n+sigma_i)) per axis: the diagonal of T_r and the half-widths
+    of the bounding box of Theta_r (0 at r = 0)."""
+    return r ** (1.0 / profile.exponents)
 
 
 def theta(profile, r):
@@ -192,10 +155,9 @@ class ScalingMap:
 
     def diagonal(self):
         p = self.profile
-        ex = p.exponents
         if self.j is None:
-            return self.r ** (1.0 / ex)
-        d = self.r ** ((p.n + p.sigma[self.j]) / ex)
+            return theta_half_widths(p, self.r)
+        d = self.r ** ((p.n + p.sigma[self.j]) / p.exponents)
         d[self.j] = self.r
         return d
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .fields import estimate_c11_many, pair_deltas
+from .geometry import theta_half_widths
 from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
 from .quadrature import Z_SCORE, QuadratureScheme, node_table, stratum_moments
@@ -106,7 +107,7 @@ def eval_linear(u, x, kernel, quad: QuadratureScheme) -> OpValue:
         [lambda d: kernel.mult_lo * d, lambda d: kernel.mult_hi * d])
     if isinstance(kernel, TruncatedKernel):
         # the integrable part: |delta| times its L1 budget, near and far
-        hw = quad.r_inner ** (1.0 / profile.exponents)
+        hw = theta_half_widths(profile, quad.r_inner)
         near += 2.0 * m * float(np.sum(hw ** 2)) * kernel.l1_budget
         extra = 2.0 * max(map(abs, drange)) * kernel.l1_budget
         tail_lo, tail_hi = tail_lo - extra, tail_hi + extra

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import gauge
+from .geometry import gauge, theta_half_widths
 
 # node multiplier for the B_far stratum
 OUTER_FACTOR = 4
@@ -110,7 +110,7 @@ def node_table(profile, quad):
     table = []
     for m in range(quad.shells):
         r_hi, r_lo = radii[m], radii[m + 1]
-        hw = r_hi ** (1.0 / profile.exponents)
+        hw = theta_half_widths(profile, r_hi)
         pts = _shell_rng(quad, m).uniform(-hw, hw,
                                           size=(quad.nodes_per_shell, n))
         g = gauge(profile, pts)

@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from anisonl.geometry import ELLIPSE, THETA, gauge
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
 
@@ -53,6 +55,31 @@ def random_profile(rng, n=None):
     sigma = tuple(rng.uniform(0.1, 1.99, size=n))
     lam = rng.uniform(0.5, 2.0)
     return AnisotropyProfile(n, sigma, lam, lam * rng.uniform(1.0, 3.0))
+
+
+def contains(aset, y):
+    """Membership of the rows of ``y`` in ``aset`` by its defining strict
+    inequality (the table in ``anisonl.geometry``)."""
+    p = aset.profile
+    d = np.atleast_2d(np.asarray(y, dtype=float)) - np.asarray(aset.center)
+    if aset.kind == THETA:
+        return gauge(p, d) < aset.r
+    if aset.kind == ELLIPSE:
+        scale = aset.r ** (1.0 / p.exponents)
+        return np.sum((d / scale) ** 2, axis=1) < aset.s ** 2
+    return np.all(np.abs(d) < aset.half_widths(), axis=1)
+
+
+def mc_measure(aset, samples, seed):
+    """|aset| and its standard error by Monte Carlo: the hit fraction of
+    ``samples`` uniform points of the bounding box, drawn from ``seed``."""
+    hw = aset.half_widths()
+    pts = np.random.default_rng(seed).uniform(-hw, hw,
+                                              size=(samples, aset.profile.n))
+    frac = np.count_nonzero(contains(aset, pts + np.asarray(aset.center))) \
+        / samples
+    box = float(np.prod(2.0 * hw))
+    return box * frac, box * math.sqrt(frac * (1.0 - frac) / samples)
 
 
 @pytest.fixture

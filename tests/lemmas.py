@@ -18,7 +18,7 @@ import numpy as np
 from anisonl.abp import DegenerateTileError
 from anisonl.experiments import ExperimentResult, _unit_cube_measure
 from anisonl.fields import GridField
-from anisonl.geometry import gauge, theta_unit_volume
+from anisonl.geometry import gauge, theta
 from anisonl.solver import AssembledOperator, discrete_extremal
 
 
@@ -181,10 +181,8 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
     w_measure = box * frac
     w_se = box * math.sqrt(max(frac * (1 - frac), 0.0) / samples)
 
-    v1, se1 = theta_unit_volume(profile)
-    ssum = float(np.sum(1.0 / profile.exponents))
-    shell_measure = (r_hi ** ssum - r_lo ** ssum) * v1
-    shell_se = (r_hi ** ssum - r_lo ** ssum) * se1
+    shell_measure = theta(profile, r_hi).measure() \
+        - theta(profile, r_lo).measure()
 
     sym_rate = 1.0
     if member.any():
@@ -195,7 +193,6 @@ def detachment_measure(u, env, x, k, profile, m_threshold, samples=20000,
         "w_measure": w_measure,
         "w_se": w_se,
         "shell_measure": shell_measure,
-        "shell_se": shell_se,
         "ratio": w_measure / shell_measure,
         "symmetry_rate": sym_rate,
         "inf_quad": inf_quad,

@@ -12,12 +12,12 @@ import pytest
 
 from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
-from anisonl.geometry import ellipse, rect, theta, theta_unit_volume, tilde_rect
+from anisonl.geometry import ellipse, rect, theta, tilde_rect
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import eval_extremal_many, eval_linear
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
-from conftest import random_profile, refined
+from conftest import contains, mc_measure, random_profile, refined
 
 
 def _report(num, name, ok, budget, elapsed, detail=""):
@@ -59,7 +59,7 @@ def _sample_members(aset, count, rng):
     out = []
     while len(out) < count:
         pts = rng.uniform(-hw, hw, size=(2 * count, aset.profile.n))
-        good = pts[aset.contains(pts)]
+        good = pts[contains(aset, pts)]
         out.extend(good[: count - len(out)])
     return np.array(out)
 
@@ -73,27 +73,25 @@ def test_acceptance_2_geometry():
                  (isotropic(2, 1.0, 1.0, 2.0), 1.0),
                  (AnisotropyProfile(2, (0.9, 1.6), 1.0, 2.0), 2.5)):
         inner = _sample_members(ellipse(p, r, 0.5), n_samples, rng)
-        violations += int(np.count_nonzero(~theta(p, r).contains(inner)))
+        violations += int(np.count_nonzero(~contains(theta(p, r), inner)))
         mid = _sample_members(theta(p, r), n_samples, rng)
         violations += int(np.count_nonzero(
-            ~ellipse(p, r, math.sqrt(p.n)).contains(mid)))
+            ~contains(ellipse(p, r, math.sqrt(p.n)), mid)))
         small = _sample_members(theta(p, 2.0 ** -p.frak_c * r),
                                 n_samples, rng)
         violations += int(np.count_nonzero(
-            ~ellipse(p, r, 0.125).contains(small)))
+            ~contains(ellipse(p, r, 0.125), small)))
         boxed = _sample_members(rect(p, r, 0.3), n_samples, rng)
         violations += int(np.count_nonzero(
-            ~tilde_rect(p, r, 0.3).contains(boxed)))
+            ~contains(tilde_rect(p, r, 0.3), boxed)))
 
     p2 = isotropic(2, 1.0, 1.0, 2.0)
-    v1, se1 = theta_unit_volume(p2)
+    v1 = theta(p2, 1.0).measure()
     ssum = float(np.sum(1.0 / p2.exponents))
     scaling_ok = True
     for r in (0.1, 1.0, 10.0):
-        direct, se = theta(p2, r).measure(mode="monte_carlo",
-                                          samples=400_000, seed=9)
-        predicted = r ** ssum * v1
-        scaling_ok &= abs(direct - predicted) <= 3.0 * (se + r ** ssum * se1)
+        direct, se = mc_measure(theta(p2, r), 400_000, 9)
+        scaling_ok &= abs(direct - r ** ssum * v1) <= 3.0 * se
     ok = violations == 0 and scaling_ok
     _report(2, "geometry suite", ok, 30.0, time.time() - t0,
             f"violations={violations}")

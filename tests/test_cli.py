@@ -126,7 +126,9 @@ def test_solve_and_decay_commands(tmp_path):
     results = json.loads((tmp_path / "sv" / "results.json").read_text())
     assert results["converged"]
 
-    cfg2 = write_config(tmp_path, dict(base, command="decay"), name="d.json")
+    # at the default M = 2 fewer than two levels hold points (exit 3)
+    decay = dict(base, command="decay", params=dict(base["params"], M=1.05))
+    cfg2 = write_config(tmp_path, decay, name="d.json")
     assert main(["--config", cfg2, "--out", str(tmp_path / "dec")]) == 0
     text = (tmp_path / "dec" / "data.csv").read_text()
     assert text.splitlines()[0] == "k,measure"
@@ -354,8 +356,8 @@ SMALL_CONFIGS = {
     "cz": {"profile": P2, "seed": 5, "params": {"generation": 3}},
     "solve": {"profile": P1, "params": SMALL_SOLVE},
     "harnack": {"profile": P1, "params": SMALL_SOLVE},
-    # every level set above M is empty: no decay exponent to fit
-    "decay": {"profile": P1, "params": dict(SMALL_SOLVE, k_max=6)},
+    # M = 1.05: the first two levels hold points, enough for the fit
+    "decay": {"profile": P1, "params": dict(SMALL_SOLVE, k_max=6, M=1.05)},
     "sweep": {"profile": P1, "params": dict(
         SMALL_SOLVE, sigma_min_values=[1.0, 1.5, 1.9])},
     "kernel-check": {"profile": P1, "params": {"c0": 100.0}},
@@ -374,9 +376,6 @@ def test_results_json_is_strict(tmp_path, command):
     text = (tmp_path / "o" / "results.json").read_text()
     results = json.loads(text, parse_constant=_reject_constant)
     assert results["command"] == command
-    if command == "decay":
-        assert results["epsilon_fit"] is None
-        assert results["epsilon_fit_reason"]
 
 
 def test_sweep_slope_without_three_rows_is_null(tmp_path):
@@ -801,18 +800,27 @@ def test_out_of_range_numbers_exit_3(tmp_path, capsys, recwarn, config,
 
 def test_decay_levels_past_float_range_are_empty(tmp_path):
     """A level M^k past the double range holds no point: every measure is
-    0, so the run passes with the null exponent and its reason."""
+    0, so no exponent can be fitted and the run is invalid, naming the
+    measures."""
     cfg = write_config(tmp_path, {"command": "decay", "profile": P1,
                                   "params": {"grid": 17, "M": 1e300,
                                              "k_max": 3}})
-    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    text = (tmp_path / "o" / "results.json").read_text()
-    results = json.loads(text, parse_constant=_reject_constant)
-    assert results["epsilon_fit"] is None
-    assert results["epsilon_fit_reason"] == \
-        "fewer than two levels have a nonzero measure"
-    csv_text = (tmp_path / "o" / "data.csv").read_text()
-    assert csv_text.split() == ["k,measure", "1,0.0", "2,0.0", "3,0.0"]
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"] == (
+        "fewer than two levels {u > M^k} in Q_1 have a nonzero measure, "
+        "no decay exponent to fit: measures [0.0, 0.0, 0.0]")
+    assert "passed" not in results
+
+
+def test_decay_with_one_nonempty_level_is_invalid(tmp_path):
+    """One level with points fixes no exponent either."""
+    cfg = write_config(tmp_path, {"command": "decay", "profile": P1,
+                                  "params": dict(SMALL_SOLVE, M=1.1)})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"].endswith(
+        "measures [0.125, 0.0, 0.0, 0.0, 0.0, 0.0]")
 
 
 @pytest.mark.parametrize("outcome, code", [(True, 0), (False, 1),
