@@ -264,7 +264,7 @@ def emit_plotdata(path, rows, columns):
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
                              for v in row])
 
 
@@ -385,10 +385,10 @@ def _cmd_cz(profile, quad, params, seed):
     a_mask = rng.random((m,) * n) < delta / 2.0
     a = CellSet(n, gen, a_mask)
     res = cz_decompose(a, b, delta)
-    summary = {"selected": len(res.selected), "covered": res.covered,
+    summary = {"selected": len(res.gen), "covered": res.covered,
                "c_measured": res.c_measured, "certified": res.certified,
                "a_measure": a.measure, "b_measure": b.measure}
-    rows = [(c.gen,) + c.index for c in res.selected]
+    rows = np.column_stack([res.gen, res.index]).tolist()
     cols = ("gen",) + tuple(f"i{i}" for i in range(n))
     return summary, rows, cols, res.certified
 

@@ -23,13 +23,6 @@ import numpy as np
 from . import PreconditionError
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """The cube prod_d [index_d, index_d + 1) * 2^-gen of Q_1 = [0, 1)^n."""
-    gen: int
-    index: tuple
-
-
 def tilde_boxes(n, gen, profile):
     """Lower and upper edges, each of shape (n, 2^gen), of the tilde boxes
     of the generation-``gen`` cubes along every axis: same centre as the
@@ -91,15 +84,25 @@ class CellSet:
 
 
 class CzHypothesisError(PreconditionError):
-    def __init__(self, cube, message):
-        self.cube = cube
+    """A hypothesis of the decomposition fails; the witness is the cube
+    prod_d [index_d, index_d + 1) * 2^-gen of Q_1 = [0, 1)^n."""
+
+    def __init__(self, gen, index, message):
+        self.gen = gen          # int
+        self.index = index      # tuple of int
         super().__init__(message)
 
 
 @dataclass
 class CzResult:
-    selected: list          # maximal dyadic cubes with dense tilde boxes
-    boxes: list             # R_j = tilde boxes of their predecessors
+    """The maximal dyadic cubes with dense tilde boxes, one row each in
+    depth-first order: cube j is prod_d [index[j, d], index[j, d] + 1)
+    * 2^-gen[j], and R_j = [box_lo[j], box_hi[j]] the tilde box of its
+    predecessor."""
+    gen: np.ndarray         # (k,) int
+    index: np.ndarray       # (k, n) int, at the cube's own generation
+    box_lo: np.ndarray      # (k, n)
+    box_hi: np.ndarray      # (k, n)
     covered: bool           # A subset of union R_j
     vacuous_cells: int      # A-cells never captured by a dense cube
     c_measured: float       # sum |R_j cap Q_1| / |B|
@@ -143,9 +146,8 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
         index = np.argwhere(dense)
         if len(index) and gen == 0:
             raise CzHypothesisError(
-                DyadicCube(0, (0,) * n),
-                "root cube is delta-dense; predecessor undefined "
-                "(hypothesis (1) should exclude this)")
+                0, (0,) * n, "root cube is delta-dense; predecessor "
+                "undefined (hypothesis (1) should exclude this)")
         if len(index):
             inside = _outer(np.logical_and,
                             (pred_lo >= -1e-12) & (pred_hi <= 1 + 1e-12))
@@ -177,19 +179,19 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
     order = np.argsort(key)
     gens, corners, box_lo, box_hi, holds = (
         x[order] for x in (gens, corners, box_lo, box_hi, holds))
-    selected = [DyadicCube(g, tuple(i >> (top - g) for i in c))
-                for g, c in zip(gens.tolist(), corners.tolist())]
+    index = corners >> (top - gens)[:, None]
     if not holds.all():
-        cube = selected[int(np.argmin(holds))]
+        j = int(np.argmin(holds))
+        g, witness = int(gens[j]), tuple(index[j].tolist())
         raise CzHypothesisError(
-            cube, f"hypothesis (2) fails at gen {cube.gen} index "
-                  f"{cube.index}: predecessor tilde box not in B")
+            g, witness, f"hypothesis (2) fails at gen {g} index {witness}: "
+                        "predecessor tilde box not in B")
     vacuous = int(np.count_nonzero(a_set.mask & ~covered))
     covered = vacuous == 0
 
     b_measure = b_set.measure
     c_measured, max_mult = 0.0, 0
-    if selected:
+    if len(gens):
         total = sum(np.prod(np.minimum(box_hi, 1.0) - np.maximum(box_lo, 0.0),
                             axis=1).tolist())
         c_measured = total / b_measure if b_measure > 0 else math.inf
@@ -209,5 +211,5 @@ def cz_decompose(a_set: CellSet, b_set: CellSet, delta, profile=None):
 
     certified = covered and (a_set.measure <= delta * c_measured * b_measure
                              + 1e-12)
-    return CzResult(selected, list(zip(box_lo, box_hi)), covered, vacuous,
+    return CzResult(gens, index, box_lo, box_hi, covered, vacuous,
                     c_measured, max_mult, certified)

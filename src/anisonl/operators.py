@@ -127,16 +127,13 @@ def eval_extremal_many(u, X, profile, quad: QuadratureScheme,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lam, Lam = profile.lambda_lo, profile.lambda_hi
     pos_w, neg_w = (Lam, lam) if which == "plus" else (lam, Lam)
+    extremum = np.maximum if which == "plus" else np.minimum
     cs = profile.c_sigma
 
     def sign_split(d, s):
-        # cs * (pos_w * max(d, 0) - neg_w * max(-d, 0)) / gauge, in place
-        neg = np.negative(d)
-        np.maximum(neg, 0.0, out=neg)
-        neg *= neg_w
-        np.maximum(d, 0.0, out=d)
-        d *= pos_w
-        d -= neg
+        # cs * (pos_w * max(d, 0) - neg_w * max(-d, 0)) / gauge, in place:
+        # the sup (plus) or inf (minus) of a * d over a in {lam, Lam}
+        extremum(d * lam, d * Lam, out=d)
         d *= cs
         d /= s.gauge
         return d

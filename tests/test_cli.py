@@ -1,5 +1,6 @@
 import ast
 import copy
+import csv
 import functools
 import importlib.util
 import inspect
@@ -376,6 +377,20 @@ def test_results_json_is_strict(tmp_path, command):
     text = (tmp_path / "o" / "results.json").read_text()
     results = json.loads(text, parse_constant=_reject_constant)
     assert results["command"] == command
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_data_csv_cells_are_numbers(tmp_path, command):
+    """Every data.csv cell below the header is a plain number: a numpy
+    scalar is written as the float it is, not as its numpy repr."""
+    cfg = write_config(tmp_path, dict(SMALL_CONFIGS[command],
+                                      command=command))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for row in rows:
+        for cell in row:
+            float(cell)
 
 
 def test_sweep_slope_without_three_rows_is_null(tmp_path):
@@ -758,6 +773,29 @@ def test_cz_dense_root_cell_exit_3(tmp_path, capsys, profile, seed, delta):
     assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
     results = json.loads((tmp_path / "o" / "results.json").read_text())
     assert results["invalid"].startswith("hypothesis |A| <= delta violated")
+    assert "passed" not in results
+    assert capsys.readouterr().err == ""
+
+
+def test_cz_hypothesis_2_exit_3_names_witness(tmp_path, capsys,
+                                              monkeypatch):
+    """A decomposition whose hypothesis (2) fails is an invalid run; its
+    message names the witness cube.  The command uses a full B, so it
+    decomposes here with the anisotropic tilde boxes of its profile,
+    under which the first dense cube's predecessor box leaves Q_1."""
+    from anisonl import coverings
+    from anisonl.profile import AnisotropyProfile
+    profile = AnisotropyProfile(2, (1.0, 1.5))
+    whole = coverings.cz_decompose
+    monkeypatch.setattr(coverings, "cz_decompose",
+                        lambda a, b, delta: whole(a, b, delta, profile))
+    cfg = write_config(tmp_path, {"command": "cz", "profile": P2, "seed": 0,
+                                  "params": {"generation": 5,
+                                             "delta": 0.5}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"] == ("hypothesis (2) fails at gen 5 index "
+                                  "(1, 0): predecessor tilde box not in B")
     assert "passed" not in results
     assert capsys.readouterr().err == ""
 

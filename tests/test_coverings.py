@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from anisonl import PreconditionError
 from anisonl.coverings import (CellSet, CzHypothesisError, CzResult,
-                               DyadicCube, cz_decompose, tilde_boxes)
+                               cz_decompose, tilde_boxes)
 from anisonl.profile import AnisotropyProfile
 from lemmas import ParamRectangleFamily, cc_cover
 
@@ -28,14 +29,15 @@ def cell_set(n, gen, cells):
     return out
 
 
-def covered_by_boxes(cells, boxes):
-    """True when every cell of the CellSet lies inside one of the boxes."""
+def covered_by_boxes(cells, box_lo, box_hi):
+    """True when every cell of the CellSet lies inside one of the boxes
+    [box_lo[j], box_hi[j]]."""
     side = 1.0 / cells.m
     for cell in np.argwhere(cells.mask):
         lo_c = cell * side
         hi_c = lo_c + side
         if not any(np.all(lo_c >= lo - 1e-12) and np.all(hi_c <= hi + 1e-12)
-                   for lo, hi in boxes):
+                   for lo, hi in zip(box_lo, box_hi)):
             return False
     return True
 
@@ -125,7 +127,9 @@ def test_cz_empty_a():
     b = CellSet(2, 3, np.ones((8, 8), dtype=bool))
     a = CellSet(2, 3, np.zeros((8, 8), dtype=bool))
     res = cz_decompose(a, b, 0.5)
-    assert res.selected == [] and res.covered and res.certified
+    assert res.gen.shape == (0,) and res.index.shape == (0, 2)
+    assert res.box_lo.shape == res.box_hi.shape == (0, 2)
+    assert res.covered and res.certified
 
 
 def test_cz_single_cube_instance():
@@ -135,9 +139,7 @@ def test_cz_single_cube_instance():
     pred_cells = [(i, j) for i in range(0, 4) for j in range(0, 4)]
     b = cell_set(2, gen, pred_cells)
     res = cz_decompose(a, b, 0.9)
-    assert len(res.selected) == 1
-    sel = res.selected[0]
-    assert sel.gen == 2 and sel.index == (1, 1)
+    assert res.gen.tolist() == [2] and res.index.tolist() == [[1, 1]]
     assert res.covered and res.certified
 
 
@@ -168,7 +170,8 @@ def test_cz_relabeling_invariance(rng):
     a2 = cell_set(2, gen, perm)
     r1 = cz_decompose(a1, b, 0.5)
     r2 = cz_decompose(a2, b, 0.5)
-    assert [c.index for c in r1.selected] == [c.index for c in r2.selected]
+    assert r1.gen.tolist() == r2.gen.tolist()
+    assert r1.index.tolist() == r2.index.tolist()
     assert r1.c_measured == r2.c_measured
 
 
@@ -182,11 +185,12 @@ def test_cz_density_properties_exact(rng):
     mask = rng.random((m, m)) < delta / 3.0
     a = CellSet(2, gen, mask)
     res = cz_decompose(a, b, delta)
-    for lo, hi in res.boxes:
+    assert len(res.gen) > 0
+    for lo, hi in zip(res.box_lo, res.box_hi):
         vol = float(np.prod(hi - lo))
         assert a.box_measures(lo[:, None], hi[:, None]).item() \
             <= delta * vol + 1e-12
-    assert covered_by_boxes(a, res.boxes)
+    assert covered_by_boxes(a, res.box_lo, res.box_hi)
 
 
 def per_cell_measure(cells, lo, hi):
@@ -232,9 +236,43 @@ def test_cz_hypothesis_violation_witness():
     bsmall = cell_set(2, gen, [(0, 0)])
     with pytest.raises(CzHypothesisError) as err:
         cz_decompose(a, bsmall, 0.9)
-    assert err.value.cube.gen >= 1
+    assert err.value.gen >= 1
     res = cz_decompose(a, b, 0.9)
     assert res.certified
+
+
+def test_cz_witness_is_plain_integers():
+    """The witness of a failed hypothesis (2) is an int generation and a
+    tuple of int indices, and the message prints them as Python does."""
+    profile = AnisotropyProfile(2, (1.0, 1.5))
+    rng = np.random.default_rng(0)
+    a = CellSet(2, 5, rng.random((32, 32)) < 0.25)
+    b = CellSet(2, 5, np.ones((32, 32), dtype=bool))
+    with pytest.raises(CzHypothesisError) as err:
+        cz_decompose(a, b, 0.5, profile)
+    assert type(err.value.gen) is int and err.value.gen == 5
+    assert type(err.value.index) is tuple and err.value.index == (1, 0)
+    assert all(type(i) is int for i in err.value.index)
+    assert str(err.value) == ("hypothesis (2) fails at gen 5 index (1, 0): "
+                              "predecessor tilde box not in B")
+
+
+def test_cz_peak_memory_per_selected_cube():
+    """The selected cubes are held as arrays, a few machine words each,
+    so the peak stays near 235 B per cube at 2D generation 9, most of it
+    the lattice passes; Python objects per cube bring it to about 650 B."""
+    rng = np.random.default_rng(0)
+    m = 2 ** 9
+    a = CellSet(2, 9, rng.random((m, m)) < 0.25)
+    b = CellSet(2, 9, np.ones((m, m), dtype=bool))
+    tracemalloc.start()
+    try:
+        res = cz_decompose(a, b, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.gen) > 50_000
+    assert peak / len(res.gen) < 400
 
 
 def test_cz_rejects_bad_inputs(rng):
@@ -268,7 +306,7 @@ def test_cz_anisotropic_tilde_flags(aniso2, rng):
         res = cz_decompose(a, b, 0.5, profile=aniso2)
         assert res.covered or res.vacuous_cells > 0
     except CzHypothesisError as err:
-        assert err.cube is not None
+        assert err.gen >= 1 and len(err.index) == 2
 
 
 def depth_first_cz(a_set, b_set, delta, profile=None):
@@ -301,15 +339,14 @@ def depth_first_cz(a_set, b_set, delta, profile=None):
     def walk(gen, index):
         lo, hi = tilde_box(gen, index)
         if measure(a_set, lo, hi) > delta * float(np.prod(hi - lo)):
-            cube = DyadicCube(gen, index)
             if gen == 0:
-                raise CzHypothesisError(cube, "root cube is delta-dense")
+                raise CzHypothesisError(gen, index, "root cube is delta-dense")
             plo, phi = tilde_box(gen - 1, tuple(i // 2 for i in index))
             inside = np.all(plo >= -1e-12) and np.all(phi <= 1 + 1e-12)
             if not (inside and measure(b_set, plo, phi)
                     >= float(np.prod(phi - plo)) - 1e-12):
-                raise CzHypothesisError(cube, "hypothesis (2) fails")
-            selected.append(cube)
+                raise CzHypothesisError(gen, index, "hypothesis (2) fails")
+            selected.append((gen, index))
             boxes.append((plo, phi))
             k = 2 ** (a_set.gen - gen)
             covered[tuple(slice(i * k, (i + 1) * k) for i in index)] = True
@@ -332,7 +369,10 @@ def depth_first_cz(a_set, b_set, delta, profile=None):
     certified = vacuous == 0 and (a_set.measure
                                   <= delta * c_measured * b_set.measure
                                   + 1e-12)
-    return CzResult(selected, boxes, vacuous == 0, vacuous, c_measured,
+    cubes = np.array([(g,) + i for g, i in selected]).reshape(-1, n + 1)
+    bounds = np.array(boxes).reshape(-1, 2, n)
+    return CzResult(cubes[:, 0], cubes[:, 1:], bounds[:, 0], bounds[:, 1],
+                    vacuous == 0, vacuous, c_measured,
                     int(mult.max()) if boxes else 0, certified)
 
 
@@ -343,13 +383,13 @@ def cz_outcome(decompose, a, b, delta, profile):
         res = decompose(a, b, delta, profile)
     except CzHypothesisError as err:
         kind = "root" if "root" in str(err) else "hypothesis (2)"
-        return kind, err.cube
+        return kind, (err.gen, err.index)
     except PreconditionError:
         return "|A| > delta", None
-    boxes = [(lo.tobytes(), hi.tobytes()) for lo, hi in res.boxes]
-    return "result", (res.selected, boxes, res.covered, res.vacuous_cells,
-                      res.c_measured.hex(), res.max_multiplicity,
-                      res.certified)
+    return "result", (res.gen.tolist(), res.index.tolist(),
+                      res.box_lo.tobytes(), res.box_hi.tobytes(),
+                      res.covered, res.vacuous_cells, res.c_measured.hex(),
+                      res.max_multiplicity, res.certified)
 
 
 def test_cz_matches_depth_first_walk(rng):
@@ -392,6 +432,6 @@ def test_box_measures_once_per_set_and_generation(monkeypatch, rng):
     a = CellSet(2, gen, rng.random((2 ** gen,) * 2) < 0.2)
     b = CellSet(2, gen, np.ones_like(a.mask))
     res = cz_decompose(a, b, 0.5)
-    assert len(res.selected) > 0
+    assert len(res.gen) > 0
     assert len(seen) <= 2 * (gen + 1)
     assert max(Counter(seen).values()) == 1
