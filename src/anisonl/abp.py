@@ -16,8 +16,10 @@ Per rectangle the two measure properties are evaluated:
 
 Rectangles failing either are split, up to a depth cap.  The thresholds
 C_grad and varsigma, the depth cap, C_det and the expansion constant C
-are module constants; ``verify_cover`` re-checks the cover's geometry and
-reports the measured constants.
+are module constants; ``verify_cover`` re-checks the cover's geometry,
+reports the measured constants and decides the verdict, ``passed``.  A
+constant an empty cover cannot measure is None beside a ``<key>_reason``
+string, never a non-finite sentinel.
 """
 
 from __future__ import annotations
@@ -235,7 +237,6 @@ def abp_cover(u, f, profile, env, mc_samples, seed):
     queue = [CoverRectangle(0, idx, profile)
              for idx in _tiles_for_points(profile, pts, 0)]
     final = []
-    chain_of = {(r.gen, r.index): [(r.gen, r.index)] for r in queue}
     while queue:
         rect = queue.pop()
         rec = _eval_rect(u, env, f, rect, pts, mc_samples, rng)
@@ -245,13 +246,12 @@ def abp_cover(u, f, profile, env, mc_samples, seed):
             final.append(rect)
             continue
         if rect.gen + 1 > DEPTH_CAP:
-            raise CoverDepthError(chain_of[(rect.gen, rect.index)],
-                                  2.0 * rect.half)
-        kids = _children_with_points(profile, rect, pts)
-        for kid in kids:
-            chain_of[(kid.gen, kid.index)] = \
-                chain_of[(rect.gen, rect.index)] + [(kid.gen, kid.index)]
-        queue.extend(kids)
+            # ancestor g: index // 2^(frak_c (gen - g)), a shift: no overflow
+            chain = [(g, tuple(i >> profile.frak_c * (rect.gen - g)
+                               for i in rect.index))
+                     for g in range(rect.gen + 1)]
+            raise CoverDepthError(chain, 2.0 * rect.half)
+        queue.extend(_children_with_points(profile, rect, pts))
     final.sort(key=lambda r: (r.gen, r.index))
     return AbpCover(final, pts)
 
@@ -275,8 +275,9 @@ def cover_dump(cover):
 
 def verify_cover(cover, profile):
     """Re-check the cover contract (disjointness, contact coverage and
-    meeting, diameter bound, gradient-image and detachment measures) and
-    aggregate the empirical constants."""
+    meeting, diameter bound, gradient-image and detachment measures),
+    aggregate the empirical constants and decide ``passed``: disjoint,
+    covering the contact set and within the diameter bound."""
     rects = cover.rectangles
     report = {"n_rectangles": len(rects)}
 
@@ -315,6 +316,9 @@ def verify_cover(cover, profile):
             for r in rects)
     else:
         report["grad_constant_measured"] = 0.0
-        report["varsigma_measured"] = math.inf
+        report["varsigma_measured"] = None
+        report["varsigma_measured_reason"] = "the cover has no rectangle"
         report["sup_u_bound_sum"] = 0.0
+    report["passed"] = (report["disjoint"] and report["contact_covered"]
+                        and report["diameter_ok"])
     return report

@@ -174,7 +174,8 @@ class PsiBarrier(AnalyticField):
     is |w|^-p - (3 sqrt n)^-p on 1 <= |w| <= 3 sqrt n, a quadratic
     c - (p/2)|w|^2 inside the unit ball, and 0 outside.  Value and
     gradient match on |w| = 1 for c = 1 - (3 sqrt n)^-p + p/2, which is
-    a_i = -p / (2 t_i^2) in x = t w.  quad_coeffs are the x-coordinate
+    a_i = -p / (2 t_i^2) in x = t w, t the diagonal of T_{1/4} (public: it
+    places the annulus psi is sampled on).  quad_coeffs are the x-coordinate
     coefficients (a_1..a_n, c) of the cap; tilde_c scales the shape so it
     clears 3 on the rectangle R_{1/4,3}, with a 5% margin.
     """
@@ -182,7 +183,7 @@ class PsiBarrier(AnalyticField):
     def __init__(self, profile, p):
         n = profile.n
         self.p = float(p)
-        self._t = t = ScalingMap(profile, 0.25).diagonal()
+        self.t = t = ScalingMap(profile, 0.25).diagonal()
         self._outer = 3.0 * math.sqrt(n)
         self._outer_val = outer_val = self._outer ** -self.p
         self._c = 1.0 - outer_val + self.p / 2
@@ -195,7 +196,7 @@ class PsiBarrier(AnalyticField):
                          range_outside=self._range_outside)
 
     def _shape(self, pts):
-        w = pts / self._t[None, :]
+        w = pts / self.t[None, :]
         r = row_norm(w)
         # both pieces at every point, then the one that applies; r = 0
         # sends the annulus piece to inf, where the cap piece is taken

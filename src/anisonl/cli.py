@@ -228,16 +228,6 @@ def _json_default(o):
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
-def _null_sentinels(summary, reasons):
-    """Replace each non-finite sentinel named in ``reasons`` by null and
-    say why in ``<key>_reason``: results.json is strict JSON."""
-    for key, reason in reasons.items():
-        if not math.isfinite(summary[key]):
-            summary[key] = None
-            summary[key + "_reason"] = reason
-    return summary
-
-
 def _non_finite(value, path=()):
     """``path = value`` of the first non-finite float in a summary, or None."""
     if isinstance(value, (dict, list, tuple)):
@@ -284,7 +274,7 @@ def _cmd_constants(profile, quad, params, seed):
         "matrix_a": profile.matrix_a().tolist(),
         "r0": profile.radius(0),
     }
-    return summary, rows, ("index", "sigma", "q"), all(q > 0 for q in profile.q)
+    return summary, rows, ("index", "sigma", "q"), True
 
 
 def _cmd_barrier_verify(profile, quad, params, seed):
@@ -299,8 +289,8 @@ def _cmd_barrier_verify(profile, quad, params, seed):
         raise _invalid_config("invalid quadrature", exc)
     found = find_p(profile, R, quad, n_points, seed)
     psi = PsiBarrier(profile, found["p"])
-    pts = annulus_points(profile.n, 1.05 * float(np.max(psi._t)),
-                         2.0 * float(np.max(psi._t)), psi_points, seed + 1)
+    pts = annulus_points(profile.n, 1.05 * float(np.max(psi.t)),
+                         2.0 * float(np.max(psi.t)), psi_points, seed + 1)
     rep = verify_supersolution(psi, pts, profile, quad)
     summary = {"p": found["p"], "min_margin_f": found["min_margin"],
                "certified_f": found["certified"],
@@ -360,15 +350,12 @@ def _cmd_abp_cover(profile, quad, params, seed):
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
     cover = abp_cover(u, f, profile, env,
                       int(params.get("mc_samples", 1000)), seed)
-    report = _null_sentinels(verify_cover(cover, profile), {
-        "varsigma_measured": "the cover has no rectangle"})
+    report = verify_cover(cover, profile)
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)
             for r in cover.rectangles]
     cols = ("gen",) + tuple(f"c{i}" for i in range(profile.n)) + ("varsigma",)
-    ok = report["disjoint"] and report["contact_covered"] \
-        and report["diameter_ok"]
-    return report, rows, cols, ok
+    return report, rows, cols, report["passed"]
 
 
 def _cmd_cz(profile, quad, params, seed):
@@ -476,38 +463,30 @@ def _cmd_decay(profile, quad, params, seed):
     u, _, _ = _normalized_solution(profile, params)
     res = distribution_decay(u, params.get("M", 2.0),
                              int(params.get("k_max", 6)))
-    measures = [meas for _, meas in res.rows]
-    if sum(meas > 0 for meas in measures) < 2:
-        raise PreconditionError(
-            "fewer than two levels {u > M^k} in Q_1 have a nonzero measure, "
-            f"no decay exponent to fit: measures {measures}")
     return res.scalars, res.rows, res.columns, True
 
 
 def _cmd_sweep(profile, quad, params, seed):
     from .experiments import sigma_sweep
     c0 = params.get("c0", 1.0)
-    measured, notes = [], []
+    rows, measured, notes = [], [], []
     for s in params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99]):
         prof = AnisotropyProfile(profile.n, (s,) * profile.n,
                                  profile.lambda_lo, profile.lambda_hi)
-        # a failed solve or precondition flags the row; other errors raise
+        # a failed solve or precondition flags the row, written with a nan
+        # quantity and left out of the fit; other errors raise
         try:
             quotient = _harnack(prof, params, c0).scalars["quotient"]
-            measured.append((prof.sigma_min, quotient, True))
+            measured.append((prof.sigma_min, quotient))
         except PreconditionError as exc:
-            measured.append((prof.sigma_min, math.nan, False))
+            quotient = math.nan
             notes.append(f"sigma_min {prof.sigma_min}: {exc}")
-    res = sigma_sweep(measured)
-    if not res.valid:
+        rows.append((prof.sigma_min, quotient))
+    if not measured:
         raise PreconditionError("no valid sweep row"
                                 + "".join(f"; {n}" for n in notes))
-    ok = not res.scalars.get("diverging", False)
-    rows = [(r[0], r[2]) for r in res.rows]
-    summary = _null_sentinels(dict(res.scalars), {
-        "slope": "; ".join(res.notes),
-        "slope_se": "fewer than three valid rows, or all share one sigma_min"})
-    return summary, rows, ("sigma_min", "quantity"), ok
+    res = sigma_sweep(measured)
+    return res.scalars, rows, ("sigma_min", "quantity"), res.passed
 
 
 def _cmd_kernel_check(profile, quad, params, seed):
@@ -523,8 +502,7 @@ def _cmd_kernel_check(profile, quad, params, seed):
                  for s in scales]
     res = kernel_modulus_check(kernel, profile, tau0, h_samples,
                                params.get("c0", 1e3), seed)
-    return dict(res.scalars, passed=res.passed), res.rows, res.columns, \
-        res.passed
+    return res.scalars, res.rows, res.columns, res.passed
 
 
 _DISPATCH = {

@@ -45,13 +45,25 @@ def _outer(ufunc, rows):
     return functools.reduce(ufunc.outer, rows)
 
 
-def _cumulative_at(cum, edges, m):
+def _cumulative_between(cum, lo_d, hi_d, m):
     """The cumulative measure ``cum`` (along axis 0, in cell units, with a
-    leading zero) at the given coordinates, linear inside a cell."""
-    x = np.clip(edges * m, 0.0, m)
-    k = np.minimum(x.astype(int), m - 1)
-    frac = (x - k).reshape((-1,) + (1,) * (cum.ndim - 1))
-    return cum[k] + frac * (cum[k + 1] - cum[k])
+    leading zero) at the ``hi_d`` coordinates minus at the ``lo_d`` ones,
+    linear inside a cell: cum[k] + frac (cum[k + 1] - cum[k]), gathered
+    into preallocated arrays and combined in place."""
+    shape = hi_d.shape + cum.shape[1:]
+    at_hi, at_lo, step = np.empty(shape), np.empty(shape), np.empty(shape)
+    for at, edges in ((at_hi, hi_d), (at_lo, lo_d)):
+        x = np.clip(edges * m, 0.0, m)
+        k = np.minimum(x.astype(int), m - 1)
+        frac = (x - k).reshape((-1,) + (1,) * (cum.ndim - 1))
+        # every index is in range; mode "clip" gathers without a buffer
+        np.take(cum, k, axis=0, out=at, mode="clip")
+        np.take(cum, k + 1, axis=0, out=step, mode="clip")
+        step -= at
+        step *= frac
+        at += step
+    at_hi -= at_lo
+    return at_hi
 
 
 class CellSet:
@@ -78,9 +90,10 @@ class CellSet:
         for lo_d, hi_d in zip(lo, hi):
             cum = np.zeros((self.m + 1,) + out.shape[1:])
             np.cumsum(out, axis=0, dtype=float, out=cum[1:])
-            out = np.moveaxis(_cumulative_at(cum, hi_d, self.m)
-                              - _cumulative_at(cum, lo_d, self.m), 0, -1)
-        return out / self.m ** self.n
+            del out                 # summed: freed before the gathers
+            out = np.moveaxis(_cumulative_between(cum, lo_d, hi_d, self.m),
+                              0, -1)
+        return np.divide(out, self.m ** self.n, out=out)
 
 
 class CzHypothesisError(PreconditionError):

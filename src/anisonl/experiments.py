@@ -2,9 +2,12 @@
 sweeps and the kernel modulus check.
 
 All quantities here are measured, never assumed; the runs report the
-empirical constants the qualitative theory asserts exist.  Preconditions
-are checked on the lattice and a violated precondition marks a run
-invalid (not failed).
+empirical constants the qualitative theory asserts exist.  Each function
+decides what it measures: a failed hypothesis raises PreconditionError
+(the run is invalid, not failed), the verdict is ``passed``, and a value
+it cannot measure is None beside a ``<key>_reason`` string, never an
+inf or NaN.  ``harnack_quotient`` alone reports failed hypotheses as
+``valid``/``notes``, so that a sweep can flag the row and go on.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import PreconditionError
 from .kernels import tail_gauge_bounds
 # the solver is imported inside the functions that call it, so
 # kernel_modulus_check does not load it
@@ -34,13 +38,9 @@ class ExperimentResult:
     notes: list = dfield(default_factory=list)
 
 
-def _unit_cube_measure(u, predicate):
-    """Exact lattice-cell measure of {predicate(u)} inside Q_1 = [-1/2,1/2]^n.
-
-    Cells are centered at grid points and weighted by their exact overlap
-    with Q_1; the predicate is evaluated at cell centers.  The total cell
-    weight then reproduces |Q_1| exactly.
-    """
+def _unit_cube_cells(u):
+    """The values of ``u`` at its lattice cell centres and each cell's
+    exact overlap with Q_1 = [-1/2,1/2]^n, which sum to |Q_1| exactly."""
     pts = u.grid_points()
     vals = u.eval(pts)
     half = 0.5 * u.h
@@ -49,20 +49,22 @@ def _unit_cube_measure(u, predicate):
         lo = np.maximum(pts[:, d] - half[d], -0.5)
         hi = np.minimum(pts[:, d] + half[d], 0.5)
         overlap *= np.maximum(hi - lo, 0.0)
-    return float(np.sum(overlap[predicate(vals)])), float(np.sum(overlap))
+    return vals, overlap
 
 
 def fit_decay_exponent(ks, measures, m_level):
     """Least-squares fit of log measure against k log M.
 
-    Returns (epsilon, prefactor, rms residual); all-zero or single-point
-    tails give the +inf exponent sentinel.
+    Returns (epsilon, prefactor, rms residual) over the nonzero measures;
+    fewer than two of them fix no exponent, a PreconditionError.
     """
     ks = np.asarray(ks, dtype=float)
     meas = np.asarray(measures, dtype=float)
     nz = meas > 0
     if np.count_nonzero(nz) < 2:
-        return math.inf, 0.0, 0.0
+        raise PreconditionError(
+            "fewer than two levels {u > M^k} in Q_1 have a nonzero measure, "
+            f"no decay exponent to fit: measures {meas.tolist()}")
     y = np.log(meas[nz])
     x = ks[nz] * math.log(m_level)
     coef = np.polyfit(x, y, 1)
@@ -74,19 +76,20 @@ def distribution_decay(u, m_level, k_max):
     """|{u > M^k} cap Q_1| for k = 1..k_max and the fitted decay exponent.
 
     Fits log-measure against k log M by least squares over the nonzero
-    entries; all-zero tails report an infinite exponent sentinel.
+    entries; fewer than two nonzero levels raise PreconditionError.  The
+    field and the cell overlaps are evaluated once for all levels.
     """
     if k_max < 2:
         raise ValueError("need at least two levels to fit a decay exponent")
     result = ExperimentResult()
+    vals, overlap = _unit_cube_cells(u)
     rows = []
     for k in range(1, k_max + 1):
         try:
             t = m_level ** k
         except OverflowError:       # a level past the float range
             t = math.inf            # leaves {u > t} empty
-        meas, _ = _unit_cube_measure(u, lambda v: v > t)
-        rows.append((k, meas))
+        rows.append((k, float(np.sum(overlap[vals > t]))))
     result.columns = ("k", "measure")
     result.rows = rows
     eps, d_fit, resid = fit_decay_exponent([r[0] for r in rows],
@@ -132,29 +135,26 @@ def harnack_quotient(u, c0, problem):
 
 
 def sigma_sweep(measured):
-    """Flag monotone divergence of measured (sigma_min, quantity, valid)
-    rows against x = 1/(2 - sigma_min)."""
-    rows = [(s, 1.0 / (2.0 - s), value, valid)
-            for s, value, valid in measured]
+    """Flag monotone divergence of measured (sigma_min, quantity) rows
+    against x = 1/(2 - sigma_min): a fitted slope above twice its standard
+    error.  Fewer than three rows, or one sigma_min, fix no slope."""
+    x = np.array([1.0 / (2.0 - s) for s, _ in measured])
+    y = np.array([value for _, value in measured], dtype=float)
+    sxx = float(np.sum((x - x.mean()) ** 2)) if len(x) >= 3 else 0.0
     result = ExperimentResult()
-    result.columns = ("sigma_min", "inv_gap", "quantity", "valid")
-    result.rows = rows
-    good = [(r[1], r[2]) for r in rows if r[3] and not math.isnan(r[2])]
-    x, y = np.array(good, dtype=float).reshape(-1, 2).T
-    sxx = float(np.sum((x - x.mean()) ** 2)) if good else 0.0
-    if len(good) >= 3 and sxx > 0:
+    if sxx > 0:
         slope, intercept = np.polyfit(x, y, 1)
         resid = y - (slope * x + intercept)
-        se = math.sqrt(float(np.sum(resid ** 2)) / (len(good) - 2) / sxx)
+        se = math.sqrt(float(np.sum(resid ** 2)) / (len(x) - 2) / sxx)
         result.scalars = {"slope": float(slope), "slope_se": se,
                           "diverging": bool(slope > 2.0 * se)}
-        return result
-    # no fit through fewer than three rows or through a single abscissa
-    result.notes.append("fewer than three valid rows" if len(good) < 3
-                        else "all valid rows share one sigma_min")
-    result.scalars = {"slope": math.nan, "slope_se": math.nan,
-                      "diverging": False}
-    result.valid = len(good) > 0
+    else:
+        result.scalars = {"slope": None, "slope_se": None, "diverging": False,
+                          "slope_reason": "all valid rows share one sigma_min"
+                          if len(x) >= 3 else "fewer than three valid rows",
+                          "slope_se_reason": "fewer than three valid rows, "
+                                             "or all share one sigma_min"}
+    result.passed = not result.scalars["diverging"]
     return result
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from anisonl.abp import DegenerateTileError
-from anisonl.experiments import ExperimentResult, _unit_cube_measure
+from anisonl.experiments import ExperimentResult, _unit_cube_cells
 from anisonl.fields import GridField
 from anisonl.geometry import gauge, theta
 from anisonl.solver import AssembledOperator, discrete_extremal
@@ -270,7 +270,9 @@ def point_estimate_experiment(u, m_level, problem=None, eps0=None):
             result.notes.append("precondition M^- u <= eps0 fails")
     if not result.valid:
         return result
-    measure, q1 = _unit_cube_measure(u, lambda v: v <= m_level)
+    cell_vals, overlap = _unit_cube_cells(u)
+    measure = float(np.sum(overlap[cell_vals <= m_level]))
+    q1 = float(np.sum(overlap))
     result.scalars = {"measure": measure, "q1_measure": q1,
                       "varsigma_measured": measure / q1 if q1 else 0.0}
     result.columns = ("level", "measure")

@@ -206,8 +206,11 @@ def test_cover_depth_cap_diagnostic(monkeypatch, prof2):
     assert len(err.value.chain) == 4     # gen 0 through gen 3
     assert err.value.gen == 3
     assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 3))
-    gens = [g for g, _ in err.value.chain]
-    assert gens == sorted(gens)
+    assert [g for g, _ in err.value.chain] == [0, 1, 2, 3]
+    # each link is the parent tile of the next: frak_c halvings per axis
+    factor = 2 ** prof2.frak_c
+    for (_, parent), (_, child) in zip(err.value.chain, err.value.chain[1:]):
+        assert parent == tuple(i // factor for i in child)
 
 
 def test_degenerate_tiles_name_generation_and_width(prof2):

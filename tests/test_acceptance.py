@@ -180,7 +180,7 @@ def test_acceptance_4_barriers(monkeypatch):
     d = rng.normal(size=(200, 2))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     w = d * rng.uniform(1.05, 2.8, size=(200, 1))
-    pts = w * psi._t[None, :]
+    pts = w * psi.t[None, :]
     rep = verify_supersolution(psi, pts, prof2, quadp)
     ok &= rep["passed"]
 

@@ -266,7 +266,7 @@ def test_psi_invariants(iso2):
     assert np.min(psi.eval(inner)) > 3.0
     assert psi.eval(np.zeros((1, 2)))[0] > 3.0
     # continuity across the inner gluing ellipse, axis by axis
-    t = psi._t
+    t = psi.t
     for i in range(2):
         e = np.zeros(2)
         e[i] = 1.0
@@ -279,7 +279,7 @@ def test_psi_invariants(iso2):
 def masked_psi(psi, pts):
     """The bump barrier by boolean masks: each piece only where it
     applies, zero elsewhere."""
-    w = pts / psi._t[None, :]
+    w = pts / psi.t[None, :]
     r = np.linalg.norm(w, axis=1)
     out = np.zeros(len(pts))
     mid = (r >= 1.0) & (r < psi._outer)
@@ -296,7 +296,7 @@ def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
     psi = PsiBarrier(prof, p)
     # all three pieces, the origin, the glue sphere and the support edge
     dirs = rng.normal(size=(3, n))
-    edges = [psi._t * d / np.linalg.norm(d) * rad
+    edges = [psi.t * d / np.linalg.norm(d) * rad
              for d in dirs for rad in (1.0, psi._outer)]
     pts = np.vstack([rng.uniform(-3.0, 3.0, size=(4000, n))
                      * rng.uniform(0.0, 1.0, size=(4000, 1)),
@@ -311,7 +311,7 @@ def test_barrier_fields_bitwise_equal_masked_formulas(rng, n, p):
 
 def test_psi_gluing_first_derivative(iso2):
     psi = PsiBarrier(iso2, 6.0)
-    t = psi._t
+    t = psi.t
     e1 = np.array([1.0, 0.0])
     for h in (1e-3, 1e-4):
         inner_slope = (psi.eval(t[0] * e1[None, :])
@@ -335,7 +335,7 @@ def test_psi_closed_form_matches_gluing_solve(sigma, p):
     glue = 1.0 - outer_val          # the annulus piece on |w| = 1
     exact = 1 - Fraction(outer_val) + Fraction(p) / 2
     assert abs(Fraction(c) - exact) <= Fraction(np.spacing(c))
-    for ai, ti in zip(a, psi._t):
+    for ai, ti in zip(a, psi.t):
         sol = np.linalg.solve([[ti ** 2, 1.0], [2.0 * ti, 0.0]],
                               [glue, -p / ti])
         assert ai == sol[0]
@@ -351,7 +351,7 @@ def test_psi_quadratic_matches_straightened_form(aniso2):
     w = rng.normal(size=(200, 2))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     w *= rng.uniform(0.0, 0.99, size=(200, 1))
-    x = w * psi._t[None, :]
+    x = w * psi.t[None, :]
     a = psi.quad_coeffs[:2]
     c = psi.quad_coeffs[2]
     direct = psi.tilde_c * (x ** 2 @ a + c)
@@ -375,7 +375,7 @@ def test_verify_supersolution_psi_outside_inner_ellipse(iso2):
     d = rng.normal(size=(12, 2))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     w = d * rng.uniform(1.1, 2.5, size=(12, 1))
-    pts = w * psi._t[None, :]
+    pts = w * psi.t[None, :]
     rep = verify_supersolution(psi, pts, iso2, quad)
     assert rep["passed"]
     ovs = eval_extremal_many(psi, pts, iso2, quad, "minus")
@@ -399,7 +399,7 @@ def test_certificate_counts_strict_rule_beside_verdict():
 
 def test_verify_supersolution_adversarial_bump(iso2):
     psi = PsiBarrier(iso2, 6.0)
-    spike_center = psi._t * np.array([1.8, 0.0])
+    spike_center = psi.t * np.array([1.8, 0.0])
 
     def spiked(p):
         base = psi.eval(p)
@@ -408,7 +408,7 @@ def test_verify_supersolution_adversarial_bump(iso2):
 
     bad = AnalyticField(spiked, sup_bound=50.0 * psi.tilde_c,
                         range_outside=lambda R: (0.0, 0.0) if R >
-                        3.0 * np.sqrt(2) * float(np.max(psi._t)) + 1.0
+                        3.0 * np.sqrt(2) * float(np.max(psi.t)) + 1.0
                         else (0.0, 50.0 * psi.tilde_c))
     quad = QuadratureScheme(shells=18, nodes_per_shell=1200, far_radius=16.0,
                             r_inner=1e-8, seed=32)
@@ -416,7 +416,7 @@ def test_verify_supersolution_adversarial_bump(iso2):
     d = rng.normal(size=(10, 2))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     w = d * rng.uniform(1.1, 2.5, size=(10, 1))
-    pts = np.vstack([w * psi._t[None, :], spike_center[None, :]])
+    pts = np.vstack([w * psi.t[None, :], spike_center[None, :]])
     rep = verify_supersolution(bad, pts, iso2, quad)
     assert not rep["passed"]
     assert np.allclose(rep["worst_point"], spike_center)

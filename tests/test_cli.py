@@ -393,6 +393,48 @@ def test_data_csv_cells_are_numbers(tmp_path, command):
             float(cell)
 
 
+# configs whose results.json holds a null: a value the command could not
+# measure
+NULL_CONFIGS = {
+    "abp-cover-empty": {"command": "abp-cover",
+                        "profile": SMALL_CONFIGS["abp-cover"]["profile"],
+                        "params": {"grid": 2}},
+    "sweep-two-rows": dict(SOLVER_BASE, command="sweep", params=dict(
+        SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])),
+    "sweep-one-order": {"command": "sweep", "profile": P1,
+                        "params": {"grid": 17,
+                                   "sigma_min_values": [1.0, 1.0, 1.0]}},
+}
+
+
+def _nulls(value, path=()):
+    """``(path, reason)`` of every null in ``value``, with the value of
+    the ``<key>_reason`` key beside it."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if item is None:
+                yield path + (key,), value.get(f"{key}_reason")
+            yield from _nulls(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nulls(item, path + (i,))
+
+
+@pytest.mark.parametrize("config", [
+    dict(cfg, command=command) for command, cfg in SMALL_CONFIGS.items()
+] + list(NULL_CONFIGS.values()), ids=list(SMALL_CONFIGS) + list(NULL_CONFIGS))
+def test_every_null_has_a_reason(tmp_path, config):
+    """A value a command could not measure is null with a reason string
+    beside it, decided by the module that measures."""
+    cfg = write_config(tmp_path, config)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) in (0, 1)
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    nulls = list(_nulls(results))
+    assert [(path, reason) for path, reason in nulls
+            if not (isinstance(reason, str) and reason)] == []
+    assert bool(nulls) == (config in NULL_CONFIGS.values())
+
+
 def test_sweep_slope_without_three_rows_is_null(tmp_path):
     params = dict(SOLVER_BASE["params"], sigma_min_values=[1.0, 1.5])
     cfg = write_config(tmp_path, dict(SOLVER_BASE, command="sweep",

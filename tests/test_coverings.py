@@ -259,7 +259,7 @@ def test_cz_witness_is_plain_integers():
 
 def test_cz_peak_memory_per_selected_cube():
     """The selected cubes are held as arrays, a few machine words each,
-    so the peak stays near 235 B per cube at 2D generation 9, most of it
+    so the peak stays near 186 B per cube at 2D generation 9, most of it
     the lattice passes; Python objects per cube bring it to about 650 B."""
     rng = np.random.default_rng(0)
     m = 2 ** 9
@@ -273,6 +273,23 @@ def test_cz_peak_memory_per_selected_cube():
         tracemalloc.stop()
     assert len(res.gen) > 50_000
     assert peak / len(res.gen) < 400
+
+
+def test_box_measures_peak_memory_per_cell():
+    """Per axis, ``box_measures`` holds the cumulative sum and three arrays
+    of the boxes' shape, gathered and combined in place: about 32 B per
+    lattice cell at 2D generation 10 with the generation-10 boxes, where
+    the gathered temporaries of an out-of-place combination take 48 B."""
+    rng = np.random.default_rng(0)
+    a = CellSet(2, 10, rng.random((2 ** 10,) * 2) < 0.25)
+    lo, hi = tilde_boxes(2, 10, None)
+    tracemalloc.start()
+    try:
+        a.box_measures(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / a.mask.size < 36
 
 
 def test_cz_rejects_bad_inputs(rng):

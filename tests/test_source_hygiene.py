@@ -4,7 +4,8 @@ catches every error, no code there switches on the type of an exterior
 rule, the dense oracle shares no code with the fast lattice paths, every
 library exception is a ``PreconditionError`` that no handler rewraps by
 name, every public function, class and method of the library is run by a
-command or named as an oracle, every lemma check in ``tests/lemmas.py``
+command or named as an oracle, the CLI reads no private attribute, every
+lemma check in ``tests/lemmas.py``
 has a test that calls it, and every defaulted parameter of the library is
 passed by a call in it or allowlisted with its reason."""
 
@@ -166,7 +167,8 @@ def test_annotations_resolve(name):
 
 
 # Public names no command runs, kept because each is the independent
-# oracle of a path a command does run, or the case that oracle needs.
+# oracle of a path a command does run, or the case that oracle needs; a
+# method is named ``module.Class.method``.
 ORACLES = {
     "solver.dense_matrix": "the dense lattice operator that the FFT "
                            "stencils and the Krylov solves are checked on",
@@ -181,17 +183,25 @@ ORACLES = {
     "geometry.ellipse": "the ellipse of the geometry inclusions",
     "geometry.rect": "the rectangle of the geometry inclusions",
     "geometry.tilde_rect": "the tilde rectangle of the geometry inclusions",
+    "geometry.AnisoSet.measure": "the closed-form measure of Theta_r and "
+                                 "its kin, which the lemma checks read",
 }
 
 
-def module_name_table():
-    """Per module: its top-level definitions (functions, classes and
-    assigned names, each with the statement that binds it) and the names
-    it imports from sibling modules, at any depth, as ``(module, name)``."""
-    defs, imports = {}, {}
-    for path in SOURCE.glob("*.py"):
-        module = "" if path.stem == "__init__" else path.stem
-        tree = ast.parse(path.read_text())
+def library_sources():
+    """``{module: source}`` of the library, ``""`` for the package."""
+    return {"" if path.stem == "__init__" else path.stem: path.read_text()
+            for path in SOURCE.glob("*.py")}
+
+
+def module_name_table(sources):
+    """Per module: its parsed tree, its top-level definitions (functions,
+    classes and assigned names, each with the statement that binds it)
+    and the names it imports from sibling modules, at any depth, as
+    ``(module, name)``."""
+    trees, defs, imports = {}, {}, {}
+    for module, text in sources.items():
+        trees[module] = tree = ast.parse(text)
         defs[module] = {}
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -208,7 +218,7 @@ def module_name_table():
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names}
-    return defs, imports
+    return trees, defs, imports
 
 
 def referenced(tree):
@@ -217,18 +227,142 @@ def referenced(tree):
             for node in ast.walk(tree)} - {None}
 
 
-def attributes(tree):
-    """Every attribute the tree references, as in ``obj.attr``."""
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+def class_key(node, module, defs, imports):
+    """``(module, class)`` of the library class that ``node``, a name or
+    a string annotation, names in ``module``; None for anything else."""
+    name = node.value if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else getattr(node, "id", None)
+    key = (module, name) if name in defs[module] else imports[module].get(name)
+    if key and isinstance(defs.get(key[0], {}).get(key[1]), ast.ClassDef):
+        return key
+    return None
 
 
-def reachable_names(defs, imports):
+def method_owners(key, attr, defs, imports):
+    """The classes whose own ``attr`` method a reference through an
+    instance of class ``key`` may run: the first definition up its
+    library bases, and every override in a library subclass."""
+    def bases(k):
+        return [b for b in (class_key(base, k[0], defs, imports)
+                            for base in defs[k[0]][k[1]].bases) if b]
+
+    def ancestors(k):
+        return {a for b in bases(k) for a in {b} | ancestors(b)}
+
+    def defines(k):
+        return any(isinstance(s, ast.FunctionDef) and s.name == attr
+                   for s in defs[k[0]][k[1]].body)
+
+    owners, up = [], [key]
+    while up:
+        k = up.pop(0)
+        if defines(k):
+            owners.append(k)
+            break
+        up = bases(k) + up
+    return owners + [(m, name) for m in defs for name, stmt in defs[m].items()
+                     if isinstance(stmt, ast.ClassDef)
+                     and key in ancestors((m, name)) and defines((m, name))]
+
+
+def scope_nodes(body):
+    """Every node under the statements ``body`` that runs in their scope:
+    a nested function or class is yielded with its decorators, defaults
+    and bases, not its body."""
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, ast.FunctionDef):
+            todo += node.decorator_list + node.args.defaults \
+                + [d for d in node.args.kw_defaults if d is not None]
+        elif isinstance(node, ast.ClassDef):
+            todo += node.decorator_list + node.bases
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def local_classes(func, owner, outer, module, defs, imports):
+    """Name -> class of the names in ``func`` whose class is known: the
+    first parameter of a method of class ``owner``, a parameter annotated
+    with a library class, or a local bound only to a call of one.  Names
+    ``func`` does not bind keep their class in ``outer``."""
+    kinds = {}
+    args = func.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in func.decorator_list)
+    for a in positional + args.kwonlyargs + [a for a in (args.vararg,
+                                                         args.kwarg) if a]:
+        key = class_key(a.annotation, module, defs, imports) \
+            if a.annotation else None
+        if owner and not static and a is positional[0]:
+            key = owner
+        kinds.setdefault(a.arg, set()).add(key)
+    nodes = list(scope_nodes(func.body))
+    made = {id(node.targets[0]): class_key(node.value.func, module, defs,
+                                           imports)
+            for node in nodes if isinstance(node, ast.Assign)
+            and len(node.targets) == 1 and isinstance(node.value, ast.Call)}
+    for node in nodes:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound = [(node.id, made.get(id(node)))]
+        elif isinstance(node, ast.arg):                 # of a lambda
+            bound = [(node.arg, None)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                               ast.ExceptHandler)):
+            bound = [(node.name, None)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = [(alias.asname or alias.name.split(".")[0], None)
+                     for alias in node.names]
+        else:
+            bound = []
+        for name, key in bound:
+            kinds.setdefault(name, set()).add(key)
+    known = {name: k for name, k in outer.items() if name not in kinds}
+    known.update({name: next(iter(keys)) for name, keys in kinds.items()
+                  if len(keys) == 1 and None not in keys})
+    return known
+
+
+def method_references(tree, module, defs, imports):
+    """The attributes ``tree`` references: ``(module, class, method)`` of
+    each method reached through a receiver whose class is known (see
+    ``local_classes``; a class name is its own receiver), and the bare
+    names of the others, which may reach a method of any class."""
+    owned, loose = set(), set()
+
+    def visit(body, known, owner):
+        for node in scope_nodes(body):
+            if isinstance(node, ast.FunctionDef):
+                visit(node.body, local_classes(node, owner, known, module,
+                                               defs, imports), None)
+            elif isinstance(node, ast.ClassDef):
+                key = (module, node.name) if node.name in defs[module] \
+                    else None
+                visit(node.body, known, key)
+            elif isinstance(node, ast.Attribute):
+                recv = node.value
+                key = isinstance(recv, ast.Name) and (
+                    known.get(recv.id)
+                    or class_key(recv, module, defs, imports))
+                if key:
+                    owned.update(k + (node.attr,) for k in method_owners(
+                        key, node.attr, defs, imports))
+                else:
+                    loose.add(node.attr)
+
+    visit(tree.body if isinstance(tree, ast.Module) else [tree], {}, None)
+    return owned, loose
+
+
+def reachable_names(trees, defs, imports, oracles):
     """``(module, name)`` of every top-level definition reached from the
-    body of ``anisonl.cli`` and from the oracles, following each name and
+    body of ``cli`` and from the oracles, following each name and
     attribute a reached definition references to the definition it
     resolves to in that module: its own, or the one it imports.  Also
-    every attribute those definitions reference."""
+    the method references of those definitions (``method_references``),
+    the oracle methods among them."""
     def references(module, tree):
         for name in referenced(tree):
             if name in defs[module]:
@@ -236,10 +370,11 @@ def reachable_names(defs, imports):
             elif name in imports[module]:
                 yield imports[module][name]
 
-    cli = ast.parse((SOURCE / "cli.py").read_text())
-    todo = list(references("cli", cli))
-    todo += [tuple(key.split(".")) for key in ORACLES]
-    seen, names = set(), attributes(cli)
+    todo = list(references("cli", trees["cli"]))
+    todo += [tuple(key.split(".")[:2]) for key in oracles]
+    owned, loose = method_references(trees["cli"], "cli", defs, imports)
+    owned |= {tuple(key.split(".")) for key in oracles if key.count(".") == 2}
+    seen = set()
     while todo:
         key = todo.pop()
         if key in seen:
@@ -248,26 +383,30 @@ def reachable_names(defs, imports):
         module, name = key
         if name in defs.get(module, {}):
             todo.extend(references(module, defs[module][name]))
-            names |= attributes(defs[module][name])
-    return seen, names
+            more, names = method_references(defs[module][name], module, defs,
+                                            imports)
+            owned |= more
+            loose |= names
+    return seen, owned, loose
 
 
-def test_every_public_name_is_run_or_an_oracle():
-    """A public function or class that no command reaches and no oracle
-    names is dead code: two such names that only call each other count
-    as dead too.  So is a public method of a reached class that no
-    reached definition references as an attribute: a local variable of
-    the same name does not count.  Every oracle names a definition that
-    exists."""
-    defs, imports = module_name_table()
-    stale = [key for key in ORACLES
-             if key.split(".")[1] not in defs.get(key.split(".")[0], {})]
-    assert stale == []
-    reached, names = reachable_names(defs, imports)
+def dead_public_names(sources, oracles):
+    """The public functions, classes and methods of ``sources`` that
+    ``reachable_names`` does not reach, and the oracles that name no
+    definition."""
+    trees, defs, imports = module_name_table(sources)
+    stale = []
+    for key in oracles:
+        module, name, *method = key.split(".")
+        stmt = defs.get(module, {}).get(name)
+        if stmt is None or method and not any(
+                isinstance(s, ast.FunctionDef) and s.name == method[0]
+                for s in stmt.body):
+            stale.append(key)
+    reached, owned, loose = reachable_names(trees, defs, imports, oracles)
     dead = []
-    for module in MODULES:
-        tree = ast.parse((SOURCE / f"{module}.py").read_text())
-        for stmt in tree.body:
+    for module in sorted(set(sources) - {""}):
+        for stmt in trees[module].body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
                     or stmt.name.startswith("_"):
                 continue
@@ -278,8 +417,82 @@ def test_every_public_name_is_run_or_an_oracle():
                          for method in stmt.body
                          if isinstance(method, ast.FunctionDef)
                          and not method.name.startswith("_")
-                         and method.name not in names]
-    assert dead == []
+                         and method.name not in loose
+                         and (module, stmt.name, method.name) not in owned]
+    return dead, stale
+
+
+def test_every_public_name_is_run_or_an_oracle():
+    """A public function or class that no command reaches and no oracle
+    names is dead code: two such names that only call each other count
+    as dead too.  So is a public method of a reached class that no
+    reached definition references as an attribute: a local variable of
+    the same name does not count, nor does a same-named method of
+    another class when the receiver's class is known.  Every oracle
+    names a definition that exists."""
+    assert dead_public_names(library_sources(), ORACLES) == ([], [])
+
+
+SHAPES = {
+    "": "",
+    "cli": """from .shapes import Box, Disc, area_of
+
+
+def main(shape: Box, other):
+    box = Box()
+    return (box.measure() + shape.measure() + Disc().area()
+            + area_of(other))
+
+
+main(Box(), Disc())
+""",
+    "shapes": """class Box:
+    def measure(self):
+        return 1.0
+
+    def scale(self):
+        return self.measure()
+
+
+class Disc:
+    def area(self):
+        return 3.0
+
+    def measure(self):
+        return self.area()
+
+    def radius(self):
+        return 1.0
+
+
+def area_of(shape):
+    return shape.radius()
+""",
+}
+
+
+@pytest.mark.parametrize("oracles, dead", [
+    ({}, ["shapes.Box.scale", "shapes.Disc.measure"]),
+    ({"shapes.Disc.measure": "the reference measure"}, ["shapes.Box.scale"]),
+])
+def test_method_reached_through_another_class_is_dead(oracles, dead):
+    """``Disc.measure`` is reached only through ``Box.measure`` (a local
+    bound to ``Box()``, a parameter annotated ``Box``): it is dead unless
+    an oracle names it.  ``Disc.radius`` is read through a receiver of
+    unknown class, so it stays live."""
+    assert dead_public_names(SHAPES, oracles) == (dead, [])
+    assert dead_public_names(SHAPES, {"shapes.Disc.volume": ""}) == (
+        ["shapes.Box.scale", "shapes.Disc.measure"], ["shapes.Disc.volume"])
+
+
+def test_cli_reads_no_private_attribute():
+    """The CLI reads library objects through their public names only."""
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    private = [f"{ast.unparse(node)} (line {node.lineno})"
+               for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")
+               and not node.attr.startswith("__")]
+    assert private == []
 
 
 def test_every_lemma_check_has_a_caller():
