@@ -145,7 +145,8 @@ def _tiles_for_points(profile, pts, gen):
     found = set()
     for p in pts:
         t = p / edge
-        base = np.floor(t).astype(int)
+        # Python ints, so that a chain of indices prints as (2, 1)
+        base = np.floor(t).astype(int).tolist()
         # points within FACE_EPS edges of a face belong to both neighbours
         choices = []
         for d in range(len(base)):

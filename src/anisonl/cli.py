@@ -375,7 +375,10 @@ def _cmd_cz(profile, quad, params, seed):
     summary = {"selected": len(res.gen), "covered": res.covered,
                "c_measured": res.c_measured, "certified": res.certified,
                "a_measure": a.measure, "b_measure": b.measure}
-    rows = np.column_stack([res.gen, res.index]).tolist()
+    # listed a block at a time: one list of all cubes outweighs the arrays
+    rows = (row for k in range(0, len(res.gen), 65536)
+            for row in np.column_stack([res.gen[k:k + 65536],
+                                        res.index[k:k + 65536]]).tolist())
     cols = ("gen",) + tuple(f"i{i}" for i in range(n))
     return summary, rows, cols, res.certified
 

@@ -84,9 +84,6 @@ class KernelFamily:
     def n_sup(self):
         return len(self.members[0])
 
-    def flat(self):
-        return [k for row in self.members for k in row]
-
     @staticmethod
     def extremal_pair(profile):
         """Two constant-multiplier members {lambda, Lambda} on the sup level."""

@@ -6,22 +6,21 @@ a scalar reaction term for the mass beyond the window that couples the
 point to its far exterior value: the finite-difference quadrature of
 Huang and Oberman (SIAM J. Numer. Anal. 52, 2014).
 
-On interior values each linear member reads L u = e - (d u - T u).  The
-weights do not change under translation, so the interior coupling T is
-a (block-)Toeplitz matrix, applied by FFT convolution with the stencil
-truncated to +-(N-1) cells per axis; d = sum of weights + tail; and e,
-the exterior couplings plus the tail reaction, is one FFT convolution of
-the padded exterior, computed once.  d I - T is a symmetric, strictly
-diagonally dominant Z-matrix.
+On interior values the lattice operator of a kernel K reads L_K u =
+e - (d u - T u).  The weights do not change under translation, so the
+interior coupling T is a (block-)Toeplitz matrix, applied by FFT
+convolution with the stencil truncated to +-(N-1) cells per axis; d =
+sum of weights + tail; and e, the exterior couplings plus the tail
+reaction, is one FFT convolution of the padded exterior, computed once.
+d I - T is a symmetric, strictly diagonally dominant Z-matrix.
 
-Constant-multiplier families are m_ab times one base stencil, and
-phi(r) = min_a max_b m_ab r is strictly increasing and piecewise linear,
-so I_h u = f is the single SPD system L u = phi^-1(f), solved by
-conjugate gradients.  Other families are solved by nested Howard policy
-iteration (Bokanowski, Maroso and Zidani, SIAM J. Numer. Anal. 47,
-2009): each policy system is a row selection of the members' strictly
-diagonally dominant Z-matrices, so the comparison principle survives; it
-is solved by GMRES on masked per-member FFT products.
+The solver takes families whose members are m_ab K with m_ab > 0, for
+one base kernel K: positive constant multiples of power-law kernels of
+the family's profile (base multiplier 1), or one member of any kernel
+with positive multiplier bounds (its own base, m = 1); it refuses any
+other family.  Then I_h u = phi(L_K u) with phi(r) = min_a max_b m_ab r,
+strictly increasing and piecewise linear, so I_h u = f is the single SPD
+system L_K u = phi^-1(f), solved by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class DiscreteProblem:
     exterior: object
     rhs: object = None             # callable or None (zero)
     tolerance: float = 1e-8
-    max_iters: int = 20000         # cap on the total Krylov iterations
+    max_iters: int = 20000         # cap on the total CG iterations
     window: int = None             # offset extent in cells per axis
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class DiscreteProblem:
 @dataclass
 class SolveReport:
     converged: bool
-    iterations: int                # Krylov iterations, all systems
+    iterations: int                # CG iterations, all restarts
     residual: float                # sup |I_h u - f|
 
 
@@ -186,7 +185,7 @@ def _circulant_stencil(off, w, fft_shape):
 
 
 class _Stencil:
-    """One linear member on the problem lattice: L u = e - (d u - T u)."""
+    """The lattice operator of one kernel: L u = e - (d u - T u)."""
 
     def __init__(self, problem, kernel, ext_pad, far):
         p = problem
@@ -209,51 +208,56 @@ class _Stencil:
         core = tuple(slice(p.window, p.window + s) for s in p.shape)
         self.exterior = conv[core].ravel() + tail * far
 
-    def coupling(self, u):
-        """T u for interior values u (flat)."""
+    def matvec(self, u):
+        """(d I - T) u for interior values u (flat): symmetric positive
+        definite."""
         full = np.fft.irfftn(
             np.fft.rfftn(u.reshape(self.shape), self._fft_shape, self._axes)
             * self._ker_hat, self._fft_shape, self._axes)
-        return full[tuple(slice(0, s) for s in self.shape)].ravel()
-
-    def matvec(self, u):
-        """(d I - T) u: symmetric positive definite."""
-        return self.diag * u - self.coupling(u)
+        return self.diag * u - full[tuple(slice(0, s)
+                                          for s in self.shape)].ravel()
 
     def apply(self, u):
         return self.exterior - self.matvec(u)
 
 
-def _constant_multipliers(family):
-    """(n_inf, n_sup) multipliers when every member is a positive constant
-    multiple of the family's base power-law kernel, else None."""
-    m = np.empty((family.n_inf, family.n_sup))
-    for a, row in enumerate(family.members):
+def _base_kernel(family):
+    """The base kernel K and the (n_inf, n_sup) multipliers m of a family
+    whose members are m_ab K with m_ab > 0.
+
+    Positive constant multiples of power-law kernels of the family's
+    profile have base ``PowerLawKernel(profile, 1.0)``; a one-member family
+    of any other kernel with positive multiplier bounds is its own base,
+    with m = [[1]].  Any other family is refused."""
+    rows = family.members
+    for a, row in enumerate(rows):
         for b, k in enumerate(row):
             if type(k) is not PowerLawKernel or callable(k.multiplier) \
                     or k.profile is not family.profile or k.mult_lo <= 0.0:
-                return None
-            m[a, b] = k.mult_lo
-    return m
+                if len(rows) == len(row) == 1 and k.mult_lo > 0.0:
+                    return k, np.ones((1, 1))
+                raise ValueError(
+                    f"member ({a}, {b}), a {type(k).__name__} with "
+                    f"multiplier bounds [{k.mult_lo}, {k.mult_hi}], is not "
+                    "a positive constant multiple of a power-law kernel of "
+                    "the family's profile; the lattice solver takes only "
+                    "such families, or one member with positive bounds")
+    m = np.array([[k.mult_lo for k in row] for row in rows])
+    return PowerLawKernel(family.profile, 1.0), m
 
 
 class AssembledOperator:
-    """FFT stencils of a problem's kernel family and its inf-sup operator.
-
-    Constant-multiplier families hold one base stencil and the
-    multipliers; other families one stencil per member.
-    """
+    """One base stencil L_K and the inf-sup operator phi(L_K u) - f of a
+    family m_ab K, with phi(r) = min_a max_b m_ab r: ``up`` r for r >= 0,
+    ``down`` r for r < 0."""
 
     def __init__(self, problem):
         self.problem = problem
-        fam = problem.family
-        self.multipliers = _constant_multipliers(fam)
-        if self.multipliers is not None:
-            kernels = [PowerLawKernel(fam.profile, 1.0)]
-        else:
-            kernels = fam.flat()
+        kernel, m = _base_kernel(problem.family)
+        self.up = m.max(axis=1).min()
+        self.down = m.min(axis=1).max()
         ext_pad, far = _padded(problem, problem.exterior, 0.0)
-        self.stencils = [_Stencil(problem, k, ext_pad, far) for k in kernels]
+        self.stencil = _Stencil(problem, kernel, ext_pad, far)
         self.rhs = self._rhs_values()
 
     def _rhs_values(self):
@@ -262,80 +266,19 @@ class AssembledOperator:
             return np.zeros(int(np.prod(p.shape)))
         return np.asarray(p.rhs(p.grid_points()), dtype=float)
 
-    def member_values(self, values):
-        """L_ab u for every member, shape (n_inf, n_sup, points)."""
-        fam = self.problem.family
-        u = np.asarray(values, dtype=float).ravel()
-        if self.multipliers is not None:
-            return self.multipliers[:, :, None] \
-                * self.stencils[0].apply(u)[None, None, :]
-        return np.stack([s.apply(u) for s in self.stencils]).reshape(
-            fam.n_inf, fam.n_sup, u.size)
-
     def apply(self, values):
         """I_h u - f for interior values u (exterior from the problem)."""
-        return self.member_values(values).max(axis=1).min(axis=0) - self.rhs
+        r = self.stencil.apply(np.asarray(values, dtype=float).ravel())
+        return np.where(r >= 0.0, self.up * r, self.down * r) - self.rhs
 
     def solve(self, u, target, budget):
-        """Steps toward sup |I_h u - f| <= target: one CG solve for
-        constant multipliers, else Howard policy iteration; returns
-        (u, Krylov iterations)."""
-        if self.multipliers is not None:
-            return self._solve_constant(u, target, budget)
-        return self._howard(u, target, budget)
-
-    def _solve_constant(self, u, target, budget):
-        m = self.multipliers
-        up = m.max(axis=1).min()          # phi(r) = up r for r >= 0
-        down = m.min(axis=1).max()        # phi(r) = down r for r < 0
-        g = np.where(self.rhs >= 0.0, self.rhs / up, self.rhs / down)
-        st = self.stencils[0]
+        """CG steps on L_K u = phi^-1(f) toward sup |I_h u - f| <= target;
+        returns (u, iterations)."""
+        g = np.where(self.rhs >= 0.0, self.rhs / self.up,
+                     self.rhs / self.down)
+        st = self.stencil
         return _cg(st.matvec, st.exterior - g, u,
-                   target / max(up, down), budget)
-
-    def _policy_solve(self, policy, u, target, budget):
-        """GMRES on the row selection of member ``policy[x]`` at each x,
-        rows scaled by their diagonal."""
-        used = [(s, policy == s) for s in np.unique(policy)]
-        diag = np.array([st.diag for st in self.stencils])[policy]
-
-        def matvec(v):
-            out = v.copy()
-            for s, mask in used:
-                out[mask] -= self.stencils[s].coupling(v)[mask] / diag[mask]
-            return out
-
-        ext = np.array([st.exterior for st in self.stencils])
-        rhs = (ext[policy, np.arange(u.size)] - self.rhs) / diag
-        return _gmres(matvec, rhs, u, target / float(np.max(diag)), budget)
-
-    def _howard(self, u, target, budget):
-        """Nested policy iteration: outer argmin over alpha, inner argmax
-        over beta; each solve raises (inner) or lowers (outer) u
-        monotonically, and both stop when the policy repeats."""
-        n_sup = self.problem.family.n_sup
-        pts = np.arange(u.size)
-        iters = 0
-        vals = self.member_values(u)
-        alpha = None
-        while iters < budget:
-            new_alpha = vals.max(axis=1).argmin(axis=0)
-            if alpha is not None and np.array_equal(new_alpha, alpha):
-                break
-            alpha, beta = new_alpha, None
-            while iters < budget:
-                if np.max(np.abs(vals.max(axis=1).min(axis=0)
-                                 - self.rhs)) <= target:
-                    return u, iters
-                new_beta = vals[alpha, :, pts].argmax(axis=1)
-                if beta is not None and np.array_equal(new_beta, beta):
-                    break
-                beta = new_beta
-                u, k = self._policy_solve(alpha * n_sup + beta, u, target,
-                                          budget - iters)
-                iters += k
-                vals = self.member_values(u)
-        return u, iters
+                   target / max(self.up, self.down), budget)
 
 
 def _cg(matvec, b, x, target, budget):
@@ -362,47 +305,15 @@ def _cg(matvec, b, x, target, budget):
     return x, k
 
 
-def _gmres(matvec, b, x, target, budget):
-    """GMRES restarted every 40 iterations, from x until ||b - A x||_2 <=
-    target or ``budget`` iterations; returns (x, iterations)."""
-    k = 0
-    while k < budget:
-        r = b - matvec(x)
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
-            break
-        m = min(40, budget - k)
-        basis = np.zeros((m + 1, r.size))
-        hess = np.zeros((m + 1, m))
-        basis[0] = r / beta
-        e1 = np.zeros(m + 1)
-        e1[0] = beta
-        for j in range(m):
-            w = matvec(basis[j])
-            for i in range(j + 1):                 # modified Gram-Schmidt
-                hess[i, j] = basis[i] @ w
-                w -= hess[i, j] * basis[i]
-            hess[j + 1, j] = np.linalg.norm(w)
-            k += 1
-            y = np.linalg.lstsq(hess[:j + 2, :j + 1], e1[:j + 2],
-                                rcond=None)[0]
-            res = np.linalg.norm(e1[:j + 2] - hess[:j + 2, :j + 1] @ y)
-            if res <= target or hess[j + 1, j] == 0.0:
-                break
-            basis[j + 1] = w / hess[j + 1, j]
-        x = x + basis[:j + 1].T @ y
-    return x, k
-
-
 def solve_dirichlet(problem):
     """Solve I_h u = f to residual sup-norm <= tolerance.
 
     Starts from the exterior rule sampled on the grid, which makes
     globally harmonic data (constants, affine functions) exact with no
-    iteration.  The linear systems are solved to half the tolerance; if
+    iteration.  The linear system is solved to half the tolerance; if
     the true residual, taken from ``apply``, still misses the tolerance
-    (the Krylov residual drifts), they are solved again to a tenth of the
-    previous target, until ``max_iters`` Krylov iterations in total.
+    (the CG residual drifts), it is solved again to a tenth of the
+    previous target, until ``max_iters`` CG iterations in total.
     """
     op = AssembledOperator(problem)
     u = np.asarray(problem.exterior(problem.grid_points()),

@@ -207,6 +207,8 @@ def test_cover_depth_cap_diagnostic(monkeypatch, prof2):
     assert err.value.gen == 3
     assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 3))
     assert [g for g, _ in err.value.chain] == [0, 1, 2, 3]
+    # plain ints: the chain reads "gen 0 idx (2, 1)", no numpy reprs
+    assert "np." not in str(err.value)
     # each link is the parent tile of the next: frak_c halvings per axis
     factor = 2 ** prof2.frak_c
     for (_, parent), (_, child) in zip(err.value.chain, err.value.chain[1:]):

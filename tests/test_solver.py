@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,16 +155,20 @@ def test_max_iters_reports_partial(iso1):
     assert rep.residual > 0.0
 
 
-def test_truncated_kernel_control(iso1, rng):
-    # |I_K u - I_K1 u| <= 4 c0 sup|u| at every grid point
-    base = PowerLawKernel(iso1, 1.0)
-    c0 = 0.8
-
+def _shell_kernel(prof, c0):
+    """The power-law kernel plus c0 on the 1D shell 0.5 < |y| < 1.5."""
     def k2(y):
         r = np.abs(y[:, 0])
         return np.where((r > 0.5) & (r < 1.5), c0, 0.0)
 
-    trunc = TruncatedKernel(base, k2, l1_budget=2.0 * c0)
+    return TruncatedKernel(PowerLawKernel(prof, 1.0), k2, l1_budget=2.0 * c0)
+
+
+def test_truncated_kernel_control(iso1, rng):
+    # |I_K u - I_K1 u| <= 4 c0 sup|u| at every grid point
+    c0 = 0.8
+    trunc = _shell_kernel(iso1, c0)
+    base = trunc.base
     for trial in range(2):
         vals = rng.normal(size=33)
         prob_full = DiscreteProblem(
@@ -278,12 +283,42 @@ def test_mixed_sign_rhs_extremal_pair_dense_oracle(iso1_ell):
     prob = DiscreteProblem(iso1_ell, (-1.0,), (1.0,), (33,), fam,
                            CallableExterior(_ind, 1.0), rhs=_mixed_rhs,
                            tolerance=1e-11, window=48)
-    assert AssembledOperator(prob).multipliers is not None
     field, rep = solve_dirichlet(prob)
     assert rep.converged and rep.residual <= 1e-11
     oracle, _, beta = _dense_policy_iteration(prob)
     assert set(beta) == {0, 1}                 # both members active
     assert np.max(np.abs(field.values.ravel() - oracle)) <= 1e-9
+
+
+def _wave_kernel(prof):
+    """A 2D power-law kernel with a callable multiplier in [1, 2]."""
+    return PowerLawKernel(
+        prof, lambda y: 1.5 + 0.5 * np.cos(y[:, 0] - y[:, 1]), 1.0, 2.0)
+
+
+def _wave_rhs(pts):
+    return np.cos(2.0 * pts[:, 0]) * pts[:, 1]
+
+
+@pytest.mark.parametrize("kind", ["callable", "truncated"])
+def test_one_member_solve_dense_oracle(kind, iso1, aniso2):
+    """A one-member family of any kernel is its own base stencil: CG on
+    it matches the dense solve of its ``dense_matrix``."""
+    if kind == "callable":
+        prob = DiscreteProblem(aniso2, (-1.0, -0.8), (1.0, 0.8), (9, 7),
+                               KernelFamily([[_wave_kernel(aniso2)]]),
+                               AffineExterior(0.3, (0.5, -0.2)),
+                               rhs=_wave_rhs, tolerance=1e-11)
+    else:
+        prob = DiscreteProblem(iso1, (-1.0,), (1.0,), (33,),
+                               KernelFamily([[_shell_kernel(iso1, 0.8)]]),
+                               CallableExterior(_ind, 1.0), rhs=_mixed_rhs,
+                               tolerance=1e-11, window=48)
+    field, rep = solve_dirichlet(prob)
+    assert rep.converged
+    a, b = dense_matrix(prob)
+    direct = np.linalg.solve(a, b)
+    assert np.max(np.abs(direct - field.values.ravel())) <= 1e-9
 
 
 def _switching_family(prof):
@@ -299,29 +334,19 @@ def _switching_family(prof):
         [PowerLawKernel(prof, 2.0), PowerLawKernel(prof, dip, 1.0, 2.0)]])
 
 
-def test_howard_switching_family_dense_oracle(iso1_ell):
-    fam = _switching_family(iso1_ell)
+@pytest.mark.parametrize("kind, member", [("switching", "(0, 1)"),
+                                          ("zero", "(0, 0)")])
+def test_other_families_are_refused(kind, member, iso1_ell):
+    """A family that is not m_ab times one base kernel, m_ab > 0, has no
+    single SPD system: the operator names the first member that breaks
+    the rule."""
+    fam = _switching_family(iso1_ell) if kind == "switching" \
+        else KernelFamily([[PowerLawKernel(iso1_ell, 0.0)]])
     prob = DiscreteProblem(iso1_ell, (-1.0,), (1.0,), (33,), fam,
-                           CallableExterior(_ind, 1.0), rhs=_mixed_rhs,
-                           tolerance=1e-11, window=48)
-    assert AssembledOperator(prob).multipliers is None
-    field, rep = solve_dirichlet(prob)
-    assert rep.converged and rep.residual <= 1e-11
-    oracle, alpha, beta = _dense_policy_iteration(prob)
-    assert set(alpha) == {0, 1} and set(beta) == {0, 1}
-    assert np.max(np.abs(field.values.ravel() - oracle)) <= 1e-9
-
-
-def test_howard_comparison_principle(iso1_ell, rng):
-    fam = _switching_family(iso1_ell)
-    for _ in range(3):
-        lo_val = float(rng.uniform(-0.5, 0.5))
-        hi_val = lo_val + float(rng.uniform(0.0, 0.5))
-        ua, ub = (solve_dirichlet(DiscreteProblem(
-            iso1_ell, (-1.0,), (1.0,), (33,), fam, ConstantExterior(v),
-            rhs=_mixed_rhs, tolerance=1e-10, window=48))[0]
-            for v in (lo_val, hi_val))
-        assert np.all(ua.values <= ub.values + 1e-12)
+                           CallableExterior(_ind, 1.0), window=48)
+    with pytest.raises(ValueError, match=re.escape(
+            f"member {member}, a PowerLawKernel")):
+        AssembledOperator(prob)
 
 
 @pytest.mark.parametrize("family", ["pair", "callable"])
@@ -331,12 +356,10 @@ def test_apply_matches_dense_2d(family, aniso2, rng):
         ext = CallableExterior(
             lambda p: np.exp(-np.sum((p - 1.2) ** 2, axis=1)), 1.0)
     else:
-        fam = KernelFamily([[PowerLawKernel(
-            aniso2, lambda y: 1.5 + 0.5 * np.cos(y[:, 0] - y[:, 1]),
-            1.0, 2.0)]])
+        fam = KernelFamily([[_wave_kernel(aniso2)]])
         ext = AffineExterior(0.3, (0.5, -0.2))    # tail couples to far data
     prob = DiscreteProblem(aniso2, (-1.0, -0.8), (1.0, 0.8), (9, 7), fam,
-                           ext, rhs=lambda p: np.cos(2.0 * p[:, 0]) * p[:, 1])
+                           ext, rhs=_wave_rhs)
     u = rng.normal(size=9 * 7)
     got = AssembledOperator(prob).apply(u)
     dense = [dense_matrix(prob, (0, b)) for b in range(fam.n_sup)]

@@ -171,7 +171,7 @@ def test_annotations_resolve(name):
 # method is named ``module.Class.method``.
 ORACLES = {
     "solver.dense_matrix": "the dense lattice operator that the FFT "
-                           "stencils and the Krylov solves are checked on",
+                           "stencils and the CG solve are checked on",
     "operators.eval_inf_sup": "inf-sup by enumerating linear members, the "
                               "check of the extremal closed form",
     "fields.second_difference": "delta(u, x, y) at one point, the reference "
@@ -518,7 +518,7 @@ UNPASSED_DEFAULTS = {
     "coverings.cz_decompose(profile)": "anisotropic tilde boxes, which no "
                                        "command selects yet (ROADMAP item 6)",
     "kernels.PowerLawKernel.__init__(mult_lo, mult_hi)": "the bounds of a "
-        "callable multiplier, the kernels of the Howard path",
+        "callable multiplier, which the one-member CG solve tests declare",
     "profile.isotropic(lambda_lo, lambda_hi)": "the equal-order oracle "
         "profiles, at unit ellipticity unless a test sets it",
     "solver.dense_matrix(member)": "the oracle's matrix of one family member",
