@@ -420,75 +420,43 @@ def _cmd_solve(profile, quad, params, seed):
     return summary, rows, ("iterations", "residual"), report.converged
 
 
-def _normalized_solution(profile, params):
-    from .solver import solve_dirichlet
-    problem = _solve_setup(profile, params)
-    field, report = solve_dirichlet(problem)
-    if not report.converged:
-        raise PreconditionError(
-            f"solver did not converge: residual {report.residual:.3e} > "
-            f"tolerance {problem.tolerance:.3e} after {report.iterations} "
-            "iterations")
-    origin = float(field.eval(np.zeros((1, profile.n)))[0])
-    if origin <= 0.0:
-        raise PreconditionError(
-            f"u(0) = {origin:.3e} <= 0 at solver tolerance "
-            f"{problem.tolerance:.3e}: the solution cannot be normalised "
-            "to u(0) = 1")
-    scale = 1.0 / origin
-    from .fields import GridField, CallableExterior
-    ext = problem.exterior
-    scaled = GridField(problem.lo, problem.hi, field.values * scale,
-                       CallableExterior(lambda pts: ext(pts) * scale,
-                                        ext.sup_bound * scale))
-    return scaled, problem, report
-
-
-def _harnack(profile, params, c0):
-    """The Harnack quotient of the normalised solution; a failed solve or
-    hypothesis raises PreconditionError."""
-    from .experiments import harnack_quotient
-    u, problem, _ = _normalized_solution(profile, params)
-    res = harnack_quotient(u, c0, problem)
-    if not res.valid:
-        raise PreconditionError("; ".join(res.notes))
-    return res
-
-
 def _cmd_harnack(profile, quad, params, seed):
-    res = _harnack(profile, params, params.get("c0", 1.0))
+    from .experiments import harnack_quotient, normalized_solution
+    problem = _solve_setup(profile, params)
+    res = harnack_quotient(normalized_solution(problem),
+                           params.get("c0", 1.0), problem)
     # an unconverged solve never reaches here
     return dict(res.scalars, converged=True), res.rows, res.columns, True
 
 
 def _cmd_decay(profile, quad, params, seed):
-    from .experiments import distribution_decay
-    u, _, _ = _normalized_solution(profile, params)
+    from .experiments import distribution_decay, normalized_solution
+    u = normalized_solution(_solve_setup(profile, params))
     res = distribution_decay(u, params.get("M", 2.0),
                              int(params.get("k_max", 6)))
     return res.scalars, res.rows, res.columns, True
 
 
 def _cmd_sweep(profile, quad, params, seed):
-    from .experiments import sigma_sweep
+    from .experiments import (harnack_quotient, normalized_solution,
+                              sigma_sweep)
     c0 = params.get("c0", 1.0)
-    rows, measured, notes = [], [], []
+    rows, measured, flagged = [], [], []
     for s in params.get("sigma_min_values", [1.0, 1.5, 1.9, 1.99]):
         prof = AnisotropyProfile(profile.n, (s,) * profile.n,
                                  profile.lambda_lo, profile.lambda_hi)
         # a failed solve or precondition flags the row, written with a nan
         # quantity and left out of the fit; other errors raise
         try:
-            quotient = _harnack(prof, params, c0).scalars["quotient"]
+            problem = _solve_setup(prof, params)
+            quotient = harnack_quotient(normalized_solution(problem), c0,
+                                        problem).scalars["quotient"]
             measured.append((prof.sigma_min, quotient))
         except PreconditionError as exc:
             quotient = math.nan
-            notes.append(f"sigma_min {prof.sigma_min}: {exc}")
+            flagged.append(f"sigma_min {prof.sigma_min}: {exc}")
         rows.append((prof.sigma_min, quotient))
-    if not measured:
-        raise PreconditionError("no valid sweep row"
-                                + "".join(f"; {n}" for n in notes))
-    res = sigma_sweep(measured)
+    res = sigma_sweep(measured, flagged)
     return res.scalars, rows, ("sigma_min", "quantity"), res.passed
 
 
@@ -496,14 +464,8 @@ def _cmd_kernel_check(profile, quad, params, seed):
     from .experiments import kernel_modulus_check
     from .kernels import PowerLawKernel
     kernel = PowerLawKernel(profile, profile.lambda_lo)
-    tau0 = params.get("tau0", 0.5)
-    scales = params.get("h_scales", [0.05, 0.1])
-    if not any(scales):
-        raise PreconditionError(
-            f"no nonzero shift to check: h_scales {scales}")
-    h_samples = [np.concatenate([[s * tau0], np.zeros(profile.n - 1)])
-                 for s in scales]
-    res = kernel_modulus_check(kernel, profile, tau0, h_samples,
+    res = kernel_modulus_check(kernel, profile, params.get("tau0", 0.5),
+                               params.get("h_scales", [0.05, 0.1]),
                                params.get("c0", 1e3), seed)
     return res.scalars, res.rows, res.columns, res.passed
 

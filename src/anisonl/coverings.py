@@ -34,7 +34,10 @@ def tilde_boxes(n, gen, profile):
     if profile is None:
         h = np.full((n, 1), 0.5 * side)
     else:
-        expo = (gen + 1) * (profile.n + profile.sigma_min) / profile.exponents
+        # ratio first: exactly 1 on a sigma_min axis (every axis of an
+        # equal-order profile), whose half-width is then the cube's
+        expo = (gen + 1) * ((profile.n + profile.sigma_min)
+                            / profile.exponents)
         h = 2.0 ** (-expo)[:, None]
     return centre - h, centre + h
 

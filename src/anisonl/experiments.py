@@ -1,13 +1,13 @@
-"""Measurement experiments: distribution decay, Harnack quotients, order
-sweeps and the kernel modulus check.
+"""Measurement experiments: the normalised solver solution, distribution
+decay, Harnack quotients, order sweeps and the kernel modulus check.
 
 All quantities here are measured, never assumed; the runs report the
 empirical constants the qualitative theory asserts exist.  Each function
 decides what it measures: a failed hypothesis raises PreconditionError
 (the run is invalid, not failed), the verdict is ``passed``, and a value
 it cannot measure is None beside a ``<key>_reason`` string, never an
-inf or NaN.  ``harnack_quotient`` alone reports failed hypotheses as
-``valid``/``notes``, so that a sweep can flag the row and go on.
+inf or NaN.  A sweep flags a row whose solve or Harnack hypotheses fail
+by catching that PreconditionError, and goes on.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import PreconditionError
 from .kernels import tail_gauge_bounds
+from .quadrature import Z_SCORE
 # the solver is imported inside the functions that call it, so
 # kernel_modulus_check does not load it
 
@@ -33,9 +34,10 @@ class ExperimentResult:
     scalars: dict = dfield(default_factory=dict)
     rows: list = dfield(default_factory=list)     # per-step CSV rows
     columns: tuple = ()
+    # always True: a failed hypothesis raises instead.  Kept because the
+    # benchmark's sweep oracle still reads it.
     valid: bool = True
     passed: bool = True
-    notes: list = dfield(default_factory=list)
 
 
 def _unit_cube_cells(u):
@@ -98,46 +100,70 @@ def distribution_decay(u, m_level, k_max):
     return result
 
 
+def normalized_solution(problem):
+    """The solution of ``problem`` scaled to u(0) = 1, its exterior data
+    scaled the same way.  An unconverged solve, or u(0) <= 0, which
+    cannot be normalised, raises PreconditionError."""
+    from .fields import CallableExterior, GridField
+    from .solver import solve_dirichlet
+    field, report = solve_dirichlet(problem)
+    if not report.converged:
+        raise PreconditionError(
+            f"solver did not converge: residual {report.residual:.3e} > "
+            f"tolerance {problem.tolerance:.3e} after {report.iterations} "
+            "iterations")
+    origin = float(field.eval(np.zeros((1, problem.profile.n)))[0])
+    if origin <= 0.0:
+        raise PreconditionError(
+            f"u(0) = {origin:.3e} <= 0 at solver tolerance "
+            f"{problem.tolerance:.3e}: the solution cannot be normalised "
+            "to u(0) = 1")
+    scale = 1.0 / origin
+    ext = problem.exterior
+    return GridField(problem.lo, problem.hi, field.values * scale,
+                     CallableExterior(lambda pts: ext(pts) * scale,
+                                      ext.sup_bound * scale))
+
+
 def harnack_quotient(u, c0, problem):
     """sup_{B_1/2} u / (u(0) + C_0), with precondition checks of the grid
-    field ``u`` on the lattice of ``problem``, its exterior data included."""
-    result = ExperimentResult()
+    field ``u`` on the lattice of ``problem``, its exterior data included;
+    a failed one raises PreconditionError, both operator checks in one."""
     pts = u.grid_points()
     vals = u.eval(pts)
     if np.min(vals) < -1e-9:
-        result.valid = False
-        result.notes.append("precondition u >= 0 fails")
-        return result
+        raise PreconditionError("precondition u >= 0 fails")
     in_half = np.linalg.norm(pts, axis=1) <= 0.5
     if not np.any(in_half):                 # B_1/2 lies in B_2: both empty
-        result.valid = False
-        result.notes.append("no lattice point in B_1/2")
-        return result
+        raise PreconditionError("no lattice point in B_1/2")
     from .solver import discrete_extremal
     in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
     mminus, mplus = discrete_extremal(problem, u)
+    failed = []
     if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
-        result.valid = False
-        result.notes.append("precondition M^- u <= C0 fails on B_2")
+        failed.append("precondition M^- u <= C0 fails on B_2")
     if float(np.min(mplus.ravel()[in_b2])) < -c0 - 1e-7:
-        result.valid = False
-        result.notes.append("precondition M^+ u >= -C0 fails on B_2")
-    if not result.valid:
-        return result
+        failed.append("precondition M^+ u >= -C0 fails on B_2")
+    if failed:
+        raise PreconditionError("; ".join(failed))
     sup_half = float(np.max(vals[in_half]))
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
     q = sup_half / (origin + c0)
-    result.scalars = {"quotient": q, "sup_b_half": sup_half,
-                      "u0": origin, "c0": c0}
-    result.columns = ("quotient",)
-    result.rows = [(q,)]
-    return result
+    return ExperimentResult(
+        scalars={"quotient": q, "sup_b_half": sup_half, "u0": origin,
+                 "c0": c0},
+        rows=[(q,)], columns=("quotient",))
 
 
-def sigma_sweep(measured):
+def sigma_sweep(measured, flagged):
     """Flag monotone divergence of measured (sigma_min, quantity) rows
     against x = 1/(2 - sigma_min): a fitted slope above twice its standard
-    error.  Fewer than three rows, or one sigma_min, fix no slope."""
+    error.  Fewer than three rows, or one sigma_min, fix no slope.  No
+    measured row at all raises PreconditionError with the ``flagged``
+    notes of the rows that failed."""
+    if not measured:
+        raise PreconditionError("no valid sweep row"
+                                + "".join(f"; {n}" for n in flagged))
     x = np.array([1.0 / (2.0 - s) for s, _ in measured])
     y = np.array([value for _, value in measured], dtype=float)
     sxx = float(np.sum((x - x.mean()) ** 2)) if len(x) >= 3 else 0.0
@@ -158,14 +184,21 @@ def sigma_sweep(measured):
     return result
 
 
-def kernel_modulus_check(kernel, profile, tau0, h_samples, c0, seed):
-    """Translation-difference integral outside B_tau0, per shift h.
+def kernel_modulus_check(kernel, profile, tau0, h_scales, c0, seed):
+    """Translation-difference integral outside B_tau0, per shift
+    h = s tau0 e_1 for s in ``h_scales``.
 
     Checks int_{R^n \\ B_tau0} |K(y) - K(y - h)| / |h| dy <= c0 + error.
     Euclidean dyadic shells carry the Monte Carlo; the remainder beyond
-    the last shell is bounded by the gradient-tail estimate.
+    the last shell is bounded by the gradient-tail estimate.  Scales with
+    no nonzero entry leave nothing to check, a PreconditionError.
     """
-    h_samples = np.atleast_2d(np.asarray(h_samples, dtype=float))
+    if not any(h_scales):
+        raise PreconditionError(
+            f"no nonzero shift to check: h_scales {h_scales}")
+    n = profile.n
+    h_samples = [np.concatenate([[s * tau0], np.zeros(n - 1)])
+                 for s in h_scales]
     # math.hypot, not np.linalg.norm: |h| squared overflows past 1e154
     for h in h_samples:
         if math.hypot(*h) >= tau0 / 2.0:
@@ -174,7 +207,6 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0, seed):
     rows = []
     rng_master = np.random.default_rng(seed)
     far = tau0 * 2.0 ** MODULUS_SHELLS
-    n = profile.n
     for h in h_samples:
         hn = math.hypot(*h)
         if hn == 0.0:
@@ -199,7 +231,7 @@ def kernel_modulus_check(kernel, profile, tau0, h_samples, c0, seed):
         _, tg = tail_gauge_bounds(profile, far / 2.0)
         tail = profile.lambda_hi * profile.c_sigma \
             * (n + profile.sigma_max) * math.sqrt(n) * 2.0 / far * tg
-        err = 3.0 * math.sqrt(var) + tail
+        err = Z_SCORE * math.sqrt(var) + tail
         rows.append((hn, total, err))
         result.passed = result.passed and (total <= c0 + err)
     result.columns = ("h_norm", "integral", "error")

@@ -78,14 +78,13 @@ class SolveReport:
 
 
 def lattice_offsets(n, window):
-    """All integer offsets in [-window, window]^n except the origin,
-    ordered so that offset negation is an index involution."""
+    """All integer offsets in [-window, window]^n except the origin, in
+    lexicographic order (the ``ij`` mesh lists them so), which makes
+    offset negation the index reversal: off[::-1] == -off."""
     rng = np.arange(-window, window + 1)
     mesh = np.meshgrid(*[rng] * n, indexing="ij")
     off = np.stack([m.ravel() for m in mesh], axis=1)
-    off = off[np.any(off != 0, axis=1)]
-    order = np.lexsort(off.T[::-1])
-    return off[order]
+    return off[np.any(off != 0, axis=1)]
 
 
 def _refinement_level(j_inf):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from anisonl import PreconditionError
 from anisonl.abp import DegenerateTileError
 from anisonl.experiments import ExperimentResult, _unit_cube_cells
 from anisonl.fields import GridField
@@ -251,35 +252,31 @@ def point_estimate_experiment(u, m_level, problem=None, eps0=None):
     """Measure of the sublevel set {u <= M} in the unit cube.
 
     Preconditions (u >= 0 everywhere, u(0) <= 1, M^- u <= eps0 on the
-    grid) are verified; violations mark the run invalid.
+    grid) are verified; the violated ones raise one PreconditionError.
     """
-    result = ExperimentResult()
     pts = u.grid_points()
     vals = u.eval(pts)
     origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
+    failed = []
     if np.min(vals) < -1e-9:
-        result.valid = False
-        result.notes.append("precondition u >= 0 fails on the grid")
+        failed.append("precondition u >= 0 fails on the grid")
     if origin > 1.0 + 1e-9:
-        result.valid = False
-        result.notes.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
+        failed.append(f"precondition u(0) <= 1 fails: u(0) = {origin}")
     if problem is not None and eps0 is not None:
         mminus, _ = discrete_extremal(problem, u)
         if float(np.max(mminus)) > eps0 + 1e-9:
-            result.valid = False
-            result.notes.append("precondition M^- u <= eps0 fails")
-    if not result.valid:
-        return result
+            failed.append("precondition M^- u <= eps0 fails")
+    if failed:
+        raise PreconditionError("; ".join(failed))
     cell_vals, overlap = _unit_cube_cells(u)
     measure = float(np.sum(overlap[cell_vals <= m_level]))
     q1 = float(np.sum(overlap))
+    result = ExperimentResult()
     result.scalars = {"measure": measure, "q1_measure": q1,
                       "varsigma_measured": measure / q1 if q1 else 0.0}
     result.columns = ("level", "measure")
     result.rows = [(m_level, measure)]
     return result
-
-
 
 
 def holder_estimate(u, center, radii):

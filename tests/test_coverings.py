@@ -117,10 +117,17 @@ def test_dyadic_tilde_law(aniso2):
     edges = np.arange(2 ** gen) * 2.0 ** -gen
     cube = np.tile(edges, (2, 1)), np.tile(edges + 2.0 ** -gen, (2, 1))
     iso = tilde_boxes(2, gen, AnisotropyProfile(2, (1.0, 1.0)))
-    assert np.allclose(iso[0], cube[0]) and np.allclose(iso[1], cube[1])
+    assert np.array_equal(iso[0], cube[0]) and np.array_equal(iso[1], cube[1])
     plain = tilde_boxes(2, gen, None)
     assert np.array_equal(plain[0], cube[0])
     assert np.array_equal(plain[1], cube[1])
+    # so is every equal-order tilde box, to the bit: at n = 3, sigma = 0.04,
+    # generation 2, (g+1)(n+s) / (n+s) is not g+1 in floating point
+    for n, sigma, g in [(3, 0.04, 2), (2, 1.0, 3), (4, 1.3, 7)]:
+        tilde = tilde_boxes(n, g, AnisotropyProfile(n, (sigma,) * n))
+        plain = tilde_boxes(n, g, None)
+        assert np.array_equal(tilde[0], plain[0])
+        assert np.array_equal(tilde[1], plain[1])
 
 
 def test_cz_empty_a():
@@ -341,8 +348,8 @@ def depth_first_cz(a_set, b_set, delta, profile=None):
         if profile is None:
             h = np.full(n, 0.5 * side)
         else:
-            h = 2.0 ** (-((gen + 1) * (profile.n + profile.sigma_min)
-                          / profile.exponents))
+            h = 2.0 ** (-((gen + 1) * ((profile.n + profile.sigma_min)
+                                       / profile.exponents)))
         return centre - h, centre + h
 
     def measure(cells, lo, hi):

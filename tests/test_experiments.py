@@ -41,14 +41,14 @@ def bump_problem(profile, height=1.0, center=2.5, shape=129, box=4.0,
 
 def test_point_estimate_trivial_zero():
     res = point_estimate_experiment(const_field(0.0), 2.0)
-    assert res.valid
     assert res.scalars["measure"] == pytest.approx(1.0, rel=0.05)
     assert res.scalars["varsigma_measured"] == pytest.approx(1.0)
 
 
 def test_point_estimate_invalid_precondition():
-    res = point_estimate_experiment(const_field(3.0), 2.0)
-    assert not res.valid and res.notes
+    with pytest.raises(PreconditionError, match=r"^precondition u\(0\) "
+                       r"<= 1 fails: u\(0\) = 3\.0$"):
+        point_estimate_experiment(const_field(3.0), 2.0)
 
 
 def test_point_estimate_solved_instance_stable(iso1_ell):
@@ -59,7 +59,7 @@ def test_point_estimate_solved_instance_stable(iso1_ell):
     scaled = GridField(prob.lo, prob.hi, field.values / max(origin, 1e-9),
                        ConstantExterior(0.0))
     res = point_estimate_experiment(scaled, 2.0)
-    assert res.valid and res.scalars["varsigma_measured"] > 0.0
+    assert res.scalars["varsigma_measured"] > 0.0
     prob2 = bump_problem(iso1_ell, shape=257)
     field2, _ = solve_dirichlet(prob2)
     origin2 = float(field2.eval(np.zeros((1, 1)))[0])
@@ -76,11 +76,10 @@ def test_point_estimate_minus_operator_precondition(iso1_ell):
     field, rep = solve_dirichlet(prob)
     assert rep.converged
     top = float(np.max(discrete_extremal(prob, field)[0]))
-    res = point_estimate_experiment(field, 2.0, prob, top + 1e-3)
-    assert res.valid and not res.notes
-    res = point_estimate_experiment(field, 2.0, prob, top - 1e-3)
-    assert not res.valid
-    assert res.notes == ["precondition M^- u <= eps0 fails"]
+    point_estimate_experiment(field, 2.0, prob, top + 1e-3)
+    with pytest.raises(PreconditionError,
+                       match=r"^precondition M\^- u <= eps0 fails$"):
+        point_estimate_experiment(field, 2.0, prob, top - 1e-3)
 
 
 def test_decay_bounded_field_all_zero():
@@ -134,7 +133,6 @@ def test_point_estimate_decay_consistency():
     u = GridField.from_function(fn, [-0.6], [0.6], (4801,), 0.0)
     res = distribution_decay(u, m_level, k_max)
     pe = point_estimate_experiment(u, m_level)
-    assert pe.valid
     vs = pe.scalars["varsigma_measured"]
     predicted = -math.log(1.0 - vs) / math.log(m_level)
     assert res.scalars["epsilon_fit"] == pytest.approx(predicted, rel=0.25)
@@ -144,7 +142,7 @@ def test_harnack_constant_field(iso1_ell):
     for value in (1.0, 5.0):
         u = const_field(value)
         res = harnack_quotient(u, 0.0, field_problem(u, iso1_ell))
-        assert res.valid and res.scalars["quotient"] == pytest.approx(1.0)
+        assert res.scalars["quotient"] == pytest.approx(1.0)
 
 
 def test_harnack_scale_covariance_exact(iso1_ell):
@@ -169,18 +167,34 @@ def test_harnack_family_bounded(iso1_ell):
         vals = np.maximum(field.values, 0.0)
         u = GridField(prob.lo, prob.hi, vals, ConstantExterior(0.0))
         origin = float(u.eval(np.zeros((1, 1)))[0])
-        res = harnack_quotient(u, c0=prob.tolerance * 10 + 1e-6,
-                               problem=prob)
-        if res.valid:
-            quotients.append(res.scalars["sup_b_half"] / (origin + 1e-6))
+        try:
+            res = harnack_quotient(u, c0=prob.tolerance * 10 + 1e-6,
+                                   problem=prob)
+        except PreconditionError:
+            continue
+        quotients.append(res.scalars["sup_b_half"] / (origin + 1e-6))
     assert quotients
     assert max(quotients) < 1e4
 
 
 def test_harnack_invalid_on_negative_field(iso1_ell):
     u = const_field(-1.0)
-    res = harnack_quotient(u, 1.0, field_problem(u, iso1_ell))
-    assert not res.valid
+    with pytest.raises(PreconditionError,
+                       match=r"^precondition u >= 0 fails$"):
+        harnack_quotient(u, 1.0, field_problem(u, iso1_ell))
+
+
+def test_harnack_names_both_failed_operator_checks(iso1_ell):
+    # inside B_2, a strict maximum at 0 and strict minima at +-1 against
+    # the exterior value 1: at C0 = 0, M^+ u < 0 at the maximum and
+    # M^- u > 0 at the minima, and one error names both checks
+    u = GridField.from_function(
+        lambda p: 1.0 + 0.5 * np.cos(np.pi * p[:, 0]), [-2.0], [2.0], (65,),
+        ConstantExterior(1.0))
+    with pytest.raises(PreconditionError) as err:
+        harnack_quotient(u, 0.0, field_problem(u, iso1_ell))
+    assert str(err.value) == ("precondition M^- u <= C0 fails on B_2; "
+                              "precondition M^+ u >= -C0 fails on B_2")
 
 
 def test_holder_affine_exponent_one():
@@ -212,7 +226,7 @@ def test_sweep_degenerate_single_profile(iso1_ell):
                   ConstantExterior(0.0))
     single = harnack_quotient(u, 1.0, prob).scalars["quotient"]
 
-    res = sigma_sweep([(iso1_ell.sigma_min, single)])
+    res = sigma_sweep([(iso1_ell.sigma_min, single)], [])
     assert res.scalars["slope"] is None and res.scalars["slope_se"] is None
     assert res.scalars["slope_reason"] == "fewer than three valid rows"
     assert res.passed and not res.scalars["diverging"]
@@ -223,25 +237,42 @@ def test_sweep_flags_divergence():
 
     # blows up by design
     res = sigma_sweep([(p.sigma_min, 1.0 / (2.0 - p.sigma_min))
-                       for p in profiles])
+                       for p in profiles], [])
     assert res.scalars["diverging"] and not res.passed
 
-    res2 = sigma_sweep([(p.sigma_min, 42.0) for p in profiles])
+    res2 = sigma_sweep([(p.sigma_min, 42.0) for p in profiles], [])
     assert not res2.scalars["diverging"] and res2.passed
+
+
+def test_sweep_without_measured_row_raises():
+    # no row to fit: invalid, with the note of every flagged row
+    with pytest.raises(PreconditionError) as err:
+        sigma_sweep([], ["sigma_min 1.0: a", "sigma_min 1.5: b"])
+    assert str(err.value) == ("no valid sweep row; sigma_min 1.0: a; "
+                              "sigma_min 1.5: b")
 
 
 def test_kernel_modulus_zero_shift(iso1_ell):
     k = PowerLawKernel(iso1_ell, 1.0)
     res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
-                               h_samples=[[0.0]], c0=100.0, seed=3)
-    assert res.rows[0][1] == 0.0 and res.passed
+                               h_scales=[0.0, 0.1], c0=100.0, seed=3)
+    assert res.rows[0] == (0.0, 0.0, 0.0) and res.passed
+
+
+@pytest.mark.parametrize("scales", [[], [0.0], [0, -0.0]])
+def test_kernel_modulus_without_nonzero_shift(iso1_ell, scales):
+    # the scales are named as they were passed
+    k = PowerLawKernel(iso1_ell, 1.0)
+    with pytest.raises(PreconditionError) as err:
+        kernel_modulus_check(k, iso1_ell, 0.5, scales, c0=100.0, seed=3)
+    assert str(err.value) == f"no nonzero shift to check: h_scales {scales}"
 
 
 def test_kernel_modulus_smooth_finite_ratio(monkeypatch, iso1_ell):
     monkeypatch.setattr(experiments, "MODULUS_NODES", 40000)
     k = PowerLawKernel(iso1_ell, 1.0)
     res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
-                               h_samples=[[0.02], [0.04]], c0=1e4, seed=3)
+                               h_scales=[0.04, 0.08], c0=1e4, seed=3)
     vals = [r[1] for r in res.rows]
     # difference quotient has a finite limit: the two integrals agree
     assert vals[0] == pytest.approx(vals[1], rel=0.25)
@@ -258,12 +289,12 @@ def test_kernel_modulus_jump_kernel_fails(monkeypatch, iso1_ell):
     # (the jump alone contributes 2 dK = 2 (Lam-lam) c_sigma at |y| = 1)
     tight_c0 = 4.5
     monkeypatch.setattr(experiments, "MODULUS_NODES", 120000)
-    ok = kernel_modulus_check(smooth, iso1_ell, tau0, [[0.01]], c0=tight_c0,
+    ok = kernel_modulus_check(smooth, iso1_ell, tau0, [0.02], c0=tight_c0,
                               seed=3)
     assert ok.passed
-    verdict = kernel_modulus_check(jump, iso1_ell, tau0, [[0.01]],
+    verdict = kernel_modulus_check(jump, iso1_ell, tau0, [0.02],
                                    c0=tight_c0, seed=3)
     assert not verdict.passed
     assert verdict.rows[0][1] > ok.rows[0][1] + 0.8
     with pytest.raises(ValueError):
-        kernel_modulus_check(smooth, iso1_ell, tau0, [[0.3]], c0=1.0, seed=3)
+        kernel_modulus_check(smooth, iso1_ell, tau0, [0.6], c0=1.0, seed=3)

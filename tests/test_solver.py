@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anisonl.cli import _normalized_solution
+from anisonl.cli import _solve_setup
+from anisonl.experiments import normalized_solution
 from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
@@ -184,10 +185,16 @@ def test_truncated_kernel_control(iso1, rng):
 
 
 def test_lattice_offsets_involution():
-    off = lattice_offsets(2, 3)
-    assert off.shape == ((7 * 7 - 1), 2)
-    as_set = {tuple(o) for o in off}
-    assert all(tuple(-np.array(o)) in as_set for o in as_set)
+    # assemble_weights computes the first half and mirrors it: negation is
+    # the index reversal, which lexicographic order gives
+    for n in (1, 2, 3):
+        off = lattice_offsets(n, 3)
+        assert off.shape == (7 ** n - 1, n)
+        as_set = {tuple(o) for o in off}
+        assert len(as_set) == len(off) and (0,) * n not in as_set
+        assert all(tuple(-np.array(o)) in as_set for o in as_set)
+        assert np.array_equal(off[::-1], -off)
+        assert [tuple(o) for o in off] == sorted(as_set)
 
 
 def test_bad_spacing_rejected(iso1):
@@ -413,7 +420,8 @@ def test_discrete_extremal_memory_is_bounded():
     below an eighth of one (canonical offsets x lattice points) float64
     array: the pair sums hold one offset's second differences at a time."""
     prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
-    u, prob, _ = _normalized_solution(prof, {"grid": 33})
+    prob = _solve_setup(prof, {"grid": 33})
+    u = normalized_solution(prob)
     tracemalloc.start()
     try:
         discrete_extremal(prob, u)

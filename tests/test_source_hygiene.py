@@ -4,10 +4,11 @@ catches every error, no code there switches on the type of an exterior
 rule, the dense oracle shares no code with the fast lattice paths, every
 library exception is a ``PreconditionError`` that no handler rewraps by
 name, every public function, class and method of the library is run by a
-command or named as an oracle, the CLI reads no private attribute, every
-lemma check in ``tests/lemmas.py``
-has a test that calls it, and every defaulted parameter of the library is
-passed by a call in it or allowlisted with its reason."""
+command or named as an oracle, the CLI reads no private attribute and
+raises no failed hypothesis outside ``run``, every lemma check in
+``tests/lemmas.py`` has a test that calls it, and every defaulted
+parameter of the library is passed by a call in it or allowlisted with
+its reason."""
 
 import ast
 import importlib
@@ -493,6 +494,31 @@ def test_cli_reads_no_private_attribute():
                and node.attr.startswith("_")
                and not node.attr.startswith("__")]
     assert private == []
+
+
+def precondition_raises(tree):
+    """``(top-level function, line)`` of every ``raise PreconditionError``
+    in a module, the function None at module or class level."""
+    found = []
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) \
+                else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name == "PreconditionError":
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_cli_raises_preconditions_only_in_run():
+    """A failed hypothesis is raised by the library call that measures it.
+    The CLI raises PreconditionError only in ``run``, for a non-finite
+    value left in a summary."""
+    raises = precondition_raises(ast.parse((SOURCE / "cli.py").read_text()))
+    assert raises and [r for r in raises if r[0] != "run"] == []
 
 
 def test_every_lemma_check_has_a_caller():
