@@ -74,7 +74,6 @@ class KernelFamily:
         if any(len(row) != width for row in members):
             raise ValueError("kernel family rows must have equal length")
         self.members = members
-        self.profile = members[0][0].profile
 
     @property
     def n_inf(self):

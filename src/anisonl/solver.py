@@ -6,27 +6,32 @@ a scalar reaction term for the mass beyond the window that couples the
 point to its far exterior value: the finite-difference quadrature of
 Huang and Oberman (SIAM J. Numer. Anal. 52, 2014).
 
-On interior values the lattice operator of a kernel K reads L_K u =
-e - (d u - T u).  The weights do not change under translation, so the
-interior coupling T is a (block-)Toeplitz matrix, applied by FFT
-convolution with the stencil truncated to +-(N-1) cells per axis; d =
-sum of weights + tail; and e, the exterior couplings plus the tail
-reaction, is one FFT convolution of the padded exterior, computed once.
-d I - T is a symmetric, strictly diagonally dominant Z-matrix.
+A ``Lattice`` holds that operator for one kernel on one box, from one
+``assemble_weights`` call: L_K u = e - (d u - T u) on interior values.
+The weights do not change under translation, so T is (block-)Toeplitz,
+applied by FFT convolution (``matvec``, which CG reads); d = sum of
+weights + tail; e, the exterior couplings plus the tail reaction, is one
+FFT convolution of the padded exterior (``exterior``).  d I - T is a
+symmetric, strictly diagonally dominant Z-matrix.  The same weights
+against second differences give L_h u and |L|_h u (``pair_sums``).
 
-The solver takes families whose members are m_ab K with m_ab > 0, for
-one base kernel K: positive constant multiples of power-law kernels of
-the family's profile (base multiplier 1), or one member of any kernel
-with positive multiplier bounds (its own base, m = 1); it refuses any
-other family.  Then I_h u = phi(L_K u) with phi(r) = min_a max_b m_ab r,
-strictly increasing and piecewise linear, so I_h u = f is the single SPD
-system L_K u = phi^-1(f), solved by conjugate gradients.
+The extremal operators M^-+_h u = a L_h u -+ b |L|_h u belong to the
+class, not to a family: they read the lattice of the class's base kernel
+PowerLawKernel(profile, 1), which each problem builds on first use.  The
+solver takes families m_ab K, m_ab > 0, for one base kernel K: constant
+multiples of power-law kernels of the problem's profile, which share the
+problem's lattice, or one member of any other kernel with positive
+multiplier bounds, its own base (m = 1) on a lattice of its own; it
+refuses any other family.  Then I_h u = phi(L_K u) with phi(r) = min_a
+max_b m_ab r, strictly increasing and piecewise linear: I_h u = f is the
+SPD system L_K u = phi^-1(f), solved by conjugate gradients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +69,10 @@ class DiscreteProblem:
             raise ValueError("grid spacing must be positive")
         self.h = h
 
-    def grid_points(self):
-        """Lattice points of the box, one row per point in C order."""
-        return GridField(self.lo, self.hi, np.zeros(self.shape),
-                         self.exterior).grid_points()
+    @cached_property
+    def lattice(self):
+        """The class's base lattice; not a field, so not in eq or repr."""
+        return Lattice(self, PowerLawKernel(self.profile, 1.0))
 
 
 @dataclass
@@ -144,24 +149,6 @@ def assemble_weights(kernel, h, profile, window):
     return off, 2.0 * w, 2.0 * tail_mass
 
 
-def _padded(problem, exterior, interior):
-    """The lattice padded by ``problem.window`` cells of ``exterior`` data
-    per side, with ``interior`` written into the box, and the far value at
-    each lattice point: the midpoint of the exterior's far range."""
-    pad = problem.window
-    axes = [np.concatenate([
-        problem.lo[d] + problem.h[d] * np.arange(-pad, 0),
-        np.linspace(problem.lo[d], problem.hi[d], problem.shape[d]),
-        problem.hi[d] + problem.h[d] * np.arange(1, pad + 1)])
-        for d in range(problem.lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    out = exterior(pts).reshape([a.size for a in axes])
-    out[tuple(slice(pad, pad + s) for s in problem.shape)] = interior
-    lo, hi = exterior.far_range(problem.grid_points())
-    return out, 0.5 * (lo + hi)
-
-
 def _fast_len(n):
     """Smallest 2^a 3^b 5^c >= n: an FFT length without large prime factors
     (pocketfft falls back to Bluestein's algorithm on those)."""
@@ -183,91 +170,123 @@ def _circulant_stencil(off, w, fft_shape):
     return np.fft.rfftn(ker)
 
 
-class _Stencil:
-    """The lattice operator of one kernel: L u = e - (d u - T u)."""
+class Lattice:
+    """L u = e - (d u - T u) of one kernel on the box of ``problem``."""
 
-    def __init__(self, problem, kernel, ext_pad, far):
+    def __init__(self, problem, kernel):
         p = problem
-        off, w, tail = assemble_weights(kernel, p.h, p.profile, p.window)
+        self.offsets, self.weights, self.tail = assemble_weights(
+            kernel, p.h, p.profile, p.window)
+        self.diag = float(np.sum(self.weights)) + self.tail
         self.shape = p.shape
-        self._axes = tuple(range(len(p.shape)))
-        self.diag = float(np.sum(w)) + tail
+        # lattice points of the box, one row per point in C order
+        self.points = GridField(p.lo, p.hi, np.zeros(p.shape),
+                                0.0).grid_points()
+        # the box and ``window`` cells beyond it on each side, per axis
+        self.window = pad = p.window
+        self.axes = [np.concatenate([
+            p.lo[d] + p.h[d] * np.arange(-pad, 0),
+            np.linspace(p.lo[d], p.hi[d], p.shape[d]),
+            p.hi[d] + p.h[d] * np.arange(1, pad + 1)])
+            for d in range(p.lo.size)]
+        self._core = tuple(slice(pad, pad + s) for s in p.shape)
+        self._dims = tuple(range(len(p.shape)))
         # interior coupling: offsets within +-(N-1) cells; on a grid of
         # at least 2N-1 points per axis no wrapped term reaches the box
-        inner = np.all(np.abs(off) < np.array(p.shape), axis=1)
-        self._fft_shape = tuple(_fast_len(2 * s - 1) for s in p.shape)
-        self._ker_hat = _circulant_stencil(off[inner], w[inner],
-                                           self._fft_shape)
-        # exterior couplings: the whole stencil against the padded exterior
-        # (interior zeroed); no term of a box point wraps around
+        inner = np.all(np.abs(self.offsets) < np.array(p.shape), axis=1)
+        self.fft_shape = tuple(_fast_len(2 * s - 1) for s in p.shape)
+        self._ker_hat = _circulant_stencil(
+            self.offsets[inner], self.weights[inner], self.fft_shape)
+
+    def padded(self, rule, interior):
+        """The padded lattice of ``rule``'s data with ``interior`` written
+        into the box, and the far value at each lattice point: the
+        midpoint of the rule's far range."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        out = rule(pts).reshape([a.size for a in self.axes])
+        out[self._core] = interior
+        lo, hi = rule.far_range(self.points)
+        return out, 0.5 * (lo + hi)
+
+    def exterior(self, rule):
+        """e (flat): the whole stencil against the padded exterior of
+        ``rule``, interior zeroed; no term of a box point wraps around."""
+        ext_pad, far = self.padded(rule, 0.0)
         pad_shape = tuple(_fast_len(s) for s in ext_pad.shape)
         conv = np.fft.irfftn(
-            np.fft.rfftn(ext_pad, pad_shape, self._axes)
-            * _circulant_stencil(off, w, pad_shape), pad_shape, self._axes)
-        core = tuple(slice(p.window, p.window + s) for s in p.shape)
-        self.exterior = conv[core].ravel() + tail * far
+            np.fft.rfftn(ext_pad, pad_shape, self._dims)
+            * _circulant_stencil(self.offsets, self.weights, pad_shape),
+            pad_shape, self._dims)
+        return conv[self._core].ravel() + self.tail * far
 
     def matvec(self, u):
         """(d I - T) u for interior values u (flat): symmetric positive
         definite."""
         full = np.fft.irfftn(
-            np.fft.rfftn(u.reshape(self.shape), self._fft_shape, self._axes)
-            * self._ker_hat, self._fft_shape, self._axes)
+            np.fft.rfftn(u.reshape(self.shape), self.fft_shape, self._dims)
+            * self._ker_hat, self.fft_shape, self._dims)
         return self.diag * u - full[tuple(slice(0, s)
                                           for s in self.shape)].ravel()
 
-    def apply(self, u):
-        return self.exterior - self.matvec(u)
+    def pair_sums(self, u):
+        """(L_h u, |L|_h u) of the grid field ``u`` with its own exterior
+        data: the weights times the second differences and their absolute
+        values, in one pass over the canonical half of the offsets."""
+        u_pad, far = self.padded(u.exterior, u.values)
+        u0, pad, shape = u.values, self.window, self.shape
+        lin = self.tail * (far.reshape(shape) - u0)
+        mag = np.abs(lin)
+        half = len(self.offsets) // 2
+        for o, w in zip(self.offsets[half:], self.weights[half:]):
+            sl_p = tuple(slice(pad + i, pad + i + s) for i, s in zip(o, shape))
+            sl_m = tuple(slice(pad - i, pad - i + s) for i, s in zip(o, shape))
+            delta = u_pad[sl_p] + u_pad[sl_m] - 2.0 * u0
+            # w holds twice the cell integral: exactly the +-pair's mass
+            lin += w * delta
+            mag += w * np.abs(delta)
+        return lin, mag
 
 
-def _base_kernel(family):
-    """The base kernel K and the (n_inf, n_sup) multipliers m of a family
-    whose members are m_ab K with m_ab > 0.
-
-    Positive constant multiples of power-law kernels of the family's
-    profile have base ``PowerLawKernel(profile, 1.0)``; a one-member family
-    of any other kernel with positive multiplier bounds is its own base,
-    with m = [[1]].  Any other family is refused."""
-    rows = family.members
+def _base_lattice(problem):
+    """The lattice of the base kernel K and the (n_inf, n_sup) multipliers
+    m of a family of members m_ab K, m_ab > 0: the problem's own when K is
+    the class's base, else a new one; any other family is refused."""
+    rows = problem.family.members
     for a, row in enumerate(rows):
         for b, k in enumerate(row):
             if type(k) is not PowerLawKernel or callable(k.multiplier) \
-                    or k.profile is not family.profile or k.mult_lo <= 0.0:
+                    or k.profile is not problem.profile or k.mult_lo <= 0.0:
                 if len(rows) == len(row) == 1 and k.mult_lo > 0.0:
-                    return k, np.ones((1, 1))
+                    return Lattice(problem, k), np.ones((1, 1))
                 raise ValueError(
                     f"member ({a}, {b}), a {type(k).__name__} with "
                     f"multiplier bounds [{k.mult_lo}, {k.mult_hi}], is not "
                     "a positive constant multiple of a power-law kernel of "
-                    "the family's profile; the lattice solver takes only "
+                    "the problem's profile; the lattice solver takes only "
                     "such families, or one member with positive bounds")
     m = np.array([[k.mult_lo for k in row] for row in rows])
-    return PowerLawKernel(family.profile, 1.0), m
+    return problem.lattice, m
 
 
 class AssembledOperator:
-    """One base stencil L_K and the inf-sup operator phi(L_K u) - f of a
+    """One base lattice L_K and the inf-sup operator phi(L_K u) - f of a
     family m_ab K, with phi(r) = min_a max_b m_ab r: ``up`` r for r >= 0,
     ``down`` r for r < 0."""
 
     def __init__(self, problem):
-        self.problem = problem
-        kernel, m = _base_kernel(problem.family)
+        self.lattice, m = _base_lattice(problem)
         self.up = m.max(axis=1).min()
         self.down = m.min(axis=1).max()
-        ext_pad, far = _padded(problem, problem.exterior, 0.0)
-        self.stencil = _Stencil(problem, kernel, ext_pad, far)
-        self.rhs = self._rhs_values()
-
-    def _rhs_values(self):
-        p = self.problem
-        if p.rhs is None:
-            return np.zeros(int(np.prod(p.shape)))
-        return np.asarray(p.rhs(p.grid_points()), dtype=float)
+        self.exterior = self.lattice.exterior(problem.exterior)
+        pts = self.lattice.points
+        self.rhs = np.zeros(len(pts)) if problem.rhs is None \
+            else np.asarray(problem.rhs(pts), dtype=float)
 
     def apply(self, values):
         """I_h u - f for interior values u (exterior from the problem)."""
-        r = self.stencil.apply(np.asarray(values, dtype=float).ravel())
+        u = np.asarray(values, dtype=float).ravel()
+        r = self.exterior - self.lattice.matvec(u)
         return np.where(r >= 0.0, self.up * r, self.down * r) - self.rhs
 
     def solve(self, u, target, budget):
@@ -275,8 +294,7 @@ class AssembledOperator:
         returns (u, iterations)."""
         g = np.where(self.rhs >= 0.0, self.rhs / self.up,
                      self.rhs / self.down)
-        st = self.stencil
-        return _cg(st.matvec, st.exterior - g, u,
+        return _cg(self.lattice.matvec, self.exterior - g, u,
                    target / max(self.up, self.down), budget)
 
 
@@ -315,8 +333,7 @@ def solve_dirichlet(problem):
     previous target, until ``max_iters`` CG iterations in total.
     """
     op = AssembledOperator(problem)
-    u = np.asarray(problem.exterior(problem.grid_points()),
-                   dtype=float).ravel()
+    u = np.asarray(problem.exterior(op.lattice.points), dtype=float).ravel()
     res_sup = float(np.max(np.abs(op.apply(u))))
     it = 0
     target = 0.5 * problem.tolerance
@@ -345,7 +362,7 @@ def dense_matrix(problem, member=(0, 0)):
     size = int(np.prod(p.shape))
     rows = np.arange(size)
     multi = np.indices(p.shape).reshape(len(p.shape), size).T
-    pts = p.grid_points()
+    pts = GridField(p.lo, p.hi, np.zeros(p.shape), 0.0).grid_points()
     A = np.zeros((size, size))
     A[rows, rows] = -(float(np.sum(w)) + tail)
     b = np.zeros(size)
@@ -363,29 +380,12 @@ def dense_matrix(problem, member=(0, 0)):
 
 def discrete_extremal(problem, u):
     """Cellwise extremal operators (M^-_h u, M^+_h u) of the grid field
-    ``u`` on the problem lattice, with ``u``'s own exterior data.
+    ``u`` on the problem's lattice, with ``u``'s own exterior data.
 
     With a = (Lambda + lambda) / 2 and b = (Lambda - lambda) / 2, M^-+_h u
-    = a L_h u -+ b |L|_h u: the multiplier-one base weights times the second
-    differences and their absolute values, summed in one pass over the
-    canonical half of the offsets, off[len // 2:], with doubled weights.
+    = a L_h u -+ b |L|_h u, from the pair sums of the class's base lattice.
     """
-    p = problem
-    base = PowerLawKernel(p.profile, 1.0)
-    off, w, tail = assemble_weights(base, p.h, p.profile, p.window)
-    pad = p.window
-    u_pad, far = _padded(p, u.exterior, u.values)
-    u0 = u.values
-    lin = tail * (far.reshape(p.shape) - u0)
-    mag = np.abs(lin)
-    for k in range(len(off) // 2, len(off)):
-        o = off[k]
-        sl_p = tuple(slice(pad + i, pad + i + s) for i, s in zip(o, p.shape))
-        sl_m = tuple(slice(pad - i, pad - i + s) for i, s in zip(o, p.shape))
-        delta = u_pad[sl_p] + u_pad[sl_m] - 2.0 * u0
-        # w[k] holds twice the cell integral: exactly the +-pair's mass
-        lin += w[k] * delta
-        mag += w[k] * np.abs(delta)
-    a = 0.5 * (p.profile.lambda_hi + p.profile.lambda_lo)
-    b = 0.5 * (p.profile.lambda_hi - p.profile.lambda_lo)
+    lin, mag = problem.lattice.pair_sums(u)
+    a = 0.5 * (problem.profile.lambda_hi + problem.profile.lambda_lo)
+    b = 0.5 * (problem.profile.lambda_hi - problem.profile.lambda_lo)
     return a * lin - b * mag, a * lin + b * mag

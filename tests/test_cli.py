@@ -710,6 +710,34 @@ def test_barrier_verify_benchmark_config_frozen(tmp_path):
     assert results["certified_f"] == results["certified"] == 0
 
 
+def test_sweep_benchmark_config_frozen(tmp_path):
+    """sweep at the benchmark's order-sweep config: the recorded quotients
+    and divergence fit, exactly."""
+    cfg = write_config(tmp_path, {
+        "command": "sweep", "profile": P1, "seed": 7,
+        "params": {"sigma_min_values": [1.0, 1.5, 1.9], "grid": 25,
+                   "tolerance": 1e-10}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["slope"] == -0.00014994220812341588
+    assert results["slope_se"] == 9.966999758591856e-05
+    with open(tmp_path / "o" / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(q) for _, q in rows] == [
+        0.5399781846626193, 0.5388499859555776, 0.5382258932899537]
+
+
+def test_harnack_2d_frozen(tmp_path):
+    """2D harnack at sigma = (1, 1.5), grid 33, other params at their
+    defaults: the recorded quotient and sup over B_1/2, exactly."""
+    cfg = write_config(tmp_path, {"command": "harnack", "profile": P2,
+                                  "params": {"grid": 33}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["quotient"] == 0.5864688097723552
+    assert results["sup_b_half"] == 1.1729376195447103
+
+
 @pytest.mark.parametrize("profile", [
     SMALL_CONFIGS["abp-cover"]["profile"], P1])
 def test_abp_cover_without_rectangle_is_null(tmp_path, capsys, profile):

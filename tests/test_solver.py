@@ -1,16 +1,19 @@
+import json
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from anisonl.cli import _solve_setup
-from anisonl.experiments import normalized_solution
+from anisonl import solver
+from anisonl.cli import _solve_setup, main
+from anisonl.experiments import harnack_quotient, normalized_solution
 from anisonl.fields import (AffineExterior, CallableExterior, ConstantExterior,
                             GridField)
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.profile import AnisotropyProfile, isotropic
-from anisonl.solver import (AssembledOperator, DiscreteProblem,
+from anisonl.solver import (AssembledOperator, DiscreteProblem, Lattice,
                             assemble_weights, dense_matrix,
                             discrete_extremal, lattice_offsets,
                             solve_dirichlet)
@@ -430,3 +433,78 @@ def test_discrete_extremal_memory_is_bounded():
         tracemalloc.stop()
     pairs = len(lattice_offsets(2, prob.window)) // 2
     assert peak < pairs * 33 ** 2 * 8 // 8      # bytes of the array / 8
+
+
+def test_lattice_assembled_once_per_problem(monkeypatch, tmp_path):
+    """One lattice per problem: a harnack run (the normalised solve, then
+    the quotient's M^-+_h) assembles the base weights once and pads each
+    exterior rule once; a 3-row sweep assembles once per row."""
+    assembled, padded = [], []
+    whole_assemble, whole_padded = solver.assemble_weights, Lattice.padded
+
+    def count_assemble(*args):
+        assembled.append(args[0])
+        return whole_assemble(*args)
+
+    def count_padded(self, rule, interior):
+        padded.append(rule)
+        return whole_padded(self, rule, interior)
+
+    monkeypatch.setattr(solver, "assemble_weights", count_assemble)
+    monkeypatch.setattr(Lattice, "padded", count_padded)
+    prof = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0)
+    problem = _solve_setup(prof, {"grid": 17})
+    harnack_quotient(normalized_solution(problem), 1.0, problem)
+    assert len(assembled) == 1
+    # the problem's exterior in the solve, u's scaled one in M^-+_h
+    assert len(padded) == 2 and max(Counter(map(id, padded)).values()) == 1
+    assembled.clear()
+    padded.clear()
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "command": "sweep",
+        "profile": {"n": 1, "sigma": [1.0], "lambda_lo": 1.0,
+                    "lambda_hi": 2.0},
+        "params": {"sigma_min_values": [1.0, 1.5, 1.9], "grid": 25,
+                   "tolerance": 1e-10}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(assembled) == 3
+    assert len(padded) == 6 and max(Counter(map(id, padded)).values()) == 1
+
+
+def test_extremal_reads_the_class_lattice(aniso2, rng):
+    """M^-+_h belong to the class, not to the family: on a problem whose
+    one member is a callable-multiplier kernel, solved on a lattice of its
+    own, they equal bit for bit those of the same box with the extremal
+    pair, whose solve shares the problem's lattice."""
+    lo, hi, shape = (-1.0, -0.8), (1.0, 0.8), (9, 7)
+    ext = AffineExterior(0.3, (0.5, -0.2))
+    wave = DiscreteProblem(aniso2, lo, hi, shape,
+                           KernelFamily([[_wave_kernel(aniso2)]]), ext)
+    pair = DiscreteProblem(aniso2, lo, hi, shape,
+                           KernelFamily.extremal_pair(aniso2), ext)
+    assert AssembledOperator(wave).lattice is not wave.lattice
+    assert AssembledOperator(pair).lattice is pair.lattice
+    u = GridField(lo, hi, rng.normal(size=shape), ext)
+    for got, want in zip(discrete_extremal(wave, u),
+                         discrete_extremal(pair, u)):
+        assert np.array_equal(got, want)
+
+
+def test_quotient_on_an_unsolved_problem(iso1_ell):
+    """The benchmark oracle's path: a dense solve, then harnack_quotient on
+    a problem the lattice solver never saw, which builds its lattice on
+    first use.  The quotient equals the one on a solved problem."""
+    fresh, solved = (_solve_setup(iso1_ell, {"grid": 25}) for _ in range(2))
+    solve_dirichlet(solved)
+    assert "lattice" not in vars(fresh) and "lattice" in vars(solved)
+    a, b = dense_matrix(fresh)
+    ext = fresh.exterior
+    field = GridField(fresh.lo, fresh.hi, np.linalg.solve(a, b), ext)
+    scale = 1.0 / float(field.eval(np.zeros((1, 1)))[0])
+    u = GridField(fresh.lo, fresh.hi, field.values * scale,
+                  CallableExterior(lambda p: ext(p) * scale,
+                                   ext.sup_bound * scale))
+    got = harnack_quotient(u, 1.0, fresh).scalars
+    assert got == harnack_quotient(u, 1.0, solved).scalars
+    assert got["u0"] == pytest.approx(1.0, rel=1e-12)

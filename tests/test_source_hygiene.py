@@ -93,8 +93,9 @@ def test_no_exterior_type_switch(name):
     assert exterior_type_switch_lines(ast.parse(path.read_text())) == []
 
 
-FAST_PATHS = {"_padded", "_Stencil", "_circulant_stencil", "AssembledOperator",
-              "discrete_extremal", "fft"}
+FAST_PATHS = {"Lattice", "lattice", "padded", "pair_sums", "matvec",
+              "_circulant_stencil", "AssembledOperator", "discrete_extremal",
+              "fft"}
 
 
 def test_dense_oracle_is_independent():
@@ -186,6 +187,9 @@ ORACLES = {
     "geometry.tilde_rect": "the tilde rectangle of the geometry inclusions",
     "geometry.AnisoSet.measure": "the closed-form measure of Theta_r and "
                                  "its kin, which the lemma checks read",
+    "geometry.ScalingMap.apply": "T_r y itself, which the geometry "
+                                 "inclusions and the scaling identity of "
+                                 "the barrier tests map points with",
 }
 
 
