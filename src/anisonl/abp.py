@@ -174,7 +174,7 @@ def _children_with_points(profile, rect, pts):
 
 def _max_f(f, rect, extra_pts):
     """max f^+ over the rows of ``extra_pts`` and the rectangle's 3^n
-    corners, edge midpoints and centre (n <= 2, as for the envelope)."""
+    corners, edge and face midpoints and centre."""
     mesh = np.meshgrid(*np.stack([rect.lo, rect.center, rect.hi], axis=1),
                        indexing="ij")
     pts = np.vstack([np.stack([m.ravel() for m in mesh], axis=1), extra_pts])

@@ -305,15 +305,9 @@ def _cmd_barrier_verify(profile, quad, params, seed):
 
 
 def _cap_envelope(profile, shape):
-    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope.
-    The envelope is exact for n <= 2 only, so a larger n is a config
-    error; a grid too coarse to keep the cap inside B_1 fails a
-    precondition."""
+    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope;
+    a grid too coarse to keep the cap inside B_1 fails a precondition."""
     n = profile.n
-    if n > 2:
-        raise _schema_violation(["profile", "n"], f"{n} is greater than the "
-                                "maximum of 2: exact envelopes are "
-                                "implemented for n <= 2 only")
     from .envelope import concave_envelope
     from .fields import GridField
 
@@ -493,7 +487,7 @@ def config_digest(obj):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run(config, out_dir=None, seed=None):
+def run(config, out_dir=None):
     """Execute one config; returns the process exit status."""
     command = config["command"]
     try:
@@ -502,8 +496,7 @@ def run(config, out_dir=None, seed=None):
         raise _invalid_config("invalid profile", exc)
     quad = QuadratureScheme.from_dict(config.get("quadrature", {}))
     params = config.get("params", {})
-    if seed is None:
-        seed = int(config.get("seed", 0))
+    seed = int(config.get("seed", 0))
     out_dir = out_dir or config.get("out", "anisonl-out")
     # refused before any work: an empty output directory, or one whose
     # nearest existing path is no writable directory, cannot be made
@@ -551,16 +544,10 @@ def main(argv=None):
         description="anisotropic nonlocal operator experiments")
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            # the override replaces the config's seed: the same rule holds
-            _raise_first(schema_errors(args.seed, _SEED, ["seed"]))
-        return run(config, out_dir=args.out, seed=args.seed)
+        return run(load_config(args.config), out_dir=args.out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,19 +1,37 @@
 """Concave envelopes over B_3, contact sets and gradient-image measures.
 
-The envelope of a field u (nonpositive outside B_1) is the least concave
-majorant of u^+ sampled over B_3, held at zero outside.  Dimensions 1 and
-2 only: there the hull, the supporting planes and the superdifferential
-cells (the normal fan) are all exact.
+The envelope Gamma of a field u, nonpositive outside B_1, is the least
+concave majorant of u^+ on the lattice samples of B_3: u's lattice,
+extended with its own spacing over B_3, carries u^+ in B_1 and zero in
+the rest of B_3.  Outside B_3 Gamma is held at zero.  In any dimension
+it is a double discrete Legendre transform on a product grid of slopes,
 
-Gradient-image measure of a region: the union of superdifferentials over
-the region is, for a piecewise-linear concave hull, the union of the
-gradient cells of the hull vertices lying in the region (facets and edges
-contribute measure zero); the cells have pairwise disjoint interiors, so
-the measure is the sum of their areas (interval lengths in 1-D).
+    u*(s) = max_y (u^+(y) - s.y),    Gamma_D(x) = min_s (s.x + u*(s)),
+
+each taken as one maximum per axis in turn (the separable transform of
+Lucet, "Faster than the fast Legendre transform, the linear-time Legendre
+transform", Numer. Algorithms 16, 1997), with one maximiser y(s) tracked
+per slope.
+
+Slopes: every facet of Gamma has a vertex in B_1, where u^+ lives, and
+its plane, at most sup u^+ there, stays nonnegative at the lattice points
+up to 2 beyond it along each axis.  So |s_i| <= sup u^+ / t, with
+t = h_i floor(2 / h_i) the most whole lattice steps within 2 (one step
+if h_i > 2; t = 2 on the CLI's grids).  The slope grid spacing is
+ds = (that bound) / ceil(1 / h), h the finest lattice spacing, and
+Gamma <= Gamma_D <= Gamma + ds max_{B_3} |y|_1 <= Gamma + 3 sqrt(n) ds at
+the samples: a bracket of the lattice's own order h sup u^+.  At any
+other point of B_3, Gamma_D is the minimum of the active planes, those
+that attain it at a sample.
+
+Gradient image of a rectangle: each slope s is a supergradient of Gamma
+at its maximiser y(s), so ds^n times the count of slopes whose maximiser
+lies in the rectangle measures the union of superdifferentials over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,225 +49,138 @@ class PositiveExteriorError(PreconditionError):
     nonpositive."""
 
 
-class ConcaveEnvelope1D:
-    dimension = 1
+def _legendre(f, xs, ts):
+    """g(t) = max_x (f(x) - t.x) from the product grid ``xs`` to the product
+    grid ``ts``, one axis at a time, and per axis the index into ``xs`` of
+    a maximiser of each t (the first, on ties)."""
+    n = len(xs)
+    picks = []
+    for i in range(n):
+        # f's axes are t_0..t_{i-1}, x_i..x_{n-1}: reduce x_i, kept last,
+        # into g, whose t_i axis comes first until it moves into place
+        f = np.ascontiguousarray(np.moveaxis(f, i, -1))
+        g = np.empty((len(ts[i]),) + f.shape[:-1])
+        pick = np.empty(g.shape, dtype=np.int32)
+        for j, t in enumerate(ts[i]):
+            w = f - t * xs[i]
+            pick[j] = np.argmax(w, axis=-1)
+            g[j] = np.take_along_axis(w, pick[j][..., None], axis=-1)[..., 0]
+        f = np.moveaxis(g, 0, i)
+        picks.append(np.moveaxis(pick, 0, i))
+    # picks[i] has axes t_0..t_i, x_{i+1}..x_{n-1}: read back from the last
+    open_t = np.ix_(*[np.arange(len(t)) for t in ts])
+    args = [picks[-1]]
+    for i in range(n - 2, -1, -1):
+        args.insert(0, picks[i][open_t[:i + 1] + tuple(args)])
+    return f, args
 
-    def __init__(self, vx, vy):
-        # hull vertices, x strictly increasing, slopes strictly decreasing
-        self.vx = np.asarray(vx, dtype=float)
-        self.vy = np.asarray(vy, dtype=float)
-        if self.vx.size >= 2:
-            self.slopes = np.diff(self.vy) / np.diff(self.vx)
-        else:
-            self.slopes = np.zeros(0)
 
-    @staticmethod
-    def from_samples(pts, vals):
-        x = np.asarray(pts, dtype=float).reshape(-1)
-        order = np.argsort(x)
-        x, v = x[order], np.asarray(vals, dtype=float)[order]
-        # collapse duplicate abscissae to their max value
-        keep_x, keep_v = [], []
-        for xi, vi in zip(x, v):
-            if keep_x and xi - keep_x[-1] < 1e-14:
-                keep_v[-1] = max(keep_v[-1], vi)
-            else:
-                keep_x.append(xi)
-                keep_v.append(vi)
-        hull = []
-        for p in zip(keep_x, keep_v):
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                # pop the middle point when it lies below chord(prev, new)
-                if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
-        vx = np.array([h[0] for h in hull])
-        vy = np.array([h[1] for h in hull])
-        return ConcaveEnvelope1D(vx, vy)
+class GridEnvelope:
+    """Gamma_D of a grid field's samples over B_3 (see the module text):
+    the sample lattice ``axes`` of spacing ``h`` and ``samples`` (-inf
+    outside B_3), the slope grid ``slopes`` (one per axis) of spacing
+    ``step``, u* and the maximiser of each slope, Gamma_D on the lattice
+    and the active planes."""
+
+    def __init__(self, u):
+        self.h = u.h
+        self.axes = [lo + h * np.arange(math.ceil((-3.0 - lo) / h - 1e-9),
+                                        math.floor((3.0 - lo) / h + 1e-9) + 1)
+                     for lo, h in zip(u.lo, u.h)]
+        grid = np.ix_(*self.axes)
+        r2 = sum(g ** 2 for g in grid)
+        self.ball, unit = r2 <= 9.0, r2 <= 1.0
+        del r2
+        self.samples = np.where(self.ball, 0.0, -np.inf)
+        pts = np.column_stack([np.broadcast_to(g, unit.shape)[unit]
+                               for g in grid])
+        self.samples[unit] = np.maximum(u.eval(pts), 0.0)
+
+        reach = min(h * max(1, math.floor(2.0 / h + 1e-9)) for h in u.h)
+        bound = float(self.samples.max()) / reach
+        k = math.ceil(1.0 / float(np.min(u.h)) - 1e-9) if bound > 0 else 0
+        self.step = bound / max(k, 1)
+        # least steep first: the first of tied planes is the least steep
+        self.slopes = self.step * np.array(sorted(range(-k, k + 1), key=abs))
+        n = u.n
+        self.conjugate, arg_y = _legendre(self.samples, self.axes,
+                                          [self.slopes] * n)
+        self.maximisers = np.stack(
+            [ax[i] for ax, i in zip(self.axes, arg_y)], axis=-1)
+        # max_s (-u*(s) - s.x) = -Gamma_D(x), with the argmin plane at x
+        self.values, arg_s = _legendre(-self.conjugate, [self.slopes] * n,
+                                       self.axes)
+        self.values *= -1.0
+        active = np.zeros(self.conjugate.shape, dtype=bool)
+        active[tuple(i[self.ball] for i in arg_s)] = True
+        self.gradients = np.stack(
+            np.meshgrid(*[self.slopes] * n, indexing="ij"), axis=-1)
+        self.planes = np.column_stack([self.gradients[active],
+                                       self.conjugate[active]])
+        # slopes whose maximiser carries a positive sample
+        self.lifted = self.samples[tuple(arg_y)] > 0.0
 
     def eval(self, pts):
-        x = np.atleast_2d(np.asarray(pts, dtype=float))[:, 0]
-        out = np.interp(x, self.vx, self.vy)
-        out[(x < self.vx[0]) | (x > self.vx[-1])] = 0.0
-        return out
-
-    def _slope_left(self, x):
-        if x <= self.vx[0]:
-            return self.slopes[0] if self.slopes.size else 0.0
-        k = int(np.searchsorted(self.vx, x, side="left"))
-        return self.slopes[min(k, self.slopes.size) - 1]
-
-    def _slope_right(self, x):
-        if x >= self.vx[-1]:
-            return self.slopes[-1] if self.slopes.size else 0.0
-        k = int(np.searchsorted(self.vx, x, side="right"))
-        return self.slopes[min(k - 1, self.slopes.size - 1)] \
-            if k - 1 < self.slopes.size else self.slopes[-1]
-
-    def lipschitz(self):
-        return float(np.max(np.abs(self.slopes))) if self.slopes.size else 0.0
-
-    def grad_image_measure(self, lo, hi):
-        """Length of the slope interval attained over [lo, hi] (clipped)."""
-        lo = float(np.atleast_1d(lo)[0])
-        hi = float(np.atleast_1d(hi)[0])
-        a = max(lo, self.vx[0])
-        b = min(hi, self.vx[-1])
-        if a > b or self.slopes.size == 0:
-            return 0.0
-        return max(self._slope_left(a) - self._slope_right(b), 0.0)
-
-    def supporting_planes(self):
-        """(slope, intercept) rows, one per hull segment."""
-        out = []
-        for k in range(self.slopes.size):
-            s = self.slopes[k]
-            out.append((s, self.vy[k] - s * self.vx[k]))
-        return np.array(out) if out else np.zeros((0, 2))
-
-
-class ConcaveEnvelope2D:
-    dimension = 2
-
-    def __init__(self, points, values, facet_planes, facet_grads,
-                 vertex_cells):
-        self.points = points            # cloud (m, 2)
-        self.values = values
-        self.facet_planes = facet_planes   # (F, 3): z = a x + b y + c
-        self.facet_grads = facet_grads     # (F, 2)
-        self.vertex_cells = vertex_cells   # {point index: (2,k) gradients}
-
-    @staticmethod
-    def from_samples(pts, vals):
-        from scipy.spatial import ConvexHull, QhullError
-        pts = np.asarray(pts, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if np.max(vals) <= 0.0:
-            return ConcaveEnvelope2D(pts, np.zeros_like(vals),
-                                     np.array([[0.0, 0.0, 0.0]]),
-                                     np.zeros((1, 2)), {})
-        cloud = np.column_stack([pts, vals])
-        try:
-            hull = ConvexHull(cloud)
-        except QhullError:
-            try:
-                hull = ConvexHull(cloud, qhull_options="QJ Pp")
-            except QhullError:
-                # fully degenerate cloud: single supporting plane
-                return ConcaveEnvelope2D(
-                    pts, vals, np.array([[0.0, 0.0, float(vals.max())]]),
-                    np.zeros((1, 2)), {})
-        eqs = hull.equations          # normal . x + offset = 0, normal outward
-        up = eqs[:, 2] > 1e-12
-        nz = eqs[up, 2]
-        planes = np.column_stack([-eqs[up, 0] / nz, -eqs[up, 1] / nz,
-                                  -eqs[up, 3] / nz])
-        grads = planes[:, :2].copy()
-        cells = {}
-        for f_local, f_global in enumerate(np.nonzero(up)[0]):
-            for v in hull.simplices[f_global]:
-                cells.setdefault(int(v), []).append(f_local)
-        vertex_cells = {v: grads[idx] for v, idx in cells.items()}
-        return ConcaveEnvelope2D(pts, vals, planes, grads, vertex_cells)
-
-    def eval(self, q):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        out = np.empty(q.shape[0])
-        chunk = 4096
-        a = self.facet_planes
-        for s in range(0, q.shape[0], chunk):
-            block = q[s:s + chunk]
-            best = np.full(block.shape[0], np.inf)
-            for fs in range(0, a.shape[0], chunk):
-                sub = a[fs:fs + chunk]
-                vals = block @ sub[:, :2].T + sub[None, :, 2]
-                np.minimum(best, vals.min(axis=1), out=best)
-            out[s:s + chunk] = best
-        np.maximum(out, 0.0, out=out)
-        out[np.linalg.norm(q, axis=1) > 3.0] = 0.0
-        return out
+        """Gamma_D at the rows of ``pts``: read from the lattice at a sample,
+        the minimum of the active planes elsewhere in B_3, zero outside."""
+        q = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.zeros(q.shape[0])
+        inside = np.sum(q ** 2, axis=1) <= 9.0
+        t = (q - [ax[0] for ax in self.axes]) / self.h
+        k = np.rint(t)
+        on = inside & np.all((np.abs(t - k) <= 1e-9) & (k >= 0)
+                             & (k < self.values.shape), axis=1)
+        out[on] = self.values[tuple(k[on].astype(np.intp).T)]
+        off = np.flatnonzero(inside & ~on)
+        rows = max(1, 2 ** 22 // len(self.planes))
+        for s in range(0, off.size, rows):
+            block = off[s:s + rows]
+            out[block] = np.min(q[block] @ self.planes[:, :-1].T
+                                + self.planes[:, -1], axis=1)
+        return np.maximum(out, 0.0)
 
     def lipschitz(self):
-        if self.facet_grads.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.facet_grads, axis=1)))
+        """The largest |s| of a slope whose maximiser is positive: each
+        facet of Gamma has a positive vertex, whose superdifferential holds
+        the facet's gradient."""
+        s = self.gradients[self.lifted]
+        return float(np.max(np.linalg.norm(s, axis=-1))) if s.size else 0.0
 
     def grad_image_measure(self, lo, hi):
-        """Area of gradients attained over the closed rectangle [lo, hi]."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        total = 0.0
-        for v, grads in self.vertex_cells.items():
-            p = self.points[v]
-            if np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12):
-                total += _polygon_area(grads)
-        return total
+        """step^n times the count of slopes whose maximiser lies in the
+        closed rectangle [lo, hi]."""
+        y = self.maximisers
+        hit = np.all((y >= np.asarray(lo) - 1e-12)
+                     & (y <= np.asarray(hi) + 1e-12), axis=-1)
+        return float(np.count_nonzero(hit)) * self.step ** y.shape[-1]
 
     def supporting_planes(self):
-        return self.facet_planes.copy()
-
-
-def _polygon_area(grads):
-    """Shoelace area of the (convex) gradient cell; the facet gradients
-    around a hull vertex are exactly the cell's corners."""
-    g = np.asarray(grads, dtype=float)
-    if g.shape[0] < 3:
-        return 0.0
-    c = g.mean(axis=0)
-    ang = np.arctan2(g[:, 1] - c[1], g[:, 0] - c[0])
-    o = np.argsort(ang)
-    x, y = g[o, 0], g[o, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1))
-                           - np.dot(y, np.roll(x, -1))))
+        """(s_1..s_n, u*(s)) rows of the active planes, z = s.x + u*(s)."""
+        return self.planes.copy()
 
 
 def concave_envelope(u):
-    """Concave envelope of u^+ over B_3 from the field's own grid.
+    """Gamma_D of u^+ over B_3 from the grid field ``u``'s own lattice.
 
-    Requires u <= POSITIVE_TOL outside B_1 (checked on grid points and
-    exterior probe rings) and dimension <= 2.  Sample points on the B_3
-    sphere (256 in 2-D) pin the hull domain; they carry value zero because
-    u is nonpositive there.
+    Requires u <= POSITIVE_TOL outside B_1, checked on the lattice and at
+    radii 1.5, 2, 3 and 5 along the 3^n - 1 directions of {-1, 0, 1}^n.
     """
     n = u.n
-    if n > 2:
-        raise ValueError("exact envelopes are implemented for n <= 2 only")
     pts = u.grid_points()
-    vals = u.eval(pts)
-    r = np.linalg.norm(pts, axis=1)
-    bad = (r > 1.0) & (vals > POSITIVE_TOL)
+    vals = u.values.ravel()
+    bad = (np.linalg.norm(pts, axis=1) > 1.0) & (vals > POSITIVE_TOL)
     if bad.any():
         worst = pts[np.argmax(np.where(bad, vals, -np.inf))]
         raise PositiveExteriorError(
             f"field is positive outside B_1 (e.g. at {worst})")
+    dirs = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=n)
+                     if any(d)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for rad in (1.5, 2.0, 3.0, 5.0):
-        probe = _sphere_points(n, rad, 64)
-        pv = u.eval(probe)
-        if np.any(pv > POSITIVE_TOL):
+        if np.any(u.eval(rad * dirs) > POSITIVE_TOL):
             raise PositiveExteriorError(
                 f"field is positive outside B_1 at radius {rad}")
-
-    keep = r <= 3.0
-    cloud = pts[keep]
-    cvals = np.maximum(vals[keep], 0.0)
-    boundary = _sphere_points(n, 3.0, 256)
-    cloud = np.vstack([cloud, boundary])
-    cvals = np.concatenate([cvals, np.zeros(boundary.shape[0])])
-    if n == 1:
-        return ConcaveEnvelope1D.from_samples(cloud, cvals)
-    return ConcaveEnvelope2D.from_samples(cloud, cvals)
-
-
-def _sphere_points(n, radius, count):
-    """``count`` equally spaced points on the circle of ``radius``, or the
-    two endpoints of the interval in 1-D."""
-    if n == 1:
-        return np.array([[-radius], [radius]])
-    ang = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-    return radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    return GridEnvelope(u)
 
 
 def contact_set(u, env, tol):

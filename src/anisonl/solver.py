@@ -274,6 +274,8 @@ class AssembledOperator:
     family m_ab K, with phi(r) = min_a max_b m_ab r: ``up`` r for r >= 0,
     ``down`` r for r < 0."""
 
+    lattice: Lattice
+
     def __init__(self, problem):
         self.lattice, m = _base_lattice(problem)
         self.up = m.max(axis=1).min()
@@ -378,7 +380,7 @@ def dense_matrix(problem, member=(0, 0)):
     return A, b
 
 
-def discrete_extremal(problem, u):
+def discrete_extremal(problem: DiscreteProblem, u):
     """Cellwise extremal operators (M^-_h u, M^+_h u) of the grid field
     ``u`` on the problem's lattice, with ``u``'s own exterior data.
 

@@ -6,9 +6,10 @@ from anisonl.abp import (CoverDepthError, CoverRectangle,
                          DegenerateTileError, _eval_rect, _tiles_for_points,
                          abp_cover, base_scale, tile_half_widths,
                          tilde_half_widths, verify_cover)
-from anisonl.envelope import ConcaveEnvelope2D, concave_envelope
+from anisonl.envelope import concave_envelope
 from anisonl.fields import AnalyticField, GridField
 from anisonl.profile import AnisotropyProfile
+from hulls import ConcaveEnvelope2D
 from lemmas import detachment_measure
 
 

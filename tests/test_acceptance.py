@@ -201,7 +201,8 @@ def test_acceptance_4_barriers(monkeypatch):
 
 def test_acceptance_5_abp():
     from anisonl.abp import abp_cover, verify_cover
-    from anisonl.envelope import ConcaveEnvelope2D, concave_envelope
+    from anisonl.envelope import concave_envelope
+    from hulls import ConcaveEnvelope2D
     t0 = time.time()
     prof = AnisotropyProfile(2, (1.0, 1.0), 1.0, 2.0, rho0=0.05, frak_c=2)
     prof_mixed = AnisotropyProfile(2, (1.0, 1.5), 1.0, 2.0, rho0=0.05,

@@ -77,17 +77,26 @@ def test_rerun_reproduces_identical_bytes(tmp_path):
         assert b1 == b2
 
 
-def test_seed_override_changes_digest_not_schema(tmp_path):
-    cfg = write_config(tmp_path, {
+def test_config_seed_reaches_results_and_digest(tmp_path):
+    """The config's ``seed`` is the one place a seed is set: it is
+    written to results.json and enters the digest; there is no --seed."""
+    config = {
         "command": "cz",
         "profile": {"n": 2, "sigma": [1.0, 1.0]},
-        "seed": 5,
         "params": {"generation": 4, "delta": 0.5},
-    })
-    out = str(tmp_path / "s")
-    assert main(["--config", cfg, "--out", out, "--seed", "11"]) == 0
-    results = json.loads((tmp_path / "s" / "results.json").read_text())
-    assert results["seed"] == 11
+    }
+    digests = []
+    for seed in (5, 11):
+        cfg = write_config(tmp_path, dict(config, seed=seed))
+        out = tmp_path / f"s{seed}"
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        results = json.loads((out / "results.json").read_text())
+        assert results["seed"] == seed
+        digests.append(results["digest"])
+    assert digests[0] != digests[1]
+    with pytest.raises(SystemExit) as err:
+        main(["--config", cfg, "--seed", "11"])
+    assert err.value.code == 2
 
 
 def test_envelope_command(tmp_path):
@@ -498,8 +507,8 @@ def _exit_2_line(tmp_path, capsys, config, argv=()):
     return detail
 
 
-def _schema_exit_2(tmp_path, capsys, config, path, argv=()):
-    detail = _exit_2_line(tmp_path, capsys, config, argv)
+def _schema_exit_2(tmp_path, capsys, config, path):
+    detail = _exit_2_line(tmp_path, capsys, config)
     assert detail["error"] == "config schema violation"
     assert detail["path"] == path
     return detail
@@ -579,15 +588,13 @@ def test_non_finite_number_exit_2(tmp_path, capsys, field, literal):
 
 
 # (a negative quadrature seed is among test_typed_quadrature_exit_2's cases)
-@pytest.mark.parametrize("config, argv", [
-    (dict(SMALL_CONFIGS["cz"], command="cz", seed=-1), []),
-    (dict(SMALL_CONFIGS["cz"], command="cz"), ["--seed", "-1"]),
-], ids=["config-seed", "seed-override"])
-def test_negative_seed_exit_2(tmp_path, capsys, config, argv):
-    """numpy's generators take no negative seed: the config's seed and
-    the --seed override that replaces it are refused before the command
-    runs."""
-    detail = _schema_exit_2(tmp_path, capsys, config, ["seed"], argv)
+@pytest.mark.parametrize("config", [
+    dict(SMALL_CONFIGS["cz"], command="cz", seed=-1),
+], ids=["config-seed"])
+def test_negative_seed_exit_2(tmp_path, capsys, config):
+    """numpy's generators take no negative seed: the config's seed is
+    refused before the command runs."""
+    detail = _schema_exit_2(tmp_path, capsys, config, ["seed"])
     assert detail["detail"] == "-1 is less than the minimum of 0"
 
 
@@ -654,14 +661,28 @@ def test_empty_output_directory_exit_2(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("command", ["envelope", "abp-cover"])
-def test_cap_envelope_above_two_dimensions_exit_2(tmp_path, capsys, command):
-    """The exact concave envelope exists for n <= 2 only: a 3D profile is
-    refused before any work."""
-    detail = _schema_exit_2(tmp_path, capsys, {
-        "command": command, "profile": {"n": 3, "sigma": [1.0, 1.5, 1.2]},
-        "params": {"grid": 9}}, ["profile", "n"])
-    assert "n <= 2" in detail["detail"]
+P3 = {"n": 3, "sigma": [1.0, 1.5, 1.2]}
+
+
+@pytest.mark.parametrize("command, profile", [
+    ("envelope", P3),
+    ("abp-cover", P3),
+    ("abp-cover", dict(P3, rho0=0.05, frak_c=2)),
+], ids=["envelope", "abp-cover", "abp-cover-rho0"])
+def test_cap_envelope_in_three_dimensions(tmp_path, command, profile):
+    """The grid envelope runs in any dimension: in 3D both commands
+    measure (exit 0) or stop at a failed hypothesis (exit 3), never fail
+    a property; they write strict JSON, and a rerun the same bytes."""
+    cfg = write_config(tmp_path, {"command": command, "profile": profile,
+                                  "params": {"grid": 17}})
+    outs = []
+    for name in ("a", "b"):
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) in (0, 3)
+        text = (tmp_path / name / "results.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)
+        outs.append([(tmp_path / name / f).read_bytes()
+                     for f in ("results.json", "data.csv")])
+    assert outs[0] == outs[1]
 
 
 def test_barrier_sigma_below_floor_exit_3(tmp_path, capsys):
@@ -951,20 +972,19 @@ def test_warnings_shown_unless_invalid(tmp_path, monkeypatch, outcome, code):
         ([] if code == 3 else ["held back"])
 
 
-# modules each command must not load: jsonschema nowhere; the extremal
-# operators only in barrier-verify; the solver (and the numpy.fft it uses)
-# only where a command solves; scipy and numpy.ma not on the solver path;
-# the experiments only in the commands that run one.  The 2D envelope and
-# abp-cover need scipy for the convex hull, which loads numpy.fft and
-# numpy.ma itself; the 1D ones do not load scipy.
-NO_SOLVER = ["jsonschema", "anisonl.solver", "numpy.fft"]
-SOLVER = ["jsonschema", "anisonl.operators", "scipy", "numpy.ma"]
-CAP = ["jsonschema", "anisonl.operators", "anisonl.solver"]
+# modules each command must not load: jsonschema and scipy nowhere, since
+# the library runs on numpy alone; the extremal operators only in
+# barrier-verify; the solver (and the numpy.fft it uses) only where a
+# command solves; numpy.ma not on the solver path; the experiments only
+# in the commands that run one.
+NO_SOLVER = ["jsonschema", "scipy", "anisonl.solver", "numpy.fft"]
+SOLVER = ["jsonschema", "scipy", "anisonl.operators", "numpy.ma"]
+CAP = NO_SOLVER + ["anisonl.operators", "numpy.ma"]
 NO_EXPERIMENT = ["anisonl.experiments"]
 IMPORT_BUDGET = {
     "constants": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "barrier-verify": NO_SOLVER + NO_EXPERIMENT,
-    "envelope": CAP + NO_EXPERIMENT + ["scipy"],
+    "envelope": CAP + NO_EXPERIMENT,
     "abp-cover": CAP + NO_EXPERIMENT,
     "cz": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "solve": SOLVER + NO_EXPERIMENT,
@@ -999,8 +1019,8 @@ def test_import_budget(tmp_path, command):
 P2_EQUAL = {"n": 2, "sigma": [1.0, 1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
 
 
-# equal orders take the tail constant from a numpy rule, and a 1D envelope
-# needs no hull: scipy stays unloaded (the 2D sweep fails its divergence fit)
+# equal orders take the tail constant from a numpy rule: scipy stays
+# unloaded (the 2D sweep fails its divergence fit)
 @pytest.mark.parametrize("config, code", [
     ({"command": "solve", "profile": P2_EQUAL, "params": {"grid": 17}}, 0),
     ({"command": "harnack", "profile": P2_EQUAL, "params": {"grid": 17}}, 0),
@@ -1017,6 +1037,21 @@ P2_EQUAL = {"n": 2, "sigma": [1.0, 1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
         "kernel-check-2d", "abp-cover-1d"])
 def test_equal_orders_and_1d_hulls_load_no_scipy(tmp_path, config, code):
     assert _run_loading(tmp_path, config, ["scipy"]) == f"{code} []"
+
+
+# the grid envelope is numpy alone in every dimension (the 1D abp-cover is
+# among the cases above)
+@pytest.mark.parametrize("command, n", [
+    ("envelope", 1), ("envelope", 2), ("envelope", 3),
+    ("abp-cover", 2), ("abp-cover", 3),
+], ids=["envelope-1d", "envelope-2d", "envelope-3d", "abp-cover-2d",
+        "abp-cover-3d"])
+def test_no_command_loads_scipy(tmp_path, command, n):
+    profile = {"n": n, "sigma": [1.0, 1.5, 1.2][:n], "rho0": 0.05,
+               "frak_c": 2}
+    config = {"command": command, "profile": profile, "params": {"grid": 17}}
+    code, loaded = _run_loading(tmp_path, config, ["scipy"]).split(" ", 1)
+    assert code in ("0", "3") and loaded == "[]"
 
 
 def test_package_import_loads_no_numpy():

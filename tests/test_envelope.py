@@ -1,10 +1,15 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from anisonl.envelope import (ConcaveEnvelope1D, ConcaveEnvelope2D,
-                              concave_envelope, contact_set,
+from anisonl.envelope import (concave_envelope, contact_set,
                               default_contact_tol)
 from anisonl.fields import GridField
+from hulls import (ConcaveEnvelope1D, ConcaveEnvelope2D, cell_tube,
+                   lattice_hull)
 
 
 def tent_field(peak=0.0, steep=1.0, shape=257):
@@ -29,13 +34,19 @@ def hull_oracle_1d(xs, vs, q):
 
 
 def test_tent_envelope_two_lines():
+    # the exact hull of the lattice samples is two lines of slope +-1/3;
+    # the slope grid brackets it, and its steepest lifted slope is 1/3
     u = tent_field()
     env = concave_envelope(u)
-    assert np.allclose(env.vx, [-3.0, 0.0, 3.0])
-    assert np.allclose(env.vy, [0.0, 1.0, 0.0])
-    assert np.allclose(env.slopes, [1.0 / 3.0, -1.0 / 3.0])
+    hull, pts = lattice_hull(env)
+    assert np.allclose(hull.vx, [-3.0, 0.0, 3.0])
+    assert np.allclose(hull.vy, [0.0, 1.0, 0.0])
+    assert np.allclose(hull.slopes, [1.0 / 3.0, -1.0 / 3.0])
+    gap = env.eval(pts) - (1.0 - np.abs(pts[:, 0]) / 3.0)
+    assert np.all(gap >= -1e-12) and np.all(gap <= 3.0 * env.step + 1e-12)
+    assert env.lipschitz() == pytest.approx(1.0 / 3.0, abs=env.step)
     planes = env.supporting_planes()
-    assert planes.shape == (2, 2)
+    assert planes.shape[1] == 2 and len(planes) >= 2
 
 
 def test_tent_contact_is_origin():
@@ -200,6 +211,116 @@ def test_grad_image_additive_over_split():
     assert parts <= whole * 1.25 + 1e-12
 
 
+def _cap(p):
+    return np.maximum(0.0, 1.0 - 2.0 * np.sum(p ** 2, axis=1))
+
+
+def _tent(p):
+    """Slope 2 in l^1 off its peak at (0.2, -0.2) (0.2 in 1D)."""
+    peak = 0.2 * (-1.0) ** np.arange(p.shape[1])
+    return np.maximum(0.0, 1.0 - 2.0 * np.sum(np.abs(p - peak), axis=1))
+
+
+def _paraboloid(p):
+    return 1.0 - np.sum(p ** 2, axis=1)
+
+
+def _oracle_field(kind, n, arg):
+    """The field of an oracle case: ``arg`` is the grid of a closed form,
+    or the seed of uniform values on B_0.9 of a 41^n lattice (zero
+    elsewhere)."""
+    if kind == "random":
+        g = GridField([-2.0] * n, [2.0] * n, np.zeros((41,) * n), 0.0)
+        pts = g.grid_points()
+        v = np.random.default_rng(arg).uniform(0.0, 1.0, len(pts))
+        v[np.linalg.norm(pts, axis=1) > 0.9] = 0.0
+        return GridField(g.lo, g.hi, v.reshape(g.values.shape), 0.0)
+    fn, exterior = {"cap": (_cap, 0.0), "tent": (_tent, 0.0),
+                    "paraboloid": (_paraboloid, -3.0)}[kind]
+    return GridField.from_function(fn, [-2.0] * n, [2.0] * n, (arg,) * n,
+                                   exterior)
+
+
+# the CLI cap at its grids 33 and 129, a tent, a paraboloid and seeded
+# random fields, in 1D and 2D
+ORACLE_CASES = [(kind, n, arg) for n in (1, 2) for kind, arg in
+                [("cap", 33), ("cap", 129), ("tent", 65), ("paraboloid", 65),
+                 ("random", 0), ("random", 1), ("random", 2)]]
+ORACLE_IDS = [f"{kind}-{n}d-{arg}" for kind, n, arg in ORACLE_CASES]
+
+
+@pytest.mark.parametrize("kind, n, arg", ORACLE_CASES, ids=ORACLE_IDS)
+def test_grid_envelope_brackets_the_lattice_hull(kind, n, arg):
+    """At every lattice point of B_3, Gamma <= Gamma_D <= Gamma + 3 sqrt(n)
+    ds, with Gamma the exact hull of the same lattice samples."""
+    env = concave_envelope(_oracle_field(kind, n, arg))
+    hull, pts = lattice_hull(env)
+    gap = env.eval(pts) - hull.eval(pts)
+    assert gap.min() >= -1e-12
+    assert gap.max() <= 3.0 * math.sqrt(n) * env.step + 1e-12
+
+
+def _coarse_measure(env, lo, hi):
+    """The gradient image at slope spacing 2 ds: the nested grid of the
+    even multiples of ds, whose maximisers are those of the fine grid."""
+    even = np.all(np.rint(env.gradients / env.step) % 2 == 0, axis=-1)
+    y = env.maximisers
+    hit = even & np.all((y >= lo - 1e-12) & (y <= hi + 1e-12), axis=-1)
+    return float(np.count_nonzero(hit)) * (2.0 * env.step) ** y.shape[-1]
+
+
+@pytest.mark.parametrize("kind, n, arg", ORACLE_CASES, ids=ORACLE_IDS)
+def test_grad_image_matches_hull_at_two_nested_levels(kind, n, arg):
+    """On the tiles of a 4^n split of [-1, 1]^n and on [-1, 1]^n itself,
+    the gradient image at ds and at the nested 2 ds each lies within its
+    band of the exact hull's cell areas: the area within sqrt(n) ds / 2
+    of the cell boundaries, the only slopes a grid can count wrongly."""
+    env = concave_envelope(_oracle_field(kind, n, arg))
+    hull, _ = lattice_hull(env)
+    edges = np.linspace(-1.0, 1.0, 5)
+    rects = [(edges[list(i)], edges[[k + 1 for k in i]])
+             for i in itertools.product(range(4), repeat=n)]
+    rects.append((np.full(n, -1.0), np.full(n, 1.0)))
+    for lo, hi in rects:
+        exact = hull.grad_image_measure(lo, hi)
+        fine = env.grad_image_measure(lo, hi)
+        coarse = _coarse_measure(env, lo, hi)
+        for measured, ds in ((fine, env.step), (coarse, 2.0 * env.step)):
+            band = cell_tube(hull, lo, hi, math.sqrt(n) * ds / 2.0)
+            assert abs(measured - exact) <= band + 1e-12
+
+
+def test_cap_envelope_in_three_dimensions():
+    """The radial cap's envelope over B_3 is a cone off the cap at slope
+    0.338 (the tangent from the rim |x| = 3): its gradient image over B_1
+    is the ball of that radius."""
+    u = GridField.from_function(_cap, [-2.0] * 3, [2.0] * 3, (33,) * 3, 0.0)
+    env = concave_envelope(u)
+    r0 = 3.0 - math.sqrt(9.0 - 0.5)     # tangent point: 2 r^2 - 12 r + 1
+    lip = 4.0 * r0
+    assert env.eval(np.zeros((1, 3)))[0] == pytest.approx(1.0)
+    assert lip - math.sqrt(3) * env.step <= env.lipschitz() <= lip
+    ball = 4.0 / 3.0 * math.pi * lip ** 3
+    assert env.grad_image_measure([-1.0] * 3, [1.0] * 3) \
+        == pytest.approx(ball, rel=0.05)
+    pts = u.grid_points()
+    pts = pts[np.linalg.norm(pts, axis=1) <= 3.0]
+    assert np.all(env.eval(pts) >= u.eval(pts) - 1e-12)
+
+
+def test_envelope_memory_is_not_slopes_times_samples():
+    """No temporary of (slopes x samples) entries: at the 2D cap on 129^2
+    that would be 1.3 GB; the transform peaks near the sample arrays."""
+    u = GridField.from_function(_cap, [-2.0] * 2, [2.0] * 2, (129, 129), 0.0)
+    tracemalloc.start()
+    try:
+        env = concave_envelope(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 8 * (env.samples.size + env.conjugate.size)
+
+
 def test_contact_degenerate_flag():
     u = GridField.from_function(lambda p: 0.0 * p[:, 0], [-4.0], [4.0],
                                 (65,), 0.0)
@@ -213,10 +334,13 @@ def test_envelope_preconditions():
                                   [-4.0], [4.0], (65,), 1.0)
     with pytest.raises(ValueError):
         concave_envelope(bad)
+    # any dimension: a nonpositive 3D field has the zero envelope
     cube = GridField.from_function(lambda p: -np.ones(p.shape[0]),
                                    [-2.0] * 3, [2.0] * 3, (9,) * 3, -1.0)
-    with pytest.raises(ValueError):
-        concave_envelope(cube)
+    zero = concave_envelope(cube)
+    assert np.all(zero.eval(cube.grid_points()) == 0.0)
+    assert zero.lipschitz() == 0.0
+    assert zero.grad_image_measure([-1.0] * 3, [1.0] * 3) == 0.0
     u = tent_field()
     env = concave_envelope(u)
     with pytest.raises(ValueError):

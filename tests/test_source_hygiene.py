@@ -1,19 +1,23 @@
-"""Source checks no linter is needed for: every import of an ``anisonl``
-module is used there, every annotation there resolves, no handler there
-catches every error, no code there switches on the type of an exterior
-rule, the dense oracle shares no code with the fast lattice paths, every
-library exception is a ``PreconditionError`` that no handler rewraps by
-name, every public function, class and method of the library is run by a
-command or named as an oracle, the CLI reads no private attribute and
-raises no failed hypothesis outside ``run``, every lemma check in
-``tests/lemmas.py`` has a test that calls it, and every defaulted
-parameter of the library is passed by a call in it or allowlisted with
-its reason."""
+"""Source checks no linter is needed for: the library imports exactly the
+runtime dependencies pyproject.toml declares, every import of an
+``anisonl`` module is used there, every annotation there resolves, no
+handler there catches every error, no code there switches on the type of
+an exterior rule, the dense oracle shares no code with the fast lattice
+paths, every library exception is a ``PreconditionError`` that no handler
+rewraps by name, every public function, class and method of the library
+is run by a command or named as an oracle, the CLI reads no private
+attribute and raises no failed hypothesis outside ``run``, every lemma
+check in ``tests/lemmas.py`` has a test that calls it, and every
+defaulted parameter of the library is passed by a call in it or
+allowlisted with its reason."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import sys
+import tomllib
 import typing
 from pathlib import Path
 
@@ -44,6 +48,23 @@ def test_every_import_is_used(name):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_third_party_imports_are_the_dependencies():
+    """The top-level modules outside the standard library that the library
+    imports, at any depth, are exactly the runtime dependencies that
+    pyproject.toml declares: none undeclared, none declared and unused."""
+    imported = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    pyproject = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())
+    declared = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0]
+                for req in pyproject["project"]["dependencies"]}
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def catch_all_lines(tree):
@@ -330,12 +351,66 @@ def local_classes(func, owner, outer, module, defs, imports):
     return known
 
 
+def attribute_classes(key, defs, imports):
+    """Attribute -> class of the attributes of class ``key`` whose class is
+    known: one annotated with a library class in the class body (which
+    decides), one that ``__init__`` binds on ``self`` only to calls of one
+    class, and a ``cached_property`` whose every return is a call of one
+    class."""
+    module = key[0]
+    kinds, declared = {}, {}
+    for stmt in defs[module][key[1]].body:
+        if isinstance(stmt, ast.AnnAssign) \
+                and isinstance(stmt.target, ast.Name):
+            declared[stmt.target.id] = class_key(stmt.annotation, module,
+                                                 defs, imports)
+        if not isinstance(stmt, ast.FunctionDef):
+            continue
+        if stmt.name == "__init__" and stmt.args.args:
+            me = stmt.args.args[0].arg
+            for node in scope_nodes(stmt.body):
+                if not isinstance(node, ast.Assign):
+                    continue
+                made = isinstance(node.value, ast.Call) and class_key(
+                    node.value.func, module, defs, imports) or None
+                for target in node.targets:
+                    # only a whole target takes the call's class
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) \
+                                and getattr(t.value, "id", None) == me:
+                            kinds.setdefault(t.attr, set()).add(
+                                made if t is target else None)
+        elif any(getattr(d, "id", getattr(d, "attr", None))
+                 == "cached_property" for d in stmt.decorator_list):
+            kinds[stmt.name] = {
+                isinstance(node.value, ast.Call) and class_key(
+                    node.value.func, module, defs, imports) or None
+                for node in scope_nodes(stmt.body)
+                if isinstance(node, ast.Return)}
+    known = {attr: next(iter(keys)) for attr, keys in kinds.items()
+             if len(keys) == 1 and None not in keys}
+    known.update((attr, k) for attr, k in declared.items() if k)
+    return known
+
+
 def method_references(tree, module, defs, imports):
     """The attributes ``tree`` references: ``(module, class, method)`` of
     each method reached through a receiver whose class is known (see
-    ``local_classes``; a class name is its own receiver), and the bare
-    names of the others, which may reach a method of any class."""
+    ``local_classes``; a class name is its own receiver, and an attribute
+    of a known class has the class ``attribute_classes`` gives it), and
+    the bare names of the others, which may reach a method of any
+    class."""
     owned, loose = set(), set()
+
+    def receiver_class(recv, known):
+        if isinstance(recv, ast.Name):
+            return known.get(recv.id) or class_key(recv, module, defs,
+                                                   imports)
+        if isinstance(recv, ast.Attribute):
+            owner = receiver_class(recv.value, known)
+            return owner and attribute_classes(owner, defs, imports).get(
+                recv.attr)
+        return None
 
     def visit(body, known, owner):
         for node in scope_nodes(body):
@@ -347,10 +422,7 @@ def method_references(tree, module, defs, imports):
                     else None
                 visit(node.body, known, key)
             elif isinstance(node, ast.Attribute):
-                recv = node.value
-                key = isinstance(recv, ast.Name) and (
-                    known.get(recv.id)
-                    or class_key(recv, module, defs, imports))
+                key = receiver_class(node.value, known)
                 if key:
                     owned.update(k + (node.attr,) for k in method_owners(
                         key, node.attr, defs, imports))
@@ -488,6 +560,76 @@ def test_method_reached_through_another_class_is_dead(oracles, dead):
     assert dead_public_names(SHAPES, oracles) == (dead, [])
     assert dead_public_names(SHAPES, {"shapes.Disc.volume": ""}) == (
         ["shapes.Box.scale", "shapes.Disc.measure"], ["shapes.Disc.volume"])
+
+
+LATTICES = {
+    "": "",
+    "cli": """from .solver import Map, Operator, Problem
+
+
+def main(problem: Problem, other):
+    op = Operator()
+    return (problem.lattice.pair_sums() + op.lattice.matvec()
+            + op.stencil.norm() + other.scale() + Map().scale())
+
+
+main(Problem(), Map())
+""",
+    "solver": """from functools import cached_property
+
+
+class Lattice:
+    def pair_sums(self):
+        return 1.0
+
+    def matvec(self):
+        return 2.0
+
+
+class Stencil:
+    def norm(self):
+        return 3.0
+
+
+class Map:
+    def matvec(self):
+        return 4.0
+
+    def pair_sums(self):
+        return 5.0
+
+    def norm(self):
+        return 6.0
+
+    def scale(self):
+        return 7.0
+
+
+class Problem:
+    @cached_property
+    def lattice(self):
+        return Lattice()
+
+
+class Operator:
+    lattice: Lattice
+
+    def __init__(self):
+        self.lattice, self.size = Lattice(), 1.0
+        self.stencil = Stencil()
+""",
+}
+
+
+def test_method_reached_through_a_known_attribute_is_owned():
+    """A method read through an attribute whose class is known counts for
+    that class only: ``Problem.lattice`` is a ``cached_property`` returning
+    a ``Lattice``, ``Operator.lattice`` is annotated ``Lattice`` and
+    ``Operator.stencil`` is bound to ``Stencil()`` in ``__init__``.  So the
+    same-named methods of ``Map`` are dead; ``Map.scale`` is also read
+    through a receiver of unknown class, so it stays live."""
+    assert dead_public_names(LATTICES, {}) == (
+        ["solver.Map.matvec", "solver.Map.pair_sums", "solver.Map.norm"], [])
 
 
 def test_cli_reads_no_private_attribute():
