@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import PreconditionError
-from .envelope import contact_set, default_contact_tol
+from .envelope import contact_set
 from .geometry import theta_half_widths
 from .profile import AnisotropyProfile
 
@@ -228,9 +228,7 @@ def abp_cover(u, f, profile, env, mc_samples, seed):
     properties until all pass or the depth cap trips (CoverDepthError
     with the offending chain).  Each rectangle carries its record.
     """
-    pts, _ = contact_set(u, env, default_contact_tol(u, env))
-    inside = np.linalg.norm(np.atleast_2d(pts), axis=1) <= 1.0 + 1e-9
-    pts = np.atleast_2d(pts)[inside]
+    pts, _ = contact_set(u, env)
     if pts.shape[0] == 0:
         return AbpCover([], pts)
 

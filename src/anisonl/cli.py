@@ -322,11 +322,11 @@ def _cap_envelope(profile, shape):
 def _cmd_envelope(profile, quad, params, seed):
     from .envelope import contact_set, default_contact_tol
     u, env = _cap_envelope(profile, int(params.get("grid", 129)))
-    tol = default_contact_tol(u, env)
-    pts, degenerate = contact_set(u, env, tol)
+    pts, degenerate = contact_set(u, env)
     planes = env.supporting_planes()
     summary = {"contact_points": len(pts), "degenerate": degenerate,
-               "contact_tol": tol, "n_planes": int(planes.shape[0]),
+               "contact_tol": default_contact_tol(u, env),
+               "n_planes": int(planes.shape[0]),
                "lipschitz": env.lipschitz()}
     rows = [tuple(p) for p in planes]
     cols = tuple(f"plane_c{i}" for i in range(planes.shape[1] if planes.size

@@ -77,16 +77,18 @@ def _legendre(f, xs, ts):
 
 class GridEnvelope:
     """Gamma_D of a grid field's samples over B_3 (see the module text):
-    the sample lattice ``axes`` of spacing ``h`` and ``samples`` (-inf
-    outside B_3), the slope grid ``slopes`` (one per axis) of spacing
-    ``step``, u* and the maximiser of each slope, Gamma_D on the lattice
-    and the active planes."""
+    the sample lattice ``axes``, u's own extended (``first``: u's index of
+    its first point per axis), ``samples`` (-inf outside B_3), the slope
+    grid ``slopes`` (one per axis) of spacing ``step``, u* and the
+    maximiser of each slope, Gamma_D on the lattice and the active
+    planes."""
 
     def __init__(self, u):
-        self.h = u.h
-        self.axes = [lo + h * np.arange(math.ceil((-3.0 - lo) / h - 1e-9),
-                                        math.floor((3.0 - lo) / h + 1e-9) + 1)
-                     for lo, h in zip(u.lo, u.h)]
+        self.first = [math.ceil((-3.0 - lo) / h - 1e-9)
+                      for lo, h in zip(u.lo, u.h)]
+        last = [math.floor((3.0 - lo) / h + 1e-9) for lo, h in zip(u.lo, u.h)]
+        self.axes = [lo + h * np.arange(k, j + 1)
+                     for lo, h, k, j in zip(u.lo, u.h, self.first, last)]
         grid = np.ix_(*self.axes)
         r2 = sum(g ** 2 for g in grid)
         self.ball, unit = r2 <= 9.0, r2 <= 1.0
@@ -121,20 +123,14 @@ class GridEnvelope:
         self.lifted = self.samples[tuple(arg_y)] > 0.0
 
     def eval(self, pts):
-        """Gamma_D at the rows of ``pts``: read from the lattice at a sample,
-        the minimum of the active planes elsewhere in B_3, zero outside."""
+        """Gamma_D at the rows of ``pts``: the minimum of the active planes
+        in B_3 (``values`` up to round-off at a sample), zero outside."""
         q = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros(q.shape[0])
-        inside = np.sum(q ** 2, axis=1) <= 9.0
-        t = (q - [ax[0] for ax in self.axes]) / self.h
-        k = np.rint(t)
-        on = inside & np.all((np.abs(t - k) <= 1e-9) & (k >= 0)
-                             & (k < self.values.shape), axis=1)
-        out[on] = self.values[tuple(k[on].astype(np.intp).T)]
-        off = np.flatnonzero(inside & ~on)
+        inside = np.flatnonzero(np.sum(q ** 2, axis=1) <= 9.0)
         rows = max(1, 2 ** 22 // len(self.planes))
-        for s in range(0, off.size, rows):
-            block = off[s:s + rows]
+        for s in range(0, inside.size, rows):
+            block = inside[s:s + rows]
             out[block] = np.min(q[block] @ self.planes[:, :-1].T
                                 + self.planes[:, -1], axis=1)
         return np.maximum(out, 0.0)
@@ -183,21 +179,24 @@ def concave_envelope(u):
     return GridEnvelope(u)
 
 
-def contact_set(u, env, tol):
-    """Grid points of B_3 where the envelope touches u (within tol).
+def contact_set(u, env):
+    """u's lattice points in B_1 where Gamma_D - u <= default_contact_tol,
+    both read off their lattices (u's points are samples of ``env``'s).
 
-    Returns (points, degenerate): degenerate flags the everything-touches
-    case (u identically equal to its envelope on the sampled ball).
+    Returns (points, degenerate): degenerate when every lattice point of
+    B_1 touches.
     """
-    if tol <= 0:
-        raise ValueError("contact tolerance must be positive")
-    pts = u.grid_points()
-    r = np.linalg.norm(pts, axis=1)
-    keep = r <= 3.0
-    pts = pts[keep]
-    gap = env.eval(pts) - u.eval(pts)
-    mask = gap <= tol
-    return pts[mask], bool(mask.all())
+    tol = default_contact_tol(u, env)
+    axes = u.axes()
+    # per axis, the lattice indices within [-1, 1]
+    near = [np.flatnonzero(np.abs(ax) <= 1.0 + 1e-9) for ax in axes]
+    sub = [ax[k] for ax, k in zip(axes, near)]
+    ball = np.sqrt(sum(g ** 2 for g in np.ix_(*sub))) <= 1.0 + 1e-9
+    gap = (env.values[np.ix_(*[k - f for k, f in zip(near, env.first)])]
+           - u.values[np.ix_(*near)])
+    touch = ball & (gap <= tol)
+    pts = np.column_stack([x[k] for x, k in zip(sub, np.nonzero(touch))])
+    return pts, bool(touch[ball].all())
 
 
 def default_contact_tol(u, env):

@@ -759,6 +759,40 @@ def test_harnack_2d_frozen(tmp_path):
     assert results["sup_b_half"] == 1.1729376195447103
 
 
+@pytest.mark.parametrize("profile, expected", [
+    ({"n": 1, "sigma": [1.0]},
+     {"contact_points": 11, "n_planes": 11, "lipschitz": 0.328125,
+      "contact_tol": 0.0205078125}),
+    ({"n": 2, "sigma": [1.0, 1.5]},
+     {"contact_points": 109, "n_planes": 225,
+      "lipschitz": 0.338020432074749,
+      "contact_tol": 0.021126277004671814}),
+], ids=["1d", "2d"])
+def test_envelope_default_frozen(tmp_path, profile, expected):
+    """envelope at its default grid 129: the recorded contact count,
+    plane count, Lipschitz bound and contact tolerance, exactly."""
+    cfg = write_config(tmp_path, {"command": "envelope", "profile": profile})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert {k: results[k] for k in expected} == expected
+    assert results["degenerate"] is False
+
+
+def test_abp_cover_2d_frozen(tmp_path):
+    """2D abp-cover at sigma = (1, 1.5), rho0 0.05, frak_c 2 and the
+    default grid 65: the recorded cover and constants, exactly."""
+    cfg = write_config(tmp_path, {
+        "command": "abp-cover",
+        "profile": {"n": 2, "sigma": [1.0, 1.5], "rho0": 0.05, "frak_c": 2}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["n_rectangles"] == len(results["rectangles"]) == 24
+    assert results["varsigma_measured"] == 4.0
+    assert results["grad_constant_measured"] == 0.36414518693060827
+    assert results["sup_u_bound_sum"] == 13.387517328161152
+    assert results["passed"] is True
+
+
 @pytest.mark.parametrize("profile", [
     SMALL_CONFIGS["abp-cover"]["profile"], P1])
 def test_abp_cover_without_rectangle_is_null(tmp_path, capsys, profile):

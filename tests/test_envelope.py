@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anisonl.envelope import (concave_envelope, contact_set,
-                              default_contact_tol)
+from anisonl.abp import abp_cover
+from anisonl.envelope import concave_envelope, contact_set
 from anisonl.fields import GridField
+from anisonl.profile import AnisotropyProfile
 from hulls import (ConcaveEnvelope1D, ConcaveEnvelope2D, cell_tube,
                    lattice_hull)
 
@@ -42,7 +43,7 @@ def test_tent_envelope_two_lines():
     assert np.allclose(hull.vx, [-3.0, 0.0, 3.0])
     assert np.allclose(hull.vy, [0.0, 1.0, 0.0])
     assert np.allclose(hull.slopes, [1.0 / 3.0, -1.0 / 3.0])
-    gap = env.eval(pts) - (1.0 - np.abs(pts[:, 0]) / 3.0)
+    gap = env.values[env.ball] - (1.0 - np.abs(pts[:, 0]) / 3.0)
     assert np.all(gap >= -1e-12) and np.all(gap <= 3.0 * env.step + 1e-12)
     assert env.lipschitz() == pytest.approx(1.0 / 3.0, abs=env.step)
     planes = env.supporting_planes()
@@ -52,21 +53,20 @@ def test_tent_envelope_two_lines():
 def test_tent_contact_is_origin():
     u = tent_field()
     env = concave_envelope(u)
-    pts, degen = contact_set(u, env, default_contact_tol(u, env))
-    inner = pts[np.abs(pts[:, 0]) <= 1.0]
+    pts, degen = contact_set(u, env)
     assert not degen
     # the peak is in the set; the tolerance may admit its direct neighbours
-    assert np.min(np.abs(inner[:, 0])) == pytest.approx(0.0)
-    assert np.max(np.abs(inner[:, 0])) <= 2.0 * float(u.h[0]) + 1e-12
+    assert np.min(np.abs(pts[:, 0])) == pytest.approx(0.0)
+    assert np.max(np.abs(pts[:, 0])) <= 2.0 * float(u.h[0]) + 1e-12
 
 
 def test_shifted_tent_contact():
     u = tent_field(peak=0.3, steep=2.0, shape=401)
     env = concave_envelope(u)
-    pts, _ = contact_set(u, env, default_contact_tol(u, env))
-    inner = pts[np.abs(pts[:, 0]) <= 1.0]
-    assert inner.shape[0] >= 1
-    assert np.min(np.abs(inner[:, 0] - 0.3)) < 1e-9
+    pts, _ = contact_set(u, env)
+    assert pts.shape[0] >= 1
+    assert np.all(np.abs(pts[:, 0]) <= 1.0 + 1e-9)
+    assert np.min(np.abs(pts[:, 0] - 0.3)) < 1e-9
 
 
 def test_nonpositive_field_gives_zero_envelope():
@@ -255,7 +255,7 @@ def test_grid_envelope_brackets_the_lattice_hull(kind, n, arg):
     ds, with Gamma the exact hull of the same lattice samples."""
     env = concave_envelope(_oracle_field(kind, n, arg))
     hull, pts = lattice_hull(env)
-    gap = env.eval(pts) - hull.eval(pts)
+    gap = env.values[env.ball] - hull.eval(pts)
     assert gap.min() >= -1e-12
     assert gap.max() <= 3.0 * math.sqrt(n) * env.step + 1e-12
 
@@ -290,12 +290,17 @@ def test_grad_image_matches_hull_at_two_nested_levels(kind, n, arg):
             assert abs(measured - exact) <= band + 1e-12
 
 
+def _cap_3d(grid):
+    u = GridField.from_function(_cap, [-2.0] * 3, [2.0] * 3, (grid,) * 3,
+                                0.0)
+    return u, concave_envelope(u)
+
+
 def test_cap_envelope_in_three_dimensions():
     """The radial cap's envelope over B_3 is a cone off the cap at slope
     0.338 (the tangent from the rim |x| = 3): its gradient image over B_1
     is the ball of that radius."""
-    u = GridField.from_function(_cap, [-2.0] * 3, [2.0] * 3, (33,) * 3, 0.0)
-    env = concave_envelope(u)
+    _, env = _cap_3d(33)
     r0 = 3.0 - math.sqrt(9.0 - 0.5)     # tangent point: 2 r^2 - 12 r + 1
     lip = 4.0 * r0
     assert env.eval(np.zeros((1, 3)))[0] == pytest.approx(1.0)
@@ -303,9 +308,7 @@ def test_cap_envelope_in_three_dimensions():
     ball = 4.0 / 3.0 * math.pi * lip ** 3
     assert env.grad_image_measure([-1.0] * 3, [1.0] * 3) \
         == pytest.approx(ball, rel=0.05)
-    pts = u.grid_points()
-    pts = pts[np.linalg.norm(pts, axis=1) <= 3.0]
-    assert np.all(env.eval(pts) >= u.eval(pts) - 1e-12)
+    assert np.all(env.values[env.ball] >= env.samples[env.ball] - 1e-12)
 
 
 def test_envelope_memory_is_not_slopes_times_samples():
@@ -325,8 +328,38 @@ def test_contact_degenerate_flag():
     u = GridField.from_function(lambda p: 0.0 * p[:, 0], [-4.0], [4.0],
                                 (65,), 0.0)
     env = concave_envelope(u)
-    pts, degen = contact_set(u, env, 1e-9)
-    assert degen and pts.shape[0] > 0
+    pts, degen = contact_set(u, env)
+    # every lattice point of B_1 touches, and only those are returned
+    assert degen and pts.shape[0] == 17
+    assert np.all(np.abs(pts[:, 0]) <= 1.0)
+
+
+def test_contact_set_is_the_cover_contact_set_in_three_dimensions():
+    """In 3D the box [-2, 2]^3 reaches radius 3.46, where Gamma_D and u
+    are both about 0: the contact set still holds B_1's lattice points
+    only, the set the ABP cover covers."""
+    u, env = _cap_3d(33)
+    pts, degen = contact_set(u, env)
+    assert not degen and pts.shape == (57, 3)
+    assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-9)
+    f = GridField.from_function(lambda p: np.full(p.shape[0], 8.0),
+                                [-2.0] * 3, [2.0] * 3, (5,) * 3, 8.0)
+    prof = AnisotropyProfile(3, (1.0, 1.5, 1.2), rho0=0.05, frak_c=2)
+    cover = abp_cover(u, f, prof, env, mc_samples=100, seed=0)
+    assert np.array_equal(cover.contact_points, pts)
+
+
+def test_contact_set_memory_is_below_the_field():
+    """The contact set reads Gamma_D - u off the two lattices in B_1: no
+    temporary of all lattice points, let alone (points x dimension)."""
+    u, env = _cap_3d(65)
+    tracemalloc.start()
+    try:
+        contact_set(u, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.values.nbytes
 
 
 def test_envelope_preconditions():
@@ -341,10 +374,6 @@ def test_envelope_preconditions():
     assert np.all(zero.eval(cube.grid_points()) == 0.0)
     assert zero.lipschitz() == 0.0
     assert zero.grad_image_measure([-1.0] * 3, [1.0] * 3) == 0.0
-    u = tent_field()
-    env = concave_envelope(u)
-    with pytest.raises(ValueError):
-        contact_set(u, env, 0.0)
 
 
 def _annulus_points(rng, count, r_lo, r_hi):
