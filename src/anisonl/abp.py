@@ -74,13 +74,8 @@ class DegenerateTileError(CoverError):
     underflows to zero, or its lattice index leaves the exact integers."""
 
 
-def base_scale(profile):
-    """a = rho0 * 2^(-1/q_max), the top radius of the annulus sequence."""
-    return profile.rho0 * 2.0 ** (-1.0 / profile.q_max)
-
-
 def tile_half_widths(profile, gen):
-    a = base_scale(profile)
+    a = profile.radius(0)
     shrink = 2.0 ** (-profile.frak_c * (gen + 1))
     return shrink * theta_half_widths(profile, a)
 
@@ -300,7 +295,7 @@ def verify_cover(cover, profile):
     report["all_meet_contact"] = all(
         bool(r.closure_contains(pts).any()) for r in rects) if len(pts) else True
 
-    a = base_scale(profile)
+    a = profile.radius(0)
     dmax = math.sqrt(float(np.sum(a ** (2.0 / profile.exponents))))
     report["diameter_bound"] = dmax
     report["diameter_ok"] = all(r.diameter <= dmax + 1e-12 for r in rects)

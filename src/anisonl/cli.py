@@ -480,11 +480,16 @@ assert _DISPATCH.keys() == PARAMS_SCHEMA.keys()
 
 
 def config_digest(obj):
-    # hashlib loads OpenSSL, about 10 ms: imported when a command runs, so
-    # the CLI's start-up does not pay for it
-    import hashlib
+    # the built-in SHA-256, as random takes its SHA-512: hashlib maps OpenSSL
+    try:
+        from _sha2 import sha256            # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256      # CPython before 3.12
+        except ImportError:
+            from hashlib import sha256
     text = json.dumps(obj, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def run(config, out_dir=None):

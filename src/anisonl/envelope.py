@@ -78,12 +78,14 @@ def _legendre(f, xs, ts):
 class GridEnvelope:
     """Gamma_D of a grid field's samples over B_3 (see the module text):
     the sample lattice ``axes``, u's own extended (``first``: u's index of
-    its first point per axis), ``samples`` (-inf outside B_3), the slope
-    grid ``slopes`` (one per axis) of spacing ``step``, u* and the
-    maximiser of each slope, Gamma_D on the lattice and the active
-    planes."""
+    its first point per axis), ``samples`` (-inf outside B_3; u's lattice
+    values in B_1, which u's box must hold), the slope grid ``slopes`` of
+    spacing ``step``, u* and the maximiser of each slope, Gamma_D on the
+    lattice and the active planes."""
 
     def __init__(self, u):
+        if np.any(u.lo > -1.0) or np.any(u.hi < 1.0):
+            raise ValueError("the field's box must hold B_1")
         self.first = [math.ceil((-3.0 - lo) / h - 1e-9)
                       for lo, h in zip(u.lo, u.h)]
         last = [math.floor((3.0 - lo) / h + 1e-9) for lo, h in zip(u.lo, u.h)]
@@ -94,9 +96,8 @@ class GridEnvelope:
         self.ball, unit = r2 <= 9.0, r2 <= 1.0
         del r2
         self.samples = np.where(self.ball, 0.0, -np.inf)
-        pts = np.column_stack([np.broadcast_to(g, unit.shape)[unit]
-                               for g in grid])
-        self.samples[unit] = np.maximum(u.eval(pts), 0.0)
+        at = tuple(i + f for i, f in zip(np.nonzero(unit), self.first))
+        self.samples[unit] = np.maximum(u.values[at], 0.0)
 
         reach = min(h * max(1, math.floor(2.0 / h + 1e-9)) for h in u.h)
         bound = float(self.samples.max()) / reach

@@ -44,14 +44,13 @@ def _unit_cube_cells(u):
     """The values of ``u`` at its lattice cell centres and each cell's
     exact overlap with Q_1 = [-1/2,1/2]^n, which sum to |Q_1| exactly."""
     pts = u.grid_points()
-    vals = u.eval(pts)
     half = 0.5 * u.h
     overlap = np.ones(pts.shape[0])
     for d in range(pts.shape[1]):
         lo = np.maximum(pts[:, d] - half[d], -0.5)
         hi = np.minimum(pts[:, d] + half[d], 0.5)
         overlap *= np.maximum(hi - lo, 0.0)
-    return vals, overlap
+    return u.values.ravel(), overlap
 
 
 def fit_decay_exponent(ks, measures, m_level):
@@ -129,15 +128,15 @@ def harnack_quotient(u, c0, problem):
     """sup_{B_1/2} u / (u(0) + C_0), with precondition checks of the grid
     field ``u`` on the lattice of ``problem``, its exterior data included;
     a failed one raises PreconditionError, both operator checks in one."""
-    pts = u.grid_points()
-    vals = u.eval(pts)
+    vals = u.values.ravel()
     if np.min(vals) < -1e-9:
         raise PreconditionError("precondition u >= 0 fails")
-    in_half = np.linalg.norm(pts, axis=1) <= 0.5
+    radius = np.linalg.norm(problem.lattice.points, axis=1)
+    in_half = radius <= 0.5
     if not np.any(in_half):                 # B_1/2 lies in B_2: both empty
         raise PreconditionError("no lattice point in B_1/2")
     from .solver import discrete_extremal
-    in_b2 = np.linalg.norm(pts, axis=1) <= 2.0
+    in_b2 = radius <= 2.0
     mminus, mplus = discrete_extremal(problem, u)
     failed = []
     if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
@@ -147,7 +146,7 @@ def harnack_quotient(u, c0, problem):
     if failed:
         raise PreconditionError("; ".join(failed))
     sup_half = float(np.max(vals[in_half]))
-    origin = float(u.eval(np.zeros((1, pts.shape[1])))[0])
+    origin = float(u.eval(np.zeros((1, u.n)))[0])
     q = sup_half / (origin + c0)
     return ExperimentResult(
         scalars={"quotient": q, "sup_b_half": sup_half, "u0": origin,

@@ -4,8 +4,8 @@ import pytest
 from anisonl import abp
 from anisonl.abp import (CoverDepthError, CoverRectangle,
                          DegenerateTileError, _eval_rect, _tiles_for_points,
-                         abp_cover, base_scale, tile_half_widths,
-                         tilde_half_widths, verify_cover)
+                         abp_cover, tile_half_widths, tilde_half_widths,
+                         verify_cover)
 from anisonl.envelope import concave_envelope
 from anisonl.fields import AnalyticField, GridField
 from anisonl.profile import AnisotropyProfile
@@ -53,7 +53,7 @@ def flat_top_cap_field(shape=129):
 
 
 def test_tile_geometry_matches_radii(prof2):
-    a = base_scale(prof2)
+    a = prof2.radius(0)
     assert a == pytest.approx(prof2.rho0 * 2.0 ** (-1.0 / prof2.q_max))
     for gen in (0, 1, 3):
         h = tile_half_widths(prof2, gen)

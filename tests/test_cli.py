@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import functools
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -1010,15 +1011,18 @@ def test_warnings_shown_unless_invalid(tmp_path, monkeypatch, outcome, code):
 # the library runs on numpy alone; the extremal operators only in
 # barrier-verify; the solver (and the numpy.fft it uses) only where a
 # command solves; numpy.ma not on the solver path; the experiments only
-# in the commands that run one.
+# in the commands that run one; OpenSSL's _hashlib only where numpy.random
+# loads it (through secrets and hmac), since the config digest does not.
 NO_SOLVER = ["jsonschema", "scipy", "anisonl.solver", "numpy.fft"]
-SOLVER = ["jsonschema", "scipy", "anisonl.operators", "numpy.ma"]
+SOLVER = ["jsonschema", "scipy", "anisonl.operators", "numpy.ma",
+          "_hashlib"]
 CAP = NO_SOLVER + ["anisonl.operators", "numpy.ma"]
 NO_EXPERIMENT = ["anisonl.experiments"]
 IMPORT_BUDGET = {
-    "constants": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
+    "constants": NO_SOLVER + ["anisonl.operators", "_hashlib"]
+    + NO_EXPERIMENT,
     "barrier-verify": NO_SOLVER + NO_EXPERIMENT,
-    "envelope": CAP + NO_EXPERIMENT,
+    "envelope": CAP + ["_hashlib"] + NO_EXPERIMENT,
     "abp-cover": CAP + NO_EXPERIMENT,
     "cz": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "solve": SOLVER + NO_EXPERIMENT,
@@ -1086,6 +1090,17 @@ def test_no_command_loads_scipy(tmp_path, command, n):
     config = {"command": command, "profile": profile, "params": {"grid": 17}}
     code, loaded = _run_loading(tmp_path, config, ["scipy"]).split(" ", 1)
     assert code in ("0", "3") and loaded == "[]"
+
+
+@pytest.mark.parametrize("config", [
+    dict(cfg, command=command) for command, cfg in SMALL_CONFIGS.items()
+] + [{"command": "constants", "profile": {"n": 1, "sigma": [0.7]},
+      "note": "\u03c3 \u2208 (0, 2)"}], ids=list(SMALL_CONFIGS) + ["unicode"])
+def test_config_digest_is_sha256_prefix(config):
+    """The digest is the first 16 hex digits of the SHA-256 of the sorted
+    JSON text, whichever module computes it."""
+    text = json.dumps(config, sort_keys=True).encode()
+    assert cli.config_digest(config) == hashlib.sha256(text).hexdigest()[:16]
 
 
 def test_package_import_loads_no_numpy():

@@ -367,6 +367,11 @@ def test_envelope_preconditions():
                                   [-4.0], [4.0], (65,), 1.0)
     with pytest.raises(ValueError):
         concave_envelope(bad)
+    # the B_1 samples are lattice values, so the box must hold B_1
+    small = GridField.from_function(lambda p: -np.ones(p.shape[0]),
+                                    [-0.5], [4.0], (65,), -1.0)
+    with pytest.raises(ValueError, match="box must hold B_1"):
+        concave_envelope(small)
     # any dimension: a nonpositive 3D field has the zero envelope
     cube = GridField.from_function(lambda p: -np.ones(p.shape[0]),
                                    [-2.0] * 3, [2.0] * 3, (9,) * 3, -1.0)

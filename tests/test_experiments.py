@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from anisonl import PreconditionError, experiments
+from anisonl.envelope import GridEnvelope
 from anisonl.experiments import (distribution_decay, fit_decay_exponent,
                                  harnack_quotient, kernel_modulus_check,
                                  sigma_sweep)
 from anisonl.fields import CallableExterior, ConstantExterior, GridField
 from anisonl.kernels import KernelFamily, PowerLawKernel
-from anisonl.profile import isotropic
+from anisonl.profile import AnisotropyProfile, isotropic
 from lemmas import holder_estimate, point_estimate_experiment
 from anisonl.solver import DiscreteProblem, discrete_extremal, solve_dirichlet
 
@@ -195,6 +196,32 @@ def test_harnack_names_both_failed_operator_checks(iso1_ell):
         harnack_quotient(u, 0.0, field_problem(u, iso1_ell))
     assert str(err.value) == ("precondition M^- u <= C0 fails on B_2; "
                               "precondition M^+ u >= -C0 fails on B_2")
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("box, shape, sigma", [
+    (4.0, (25,), (1.0,)), (2.0, (15, 15), (1.0, 1.5))], ids=["1d", "2d"])
+def test_lattice_reads_are_the_lattice_values(seed, box, shape, sigma):
+    """On order-sweep's 1D lattice (25 points on [-4, 4]) and dirichlet-2d's
+    (15^2 on [-2, 2]^2), whose spacings are not dyadic, the decay cells,
+    the Harnack sup over B_1/2 and the envelope's B_1 samples are u's
+    lattice values bit for bit, not multilinear reads at u's own nodes."""
+    n = len(shape)
+    values = np.random.default_rng(seed).uniform(0.1, 1.0, shape)
+    u = GridField([-box] * n, [box] * n, values, ConstantExterior(0.0))
+    assert np.array_equal(experiments._unit_cube_cells(u)[0], values.ravel())
+    profile = isotropic(n, 1.0, 1.0, 2.0) if n == 1 else \
+        AnisotropyProfile(n, sigma, 1.0, 2.0)
+    res = harnack_quotient(u, 1e12, field_problem(u, profile))
+    in_half = np.linalg.norm(u.grid_points(), axis=1) <= 0.5
+    assert res.scalars["sup_b_half"] == np.max(values.ravel()[in_half])
+    env = GridEnvelope(u)
+    # u >= 0.1 in B_1 and the envelope samples are 0 in B_3 \ B_1
+    at = np.nonzero(env.samples > 0.0)
+    assert at[0].size > 0
+    assert np.array_equal(
+        env.samples[at],
+        values[tuple(i + f for i, f in zip(at, env.first))])
 
 
 def test_holder_affine_exponent_one():

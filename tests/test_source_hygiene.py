@@ -7,9 +7,10 @@ paths, every library exception is a ``PreconditionError`` that no handler
 rewraps by name, every public function, class and method of the library
 is run by a command or named as an oracle, the CLI reads no private
 attribute and raises no failed hypothesis outside ``run``, every lemma
-check in ``tests/lemmas.py`` has a test that calls it, and every
+check in ``tests/lemmas.py`` has a test that calls it, every
 defaulted parameter of the library is passed by a call in it or
-allowlisted with its reason."""
+allowlisted with its reason, and no library function evaluates a grid
+field at its own lattice points."""
 
 import ast
 import importlib
@@ -50,6 +51,11 @@ def test_every_import_is_used(name):
     assert sorted(imported_names(tree) - used) == []
 
 
+# CPython's built-in SHA-256 module, which the running interpreter's
+# sys.stdlib_module_names may not list: _sha256 up to 3.11, _sha2 from 3.12
+BUILTIN_SHA = {"_sha2", "_sha256"}
+
+
 def test_third_party_imports_are_the_dependencies():
     """The top-level modules outside the standard library that the library
     imports, at any depth, are exactly the runtime dependencies that
@@ -64,7 +70,7 @@ def test_third_party_imports_are_the_dependencies():
     pyproject = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())
     declared = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0]
                 for req in pyproject["project"]["dependencies"]}
-    assert imported - set(sys.stdlib_module_names) == declared
+    assert imported - set(sys.stdlib_module_names) - BUILTIN_SHA == declared
 
 
 def catch_all_lines(tree):
@@ -797,3 +803,69 @@ def test_every_default_is_passed_by_the_library():
     The allowlist names each exception once, and every entry still
     applies."""
     assert unpassed_defaults() == sorted(UNPASSED_DEFAULTS)
+
+
+def _grid_points_of(node):
+    """The receiver source of a ``<field>.grid_points()`` call, else None."""
+    if isinstance(node, ast.Call) and not node.args \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "grid_points":
+        return ast.unparse(node.func.value)
+    return None
+
+
+def own_lattice_evals(tree):
+    """Names of the functions that pass a field's own ``grid_points()`` to
+    that field's ``eval``, directly or through a local name: a read of the
+    field's own nodes, which its ``values`` hold exactly."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        lattice = {target.id: _grid_points_of(node.value)
+                   for node in ast.walk(func) if isinstance(node, ast.Assign)
+                   for target in node.targets
+                   if isinstance(target, ast.Name)
+                   and _grid_points_of(node.value)}
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "eval"):
+                continue
+            arg = node.args[0]
+            source = lattice.get(arg.id) if isinstance(arg, ast.Name) \
+                else _grid_points_of(arg)
+            if source == ast.unparse(node.func.value):
+                found.add(func.name)
+    return sorted(found)
+
+
+OWN_LATTICE_READS = """
+def direct(u):
+    return u.eval(u.grid_points())
+
+def named(u):
+    pts = u.grid_points()
+    return u.eval(pts)
+
+def other_field(u, w):
+    pts = w.grid_points()
+    return u.eval(pts) + u.eval(w.grid_points())
+
+def off_lattice(u):
+    return u.eval(0.5 * u.grid_points())
+"""
+
+
+def test_own_lattice_read_detector():
+    assert own_lattice_evals(ast.parse(OWN_LATTICE_READS)) == [
+        "direct", "named"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_field_is_evaluated_at_its_own_lattice(name):
+    """A grid field's own nodes are read from its ``values``: multilinear
+    interpolation there can miss the lattice value by an ulp when the
+    spacing is not a power of two."""
+    path = SOURCE / f"{name}.py"
+    assert own_lattice_evals(ast.parse(path.read_text())) == []
