@@ -14,12 +14,14 @@ Per rectangle the two measure properties are evaluated:
   detachment:     |{y in C R~_j : u >= Gamma - C_det (max f) d~_j^2}|
                     >= varsigma |R~_j|
 
-Rectangles failing either are split, up to a depth cap.  The thresholds
-C_grad and varsigma, the depth cap, C_det and the expansion constant C
-are module constants; ``verify_cover`` re-checks the cover's geometry,
-reports the measured constants and decides the verdict, ``passed``.  A
-constant an empty cover cannot measure is None beside a ``<key>_reason``
-string, never a non-finite sentinel.
+The detachment measure is |C R~_j| minus its overlap with the cells of
+u's lattice points where Gamma_D - u exceeds the slack.  Rectangles
+failing either are split, up to a depth cap.  The thresholds C_grad and
+varsigma, the depth cap, C_det and the expansion constant C are module
+constants; ``verify_cover`` re-checks the cover's geometry, reports the
+measured constants and decides the verdict, ``passed``.  A constant an
+empty cover cannot measure is None beside a ``<key>_reason`` string,
+never a non-finite sentinel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import PreconditionError
-from .envelope import contact_set
+from .envelope import contact_set, lattice_gap
 from .geometry import theta_half_widths
 from .profile import AnisotropyProfile
 
@@ -70,8 +72,8 @@ class CoverDepthError(CoverError):
 
 
 class DegenerateTileError(CoverError):
-    """A tile too small to represent: its volume or its tilde rectangle's
-    underflows to zero, or its lattice index leaves the exact integers."""
+    """A tile too small to represent: its lattice index leaves the exact
+    integers, or its C R~ is narrower than the field's lattice spacing."""
 
 
 def tile_half_widths(profile, gen):
@@ -182,7 +184,7 @@ class AbpCover:
     contact_points: np.ndarray
 
 
-def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
+def _eval_rect(u, env, f, rect, contact_pts):
     in_rect = rect.closure_contains(contact_pts)
     max_f = _max_f(f, rect, contact_pts[in_rect])
     grad_img = env.grad_image_measure(rect.lo, rect.hi)
@@ -193,15 +195,21 @@ def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
 
     t_half = EXPAND_C * rect.tilde_half
     t_vol_plain = float(np.prod(2.0 * rect.tilde_half))
-    if vol == 0.0 or t_vol_plain == 0.0:
-        raise DegenerateTileError("tile volume underflows to zero", rect.gen,
-                                  2.0 * rect.half)
-    pts = rng.uniform(rect.center - t_half, rect.center + t_half,
-                      size=(samples, rect.lo.size))
+    # at least one spacing wide: the cells resolve it, no volume underflows
+    if np.any(2.0 * t_half < u.h):
+        raise DegenerateTileError(
+            f"C R~ is narrower than the lattice spacing {np.max(u.h):.3e}",
+            rect.gen, 2.0 * rect.half)
+    lo, hi = rect.center - t_half, rect.center + t_half
+    if np.any(lo < u.lo - 0.5 * u.h) or np.any(hi > u.hi + 0.5 * u.h):
+        raise CoverError("C R~ reaches past the field's lattice cells",
+                         rect.gen, 2.0 * rect.half)
+    overlap = u.cell_overlaps(lo, hi)
+    cells = np.nonzero(overlap)
     slack = DETACH_CONSTANT * max_f * rect.tilde_diameter ** 2
-    good = u.eval(pts) >= env.eval(pts) - slack
-    frac = float(np.mean(good))
-    detach_measure = frac * float(np.prod(2.0 * t_half))
+    detached = lattice_gap(u, env, cells) > slack
+    detach_measure = (float(np.prod(2.0 * t_half))
+                      - float(np.sum(overlap[cells][detached])))
     rect.record = {
         "max_f": max_f,
         "grad_image": grad_img,
@@ -215,7 +223,7 @@ def _eval_rect(u, env, f, rect, contact_pts, samples, rng):
     return rect.record
 
 
-def abp_cover(u, f, profile, env, mc_samples, seed):
+def abp_cover(u, f, profile, env):
     """Build the disjoint rectangle family covering the contact set of
     ``u`` under its concave envelope ``env``.
 
@@ -227,13 +235,12 @@ def abp_cover(u, f, profile, env, mc_samples, seed):
     if pts.shape[0] == 0:
         return AbpCover([], pts)
 
-    rng = np.random.default_rng(seed)
     queue = [CoverRectangle(0, idx, profile)
              for idx in _tiles_for_points(profile, pts, 0)]
     final = []
     while queue:
         rect = queue.pop()
-        rec = _eval_rect(u, env, f, rect, pts, mc_samples, rng)
+        rec = _eval_rect(u, env, f, rect, pts)
         grad_ok = rec["grad_ratio"] <= GRAD_THRESHOLD
         detach_ok = rec["varsigma_ratio"] >= VARSIGMA
         if grad_ok and detach_ok:

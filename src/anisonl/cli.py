@@ -54,7 +54,7 @@ PARAMS_SCHEMA = {
     "barrier-verify": {"R": {"type": "number", "exclusiveMinimum": 1},
                        "n_points": _COUNT, "psi_points": _COUNT},
     "envelope": {"grid": _GRID},
-    "abp-cover": {"grid": _GRID, "f_const": _NUMBER, "mc_samples": _COUNT},
+    "abp-cover": {"grid": _GRID, "f_const": _NUMBER},
     "cz": {"generation": _SIZE,
            "delta": {"type": "number", "exclusiveMinimum": 0,
                      "exclusiveMaximum": 1}},
@@ -342,8 +342,7 @@ def _cmd_abp_cover(profile, quad, params, seed):
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    cover = abp_cover(u, f, profile, env,
-                      int(params.get("mc_samples", 1000)), seed)
+    cover = abp_cover(u, f, profile, env)
     report = verify_cover(cover, profile)
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)

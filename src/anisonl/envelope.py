@@ -81,7 +81,7 @@ class GridEnvelope:
     its first point per axis), ``samples`` (-inf outside B_3; u's lattice
     values in B_1, which u's box must hold), the slope grid ``slopes`` of
     spacing ``step``, u* and the maximiser of each slope, Gamma_D on the
-    lattice and the active planes."""
+    lattice (zero outside B_3) and the active planes."""
 
     def __init__(self, u):
         if np.any(u.lo > -1.0) or np.any(u.hi < 1.0):
@@ -114,6 +114,7 @@ class GridEnvelope:
         self.values, arg_s = _legendre(-self.conjugate, [self.slopes] * n,
                                        self.axes)
         self.values *= -1.0
+        self.values[~self.ball] = 0.0
         active = np.zeros(self.conjugate.shape, dtype=bool)
         active[tuple(i[self.ball] for i in arg_s)] = True
         self.gradients = np.stack(
@@ -122,19 +123,6 @@ class GridEnvelope:
                                        self.conjugate[active]])
         # slopes whose maximiser carries a positive sample
         self.lifted = self.samples[tuple(arg_y)] > 0.0
-
-    def eval(self, pts):
-        """Gamma_D at the rows of ``pts``: the minimum of the active planes
-        in B_3 (``values`` up to round-off at a sample), zero outside."""
-        q = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(q.shape[0])
-        inside = np.flatnonzero(np.sum(q ** 2, axis=1) <= 9.0)
-        rows = max(1, 2 ** 22 // len(self.planes))
-        for s in range(0, inside.size, rows):
-            block = inside[s:s + rows]
-            out[block] = np.min(q[block] @ self.planes[:, :-1].T
-                                + self.planes[:, -1], axis=1)
-        return np.maximum(out, 0.0)
 
     def lipschitz(self):
         """The largest |s| of a slope whose maximiser is positive: each
@@ -180,9 +168,20 @@ def concave_envelope(u):
     return GridEnvelope(u)
 
 
+def lattice_gap(u, env, index):
+    """Gamma_D - u at ``u.values[index]``, ``index`` a tuple of u's per-axis
+    index arrays, both read off their lattices: u's index k is ``env``'s
+    k - first, and Gamma_D is zero outside B_3, off ``env``'s lattice too."""
+    on, at = True, []
+    for k, f, ax in zip(index, env.first, env.axes):
+        on = on & (k >= f) & (k < f + len(ax))
+        at.append(np.clip(k - f, 0, len(ax) - 1))
+    return np.where(on, env.values[tuple(at)], 0.0) - u.values[index]
+
+
 def contact_set(u, env):
-    """u's lattice points in B_1 where Gamma_D - u <= default_contact_tol,
-    both read off their lattices (u's points are samples of ``env``'s).
+    """u's lattice points in B_1 where Gamma_D - u <= default_contact_tol
+    (``lattice_gap``).
 
     Returns (points, degenerate): degenerate when every lattice point of
     B_1 touches.
@@ -193,9 +192,7 @@ def contact_set(u, env):
     near = [np.flatnonzero(np.abs(ax) <= 1.0 + 1e-9) for ax in axes]
     sub = [ax[k] for ax, k in zip(axes, near)]
     ball = np.sqrt(sum(g ** 2 for g in np.ix_(*sub))) <= 1.0 + 1e-9
-    gap = (env.values[np.ix_(*[k - f for k, f in zip(near, env.first)])]
-           - u.values[np.ix_(*near)])
-    touch = ball & (gap <= tol)
+    touch = ball & (lattice_gap(u, env, np.ix_(*near)) <= tol)
     pts = np.column_stack([x[k] for x, k in zip(sub, np.nonzero(touch))])
     return pts, bool(touch[ball].all())
 

@@ -40,19 +40,6 @@ class ExperimentResult:
     passed: bool = True
 
 
-def _unit_cube_cells(u):
-    """The values of ``u`` at its lattice cell centres and each cell's
-    exact overlap with Q_1 = [-1/2,1/2]^n, which sum to |Q_1| exactly."""
-    pts = u.grid_points()
-    half = 0.5 * u.h
-    overlap = np.ones(pts.shape[0])
-    for d in range(pts.shape[1]):
-        lo = np.maximum(pts[:, d] - half[d], -0.5)
-        hi = np.minimum(pts[:, d] + half[d], 0.5)
-        overlap *= np.maximum(hi - lo, 0.0)
-    return u.values.ravel(), overlap
-
-
 def fit_decay_exponent(ks, measures, m_level):
     """Least-squares fit of log measure against k log M.
 
@@ -78,19 +65,19 @@ def distribution_decay(u, m_level, k_max):
 
     Fits log-measure against k log M by least squares over the nonzero
     entries; fewer than two nonzero levels raise PreconditionError.  The
-    field and the cell overlaps are evaluated once for all levels.
+    cell overlaps with Q_1 = [-1/2,1/2]^n are read once for all levels.
     """
     if k_max < 2:
         raise ValueError("need at least two levels to fit a decay exponent")
     result = ExperimentResult()
-    vals, overlap = _unit_cube_cells(u)
+    overlap = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
     rows = []
     for k in range(1, k_max + 1):
         try:
             t = m_level ** k
         except OverflowError:       # a level past the float range
             t = math.inf            # leaves {u > t} empty
-        rows.append((k, float(np.sum(overlap[vals > t]))))
+        rows.append((k, float(np.sum(overlap[u.values > t]))))
     result.columns = ("k", "measure")
     result.rows = rows
     eps, d_fit, resid = fit_decay_exponent([r[0] for r in rows],

@@ -120,6 +120,15 @@ class GridField:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def cell_overlaps(self, lo, hi):
+        """Each lattice point's cell, the box of half-width h/2 around it,
+        overlapped with the box [lo, hi]: an array shaped like ``values``."""
+        out = np.ones(())
+        for ax, r, a, b in zip(self.axes(), 0.5 * self.h, lo, hi):
+            side = np.minimum(ax + r, b) - np.maximum(ax - r, a)
+            out = np.multiply.outer(out, np.maximum(side, 0.0))
+        return out
+
     @property
     def sup_bound(self):
         return max(float(np.max(np.abs(self.values))), self.exterior.sup_bound)

@@ -17,7 +17,7 @@ import numpy as np
 
 from anisonl import PreconditionError
 from anisonl.abp import DegenerateTileError
-from anisonl.experiments import ExperimentResult, _unit_cube_cells
+from anisonl.experiments import ExperimentResult
 from anisonl.fields import GridField
 from anisonl.geometry import gauge, theta
 from anisonl.solver import AssembledOperator, discrete_extremal
@@ -268,8 +268,8 @@ def point_estimate_experiment(u, m_level, problem=None, eps0=None):
             failed.append("precondition M^- u <= eps0 fails")
     if failed:
         raise PreconditionError("; ".join(failed))
-    cell_vals, overlap = _unit_cube_cells(u)
-    measure = float(np.sum(overlap[cell_vals <= m_level]))
+    overlap = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
+    measure = float(np.sum(overlap[u.values <= m_level]))
     q1 = float(np.sum(overlap))
     result = ExperimentResult()
     result.scalars = {"measure": measure, "q1_measure": q1,

@@ -152,8 +152,7 @@ def test_detachment_rejects_bad_k(prof2):
 def test_cover_single_contact_instance(prof2):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=600,
-                      seed=2)
+    cover = abp_cover(u, f, prof2, concave_envelope(u))
     assert 1 <= len(cover.rectangles) <= 8
     rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
@@ -163,8 +162,7 @@ def test_cover_single_contact_instance(prof2):
 def test_cover_concave_cap_instance(prof2):
     u = flat_top_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=400,
-                      seed=3)
+    cover = abp_cover(u, f, prof2, concave_envelope(u))
     assert len(cover.rectangles) >= 10
     rep = verify_cover(cover, prof2)
     assert rep["disjoint"] and rep["contact_covered"]
@@ -176,8 +174,7 @@ def test_cover_concave_cap_instance(prof2):
 def test_cover_mixed_orders(prof2_mixed):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2_mixed, concave_envelope(u),
-                      mc_samples=400, seed=4)
+    cover = abp_cover(u, f, prof2_mixed, concave_envelope(u))
     rep = verify_cover(cover, prof2_mixed)
     assert rep["disjoint"] and rep["contact_covered"] and rep["diameter_ok"]
 
@@ -187,8 +184,7 @@ def test_cover_sup_bound_chain(prof2):
     for field_maker in (polyhedral_cap_field, flat_top_cap_field):
         u = field_maker()
         f = const_field(8.0)
-        cover = abp_cover(u, f, prof2, concave_envelope(u),
-                          mc_samples=400, seed=5)
+        cover = abp_cover(u, f, prof2, concave_envelope(u))
         rep = verify_cover(cover, prof2)
         sup_u = float(np.max(u.values))
         rhs = rep["sup_u_bound_sum"] ** (1.0 / prof2.n)
@@ -199,15 +195,16 @@ def test_cover_sup_bound_chain(prof2):
 def test_cover_depth_cap_diagnostic(monkeypatch, prof2):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    # varsigma above the geometric maximum of expand_c^n forces splits forever
+    # varsigma above the geometric maximum of expand_c^n forces splits
+    # forever; the lattice (h = 1/32) resolves C R~ down to generation 1
     monkeypatch.setattr(abp, "VARSIGMA", 5.0)
-    monkeypatch.setattr(abp, "DEPTH_CAP", 3)
+    monkeypatch.setattr(abp, "DEPTH_CAP", 1)
     with pytest.raises(CoverDepthError) as err:
-        abp_cover(u, f, prof2, concave_envelope(u), mc_samples=200, seed=6)
-    assert len(err.value.chain) == 4     # gen 0 through gen 3
-    assert err.value.gen == 3
-    assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 3))
-    assert [g for g, _ in err.value.chain] == [0, 1, 2, 3]
+        abp_cover(u, f, prof2, concave_envelope(u))
+    assert len(err.value.chain) == 2     # gen 0 and gen 1
+    assert err.value.gen == 1
+    assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 1))
+    assert [g for g, _ in err.value.chain] == [0, 1]
     # plain ints: the chain reads "gen 0 idx (2, 1)", no numpy reprs
     assert "np." not in str(err.value)
     # each link is the parent tile of the next: frak_c halvings per axis
@@ -231,8 +228,7 @@ def test_degenerate_tiles_name_generation_and_width(prof2):
     u = polyhedral_cap_field(shape=33)
     with pytest.raises(DegenerateTileError) as err:
         _eval_rect(u, concave_envelope(u), const_field(8.0),
-                   CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)),
-                   50, np.random.default_rng(0))
+                   CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)))
     assert err.value.gen == gen
 
 
@@ -255,8 +251,7 @@ def test_cover_rejects_positive_exterior(prof2):
                                   [-2.0, -2.0], [2.0, 2.0], (17, 17), 1.0)
     f = const_field(1.0)
     with pytest.raises(ValueError):
-        abp_cover(bad, f, prof2, concave_envelope(bad), mc_samples=2000,
-                  seed=0)
+        abp_cover(bad, f, prof2, concave_envelope(bad))
 
 
 def test_w_k_symmetry_on_symmetric_instance(prof2):
@@ -279,11 +274,95 @@ def test_cover_dump_json_ready(prof2):
     import json
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u), mc_samples=200,
-                      seed=9)
+    cover = abp_cover(u, f, prof2, concave_envelope(u))
     from anisonl.abp import cover_dump
     dump = cover_dump(cover)
     text = json.dumps(dump)
     back = json.loads(text)
     assert len(back) == len(cover.rectangles)
     assert all("lo" in r and "hi" in r and "record" in r for r in back)
+
+
+def cap_cover(grid, f_const, sigma=(1.0, 1.5)):
+    """The CLI's cap on a ``grid``^2 lattice over [-2, 2]^2, its envelope
+    and cover at rho0 0.05, frak_c 2 and f = ``f_const``."""
+    def cap(p):
+        return np.maximum(0.0, 1.0 - 2.0 * np.sum(p ** 2, axis=1))
+    prof = AnisotropyProfile(2, sigma, rho0=0.05, frak_c=2)
+    u = GridField.from_function(cap, [-2.0] * 2, [2.0] * 2, (grid,) * 2,
+                                0.0)
+    env = concave_envelope(u)
+    return u, env, abp_cover(u, const_field(f_const), prof, env)
+
+
+def mc_detach_measure(u, env, rect, draws, rng):
+    """|{u >= Gamma_D - slack} cap C R~| by ``draws`` uniform points of
+    C R~: u by multilinear interpolation, Gamma_D the minimum of the
+    supporting planes in B_3 and zero outside."""
+    t_half = abp.EXPAND_C * rect.tilde_half
+    slack = (abp.DETACH_CONSTANT * rect.record["max_f"]
+             * rect.tilde_diameter ** 2)
+    planes = env.supporting_planes()
+    hits = 0
+    for _ in range(draws // 10_000):
+        q = rng.uniform(rect.center - t_half, rect.center + t_half,
+                        size=(10_000, t_half.size))
+        gamma = np.min(q @ planes[:, :-1].T + planes[:, -1], axis=1)
+        gamma[np.sum(q ** 2, axis=1) > 9.0] = 0.0
+        hits += int(np.count_nonzero(u.eval(q) >= gamma - slack))
+    return hits / (draws // 10_000 * 10_000) * float(np.prod(2.0 * t_half))
+
+
+def test_detachment_node_rule_converges_to_the_sampled_measure():
+    """At f = 0.2 the slack is small and the detachment is partial.  The
+    node rule's error against 10^5 draws per C R~, as a share of its
+    volume, falls from about 1.7% (mean) and 3.7% (max) at grid 129 to
+    about 0.1% and 0.2% at grid 257, on the cover's first quadrant (the
+    cap and both lattices are symmetric under each axis flip)."""
+    rng = np.random.default_rng(11)
+    errors = {}
+    for grid in (129, 257):
+        u, env, cover = cap_cover(grid, 0.2)
+        errs = []
+        for r in cover.rectangles:
+            if np.all(r.center > 0.0):
+                vol = float(np.prod(2.0 * abp.EXPAND_C * r.tilde_half))
+                mc = mc_detach_measure(u, env, r, 100_000, rng)
+                errs.append(abs(r.record["detach_measure"] - mc) / vol)
+        assert len(errs) == 4
+        errors[grid] = np.array(errs)
+    assert errors[129].max() <= 0.05 and errors[129].mean() <= 0.025
+    assert errors[257].max() <= 0.006 and errors[257].mean() <= 0.004
+    assert errors[257].mean() <= errors[129].mean() / 4.0
+
+
+def test_all_pass_detachment_is_the_box_volume():
+    """Where every cell passes, the measure is |C R~| bit for bit."""
+    _, _, cover = cap_cover(65, 8.0)
+    assert len(cover.rectangles) == 24
+    for r in cover.rectangles:
+        box = float(np.prod(2.0 * abp.EXPAND_C * r.tilde_half))
+        assert r.record["detach_measure"] == box
+        assert r.record["varsigma_ratio"] == 4.0
+
+
+def test_detachment_refuses_a_box_the_lattice_cannot_resolve(prof2):
+    """C R~ of generation 2 is 0.0115 wide against h = 1/32 on 129^2: the
+    node rule would read one point there.  A C R~ past the cells of the
+    field's lattice has no node to read."""
+    u = polyhedral_cap_field()
+    env = concave_envelope(u)
+    f = const_field(8.0)
+    _eval_rect(u, env, f, CoverRectangle(1, (0, 0), prof2), np.zeros((1, 2)))
+    with pytest.raises(DegenerateTileError) as err:
+        _eval_rect(u, env, f, CoverRectangle(2, (0, 0), prof2),
+                   np.zeros((1, 2)))
+    assert err.value.gen == 2
+    assert str(err.value).startswith(
+        "C R~ is narrower than the lattice spacing 3.125e-02 (generation 2")
+    wide = AnisotropyProfile(1, (1.0,), rho0=10.0, frak_c=1)
+    u1 = GridField.from_function(lambda p: 0.5 - p[:, 0] ** 2, [-2.0],
+                                 [2.0], (65,), -3.5)
+    with pytest.raises(abp.CoverError, match="past the field's lattice"):
+        _eval_rect(u1, concave_envelope(u1), const_field(8.0, 1),
+                   CoverRectangle(0, (0,), wide), np.zeros((1, 1)))

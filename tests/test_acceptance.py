@@ -232,8 +232,7 @@ def test_acceptance_5_abp():
     ok = True
     details = []
     for i, (u, pp) in enumerate(instances):
-        cover = abp_cover(u, f_const(8.0), pp, concave_envelope(u),
-                          mc_samples=500, seed=i)
+        cover = abp_cover(u, f_const(8.0), pp, concave_envelope(u))
         rep = verify_cover(cover, pp)
         good = (rep["disjoint"] and rep["contact_covered"]
                 and rep["all_meet_contact"] and rep["diameter_ok"])

@@ -117,7 +117,7 @@ def test_abp_cover_command(tmp_path):
     cfg = write_config(tmp_path, {
         "command": "abp-cover",
         "profile": {"n": 2, "sigma": [1.0, 1.0], "rho0": 0.05, "frak_c": 2},
-        "params": {"grid": 65, "mc_samples": 400},
+        "params": {"grid": 65},
     })
     out = str(tmp_path / "abp")
     assert main(["--config", cfg, "--out", out]) == 0
@@ -363,7 +363,7 @@ SMALL_CONFIGS = {
     "envelope": {"profile": P1, "params": {"grid": 33}},
     "abp-cover": {"profile": {"n": 2, "sigma": [1.0, 1.0], "rho0": 0.05,
                               "frak_c": 2},
-                  "params": {"grid": 33, "mc_samples": 200}},
+                  "params": {"grid": 33}},
     "cz": {"profile": P2, "seed": 5, "params": {"generation": 3}},
     "solve": {"profile": P1, "params": SMALL_SOLVE},
     "harnack": {"profile": P1, "params": SMALL_SOLVE},
@@ -828,9 +828,9 @@ def test_cap_outside_unit_ball_exit_3(tmp_path, capsys, command):
     # narrower than 1e-18
     (P2, {"grid": 33}),
     (dict(P2, rho0=0.05), {"grid": 33}),
-    # frak_c 3: tile indices leave the exact integers at generation 17
+    # frak_c 3: C R~ is narrower than the lattice spacing at generation 0
     ({"n": 2, "sigma": [1.5, 1.5], "rho0": 0.05, "frak_c": 3},
-     {"grid": 33, "mc_samples": 200}),
+     {"grid": 33}),
 ], ids=["defaults", "rho0", "frak_c-3"])
 def test_abp_cover_degenerate_tiles_exit_3(tmp_path, capsys, profile,
                                            params):
@@ -845,6 +845,30 @@ def test_abp_cover_degenerate_tiles_exit_3(tmp_path, capsys, profile,
     assert "tile width" in results["invalid"]
     assert "passed" not in results
     assert capsys.readouterr().err == ""
+
+
+def test_abp_cover_refuses_what_the_lattice_cannot_resolve(tmp_path, capsys):
+    """At frak_c 3 the generation-0 C R~ is 0.0531 wide against the grid-33
+    spacing 0.125: the lattice holds no node to tell its cells apart."""
+    cfg = write_config(tmp_path, {
+        "command": "abp-cover",
+        "profile": {"n": 2, "sigma": [1.5, 1.5], "rho0": 0.05, "frak_c": 3},
+        "params": {"grid": 33}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["invalid"] == (
+        "C R~ is narrower than the lattice spacing 1.250e-01 (generation 0, "
+        "tile width 2.656e-02, 2.656e-02)")
+    assert capsys.readouterr().err == ""
+
+
+def test_abp_cover_mc_samples_exit_2(tmp_path, capsys):
+    """The detachment is read off the lattice: no sample count to set."""
+    detail = _schema_exit_2(tmp_path, capsys, dict(
+        SMALL_CONFIGS["abp-cover"], command="abp-cover",
+        params={"grid": 33, "mc_samples": 200}), ["params"])
+    assert detail["detail"] == ("Additional properties are not allowed "
+                                "('mc_samples' was unexpected)")
 
 
 def test_abp_cover_depth_cap_exit_3(tmp_path, capsys, monkeypatch):
@@ -1011,8 +1035,9 @@ def test_warnings_shown_unless_invalid(tmp_path, monkeypatch, outcome, code):
 # the library runs on numpy alone; the extremal operators only in
 # barrier-verify; the solver (and the numpy.fft it uses) only where a
 # command solves; numpy.ma not on the solver path; the experiments only
-# in the commands that run one; OpenSSL's _hashlib only where numpy.random
-# loads it (through secrets and hmac), since the config digest does not.
+# in the commands that run one; numpy.random only where a command draws,
+# and OpenSSL's _hashlib only where numpy.random loads it (through secrets
+# and hmac), since the config digest does not.
 NO_SOLVER = ["jsonschema", "scipy", "anisonl.solver", "numpy.fft"]
 SOLVER = ["jsonschema", "scipy", "anisonl.operators", "numpy.ma",
           "_hashlib"]
@@ -1023,7 +1048,7 @@ IMPORT_BUDGET = {
     + NO_EXPERIMENT,
     "barrier-verify": NO_SOLVER + NO_EXPERIMENT,
     "envelope": CAP + ["_hashlib"] + NO_EXPERIMENT,
-    "abp-cover": CAP + NO_EXPERIMENT,
+    "abp-cover": CAP + ["numpy.random", "_hashlib"] + NO_EXPERIMENT,
     "cz": NO_SOLVER + ["anisonl.operators"] + NO_EXPERIMENT,
     "solve": SOLVER + NO_EXPERIMENT,
     "harnack": SOLVER,
@@ -1070,7 +1095,7 @@ P2_EQUAL = {"n": 2, "sigma": [1.0, 1.0], "lambda_lo": 1.0, "lambda_hi": 2.0}
       "params": {"c0": 100.0}}, 0),
     ({"command": "abp-cover",
       "profile": {"n": 1, "sigma": [1.0], "rho0": 0.05, "frak_c": 2},
-      "params": {"grid": 33, "mc_samples": 200}}, 0),
+      "params": {"grid": 65}}, 0),
 ], ids=["solve-2d", "harnack-2d", "sweep-2d", "barrier-verify-2d",
         "kernel-check-2d", "abp-cover-1d"])
 def test_equal_orders_and_1d_hulls_load_no_scipy(tmp_path, config, code):
@@ -1364,6 +1389,7 @@ SINGLE_VIOLATIONS = [
 ] + [_with(VALID, "quadrature", {k: v})
      for k, schema in QUADRATURE_SCHEMA.items()
      for v in [None] + [value for value, _ in _bad_values(schema)]]
+ABP = dict(SMALL_CONFIGS["abp-cover"], command="abp-cover")
 MULTI_VIOLATIONS = [
     {},
     {"command": 1, "profile": {"n": True, "sigma": [0.0, 2.0, "x"]}},
@@ -1380,7 +1406,12 @@ MULTI_VIOLATIONS = [
     _with(VALID, "params", {"b": 1, "a": 2}),
     _with(dict(SMALL_CONFIGS["solve"], command="solve"), "params",
           {"gird": 1, "tolerance": "x"}),
-]
+] + [
+    # the retired detachment sample count, alone and beside other faults
+    _with(ABP, "params", params) for params in (
+        {"grid": 33, "mc_samples": 200}, {"mc_samples": None},
+        {"grid": 1, "mc_samples": 200}, {"f_const": "x", "mc_samples": 0})
+] + [_with(_with(ABP, "params", "mc_samples", 200), "seed", -1)]
 
 
 @functools.cache

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisonl.abp import abp_cover
-from anisonl.envelope import concave_envelope, contact_set
+from anisonl.envelope import concave_envelope, contact_set, lattice_gap
 from anisonl.fields import GridField
 from anisonl.profile import AnisotropyProfile
 from hulls import (ConcaveEnvelope1D, ConcaveEnvelope2D, cell_tube,
@@ -73,12 +73,11 @@ def test_nonpositive_field_gives_zero_envelope():
     u = GridField.from_function(lambda p: -1.0 - p[:, 0] ** 2,
                                 [-4.0], [4.0], (129,), -1.0)
     env = concave_envelope(u)
-    q = np.linspace(-3, 3, 101)[:, None]
-    assert np.allclose(env.eval(q), 0.0)
+    assert np.allclose(env.values[env.ball], 0.0)
     u2 = GridField.from_function(lambda p: -1.0 - np.sum(p ** 2, axis=1),
                                  [-4.0, -4.0], [4.0, 4.0], (33, 33), -1.0)
     env2 = concave_envelope(u2)
-    assert np.allclose(env2.eval(np.zeros((1, 2))), 0.0)
+    assert np.allclose(env2.values[env2.ball], 0.0)
 
 
 def test_envelope_matches_exhaustive_hull_oracle(rng):
@@ -105,8 +104,7 @@ def test_concave_samples_reproduced_exactly(rng):
 def test_idempotence_1d(rng):
     u = tent_field(steep=2.0)
     env = concave_envelope(u)
-    xs = np.linspace(-3.0, 3.0, 201)
-    vals = env.eval(xs[:, None])
+    xs, vals = env.axes[0][env.ball], env.values[env.ball]
     env2 = ConcaveEnvelope1D.from_samples(xs, vals)
     assert np.allclose(env2.eval(xs[:, None]), vals, atol=1e-12)
 
@@ -303,7 +301,8 @@ def test_cap_envelope_in_three_dimensions():
     _, env = _cap_3d(33)
     r0 = 3.0 - math.sqrt(9.0 - 0.5)     # tangent point: 2 r^2 - 12 r + 1
     lip = 4.0 * r0
-    assert env.eval(np.zeros((1, 3)))[0] == pytest.approx(1.0)
+    origin = tuple(np.argmin(np.abs(ax)) for ax in env.axes)
+    assert env.values[origin] == pytest.approx(1.0)
     assert lip - math.sqrt(3) * env.step <= env.lipschitz() <= lip
     ball = 4.0 / 3.0 * math.pi * lip ** 3
     assert env.grad_image_measure([-1.0] * 3, [1.0] * 3) \
@@ -345,8 +344,23 @@ def test_contact_set_is_the_cover_contact_set_in_three_dimensions():
     f = GridField.from_function(lambda p: np.full(p.shape[0], 8.0),
                                 [-2.0] * 3, [2.0] * 3, (5,) * 3, 8.0)
     prof = AnisotropyProfile(3, (1.0, 1.5, 1.2), rho0=0.05, frak_c=2)
-    cover = abp_cover(u, f, prof, env, mc_samples=100, seed=0)
+    cover = abp_cover(u, f, prof, env)
     assert np.array_equal(cover.contact_points, pts)
+
+
+def test_lattice_gap_beyond_the_envelope_lattice():
+    """Gamma_D is zero outside B_3: u's lattice points on [-4, 4] past the
+    envelope's lattice over [-3, 3] read Gamma_D - u = -u, not a value
+    of the envelope's lattice found by a wrapped index."""
+    u = GridField.from_function(lambda p: 1.0 - p[:, 0] ** 2, [-4.0], [4.0],
+                                (65,), -15.0)
+    env = concave_envelope(u)
+    gap = lattice_gap(u, env, (np.arange(65),))
+    far = np.abs(u.axes()[0]) > 3.0
+    assert np.count_nonzero(far) == 16
+    assert np.array_equal(gap[far], -u.values[far])
+    inner = np.abs(u.axes()[0]) <= 1.0
+    assert np.all(gap[inner] >= -1e-12)
 
 
 def test_contact_set_memory_is_below_the_field():
@@ -376,7 +390,7 @@ def test_envelope_preconditions():
     cube = GridField.from_function(lambda p: -np.ones(p.shape[0]),
                                    [-2.0] * 3, [2.0] * 3, (9,) * 3, -1.0)
     zero = concave_envelope(cube)
-    assert np.all(zero.eval(cube.grid_points()) == 0.0)
+    assert np.all(zero.values[zero.ball] == 0.0)
     assert zero.lipschitz() == 0.0
     assert zero.grad_image_measure([-1.0] * 3, [1.0] * 3) == 0.0
 

@@ -209,7 +209,13 @@ def test_lattice_reads_are_the_lattice_values(seed, box, shape, sigma):
     n = len(shape)
     values = np.random.default_rng(seed).uniform(0.1, 1.0, shape)
     u = GridField([-box] * n, [box] * n, values, ConstantExterior(0.0))
-    assert np.array_equal(experiments._unit_cube_cells(u)[0], values.ravel())
+    # each level's measure sums the cell overlaps with Q_1 of u's values
+    pts, half = u.grid_points(), 0.5 * u.h
+    cells = np.prod(np.maximum(np.minimum(pts + half, 0.5)
+                               - np.maximum(pts - half, -0.5), 0.0), axis=1)
+    levels = [0.8 ** k for k in (1, 2, 3)]
+    assert [m for _, m in distribution_decay(u, 0.8, 3).rows] == [
+        float(np.sum(cells[values.ravel() > t])) for t in levels]
     profile = isotropic(n, 1.0, 1.0, 2.0) if n == 1 else \
         AnisotropyProfile(n, sigma, 1.0, 2.0)
     res = harnack_quotient(u, 1e12, field_problem(u, profile))

@@ -869,3 +869,72 @@ def test_no_field_is_evaluated_at_its_own_lattice(name):
     spacing is not a power of two."""
     path = SOURCE / f"{name}.py"
     assert own_lattice_evals(ast.parse(path.read_text())) == []
+
+
+# the library's random draws, each with the ROADMAP item that retires it
+# (item 19 lists them all)
+RANDOM_DRAWS = {
+    "quadrature._shell_rng": 14,
+    "barriers.annulus_points": 16,
+    "cli._cmd_cz": 6,
+    "fields.estimate_c11_many": 9,
+    "experiments.kernel_modulus_check": 19,
+}
+
+
+def random_reads(tree, module):
+    """``module.function`` of each function whose body names ``random``
+    (``np.random``, ``rng.random``, an import of it), or ``module`` for
+    such a name outside every function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or f"{module}.{child.name}")
+                continue
+            names = []
+            if isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [
+                    a.name for a in child.names]
+            if any("random" in n.split(".") for n in names):
+                found.add(owner or module)
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+RANDOM_READS = """
+import numpy as np
+from numpy.random import default_rng
+
+def seeded(k):
+    return np.random.default_rng(k).normal()
+
+def drawn(rng):
+    def inner():
+        return rng.random()
+    return inner
+
+def plain(x):
+    return x + 1
+"""
+
+
+def test_random_read_detector():
+    assert random_reads(ast.parse(RANDOM_READS), "m") == [
+        "m", "m.drawn", "m.seeded"]
+
+
+def test_random_draws_are_the_allowlist():
+    """Each draw left in the library is allowlisted with the item that
+    retires it; the ABP detachment, read off the lattice, draws none."""
+    found = sorted(set().union(*(
+        random_reads(ast.parse((SOURCE / f"{name}.py").read_text()), name)
+        for name in MODULES)))
+    assert found == sorted(RANDOM_DRAWS)
