@@ -204,12 +204,11 @@ def _eval_rect(u, env, f, rect, contact_pts):
     if np.any(lo < u.lo - 0.5 * u.h) or np.any(hi > u.hi + 0.5 * u.h):
         raise CoverError("C R~ reaches past the field's lattice cells",
                          rect.gen, 2.0 * rect.half)
-    overlap = u.cell_overlaps(lo, hi)
-    cells = np.nonzero(overlap)
+    overlap, block = u.cell_overlaps(lo, hi)
     slack = DETACH_CONSTANT * max_f * rect.tilde_diameter ** 2
-    detached = lattice_gap(u, env, cells) > slack
+    detached = lattice_gap(u, env, block) > slack
     detach_measure = (float(np.prod(2.0 * t_half))
-                      - float(np.sum(overlap[cells][detached])))
+                      - float(np.sum(overlap[detached])))
     rect.record = {
         "max_f": max_f,
         "grad_image": grad_img,

@@ -80,8 +80,9 @@ class GridEnvelope:
     the sample lattice ``axes``, u's own extended (``first``: u's index of
     its first point per axis), ``samples`` (-inf outside B_3; u's lattice
     values in B_1, which u's box must hold), the slope grid ``slopes`` of
-    spacing ``step``, u* and the maximiser of each slope, Gamma_D on the
-    lattice (zero outside B_3) and the active planes."""
+    spacing ``step``, u* and the maximiser of each slope (its flat index
+    into ``samples``), Gamma_D on the lattice (zero outside B_3) and the
+    active planes."""
 
     def __init__(self, u):
         if np.any(u.lo > -1.0) or np.any(u.hi < 1.0):
@@ -108,8 +109,10 @@ class GridEnvelope:
         n = u.n
         self.conjugate, arg_y = _legendre(self.samples, self.axes,
                                           [self.slopes] * n)
-        self.maximisers = np.stack(
-            [ax[i] for ax, i in zip(self.axes, arg_y)], axis=-1)
+        self.maximisers = np.ravel_multi_index(tuple(arg_y),
+                                               self.samples.shape)
+        # sorted once for every gradient-image count
+        self._sorted_maximisers = np.sort(self.maximisers, axis=None)
         # max_s (-u*(s) - s.x) = -Gamma_D(x), with the argmin plane at x
         self.values, arg_s = _legendre(-self.conjugate, [self.slopes] * n,
                                        self.axes)
@@ -133,11 +136,22 @@ class GridEnvelope:
 
     def grad_image_measure(self, lo, hi):
         """step^n times the count of slopes whose maximiser lies in the
-        closed rectangle [lo, hi]."""
-        y = self.maximisers
-        hit = np.all((y >= np.asarray(lo) - 1e-12)
-                     & (y <= np.asarray(hi) + 1e-12), axis=-1)
-        return float(np.count_nonzero(hit)) * self.step ** y.shape[-1]
+        closed rectangle [lo, hi] (to 1e-12).  Its lattice points span one
+        index range per axis, so they are one run of flat indices along the
+        last axis per index of the others, each counted in the sorted
+        maximisers."""
+        a = [np.searchsorted(ax, x - 1e-12) for ax, x in zip(self.axes, lo)]
+        b = [np.searchsorted(ax, x + 1e-12, "right")
+             for ax, x in zip(self.axes, hi)]
+        # clip: a run that starts past its axis is empty
+        first = np.ravel_multi_index(
+            np.ix_(*map(np.arange, a[:-1], b[:-1]), a[-1:]),
+            self.samples.shape, mode="clip")
+        run = max(b[-1] - a[-1], 0)
+        flat = self._sorted_maximisers
+        count = np.sum(np.searchsorted(flat, first + run)
+                       - np.searchsorted(flat, first))
+        return float(count) * self.step ** len(self.axes)
 
     def supporting_planes(self):
         """(s_1..s_n, u*(s)) rows of the active planes, z = s.x + u*(s)."""

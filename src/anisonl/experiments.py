@@ -70,7 +70,10 @@ def distribution_decay(u, m_level, k_max):
     if k_max < 2:
         raise ValueError("need at least two levels to fit a decay exponent")
     result = ExperimentResult()
-    overlap = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
+    # the full lattice: the masked sums run over zero overlaps too
+    block, at = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
+    overlap = np.zeros(u.values.shape)
+    overlap[at] = block
     rows = []
     for k in range(1, k_max + 1):
         try:

@@ -1,14 +1,15 @@
-"""Fields on R^n: grid values on a box plus an explicit exterior rule.
+"""Fields on R^n: grid values on a box plus an explicit exterior rule, and
+closed-form analytic fields.
 
-All operators evaluate these objects anywhere in R^n.  Inside the box the
-value is multilinear interpolation of the lattice values (the sole
-smoothing assumption of the toolkit); outside, the exterior rule applies.
-Exterior data is first-class: it may be a constant, an affine function or
-an arbitrary bounded callable.  Each rule states its ``sup_bound``, a
-bound on |value| (inf for an affine rule), as every field does, and its
-far range: the values it can take far from a point, which bracket the far
-tail of the shell quadrature and set the tail reaction of the lattice
-scheme.
+A ``GridField`` evaluates anywhere in R^n.  Inside the box the value is
+multilinear interpolation of the lattice values (the sole smoothing
+assumption of the toolkit); outside, the exterior rule applies.  Exterior
+data is first-class: it may be a constant, an affine function or an
+arbitrary bounded callable.  Each rule states its ``sup_bound``, a bound
+on |value| (inf for an affine rule), and its far range: the values it can
+take far from a point, which set the tail reaction of the lattice scheme.
+The shell quadrature takes ``AnalyticField``s only; each brackets its own
+far tail by ``tail_delta_range``.
 """
 
 from __future__ import annotations
@@ -122,16 +123,16 @@ class GridField:
 
     def cell_overlaps(self, lo, hi):
         """Each lattice point's cell, the box of half-width h/2 around it,
-        overlapped with the box [lo, hi]: an array shaped like ``values``."""
-        out = np.ones(())
+        overlapped with the box [lo, hi], on the block of the cells that
+        meet it: (overlaps, index), ``index`` the open mesh (``np.ix_``)
+        of the block's lattice indices, so ``values[index]`` is the block."""
+        out, block = np.ones(()), []
         for ax, r, a, b in zip(self.axes(), 0.5 * self.h, lo, hi):
             side = np.minimum(ax + r, b) - np.maximum(ax - r, a)
-            out = np.multiply.outer(out, np.maximum(side, 0.0))
-        return out
-
-    @property
-    def sup_bound(self):
-        return max(float(np.max(np.abs(self.values))), self.exterior.sup_bound)
+            k = np.flatnonzero(side > 0.0)
+            out = np.multiply.outer(out, side[k])
+            block.append(k)
+        return out, np.ix_(*block)
 
     def eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -144,28 +145,6 @@ class GridField:
         if not inside.all():
             out[~inside] = self.exterior(pts[~inside])
         return out
-
-    def clearance(self, x):
-        """Radius beyond which x +- y is guaranteed outside the box."""
-        x = np.asarray(x, dtype=float)
-        corners = np.maximum(np.abs(self.lo - x), np.abs(self.hi - x))
-        return float(np.linalg.norm(corners))
-
-    def tail_delta_range(self, x, far):
-        """Bracket of delta(u, x, y) over |y| >= far.
-
-        The exterior's far range once the far radius clears the box (a
-        point for a constant or affine rule); otherwise the field's sup
-        bound.
-        """
-        x = np.asarray(x, dtype=float)
-        ux = float(self.eval(x[None, :])[0])
-        if far > self.clearance(x):
-            lo, hi = (float(v[0])
-                      for v in self.exterior.far_range(x[None, :]))
-        else:
-            lo, hi = -self.sup_bound, self.sup_bound
-        return 2.0 * lo - 2.0 * ux, 2.0 * hi - 2.0 * ux
 
 
 class AnalyticField:

@@ -1,11 +1,12 @@
 """Linear, extremal and inf-sup nonlocal operators by shell quadrature.
 
-Every evaluation reports a value together with an error bound that folds
-in three parts: the Monte Carlo confidence band of the shell quadrature,
-the analytic C^{1,1} remainder inside Theta_{r_inner}, and a two-sided
-bracket of the far tail built from the field's exterior rule.  For
-constant/affine exterior data the tail bracket is a point, so affine
-fields come out exactly (value 0, near-zero bound).
+The fields are ``AnalyticField``s.  Every evaluation reports a value
+together with an error bound that folds in three parts: the Monte Carlo
+confidence band of the shell quadrature, the analytic C^{1,1} remainder
+inside Theta_{r_inner}, and a two-sided bracket of the far tail built from
+the field's range outside a ball.  Where that range is a point the tail
+bracket is one too, so constant fields come out exactly (value 0,
+near-zero bound).
 """
 
 from __future__ import annotations

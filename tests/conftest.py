@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anisonl.fields import AnalyticField
 from anisonl.geometry import ELLIPSE, THETA, gauge
 from anisonl.profile import AnisotropyProfile, isotropic
 from anisonl.quadrature import QuadratureScheme
@@ -55,6 +56,35 @@ def random_profile(rng, n=None):
     sigma = tuple(rng.uniform(0.1, 1.99, size=n))
     lam = rng.uniform(0.5, 2.0)
     return AnisotropyProfile(n, sigma, lam, lam * rng.uniform(1.0, 3.0))
+
+
+def bump_field(amp, centre, width):
+    """u(p) = sum_k amp_k exp(-|p - centre_k|^2 / width_k^2), bounded by
+    sum |amp_k|.  Its range outside B_R takes each bump at its largest
+    value there, at distance max(R - |centre_k|, 0) from its centre, so
+    it holds exactly; negating ``amp`` negates every value and swaps the
+    range, bit for bit."""
+    amp, centre, width = (np.asarray(a, dtype=float)
+                          for a in (amp, centre, width))
+    dist = np.linalg.norm(centre, axis=1)
+
+    def fn(p):
+        d2 = np.sum((p[:, None, :] - centre[None, :, :]) ** 2, axis=2)
+        return np.sum(amp * np.exp(-d2 / width ** 2), axis=1)
+
+    def range_outside(r):
+        far = amp * np.exp(-np.maximum(r - dist, 0.0) ** 2 / width ** 2)
+        return (float(np.sum(np.minimum(far, 0.0))),
+                float(np.sum(np.maximum(far, 0.0))))
+
+    return AnalyticField(fn, float(np.sum(np.abs(amp))), range_outside)
+
+
+def random_bumps(rng, n=1, count=8):
+    """(amp, centre, width) of ``count`` random bumps in [-2, 2]^n, rough
+    on the scale of a 33-point lattice of [-2, 2]."""
+    return (rng.normal(size=count), rng.uniform(-2.0, 2.0, size=(count, n)),
+            rng.uniform(0.15, 0.5, size=count))
 
 
 def contains(aset, y):

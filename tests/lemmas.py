@@ -18,7 +18,6 @@ import numpy as np
 from anisonl import PreconditionError
 from anisonl.abp import DegenerateTileError
 from anisonl.experiments import ExperimentResult
-from anisonl.fields import GridField
 from anisonl.geometry import gauge, theta
 from anisonl.solver import AssembledOperator, discrete_extremal
 
@@ -268,7 +267,9 @@ def point_estimate_experiment(u, m_level, problem=None, eps0=None):
             failed.append("precondition M^- u <= eps0 fails")
     if failed:
         raise PreconditionError("; ".join(failed))
-    overlap = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
+    block, at = u.cell_overlaps(np.full(u.n, -0.5), np.full(u.n, 0.5))
+    overlap = np.zeros(u.values.shape)
+    overlap[at] = block
     measure = float(np.sum(overlap[u.values <= m_level]))
     q1 = float(np.sum(overlap))
     result = ExperimentResult()
@@ -315,17 +316,13 @@ def holder_estimate(u, center, radii):
     return result
 
 
-
-
 def truncated_control_check(problem_full, problem_base, values, c0):
     """|I_K u - I_K1 u| <= 4 c0 sup|u| at every lattice point."""
     v = np.asarray(values, dtype=float).ravel()
     i_full = AssembledOperator(problem_full).apply(v)
     i_base = AssembledOperator(problem_base).apply(v)
     # sup |u| over the lattice values and the exterior rule
-    sup_u = GridField(problem_full.lo, problem_full.hi,
-                      v.reshape(problem_full.shape),
-                      problem_full.exterior).sup_bound
+    sup_u = max(float(np.max(np.abs(v))), problem_full.exterior.sup_bound)
     gap = float(np.max(np.abs(i_full - i_base)))
     budget = 4.0 * c0 * sup_u
     return {"max_gap": gap, "budget": budget, "ok": gap <= budget + 1e-12}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,27 @@ def test_detachment_node_rule_converges_to_the_sampled_measure():
     assert errors[129].max() <= 0.05 and errors[129].mean() <= 0.025
     assert errors[257].max() <= 0.006 and errors[257].mean() <= 0.004
     assert errors[257].mean() <= errors[129].mean() / 4.0
+
+
+def test_eval_rect_reads_only_the_block_of_c_r_tilde(prof2):
+    """One rectangle's measures allocate O(cells of C R~), not O(lattice):
+    on 257^2 C R~ of generation 0 meets at most 13^2 cells, while one
+    lattice-sized float array is 528 kB."""
+    u = polyhedral_cap_field(shape=257)
+    env = concave_envelope(u)
+    f = const_field(8.0)
+    rect = CoverRectangle(0, (0, 0), prof2)
+    width = 2.0 * abp.EXPAND_C * rect.tilde_half
+    assert np.prod(np.floor(width / u.h) + 2) <= 13 ** 2
+    tracemalloc.start()
+    try:
+        rec = _eval_rect(u, env, f, rect, np.zeros((1, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < rec["detach_measure"] <= np.prod(width)
+    assert rec["grad_image"] > 0.0
+    assert peak < u.values.nbytes / 16
 
 
 def test_all_pass_detachment_is_the_box_volume():

@@ -258,11 +258,46 @@ def test_grid_envelope_brackets_the_lattice_hull(kind, n, arg):
     assert gap.max() <= 3.0 * math.sqrt(n) * env.step + 1e-12
 
 
+def maximiser_points(env):
+    """The lattice point of each slope's maximiser, (slopes..., n)."""
+    at = np.unravel_index(env.maximisers, env.samples.shape)
+    return np.stack([ax[i] for ax, i in zip(env.axes, at)], axis=-1)
+
+
+def brute_grad_image(env, lo, hi):
+    """step^n times the count of slopes whose maximiser lies in [lo, hi]
+    to 1e-12, by one pass over every slope's maximiser."""
+    y = maximiser_points(env)
+    hit = np.all((y >= np.asarray(lo) - 1e-12)
+                 & (y <= np.asarray(hi) + 1e-12), axis=-1)
+    return float(np.count_nonzero(hit)) * env.step ** y.shape[-1]
+
+
+@pytest.mark.parametrize("n, grid", [(1, 65), (2, 33), (3, 17)])
+def test_grad_image_lookup_equals_brute_count(n, grid, rng):
+    """The sorted-index count equals the pass over every maximiser, bit for
+    bit, on random rectangles and on rectangles whose faces lie on lattice
+    points, where the 1e-12 slack decides."""
+    u = GridField.from_function(
+        lambda p: _cap(p) - 0.1 * np.sum(np.abs(p), axis=1),
+        [-2.0] * n, [2.0] * n, (grid,) * n, -1.0)
+    env = concave_envelope(u)
+    rects = [(np.full(n, -3.0), np.full(n, 3.0))]
+    for _ in range(100):
+        a = rng.uniform(-3.5, 3.5, size=(2, n))
+        rects.append((a.min(axis=0), a.max(axis=0)))
+        lo = np.array([ax[rng.integers(len(ax))] for ax in env.axes])
+        rects.append((lo, lo + rng.integers(0, 5, size=n) * u.h))
+    for lo, hi in rects:
+        assert env.grad_image_measure(lo, hi) == brute_grad_image(env, lo, hi)
+    assert env.grad_image_measure(*rects[0]) > 0.0
+
+
 def _coarse_measure(env, lo, hi):
     """The gradient image at slope spacing 2 ds: the nested grid of the
     even multiples of ds, whose maximisers are those of the fine grid."""
     even = np.all(np.rint(env.gradients / env.step) % 2 == 0, axis=-1)
-    y = env.maximisers
+    y = maximiser_points(env)
     hit = even & np.all((y >= lo - 1e-12) & (y <= hi + 1e-12), axis=-1)
     return float(np.count_nonzero(hit)) * (2.0 * env.step) ** y.shape[-1]
 

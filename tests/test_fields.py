@@ -78,31 +78,6 @@ def test_exterior_rules_vectorized():
     assert ce.sup_bound == 4.0
 
 
-def test_tail_delta_range_exact_for_constant_and_affine():
-    uc = GridField.from_function(lambda p: 0.0 * p[:, 0] + 1.0,
-                                 [-1.0], [1.0], (11,), ConstantExterior(3.0))
-    lo, hi = uc.tail_delta_range(np.array([0.0]), far=10.0)
-    assert lo == hi == pytest.approx(2.0 * 3.0 - 2.0 * 1.0)
-    ua = make_affine_field()
-    lo, hi = ua.tail_delta_range(np.array([0.25]), far=10.0)
-    assert lo == hi == pytest.approx(0.0, abs=1e-12)
-
-
-def test_tail_delta_range_callable_uses_sup():
-    u = GridField.from_function(lambda p: 0.0 * p[:, 0],
-                                [-1.0], [1.0], (11,),
-                                CallableExterior(lambda p: 0.0 * p[:, 0],
-                                                 sup_bound=2.0))
-    lo, hi = u.tail_delta_range(np.array([0.0]), far=10.0)
-    assert (lo, hi) == (-4.0, 4.0)
-
-
-def test_sup_bound_declared_and_computed():
-    u = GridField([-1.0], [1.0], np.array([0.5, -2.0, 1.0]),
-                  ConstantExterior(0.25))
-    assert u.sup_bound == 2.0
-
-
 def _cli_bump(height):
     from anisonl.cli import _solve_setup
     return _solve_setup(AnisotropyProfile(1, (1.0,)),
@@ -110,7 +85,7 @@ def _cli_bump(height):
 
 
 @pytest.mark.parametrize("make, bound", [
-    (lambda: ConstantExterior(0.25), 2.0),
+    (lambda: ConstantExterior(0.25), 0.25),
     (lambda: ConstantExterior(-3.0), 3.0),
     (lambda: AffineExterior(0.5, (1.0,)), np.inf),
     (lambda: CallableExterior(lambda p: 0.0 * p[:, 0], 9.0), 9.0),
@@ -118,14 +93,13 @@ def _cli_bump(height):
     (lambda: _cli_bump(-4.0), 4.0),
 ], ids=["constant", "negative-constant", "affine", "callable",
         "cli-negative-bump"])
-def test_grid_sup_bound_is_max_of_values_and_exterior(make, bound):
-    """One bound vocabulary: a grid field's sup bound is the larger of its
-    largest |value| and its exterior rule's own ``sup_bound``."""
+def test_exterior_sup_bound_and_far_range(make, bound):
+    """Each exterior rule states its own ``sup_bound``, and its far range
+    is an interval within it."""
     ext = make()
-    u = GridField([-1.0], [1.0], np.array([0.5, -2.0, 1.0]), ext)
-    assert u.sup_bound == max(2.0, ext.sup_bound) == bound
+    assert ext.sup_bound == bound
     lo, hi = ext.far_range(np.array([[5.0]]))
-    assert lo[0] <= hi[0]
+    assert -bound <= lo[0] <= hi[0] <= bound
 
 
 def test_estimate_c11_quadratic(monkeypatch):

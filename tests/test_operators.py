@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from anisonl.fields import (AffineExterior, AnalyticField, ConstantExterior,
-                            GridField, second_difference)
+from anisonl.fields import AnalyticField, second_difference
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import (OpValue, eval_extremal_many, eval_inf_sup,
                                eval_linear)
 from anisonl.quadrature import QuadratureScheme, shell_radii
-from conftest import refined
+from conftest import bump_field, random_bumps, refined
 
 # frozen reference values, computed beforehand with scipy.integrate.quad
 # (independent dense quadrature of the exact integrands)
@@ -32,18 +31,6 @@ def test_constant_field_zero(iso1, quad_fast):
     for which in ("plus", "minus"):
         ov = eval_extremal_many(u, [[0.0]], iso1, quad_fast, which)[0]
         assert ov.value == 0.0
-
-
-def test_affine_field_zero_within_bound(iso1, quad_fast):
-    u = GridField.from_function(lambda p: 1.0 + 2.0 * p[:, 0],
-                                [-2.0], [2.0], (65,),
-                                AffineExterior(1.0, (2.0,)))
-    k = PowerLawKernel(iso1, 1.0)
-    ov = eval_linear(u, [0.3], k, quad_fast)
-    assert abs(ov.value) <= max(ov.error, 1e-9)
-    for which in ("plus", "minus"):
-        ovx = eval_extremal_many(u, [[0.3]], iso1, quad_fast, which)[0]
-        assert abs(ovx.value) <= max(ovx.error, 1e-9)
 
 
 def test_linear_oracle_1d(iso1, quad_tight):
@@ -72,9 +59,9 @@ def test_extremal_oracle_2d_cap():
 
 
 def test_sign_duality_exact(iso1_ell, quad_fast, rng):
-    vals = rng.normal(size=33)
-    u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
-    w = GridField([-2.0], [2.0], -vals, ConstantExterior(0.0))
+    amp, centre, width = random_bumps(rng)
+    u = bump_field(amp, centre, width)
+    w = bump_field(-amp, centre, width)
     for x in ([0.1], [-0.7], [0.9]):
         a = eval_extremal_many(w, [x], iso1_ell, quad_fast, "plus")[0]
         b = eval_extremal_many(u, [x], iso1_ell, quad_fast, "minus")[0]
@@ -83,8 +70,7 @@ def test_sign_duality_exact(iso1_ell, quad_fast, rng):
 
 def test_ordering_random_triples(iso1_ell, quad_fast, rng):
     for trial in range(10):
-        vals = rng.normal(size=33)
-        u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
+        u = bump_field(*random_bumps(rng))
         x = [float(rng.uniform(-1.5, 1.5))]
         mult = float(rng.uniform(iso1_ell.lambda_lo, iso1_ell.lambda_hi))
         k = PowerLawKernel(iso1_ell, mult)
@@ -96,8 +82,7 @@ def test_ordering_random_triples(iso1_ell, quad_fast, rng):
 
 
 def test_inf_sup_singleton_equals_linear(iso1_ell, quad_fast, rng):
-    vals = rng.normal(size=33)
-    u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
+    u = bump_field(*random_bumps(rng))
     k = PowerLawKernel(iso1_ell, 1.3)
     fam = KernelFamily([[k]])
     assert eval_inf_sup(u, [0.2], fam, quad_fast).value \
@@ -117,8 +102,7 @@ def test_inf_sup_monotone_multiplier_on_convex(iso1_ell, quad_fast):
 
 
 def test_inf_sup_full_enumeration(iso1_ell, quad_fast, rng):
-    vals = rng.normal(size=33)
-    u = GridField([-2.0], [2.0], vals, ConstantExterior(0.0))
+    u = bump_field(*random_bumps(rng))
     mults = rng.uniform(iso1_ell.lambda_lo, iso1_ell.lambda_hi, size=(3, 3))
     fam = KernelFamily([[PowerLawKernel(iso1_ell, float(m)) for m in row]
                         for row in mults])
@@ -130,11 +114,12 @@ def test_inf_sup_full_enumeration(iso1_ell, quad_fast, rng):
 
 def test_comparison_surrogate(iso1_ell, quad_fast, rng):
     for _ in range(5):
-        uv = rng.normal(size=33)
-        vv = rng.normal(size=33)
-        u = GridField([-2.0], [2.0], uv, ConstantExterior(0.0))
-        v = GridField([-2.0], [2.0], vv, ConstantExterior(0.0))
-        w = GridField([-2.0], [2.0], uv - vv, ConstantExterior(0.0))
+        ua, uc, uw = random_bumps(rng)
+        va, vc, vw = random_bumps(rng)
+        u = bump_field(ua, uc, uw)
+        v = bump_field(va, vc, vw)
+        w = bump_field(np.concatenate([ua, -va]), np.vstack([uc, vc]),
+                       np.concatenate([uw, vw]))
         x = [float(rng.uniform(-1.0, 1.0))]
         lhs = eval_extremal_many(w, [x], iso1_ell, quad_fast, "plus")[0]
         a = eval_extremal_many(u, [x], iso1_ell, quad_fast, "minus")[0]

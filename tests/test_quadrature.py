@@ -5,8 +5,7 @@ import pytest
 
 from anisonl import operators
 from anisonl.barriers import PsiBarrier, RadialBarrier
-from anisonl.fields import (AffineExterior, AnalyticField, CallableExterior,
-                            ConstantExterior, GridField)
+from anisonl.fields import AnalyticField
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import eval_extremal_many, eval_inf_sup, eval_linear
 from anisonl.profile import AnisotropyProfile
@@ -91,33 +90,18 @@ def broadcast_extremal(u, X, profile, quad, which):
 
 
 def oracle_fields(profile):
-    n = profile.n
-    lo, hi = [-1.5] * n, [1.5] * n
-
-    def bump(p):
-        return np.cos(p[:, 0]) * np.exp(-np.sum(p ** 2, axis=1))
-
-    def grid(exterior):
-        return GridField.from_function(bump, lo, hi, (9,) * n, exterior)
-
     return {
         "radial": RadialBarrier(3.0, 8.0),
         "psi": PsiBarrier(profile, 3.0),
-        "grid-constant": grid(ConstantExterior(0.2)),
-        "grid-affine": grid(AffineExterior(0.1, tuple(np.linspace(
-            0.3, -0.4, n)))),
-        "grid-callable": grid(CallableExterior(
-            lambda p: 0.5 * np.tanh(p @ np.linspace(1.0, 2.0, n)), 0.5)),
     }
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("name", ["radial", "psi", "grid-constant",
-                                  "grid-affine", "grid-callable"])
+@pytest.mark.parametrize("name", ["radial", "psi"])
 def test_extremal_many_bitwise_equals_broadcast_formulas(n, name, rng):
     profile = AnisotropyProfile(n, (1.0, 1.5, 1.2)[:n], 1.0, 2.0)
     u = oracle_fields(profile)[name]
-    # inside and outside the grid box, the cap radius and the psi core
+    # inside and outside the cap radius and the psi core
     X = np.vstack([rng.uniform(-2.5, 2.5, size=(6, n)), np.zeros((1, n)),
                    np.full((1, n), 0.5 / np.sqrt(n))])
     for which in ("plus", "minus"):
@@ -127,7 +111,7 @@ def test_extremal_many_bitwise_equals_broadcast_formulas(n, name, rng):
         assert [ov.parts["mc_se"] for ov in got] == se.tolist()
 
 
-@pytest.mark.parametrize("name", ["radial", "psi", "grid-constant"])
+@pytest.mark.parametrize("name", ["radial", "psi"])
 def test_extremal_many_memory_is_bounded(aniso2, name):
     """Peak allocation of a 400-point batch stays within a fixed number of
     BLOCK_PAIRS-pair blocks plus the node table: it does not grow with the
@@ -200,9 +184,8 @@ def test_row_blocks_are_bit_identical(aniso2, rng, monkeypatch, pairs):
 
 
 def test_inf_sup_shares_delta_with_linear_members(aniso2, rng):
-    u = GridField.from_function(
-        lambda p: np.cos(p[:, 0]) * np.exp(-p[:, 1] ** 2),
-        [-2.0, -2.0], [2.0, 2.0], (17, 17), ConstantExterior(0.1))
+    u = AnalyticField(lambda p: np.cos(p[:, 0]) * np.exp(-p[:, 1] ** 2),
+                      sup_bound=1.0)
     lam, Lam = aniso2.lambda_lo, aniso2.lambda_hi
     wavy = PowerLawKernel(aniso2, lambda y: 1.5 + 0.5 * np.cos(y[:, 0]),
                           mult_lo=lam, mult_hi=Lam)

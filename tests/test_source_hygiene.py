@@ -205,8 +205,8 @@ ORACLES = {
                               "check of the extremal closed form",
     "fields.second_difference": "delta(u, x, y) at one point, the reference "
                                 "of the batched pair_deltas",
-    "fields.AffineExterior": "affine data, which every operator must map "
-                             "to zero exactly",
+    "fields.AffineExterior": "affine data, which the lattice operator must "
+                             "map to zero exactly",
     "profile.isotropic": "equal orders, where the closed forms hold",
     "geometry.theta": "the level set Theta_r of the geometry inclusions",
     "geometry.ellipse": "the ellipse of the geometry inclusions",
