@@ -17,20 +17,11 @@ import os
 import sys
 import warnings
 
-# One BLAS thread, pinned before numpy first loads.  No command uses BLAS
-# parallelism, so the thread pool numpy's OpenBLAS starts on import only
-# adds start-up time and spinning CPU; and OpenBLAS splits large dot
-# products (CG's r @ r above about 10,000 unknowns) across its threads,
-# which makes the output bytes depend on the host's thread count.  Set
-# unconditionally: honouring a user's value would make the bytes depend on
-# that value again.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from . import PreconditionError  # noqa: E402
-from .profile import AnisotropyProfile  # noqa: E402
-from .quadrature import QuadratureScheme, shell_radii  # noqa: E402
+from . import PreconditionError
+from .profile import AnisotropyProfile
+from .quadrature import QuadratureScheme, shell_radii
 
 _NUMBER = {"type": "number"}
 _NONNEGATIVE = {"type": "number", "minimum": 0}

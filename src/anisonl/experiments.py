@@ -119,7 +119,8 @@ def harnack_quotient(u, c0, problem):
     field ``u`` on the lattice of ``problem``, its exterior data included;
     a failed one raises PreconditionError, both operator checks in one."""
     vals = u.values.ravel()
-    if np.min(vals) < -1e-9:
+    # each check reads "not within the bound", so a NaN fails it
+    if not np.min(vals) >= -1e-9:
         raise PreconditionError("precondition u >= 0 fails")
     radius = np.linalg.norm(problem.lattice.points, axis=1)
     in_half = radius <= 0.5
@@ -129,9 +130,9 @@ def harnack_quotient(u, c0, problem):
     in_b2 = radius <= 2.0
     mminus, mplus = discrete_extremal(problem, u)
     failed = []
-    if float(np.max(mminus.ravel()[in_b2])) > c0 + 1e-7:
+    if not float(np.max(mminus.ravel()[in_b2])) <= c0 + 1e-7:
         failed.append("precondition M^- u <= C0 fails on B_2")
-    if float(np.min(mplus.ravel()[in_b2])) < -c0 - 1e-7:
+    if not float(np.min(mplus.ravel()[in_b2])) >= -c0 - 1e-7:
         failed.append("precondition M^+ u >= -C0 fails on B_2")
     if failed:
         raise PreconditionError("; ".join(failed))

@@ -6,8 +6,9 @@ multilinear interpolation of the lattice values (the sole smoothing
 assumption of the toolkit); outside, the exterior rule applies.  Exterior
 data is first-class: it may be a constant, an affine function or an
 arbitrary bounded callable.  Each rule states its ``sup_bound``, a bound
-on |value| (inf for an affine rule), and its far range: the values it can
-take far from a point, which set the tail reaction of the lattice scheme.
+on |value| (inf for an affine rule), and the ``far`` value to which the
+lattice scheme's tail reaction couples each point: its own value for
+constant and affine data; 0, the middle of +-sup_bound, for a callable.
 The shell quadrature takes ``AnalyticField``s only; each brackets its own
 far tail by ``tail_delta_range``.
 """
@@ -31,9 +32,8 @@ class ConstantExterior:
     def sup_bound(self):
         return abs(float(self.value))
 
-    def far_range(self, pts):
-        v = self(pts)
-        return v, v
+    def far(self, pts):
+        return self(pts)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class AffineExterior:
 
     sup_bound = math.inf
 
-    def far_range(self, pts):
-        v = self(pts)
-        return v, v
+    def far(self, pts):
+        return self(pts)
 
 
 class CallableExterior:
@@ -60,9 +59,8 @@ class CallableExterior:
     def __call__(self, pts):
         return np.asarray(self.fn(pts), dtype=float)
 
-    def far_range(self, pts):
-        s = np.full(pts.shape[0], self.sup_bound)
-        return -s, s
+    def far(self, pts):
+        return np.zeros(pts.shape[0])
 
 
 def _interp(pts, lo, inv_h, shape, flat_vals):

@@ -12,8 +12,8 @@ The weights do not change under translation, so T is (block-)Toeplitz,
 applied by FFT convolution (``matvec``, which CG reads); d = sum of
 weights + tail; e, the exterior couplings plus the tail reaction, is one
 FFT convolution of the padded exterior (``exterior``).  d I - T is a
-symmetric, strictly diagonally dominant Z-matrix.  The same weights
-against second differences give L_h u and |L|_h u (``pair_sums``).
+symmetric, strictly diagonally dominant Z-matrix.  ``pair_sums`` gives
+L_h u = e - (d u - T u) and |L|_h u = sum w |second difference|.
 
 The extremal operators M^-+_h u = a L_h u -+ b |L|_h u belong to the
 class, not to a family: they read the lattice of the class's base kernel
@@ -198,27 +198,28 @@ class Lattice:
         self._ker_hat = _circulant_stencil(
             self.offsets[inner], self.weights[inner], self.fft_shape)
 
-    def padded(self, rule, interior):
-        """The padded lattice of ``rule``'s data with ``interior`` written
-        into the box, and the far value at each lattice point: the
-        midpoint of the rule's far range."""
+    def padded(self, rule):
+        """The padded lattice of ``rule``'s data with the box zeroed, and
+        the rule's far value at each lattice point."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         out = rule(pts).reshape([a.size for a in self.axes])
-        out[self._core] = interior
-        lo, hi = rule.far_range(self.points)
-        return out, 0.5 * (lo + hi)
+        out[self._core] = 0.0
+        return out, rule.far(self.points)
 
-    def exterior(self, rule):
-        """e (flat): the whole stencil against the padded exterior of
-        ``rule``, interior zeroed; no term of a box point wraps around."""
-        ext_pad, far = self.padded(rule, 0.0)
+    def _coupling(self, ext_pad, far):
+        """e (flat): the whole stencil against the padded exterior
+        ``ext_pad`` (no box point's term wraps) plus the tail times far."""
         pad_shape = tuple(_fast_len(s) for s in ext_pad.shape)
         conv = np.fft.irfftn(
             np.fft.rfftn(ext_pad, pad_shape, self._dims)
             * _circulant_stencil(self.offsets, self.weights, pad_shape),
             pad_shape, self._dims)
         return conv[self._core].ravel() + self.tail * far
+
+    def exterior(self, rule):
+        """e (flat) of the exterior rule ``rule``."""
+        return self._coupling(*self.padded(rule))
 
     def matvec(self, u):
         """(d I - T) u for interior values u (flat): symmetric positive
@@ -231,21 +232,20 @@ class Lattice:
 
     def pair_sums(self, u):
         """(L_h u, |L|_h u) of the grid field ``u`` with its own exterior
-        data: the weights times the second differences and their absolute
-        values, in one pass over the canonical half of the offsets."""
-        u_pad, far = self.padded(u.exterior, u.values)
+        data: L_h u = e - (d I - T) u, the solver's two FFT products, and
+        the weights times |second differences| over the canonical offsets."""
+        u_pad, far = self.padded(u.exterior)
         u0, pad, shape = u.values, self.window, self.shape
-        lin = self.tail * (far.reshape(shape) - u0)
-        mag = np.abs(lin)
+        lin = self._coupling(u_pad, far) - self.matvec(u0.ravel())
+        u_pad[self._core] = u0
+        mag = np.abs(self.tail * (far.reshape(shape) - u0))
         half = len(self.offsets) // 2
         for o, w in zip(self.offsets[half:], self.weights[half:]):
             sl_p = tuple(slice(pad + i, pad + i + s) for i, s in zip(o, shape))
             sl_m = tuple(slice(pad - i, pad - i + s) for i, s in zip(o, shape))
-            delta = u_pad[sl_p] + u_pad[sl_m] - 2.0 * u0
             # w holds twice the cell integral: exactly the +-pair's mass
-            lin += w * delta
-            mag += w * np.abs(delta)
-        return lin, mag
+            mag += w * np.abs(u_pad[sl_p] + u_pad[sl_m] - 2.0 * u0)
+        return lin.reshape(shape), mag
 
 
 def _base_lattice(problem):
@@ -373,8 +373,7 @@ def dense_matrix(problem, member=(0, 0)):
         inside = np.all((nb >= 0) & (nb < np.array(p.shape)), axis=1)
         A[rows[inside], np.ravel_multi_index(nb[inside].T, p.shape)] += w[k]
         b[~inside] -= w[k] * p.exterior(pts[~inside] + o * p.h)
-    lo, hi = p.exterior.far_range(pts)
-    b -= tail * (0.5 * (lo + hi))
+    b -= tail * p.exterior.far(pts)
     if p.rhs is not None:
         b += np.asarray(p.rhs(pts))
     return A, b

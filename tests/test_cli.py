@@ -749,6 +749,20 @@ def test_sweep_benchmark_config_frozen(tmp_path):
         0.5399781846626193, 0.5388499859555776, 0.5382258932899537]
 
 
+def test_solve_benchmark_config_frozen(tmp_path):
+    """solve at the benchmark's dirichlet-2d config: the recorded
+    iterations, residual and solution values, exactly."""
+    cfg = write_config(tmp_path, {
+        "command": "solve", "profile": P2, "seed": 7,
+        "params": {"grid": 15, "box": 2.0, "tolerance": 1e-8}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["iterations"] == 29
+    assert results["residual"] == 5.25745689171353e-10
+    assert results["sup"] == 0.1910402093873886
+    assert results["origin"] == 0.007733151384507515
+
+
 def test_harnack_2d_frozen(tmp_path):
     """2D harnack at sigma = (1, 1.5), grid 33, other params at their
     defaults: the recorded quotient and sup over B_1/2, exactly."""
@@ -1129,8 +1143,8 @@ def test_config_digest_is_sha256_prefix(config):
 
 
 def test_package_import_loads_no_numpy():
-    """``import anisonl`` leaves numpy unloaded, so the CLI can pin the
-    BLAS threads before numpy starts them."""
+    """``import anisonl`` leaves numpy unloaded, so the package can pin
+    the BLAS threads before numpy starts them."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, anisonl; print('numpy' in sys.modules)"],
@@ -1139,11 +1153,11 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
-# the thread count of every OpenBLAS loaded after importing the CLI, asked
-# through its C API; "none" when no OpenBLAS symbol is found
+# the thread count of every OpenBLAS loaded after importing {module},
+# asked through its C API; "none" when no OpenBLAS symbol is found
 BLAS_THREADS = """
 import ctypes
-import anisonl.cli
+import {module}
 with open("/proc/self/maps") as fh:
     libs = sorted({line.split()[-1] for line in fh
                    if "blas" in line.lower() and ".so" in line})
@@ -1165,18 +1179,31 @@ print(counts or "none")
 """
 
 
-def test_cli_pins_one_blas_thread():
-    """The CLI runs OpenBLAS on one thread, whatever the environment
-    asks for."""
+def _blas_threads(module):
+    """The OpenBLAS thread counts a fresh interpreter reports after
+    importing ``module`` with OPENBLAS_NUM_THREADS=2 in its environment."""
     if not sys.platform.startswith("linux"):
         pytest.skip("finds the loaded libraries through /proc/self/maps")
-    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS.replace("{module}", module)],
+        capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.strip() == "none":
         pytest.skip("no OpenBLAS symbol found in the loaded libraries")
-    assert proc.stdout.strip() == "[1]"
+    return proc.stdout.strip()
+
+
+def test_cli_pins_one_blas_thread():
+    """The CLI runs OpenBLAS on one thread, whatever the environment
+    asks for."""
+    assert _blas_threads("anisonl.cli") == "[1]"
+
+
+def test_package_pins_one_blas_thread():
+    """So does a library script: importing the package pins the thread,
+    before any submodule loads numpy."""
+    assert _blas_threads("anisonl.solver") == "[1]"
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from anisonl import PreconditionError, experiments
+from anisonl.cli import _solve_setup
 from anisonl.envelope import GridEnvelope
 from anisonl.experiments import (distribution_decay, fit_decay_exponent,
                                  harnack_quotient, kernel_modulus_check,
-                                 sigma_sweep)
+                                 normalized_solution, sigma_sweep)
 from anisonl.fields import CallableExterior, ConstantExterior, GridField
 from anisonl.kernels import KernelFamily, PowerLawKernel
 from anisonl.profile import AnisotropyProfile, isotropic
@@ -194,6 +195,25 @@ def test_harnack_names_both_failed_operator_checks(iso1_ell):
         ConstantExterior(1.0))
     with pytest.raises(PreconditionError) as err:
         harnack_quotient(u, 0.0, field_problem(u, iso1_ell))
+    assert str(err.value) == ("precondition M^- u <= C0 fails on B_2; "
+                              "precondition M^+ u >= -C0 fails on B_2")
+
+
+def test_harnack_refuses_nan(iso1_ell):
+    """A NaN is not within any precondition's bound: one value of the
+    normalised 1D solution set to NaN fails u >= 0, and NaN exterior data
+    fail both operator checks."""
+    prob = _solve_setup(iso1_ell, {"grid": 33})
+    u = normalized_solution(prob)
+    vals = u.values.copy()
+    vals[22] = np.nan                       # x = 1.5
+    with pytest.raises(PreconditionError,
+                       match=r"^precondition u >= 0 fails$"):
+        harnack_quotient(GridField(u.lo, u.hi, vals, u.exterior), 1.0, prob)
+    u = GridField(u.lo, u.hi, np.ones(33), CallableExterior(
+        lambda p: np.full(p.shape[0], np.nan), 1.0))
+    with pytest.raises(PreconditionError) as err:
+        harnack_quotient(u, 1.0, field_problem(u, iso1_ell))
     assert str(err.value) == ("precondition M^- u <= C0 fails on B_2; "
                               "precondition M^+ u >= -C0 fails on B_2")
 

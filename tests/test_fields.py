@@ -94,12 +94,17 @@ def _cli_bump(height):
 ], ids=["constant", "negative-constant", "affine", "callable",
         "cli-negative-bump"])
 def test_exterior_sup_bound_and_far_range(make, bound):
-    """Each exterior rule states its own ``sup_bound``, and its far range
-    is an interval within it."""
+    """Each exterior rule states its own ``sup_bound``, and its far value:
+    its own value for constant and affine data, 0 for a callable."""
     ext = make()
     assert ext.sup_bound == bound
-    lo, hi = ext.far_range(np.array([[5.0]]))
-    assert -bound <= lo[0] <= hi[0] <= bound
+    pts = np.array([[5.0]])
+    far = ext.far(pts)
+    if isinstance(ext, CallableExterior):
+        assert far.tolist() == [0.0]
+    else:
+        assert far.tolist() == ext(pts).tolist()
+    assert -bound <= far[0] <= bound
 
 
 def test_estimate_c11_quadratic(monkeypatch):

@@ -386,9 +386,11 @@ EXTERIORS = {
 }
 
 
+BOXES = [((-1.0,), (1.0,), (17,)), ((-1.0, -0.8), (1.0, 0.8), (9, 7))]
+
+
 @pytest.mark.parametrize("kind", sorted(EXTERIORS))
-@pytest.mark.parametrize("box", [((-1.0,), (1.0,), (17,)),
-                                 ((-1.0, -0.8), (1.0, 0.8), (9, 7))])
+@pytest.mark.parametrize("box", BOXES)
 def test_discrete_extremal_matches_dense(kind, box, rng):
     """M^-_h and M^+_h against the dense rows A u - b of the members
     lambda L and Lambda L: equal to both at lambda = Lambda; otherwise
@@ -416,6 +418,35 @@ def test_discrete_extremal_matches_dense(kind, box, rng):
             assert np.max(np.abs(mm + mp - members[0] - members[1])) <= tol
             for m in members:
                 assert np.all(mm <= m + tol) and np.all(m <= mp + tol)
+
+
+@pytest.mark.parametrize("kind", sorted(EXTERIORS))
+@pytest.mark.parametrize("box", BOXES)
+def test_extremal_at_lambda_equal_is_the_solver_operator(kind, box, rng):
+    """At lambda = Lambda, M^-_h and M^+_h of a field carrying the
+    problem's own exterior are the solver's I_h u, bit for bit: L_h u is
+    read off the FFT stencil that CG applies."""
+    lo, hi, shape = box
+    n = len(shape)
+    ext = EXTERIORS[kind](n)
+    prof = AnisotropyProfile(n, (1.0, 1.5)[:n], 1.0, 1.0)
+    prob = DiscreteProblem(prof, lo, hi, shape,
+                           KernelFamily.extremal_pair(prof), ext)
+    vals = rng.normal(size=shape)
+    want = AssembledOperator(prob).apply(vals)
+    for got in discrete_extremal(prob, GridField(lo, hi, vals, ext)):
+        assert np.array_equal(got.ravel(), want)
+
+
+def test_extremal_of_normalised_affine_data_is_finite(iso1_ell):
+    """normalized_solution scales affine exterior data into a callable
+    rule with an infinite sup_bound; its far value is 0, not the midpoint
+    of +-inf, so M^-+_h are finite."""
+    prob = DiscreteProblem(iso1_ell, (-2.0,), (2.0,), (17,),
+                           KernelFamily.extremal_pair(iso1_ell),
+                           AffineExterior(1.0, (0.1,)))
+    for m in discrete_extremal(prob, normalized_solution(prob)):
+        assert np.all(np.isfinite(m))
 
 
 def test_discrete_extremal_memory_is_bounded():
@@ -446,9 +477,9 @@ def test_lattice_assembled_once_per_problem(monkeypatch, tmp_path):
         assembled.append(args[0])
         return whole_assemble(*args)
 
-    def count_padded(self, rule, interior):
+    def count_padded(self, rule):
         padded.append(rule)
-        return whole_padded(self, rule, interior)
+        return whole_padded(self, rule)
 
     monkeypatch.setattr(solver, "assemble_weights", count_assemble)
     monkeypatch.setattr(Lattice, "padded", count_padded)

@@ -120,9 +120,9 @@ def test_no_exterior_type_switch(name):
     assert exterior_type_switch_lines(ast.parse(path.read_text())) == []
 
 
-FAST_PATHS = {"Lattice", "lattice", "padded", "pair_sums", "matvec",
-              "_circulant_stencil", "AssembledOperator", "discrete_extremal",
-              "fft"}
+FAST_PATHS = {"Lattice", "lattice", "padded", "_coupling", "pair_sums",
+              "matvec", "_circulant_stencil", "AssembledOperator",
+              "discrete_extremal", "fft"}
 
 
 def test_dense_oracle_is_independent():
