@@ -196,19 +196,17 @@ class PsiBarrier(AnalyticField):
                          range_outside=self._range_outside)
 
     def _shape(self, pts):
-        w = pts / self.t[None, :]
-        r = row_norm(w)
-        # both pieces at every point, then the one that applies; r = 0
-        # sends the annulus piece to inf, where the cap piece is taken
+        r = row_norm(pts / self.t)
+        # the annulus piece; r = 0 sends it to inf, where the cap is taken
         with np.errstate(divide="ignore", over="ignore"):
-            mid = r ** -self.p
-        mid -= self._outer_val
+            out = r ** -self.p
+        out -= self._outer_val
+        out[~(r < self._outer)] = 0.0
         # q(x) = sum a_i x_i^2 + c collapses to c - (p/2)|w|^2 in w-space
-        core = r ** 2
-        core *= 0.5 * self.p
-        np.subtract(self._c, core, out=core)
-        out = np.where(r < 1.0, core, np.where(r < self._outer, mid, 0.0))
-        return self.tilde_c * out
+        cap = r < 1.0
+        out[cap] = self._c - r[cap] ** 2 * (0.5 * self.p)
+        out *= self.tilde_c
+        return out
 
     def _range_outside(self, R):
         # x +- y lies at least R from the origin: past the support once R

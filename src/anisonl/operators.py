@@ -21,9 +21,9 @@ from .kernels import (KernelFamily, TruncatedKernel, near_field_bound,
                       tail_gauge_bounds)
 from .quadrature import Z_SCORE, QuadratureScheme, node_table, stratum_moments
 
-# (point, drawn node) pairs per evaluation block of _shell_sums: the
+# (point, accepted node) pairs per evaluation block of _shell_sums: the
 # block's temporaries are a few arrays of this many floats.
-BLOCK_PAIRS = 1 << 14
+BLOCK_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,18 @@ def _shell_sums(u, X, profile, quad, integrand):
     ``integrand(d, s)`` maps the second differences ``d`` of a row block
     at the accepted nodes of stratum ``s`` to the integrand there, and may
     overwrite ``d``.  Every point is integrated on the same node table, in
-    row blocks of at most ``BLOCK_PAIRS`` (point, drawn node) pairs, or one
-    point when a stratum alone draws more nodes, so memory stays bounded
-    for any batch size.
+    row blocks of at most ``BLOCK_PAIRS`` (point, accepted node) pairs, or
+    one point when a stratum alone accepts more nodes, so memory stays
+    bounded for any batch size.
     """
     ux = u.eval(X)
     total = np.zeros(len(X))
     var = np.zeros(len(X))
     for s in node_table(profile, quad):
-        if not s.pts.shape[0]:
+        k = s.pts.shape[0]
+        if not k:
             continue
-        step = max(1, BLOCK_PAIRS // s.count)
+        step = max(1, BLOCK_PAIRS // k)
         for a in range(0, len(X), step):
             b = a + step
             d = pair_deltas(u, X[a:b], ux[a:b], s.pts)

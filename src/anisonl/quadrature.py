@@ -13,7 +13,9 @@ ball B_far, so the strata partition B_far \\ Theta_{r_inner} exactly.
 Node positions are reproducible: shell m draws from a child stream of the
 scheme seed.  Symmetric integrands make sign-flips of the nodes a no-op.
 The nodes depend only on (profile, scheme), so they are drawn once into a
-read-only node table that every evaluation shares.
+read-only node table that every evaluation shares.  The table keeps only
+the accepted nodes: a rejected draw is a zero of the integrand, so its
+share of a stratum's moments has a closed form.
 """
 
 from __future__ import annotations
@@ -83,18 +85,16 @@ class Stratum:
 
     ``pts`` and ``gauge`` hold the accepted nodes and their gauge values,
     in draw order; they were accepted among ``count`` nodes drawn
-    uniform on a box of volume ``box``, and ``index`` holds their
-    positions there.
+    uniform on a box of volume ``box``.
     """
     pts: np.ndarray
     gauge: np.ndarray
-    index: np.ndarray
     box: float
     count: int
 
 
 def _stratum(pts, g, mask, box):
-    arrays = (pts[mask], g[mask], np.flatnonzero(mask))
+    arrays = (pts[mask], g[mask])
     for a in arrays:
         a.flags.writeable = False
     return Stratum(*arrays, box=box, count=len(mask))
@@ -130,16 +130,16 @@ def stratum_moments(stratum, vals):
     """Per-row contributions (box * mean, box^2 * var / count) of one
     stratum to the estimate and to its variance.
 
-    ``vals`` has shape (rows, accepted): the integrand at the accepted
-    nodes; rejected nodes enter the mean and variance as zeros.  Each row
-    is summed once for its mean, and the variance is the mean square
-    deviation from it: the arithmetic of ``np.mean`` and ``np.var``.
+    ``vals`` has shape (rows, k): the integrand at the k accepted nodes,
+    overwritten here.  The count - k rejected draws are zeros: they add
+    nothing to a row's sum and (count - k) * mean^2 to its squared
+    deviations from the mean.
     """
-    full = np.zeros((vals.shape[0], stratum.count))
-    full[:, stratum.index] = vals
-    mean = np.add.reduce(full, axis=1) / stratum.count
-    full -= mean[:, None]
-    np.square(full, out=full)
-    var = np.add.reduce(full, axis=1) / stratum.count
-    return (stratum.box * mean,
-            (stratum.box ** 2) * var / stratum.count)
+    count = stratum.count
+    mean = np.add.reduce(vals, axis=1) / count
+    vals -= mean[:, None]
+    np.square(vals, out=vals)
+    var = np.add.reduce(vals, axis=1)
+    var += (count - vals.shape[1]) * np.square(mean)
+    var /= count
+    return stratum.box * mean, (stratum.box ** 2) * var / count

@@ -727,6 +727,9 @@ def test_barrier_verify_benchmark_config_frozen(tmp_path):
     assert results["min_margin_f"] == -1.4711167141205312
     assert results["quadrature_error"] == 193.39104239113632
     assert results["tilde_c"] == 12.373408321831254
+    assert results["worst_point"] == [-0.4163482679171053, -0.5811874863781361]
+    assert results["quad_coeffs"] == [
+        -1.259921049894873, -1.1040895136738123, 1.2642977396044843]
     # passed under margin >= -error, yet no point has margin - error >= 0
     assert results["passed"] is True
     assert results["certified_f"] == results["certified"] == 0

@@ -9,8 +9,8 @@ from anisonl.fields import AnalyticField
 from anisonl.kernels import KernelFamily, PowerLawKernel, TruncatedKernel
 from anisonl.operators import eval_extremal_many, eval_inf_sup, eval_linear
 from anisonl.profile import AnisotropyProfile
-from anisonl.quadrature import (OUTER_FACTOR, QuadratureScheme, node_table,
-                                shell_radii)
+from anisonl.quadrature import (OUTER_FACTOR, QuadratureScheme, Stratum,
+                                node_table, shell_radii, stratum_moments)
 
 QUAD = QuadratureScheme(shells=10, nodes_per_shell=600, far_radius=12.0,
                         r_inner=1e-7, seed=5)
@@ -67,7 +67,9 @@ def broadcast_extremal(u, X, profile, quad, which):
     """(quadrature value, standard error) per row of ``X`` by the plain
     formulas over the redrawn nodes: x +- y as a (rows, nodes, n)
     broadcast, the sign split as pos * max(d, 0) - neg * max(-d, 0), and
-    np.mean / np.var over the zero-filled row of each stratum."""
+    each stratum's mean and variance over its k accepted of its count
+    drawn nodes, the rejected draws entering as zeros: mean = sum / count
+    and var = (sum of squared deviations + (count - k) mean^2) / count."""
     lam, Lam = profile.lambda_lo, profile.lambda_hi
     a, b = (Lam, lam) if which == "plus" else (lam, Lam)
     ex = np.array([profile.n + s for s in profile.sigma])
@@ -82,10 +84,12 @@ def broadcast_extremal(u, X, profile, quad, which):
         um = u.eval((X[:, None, :] - y[None, :, :]).reshape(-1, n))
         d = (up + um).reshape(rows, -1) - 2.0 * ux[:, None]
         num = a * np.maximum(d, 0.0) - b * np.maximum(-d, 0.0)
-        full = np.zeros((rows, len(pts)))
-        full[:, ok] = profile.c_sigma * num / np.sum(np.abs(y) ** ex, axis=1)
-        total += box * np.mean(full, axis=1)
-        var += box ** 2 * np.var(full, axis=1) / len(pts)
+        vals = profile.c_sigma * num / np.sum(np.abs(y) ** ex, axis=1)
+        count, k = len(pts), len(y)
+        mean = np.sum(vals, axis=1) / count
+        sq = np.sum((vals - mean[:, None]) ** 2, axis=1)
+        total += box * mean
+        var += box ** 2 * ((sq + (count - k) * mean ** 2) / count) / count
     return total, np.sqrt(var)
 
 
@@ -130,7 +134,7 @@ def test_extremal_many_memory_is_bounded(aniso2, name):
     finally:
         tracemalloc.stop()
     table = sum(a.nbytes for s in node_table(aniso2, quad)
-                for a in (s.pts, s.gauge, s.index))
+                for a in (s.pts, s.gauge))
     block = operators.BLOCK_PAIRS * aniso2.n * 8
     assert peak < 8 * block + table
 
@@ -142,7 +146,6 @@ def test_node_table_matches_redrawn_nodes(aniso2):
     ex = np.array([3.0, 3.5])
     for s, (pts, ok, box) in zip(table, ref):
         assert s.count == len(pts)
-        assert np.array_equal(s.index, np.flatnonzero(ok))
         assert np.array_equal(s.pts, pts[ok])
         assert np.array_equal(s.gauge, np.sum(np.abs(pts[ok]) ** ex, axis=1))
         assert s.box == box
@@ -151,11 +154,57 @@ def test_node_table_matches_redrawn_nodes(aniso2):
 
 def test_node_table_is_read_only_and_bounded(aniso2):
     for s in node_table(aniso2, QUAD):
-        assert np.all(np.diff(s.index) > 0) and np.all(s.index < s.count)
-        for arr in (s.pts, s.gauge, s.index):
+        assert len(s.pts) == len(s.gauge) <= s.count
+        for arr in (s.pts, s.gauge):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
     assert node_table.cache_info().maxsize == 8
+
+
+def _stratum_of(k, count, box=2.5):
+    return Stratum(np.zeros((k, 1)), np.ones(k), box=box, count=count)
+
+
+def _mixed_cancelling(rng):
+    # integer values of both signs summing to 1: every summation order
+    # gives the same sum, so the mean 1 / count is exact and the variance
+    # alone tests the closed form
+    v = rng.integers(-2 ** 20, 2 ** 20, size=(3, 40)).astype(float)
+    v[:, -1] += 1.0 - v.sum(axis=1)
+    return v
+
+
+@pytest.mark.parametrize("case", ["k=1", "k=count", "mixed", "cancelling"])
+def test_stratum_moments_equal_zero_filled_formula(case, rng):
+    count = 40 if case == "k=count" else 97
+    vals = {"k=1": lambda: rng.normal(size=(3, 1)),
+            "k=count": lambda: rng.normal(size=(3, 40)),
+            "mixed": lambda: rng.normal(size=(3, 40)) * 1e3,
+            "cancelling": lambda: _mixed_cancelling(rng)}[case]()
+    k = vals.shape[1]
+    full = np.zeros((3, count))
+    full[:, np.sort(rng.choice(count, size=k, replace=False))] = vals
+    s = _stratum_of(k, count)
+    mean_part, var_part = stratum_moments(s, vals.copy())
+    assert mean_part == pytest.approx(s.box * np.mean(full, axis=1),
+                                      rel=1e-13)
+    assert var_part == pytest.approx(
+        s.box ** 2 * np.var(full, axis=1) / count, rel=1e-13)
+
+
+def test_stratum_moments_allocate_no_drawn_row():
+    """With count >> k one call peaks far below one (rows, count) array
+    of floats."""
+    rows, k, count = 8, 16, 1 << 16
+    vals = np.random.default_rng(1).normal(size=(rows, k))
+    s = _stratum_of(k, count)
+    tracemalloc.start()
+    try:
+        stratum_moments(s, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * count * 8
 
 
 @pytest.mark.parametrize("which", ["plus", "minus"])
