@@ -84,18 +84,11 @@ P_MAX = 64
 SCREEN_POINTS = 24
 
 
-def _margins(barrier, pts, profile, quad):
-    """(M^- barrier, its error) at each row of ``pts``, shape (rows, 2)."""
-    ovs = eval_extremal_many(barrier, pts, profile, quad, which="minus")
-    return np.array([(ov.value, ov.error) for ov in ovs])
-
-
-def _certificate(pts, margins):
-    """The sampled supersolution record of ``margins`` at ``pts``: the
-    worst margin with its point and error, PASS iff every margin clears
-    minus its error, and the count of points whose margin minus its error
-    is nonnegative."""
-    value, error = margins[:, 0], margins[:, 1]
+def _certificate(pts, value, error):
+    """The sampled supersolution record of the margins ``value``, with
+    errors ``error``, at ``pts``: the worst margin with its point and
+    error, PASS iff every margin clears minus its error, and the count of
+    points whose margin minus its error is nonnegative."""
     worst = int(np.argmin(value))
     return {
         "min_margin": float(value[worst]),
@@ -129,17 +122,18 @@ def find_p(profile, R, quad, n_points, seed):
             f"floor {SIGMA_FLOOR}: barrier certification refused")
     pts = annulus_points(profile.n, 1.0, R, n_points, seed)
     screen = min(SCREEN_POINTS, n_points)
-    # margins evaluated so far per p; rows of eval_extremal_many do not
-    # depend on the batch, so a screen's rows stand in for a full pass's
+    # (margins, errors) so far per p, a column per point: the shell sums,
+    # probe and tail bracket of eval_extremal_many are rowwise, so a
+    # screen's columns stand in for a full pass's
     done = {}
 
     def certify(p, rows):
-        have = done.get(p, np.empty((0, 2)))
-        if len(have) < rows:
-            have = done[p] = np.vstack([have, _margins(
-                RadialBarrier(p, 2.0 ** p), pts[len(have):rows], profile,
-                quad)])
-        return _certificate(pts[:rows], have[:rows])
+        have = done.get(p, np.empty((2, 0)))
+        if have.shape[1] < rows:
+            have = done[p] = np.hstack([have, eval_extremal_many(
+                RadialBarrier(p, 2.0 ** p), pts[have.shape[1]:rows], profile,
+                quad, "minus")])
+        return _certificate(pts[:rows], *have[:, :rows])
 
     lo, hi = 0, 1
     while True:
@@ -219,4 +213,5 @@ def verify_supersolution(barrier, points, profile, quad):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         raise ValueError("need at least one sample point")
-    return _certificate(points, _margins(barrier, points, profile, quad))
+    return _certificate(points, *eval_extremal_many(barrier, points, profile,
+                                                    quad, "minus"))

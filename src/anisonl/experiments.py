@@ -90,10 +90,10 @@ def distribution_decay(u, m_level, k_max):
 
 
 def normalized_solution(problem):
-    """The solution of ``problem`` scaled to u(0) = 1, its exterior data
-    scaled the same way.  An unconverged solve, or u(0) <= 0, which
-    cannot be normalised, raises PreconditionError."""
-    from .fields import CallableExterior, GridField
+    """The solution of ``problem`` scaled to u(0) = 1, its exterior rule,
+    far value included, scaled the same way.  An unconverged solve, or
+    u(0) <= 0, which cannot be normalised, raises PreconditionError."""
+    from .fields import GridField, ScaledExterior
     from .solver import solve_dirichlet
     field, report = solve_dirichlet(problem)
     if not report.converged:
@@ -108,10 +108,8 @@ def normalized_solution(problem):
             f"{problem.tolerance:.3e}: the solution cannot be normalised "
             "to u(0) = 1")
     scale = 1.0 / origin
-    ext = problem.exterior
     return GridField(problem.lo, problem.hi, field.values * scale,
-                     CallableExterior(lambda pts: ext(pts) * scale,
-                                      ext.sup_bound * scale))
+                     ScaledExterior(problem.exterior, scale))
 
 
 def harnack_quotient(u, c0, problem):

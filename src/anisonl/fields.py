@@ -9,6 +9,7 @@ arbitrary bounded callable.  Each rule states its ``sup_bound``, a bound
 on |value| (inf for an affine rule), and the ``far`` value to which the
 lattice scheme's tail reaction couples each point: its own value for
 constant and affine data; 0, the middle of +-sup_bound, for a callable.
+A ``ScaledExterior`` scales all three of another rule's.
 The shell quadrature takes ``AnalyticField``s only; each brackets its own
 far tail by ``tail_delta_range``.
 """
@@ -61,6 +62,23 @@ class CallableExterior:
 
     def far(self, pts):
         return np.zeros(pts.shape[0])
+
+
+@dataclass(frozen=True)
+class ScaledExterior:
+    """The exterior rule ``rule`` times ``scale`` > 0, far value included."""
+    rule: object
+    scale: float
+
+    def __call__(self, pts):
+        return self.rule(pts) * self.scale
+
+    @property
+    def sup_bound(self):
+        return self.rule.sup_bound * self.scale
+
+    def far(self, pts):
+        return self.rule.far(pts) * self.scale
 
 
 def _interp(pts, lo, inv_h, shape, flat_vals):
@@ -161,15 +179,18 @@ class AnalyticField:
     def sup_bound(self):
         return self._sup
 
-    def tail_delta_range(self, x, far):
-        x = np.asarray(x, dtype=float)
-        ux = float(self.eval(x[None, :])[0])
+    def tail_delta_range(self, X, ux, far):
+        """Arrays (lo, hi) bounding delta(u, x, y) over |y| > ``far`` at
+        the rows x of ``X``, ``ux`` = u(X); x +- y lies outside B_r for
+        r = far - |x|."""
+        lo = np.full(len(X), -self._sup)
+        hi = np.full(len(X), self._sup)
         if self._range_outside is not None:
-            r = far - float(np.linalg.norm(x))
-            if r > 0:
-                lo, hi = self._range_outside(r)
-                return 2.0 * lo - 2.0 * ux, 2.0 * hi - 2.0 * ux
-        return -2.0 * self._sup - 2.0 * ux, 2.0 * self._sup - 2.0 * ux
+            for i, x in enumerate(X):
+                r = far - float(np.linalg.norm(x))
+                if r > 0:
+                    lo[i], hi[i] = self._range_outside(r)
+        return 2.0 * lo - 2.0 * ux, 2.0 * hi - 2.0 * ux
 
 
 def _pair_points(X, Y, op):

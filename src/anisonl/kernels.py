@@ -75,14 +75,6 @@ class KernelFamily:
             raise ValueError("kernel family rows must have equal length")
         self.members = members
 
-    @property
-    def n_inf(self):
-        return len(self.members)
-
-    @property
-    def n_sup(self):
-        return len(self.members[0])
-
     @staticmethod
     def extremal_pair(profile):
         """Two constant-multiplier members {lambda, Lambda} on the sup level."""
@@ -169,6 +161,7 @@ def near_moment_bound(profile, s):
 
 
 def near_field_bound(profile, s, c11_bound, mult_hi):
-    """|int_{Theta_s} delta K| <= 2 M mult_hi c_sigma * moment bound."""
+    """|int_{Theta_s} delta K| <= 2 M mult_hi c_sigma * moment bound, per
+    point for an array of C^{1,1} bounds M = ``c11_bound``."""
     return 2.0 * c11_bound * mult_hi * profile.c_sigma \
         * near_moment_bound(profile, s)

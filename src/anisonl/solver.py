@@ -249,7 +249,7 @@ class Lattice:
 
 
 def _base_lattice(problem):
-    """The lattice of the base kernel K and the (n_inf, n_sup) multipliers
+    """The lattice of the base kernel K and the (alpha, beta) multipliers
     m of a family of members m_ab K, m_ab > 0: the problem's own when K is
     the class's base, else a new one; any other family is refused."""
     rows = problem.family.members

@@ -74,9 +74,9 @@ def test_find_p_margin_monotone(iso1_ell):
     pts = annulus_points(1, 1.0, 6.0, 24, seed=3)
     margins = {}
     for p in (2, 6):
-        ovs = eval_extremal_many(RadialBarrier(p, 2.0 ** p), pts, iso1_ell,
-                                 quad, "minus")
-        margins[p] = min(ov.value for ov in ovs)
+        values, _ = eval_extremal_many(RadialBarrier(p, 2.0 ** p), pts,
+                                       iso1_ell, quad, "minus")
+        margins[p] = min(values)
     assert margins[6] >= margins[2]
 
 
@@ -96,16 +96,21 @@ def brute_force_p(profile, R, quad, n_points, seed, p_max, screen_points):
     pts = annulus_points(profile.n, 1.0, R, n_points, seed)
 
     def margins(p, rows):
+        """(margin, error) at each row, one evaluation per row."""
         f = RadialBarrier(p, 2.0 ** p)
-        return [eval_extremal_many(f, [x], profile, quad, "minus")[0]
-                for x in rows]
+        out = []
+        for x in rows:
+            (value,), (error,) = eval_extremal_many(f, [x], profile, quad,
+                                                    "minus")
+            out.append((value, error))
+        return out
 
-    def clears(ovs):
-        return all(ov.value >= -ov.error for ov in ovs)
+    def clears(ms):
+        return all(value >= -error for value, error in ms)
 
-    def worst(ovs):
-        i = int(np.argmin([ov.value for ov in ovs]))
-        return ovs[i].value, ovs[i].error, pts[i]
+    def worst(ms):
+        i = int(np.argmin([value for value, _ in ms]))
+        return ms[i] + (pts[i],)
 
     p = 1
     while p <= p_max and not clears(margins(p, pts[:screen_points])):
@@ -196,9 +201,9 @@ def test_sign_of_m_minus_matches_dense_reference(iso1):
     ref *= iso1.c_sigma * 2.0
     quad = QuadratureScheme(shells=24, nodes_per_shell=3000, far_radius=64.0,
                             r_inner=1e-9, seed=11)
-    got = eval_extremal_many(f, [[x0]], iso1, quad, "minus")[0]
-    assert np.sign(got.value) == np.sign(ref) == 1.0
-    assert got.value == pytest.approx(ref, rel=0.05)
+    (got,), _ = eval_extremal_many(f, [[x0]], iso1, quad, "minus")
+    assert np.sign(got) == np.sign(ref) == 1.0
+    assert got == pytest.approx(ref, rel=0.05)
 
 
 def scaled_barrier(f, smap):
@@ -244,11 +249,13 @@ def test_scaling_identity_for_m_minus(iso2):
         d /= np.linalg.norm(d)
         w = d * rng.uniform(1.3, 2.5)      # straightened annulus point
         x = smap.apply(w)
-        lhs = eval_extremal_many(g, [x], iso2, quad_g, "minus")[0]
-        rhs = eval_extremal_many(f, [w], iso2, quad_f, "minus")[0]
-        scale = max(abs(rhs.value), 1e-12)
-        tol = 0.02 + (lhs.error / factor + rhs.error) / scale
-        assert abs(lhs.value / factor - rhs.value) <= tol * scale
+        (lhs,), (lhs_err,) = eval_extremal_many(g, [x], iso2, quad_g,
+                                                "minus")
+        (rhs,), (rhs_err,) = eval_extremal_many(f, [w], iso2, quad_f,
+                                                "minus")
+        scale = max(abs(rhs), 1e-12)
+        tol = 0.02 + (lhs_err / factor + rhs_err) / scale
+        assert abs(lhs / factor - rhs) <= tol * scale
         checked += 1
 
 
@@ -378,8 +385,8 @@ def test_verify_supersolution_psi_outside_inner_ellipse(iso2):
     pts = w * psi.t[None, :]
     rep = verify_supersolution(psi, pts, iso2, quad)
     assert rep["passed"]
-    ovs = eval_extremal_many(psi, pts, iso2, quad, "minus")
-    assert rep["certified"] == sum(ov.value - ov.error >= 0 for ov in ovs)
+    values, errors = eval_extremal_many(psi, pts, iso2, quad, "minus")
+    assert rep["certified"] == sum(values - errors >= 0)
 
 
 def test_certificate_counts_strict_rule_beside_verdict():
@@ -387,13 +394,13 @@ def test_certificate_counts_strict_rule_beside_verdict():
     the points with margin - error >= 0, a verdict it does not change."""
     pts = np.arange(8.0).reshape(4, 2)
     margins = np.array([[1.0, 0.5], [0.2, 0.5], [-0.1, 0.5], [0.5, 0.5]])
-    cert = barriers._certificate(pts, margins)
+    cert = barriers._certificate(pts, *margins.T)
     assert cert["passed"] and cert["certified"] == 2
     assert (cert["min_margin"], cert["quadrature_error"]) == (-0.1, 0.5)
     assert np.array_equal(cert["worst_point"], pts[2])
     assert cert["n_points"] == 4
     margins[:, 1] = 0.05
-    cert = barriers._certificate(pts, margins)
+    cert = barriers._certificate(pts, *margins.T)
     assert not cert["passed"] and cert["certified"] == 3
 
 

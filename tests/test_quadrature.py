@@ -93,6 +93,21 @@ def broadcast_extremal(u, X, profile, quad, which):
     return total, np.sqrt(var)
 
 
+def sign_split_sums(u, X, profile, quad, which):
+    """(shell sums, standard errors) of M^+/- u at the rows of ``X``, as
+    ``eval_extremal_many`` takes them from ``_shell_sums``."""
+    whole, seen = operators._shell_sums, []
+
+    def spy(*args):
+        seen.append(whole(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_shell_sums", spy)
+        eval_extremal_many(u, X, profile, quad, which)
+    return seen[0]
+
+
 def oracle_fields(profile):
     return {
         "radial": RadialBarrier(3.0, 8.0),
@@ -110,9 +125,9 @@ def test_extremal_many_bitwise_equals_broadcast_formulas(n, name, rng):
                    np.full((1, n), 0.5 / np.sqrt(n))])
     for which in ("plus", "minus"):
         total, se = broadcast_extremal(u, X, profile, QUAD, which)
-        got = eval_extremal_many(u, X, profile, QUAD, which)
-        assert [ov.parts["quadrature_value"] for ov in got] == total.tolist()
-        assert [ov.parts["mc_se"] for ov in got] == se.tolist()
+        got_total, got_se = sign_split_sums(u, X, profile, QUAD, which)
+        assert got_total.tolist() == total.tolist()
+        assert got_se.tolist() == se.tolist()
 
 
 @pytest.mark.parametrize("name", ["radial", "psi"])
@@ -211,25 +226,28 @@ def test_stratum_moments_allocate_no_drawn_row():
 def test_extremal_many_matches_pointwise_oracle(aniso2, which, rng):
     u = RadialBarrier(3.0, 8.0)
     X = rng.uniform(-2.0, 2.0, size=(7, 2))
-    got = eval_extremal_many(u, X, aniso2, QUAD, which)
-    assert len(got) == len(X)
-    for x, ov in zip(X, got):
-        val, se = oracle_extremal(u, x, aniso2, QUAD, which)
-        assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
-        assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)
-        one = eval_extremal_many(u, [x], aniso2, QUAD, which)[0]
-        assert (one.value, one.error) == (ov.value, ov.error)
+    values, errors = eval_extremal_many(u, X, aniso2, QUAD, which)
+    assert len(values) == len(errors) == len(X)
+    total, se = sign_split_sums(u, X, aniso2, QUAD, which)
+    for i, x in enumerate(X):
+        val, oracle_se = oracle_extremal(u, x, aniso2, QUAD, which)
+        assert total[i] == pytest.approx(val, rel=1e-12)
+        assert se[i] == pytest.approx(oracle_se, rel=1e-12)
+        (one,), (one_err,) = eval_extremal_many(u, [x], aniso2, QUAD, which)
+        assert (one, one_err) == (values[i], errors[i])
 
 
 @pytest.mark.parametrize("pairs", [1, 700, 5000])
 def test_row_blocks_are_bit_identical(aniso2, rng, monkeypatch, pairs):
     u = RadialBarrier(2.0, 4.0)
     X = rng.uniform(-3.0, 3.0, size=(9, 2))
-    whole = eval_extremal_many(u, X, aniso2, QUAD, "minus")
+    whole = (eval_extremal_many(u, X, aniso2, QUAD, "minus")
+             + sign_split_sums(u, X, aniso2, QUAD, "minus"))
     monkeypatch.setattr(operators, "BLOCK_PAIRS", pairs)
-    blocked = eval_extremal_many(u, X, aniso2, QUAD, "minus")
-    assert [(o.value, o.error, o.parts) for o in blocked] \
-        == [(o.value, o.error, o.parts) for o in whole]
+    blocked = (eval_extremal_many(u, X, aniso2, QUAD, "minus")
+               + sign_split_sums(u, X, aniso2, QUAD, "minus"))
+    # values, errors, shell sums and standard errors
+    assert [a.tolist() for a in blocked] == [a.tolist() for a in whole]
 
 
 def test_inf_sup_shares_delta_with_linear_members(aniso2, rng):
@@ -245,8 +263,8 @@ def test_inf_sup_shares_delta_with_linear_members(aniso2, rng):
     x = rng.uniform(-1.0, 1.0, size=2)
     got = eval_inf_sup(u, x, fam, QUAD)
     table = [[eval_linear(u, x, k, QUAD) for k in row] for row in fam.members]
-    assert got.value == min(max(ov.value for ov in row) for row in table)
-    assert got.error == max(ov.error for row in table for ov in row)
+    assert got == (min(max(v for v, _ in row) for row in table),
+                   max(e for row in table for _, e in row))
 
 
 def test_field_with_no_accepted_nodes_in_a_stratum(iso1):
@@ -255,7 +273,9 @@ def test_field_with_no_accepted_nodes_in_a_stratum(iso1):
                             r_inner=1e-6, seed=3)
     assert any(s.pts.shape[0] == 0 for s in node_table(iso1, quad))
     u = AnalyticField(lambda p: np.exp(-p[:, 0] ** 2), sup_bound=1.0)
-    ov = eval_extremal_many(u, [[0.1]], iso1, quad, "plus")[0]
-    val, se = oracle_extremal(u, np.array([0.1]), iso1, quad, "plus")
-    assert ov.parts["quadrature_value"] == pytest.approx(val, rel=1e-12)
-    assert ov.parts["mc_se"] == pytest.approx(se, rel=1e-12)
+    (total,), (se,) = sign_split_sums(u, [[0.1]], iso1, quad, "plus")
+    val, oracle_se = oracle_extremal(u, np.array([0.1]), iso1, quad, "plus")
+    assert total == pytest.approx(val, rel=1e-12)
+    assert se == pytest.approx(oracle_se, rel=1e-12)
+    values, errors = eval_extremal_many(u, [[0.1]], iso1, quad, "plus")
+    assert np.isfinite(values[0]) and np.isfinite(errors[0])

@@ -262,8 +262,8 @@ def _dense_policy_iteration(problem, max_rounds=50):
     """Nested Howard iteration on the dense member matrices of
     ``dense_matrix`` (rows A_ab u - b_ab = L_ab u - f), solved by LU."""
     fam = problem.family
-    mats = [[dense_matrix(problem, (a, b)) for b in range(fam.n_sup)]
-            for a in range(fam.n_inf)]
+    mats = [[dense_matrix(problem, (a, b)) for b in range(len(row))]
+            for a, row in enumerate(fam.members)]
     big_a = np.array([[m[0] for m in row] for row in mats])
     big_b = np.array([[m[1] for m in row] for row in mats])
     rows = np.arange(big_b.shape[-1])
@@ -372,7 +372,7 @@ def test_apply_matches_dense_2d(family, aniso2, rng):
                            ext, rhs=_wave_rhs)
     u = rng.normal(size=9 * 7)
     got = AssembledOperator(prob).apply(u)
-    dense = [dense_matrix(prob, (0, b)) for b in range(fam.n_sup)]
+    dense = [dense_matrix(prob, (0, b)) for b in range(len(fam.members[0]))]
     want = np.max([a @ u - b for a, b in dense], axis=0)
     scale = max(np.max(np.abs(a)) for a, _ in dense) * np.max(np.abs(u))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -439,14 +439,35 @@ def test_extremal_at_lambda_equal_is_the_solver_operator(kind, box, rng):
 
 
 def test_extremal_of_normalised_affine_data_is_finite(iso1_ell):
-    """normalized_solution scales affine exterior data into a callable
-    rule with an infinite sup_bound; its far value is 0, not the midpoint
-    of +-inf, so M^-+_h are finite."""
+    """normalized_solution scales affine exterior data, whose sup_bound
+    is infinite, with its own far value, not the midpoint of +-inf, so
+    M^-+_h are finite."""
     prob = DiscreteProblem(iso1_ell, (-2.0,), (2.0,), (17,),
                            KernelFamily.extremal_pair(iso1_ell),
                            AffineExterior(1.0, (0.1,)))
     for m in discrete_extremal(prob, normalized_solution(prob)):
         assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("rule", [
+    lambda n: ConstantExterior(2.0),
+    lambda n: AffineExterior(1.0, (0.1, -0.05)[:n]),
+], ids=["constant", "affine"])
+@pytest.mark.parametrize("shape", [(33,), (17, 17)], ids=["1d", "2d"])
+def test_normalised_extremal_is_the_scaled_solved_extremal(rule, shape):
+    """normalized_solution scales the exterior rule's far value with its
+    values, so M^-+_h of the normalised field are the scale times those of
+    the solved field, whose data (f = 0, harmonic exterior) make them 0."""
+    n = len(shape)
+    prof = AnisotropyProfile(n, (1.0, 1.5)[:n], 1.0, 2.0)
+    prob = DiscreteProblem(prof, (-2.0,) * n, (2.0,) * n, shape,
+                           KernelFamily.extremal_pair(prof), rule(n),
+                           tolerance=1e-10)
+    field, _ = solve_dirichlet(prob)
+    scale = 1.0 / float(field.eval(np.zeros((1, n)))[0])
+    got = discrete_extremal(prob, normalized_solution(prob))
+    for m, want in zip(got, discrete_extremal(prob, field)):
+        assert np.max(np.abs(m - scale * want)) <= 1e-12
 
 
 def test_discrete_extremal_memory_is_bounded():
