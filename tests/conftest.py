@@ -1,3 +1,6 @@
+# first: the package pins one BLAS thread before numpy loads, so the
+# suite runs numpy as the CLI does
+import anisonl  # noqa: F401
 import math
 from dataclasses import replace
 
