@@ -158,7 +158,8 @@ def _tiles_for_points(profile, pts, gen):
     return sorted(found)
 
 
-def _children_with_points(profile, rect, pts):
+def _children_with_points(rect, pts):
+    profile = rect.profile
     factor = 2 ** profile.frak_c
     child_idx = _tiles_for_points(profile, pts, rect.gen + 1)
     out = []
@@ -180,11 +181,13 @@ def _max_f(f, rect, extra_pts):
 
 @dataclass
 class AbpCover:
+    profile: AnisotropyProfile
     rectangles: list
     contact_points: np.ndarray
 
 
-def _eval_rect(u, env, f, rect, contact_pts):
+def _eval_rect(env, f, rect, contact_pts):
+    u = env.field
     in_rect = rect.closure_contains(contact_pts)
     max_f = _max_f(f, rect, contact_pts[in_rect])
     grad_img = env.grad_image_measure(rect.lo, rect.hi)
@@ -206,7 +209,7 @@ def _eval_rect(u, env, f, rect, contact_pts):
                          rect.gen, 2.0 * rect.half)
     overlap, block = u.cell_overlaps(lo, hi)
     slack = DETACH_CONSTANT * max_f * rect.tilde_diameter ** 2
-    detached = lattice_gap(u, env, block) > slack
+    detached = lattice_gap(env, block) > slack
     detach_measure = (float(np.prod(2.0 * t_half))
                       - float(np.sum(overlap[detached])))
     rect.record = {
@@ -222,24 +225,24 @@ def _eval_rect(u, env, f, rect, contact_pts):
     return rect.record
 
 
-def abp_cover(u, f, profile, env):
+def abp_cover(env, f, profile):
     """Build the disjoint rectangle family covering the contact set of
-    ``u`` under its concave envelope ``env``.
+    the concave envelope ``env`` of its field.
 
     Splits rectangles violating the measured gradient-image or detachment
     properties until all pass or the depth cap trips (CoverDepthError
     with the offending chain).  Each rectangle carries its record.
     """
-    pts, _ = contact_set(u, env)
+    pts, _ = contact_set(env)
     if pts.shape[0] == 0:
-        return AbpCover([], pts)
+        return AbpCover(profile, [], pts)
 
     queue = [CoverRectangle(0, idx, profile)
              for idx in _tiles_for_points(profile, pts, 0)]
     final = []
     while queue:
         rect = queue.pop()
-        rec = _eval_rect(u, env, f, rect, pts)
+        rec = _eval_rect(env, f, rect, pts)
         grad_ok = rec["grad_ratio"] <= GRAD_THRESHOLD
         detach_ok = rec["varsigma_ratio"] >= VARSIGMA
         if grad_ok and detach_ok:
@@ -251,9 +254,9 @@ def abp_cover(u, f, profile, env):
                                for i in rect.index))
                      for g in range(rect.gen + 1)]
             raise CoverDepthError(chain, 2.0 * rect.half)
-        queue.extend(_children_with_points(profile, rect, pts))
+        queue.extend(_children_with_points(rect, pts))
     final.sort(key=lambda r: (r.gen, r.index))
-    return AbpCover(final, pts)
+    return AbpCover(profile, final, pts)
 
 
 def cover_dump(cover):
@@ -273,11 +276,12 @@ def cover_dump(cover):
     return out
 
 
-def verify_cover(cover, profile):
+def verify_cover(cover):
     """Re-check the cover contract (disjointness, contact coverage and
     meeting, diameter bound, gradient-image and detachment measures),
     aggregate the empirical constants and decide ``passed``: disjoint,
     covering the contact set and within the diameter bound."""
+    profile = cover.profile
     rects = cover.rectangles
     report = {"n_rectangles": len(rects)}
 

@@ -296,7 +296,7 @@ def _cmd_barrier_verify(profile, quad, params, seed):
 
 
 def _cap_envelope(profile, shape):
-    """The cap max(0, 1 - 2|x|^2) on a ``shape``^n grid and its envelope;
+    """The envelope of the cap max(0, 1 - 2|x|^2) on a ``shape``^n grid;
     a grid too coarse to keep the cap inside B_1 fails a precondition."""
     n = profile.n
     from .envelope import concave_envelope
@@ -306,17 +306,17 @@ def _cap_envelope(profile, shape):
         r2 = np.sum(pts ** 2, axis=1)
         return np.maximum(0.0, 1.0 - 2.0 * r2)
 
-    u = GridField.from_function(cap, [-2.0] * n, [2.0] * n, (shape,) * n, 0.0)
-    return u, concave_envelope(u)
+    return concave_envelope(GridField.from_function(
+        cap, [-2.0] * n, [2.0] * n, (shape,) * n, 0.0))
 
 
 def _cmd_envelope(profile, quad, params, seed):
     from .envelope import contact_set, default_contact_tol
-    u, env = _cap_envelope(profile, int(params.get("grid", 129)))
-    pts, degenerate = contact_set(u, env)
+    env = _cap_envelope(profile, int(params.get("grid", 129)))
+    pts, degenerate = contact_set(env)
     planes = env.supporting_planes()
     summary = {"contact_points": len(pts), "degenerate": degenerate,
-               "contact_tol": default_contact_tol(u, env),
+               "contact_tol": default_contact_tol(env),
                "n_planes": int(planes.shape[0]),
                "lipschitz": env.lipschitz()}
     rows = [tuple(p) for p in planes]
@@ -328,13 +328,13 @@ def _cmd_envelope(profile, quad, params, seed):
 def _cmd_abp_cover(profile, quad, params, seed):
     from .abp import abp_cover, cover_dump, verify_cover
     from .fields import GridField
-    u, env = _cap_envelope(profile, int(params.get("grid", 65)))
+    env = _cap_envelope(profile, int(params.get("grid", 65)))
     fconst = params.get("f_const", 8.0)
     f = GridField.from_function(
         lambda pts: np.full(pts.shape[0], fconst),
         [-2.0] * profile.n, [2.0] * profile.n, (17,) * profile.n, fconst)
-    cover = abp_cover(u, f, profile, env)
-    report = verify_cover(cover, profile)
+    cover = abp_cover(env, f, profile)
+    report = verify_cover(cover)
     report["rectangles"] = cover_dump(cover)
     rows = [(r.gen,) + tuple(r.center) + (r.record["varsigma_ratio"],)
             for r in cover.rectangles]
@@ -352,9 +352,8 @@ def _cmd_cz(profile, quad, params, seed):
                                 "cells: generation * n must be at most 24")
     rng = np.random.default_rng(seed)
     m = 2 ** gen
-    b = CellSet(n, gen, np.ones((m,) * n, dtype=bool))
-    a_mask = rng.random((m,) * n) < delta / 2.0
-    a = CellSet(n, gen, a_mask)
+    b = CellSet(np.ones((m,) * n, dtype=bool))
+    a = CellSet(rng.random((m,) * n) < delta / 2.0)
     res = cz_decompose(a, b, delta)
     summary = {"selected": len(res.gen), "covered": res.covered,
                "c_measured": res.c_measured, "certified": res.certified,
@@ -448,7 +447,7 @@ def _cmd_kernel_check(profile, quad, params, seed):
     from .experiments import kernel_modulus_check
     from .kernels import PowerLawKernel
     kernel = PowerLawKernel(profile, profile.lambda_lo)
-    res = kernel_modulus_check(kernel, profile, params.get("tau0", 0.5),
+    res = kernel_modulus_check(kernel, params.get("tau0", 0.5),
                                params.get("h_scales", [0.05, 0.1]),
                                params.get("c0", 1e3), seed)
     return res.scalars, res.rows, res.columns, res.passed

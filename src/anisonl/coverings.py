@@ -70,12 +70,17 @@ def _cumulative_between(cum, lo_d, hi_d, m):
 
 
 class CellSet:
-    """Union of generation-G lattice cells of Q_1 as a boolean array."""
+    """Union of generation-G lattice cells of Q_1 as a boolean array of
+    shape (2^G,) * n, which fixes the dimension n and the generation G."""
 
-    def __init__(self, n, gen, mask):
-        self.n = n
-        self.gen = gen
-        self.m = 2 ** gen
+    def __init__(self, mask):
+        m = mask.shape[0] if mask.ndim else 0
+        if set(mask.shape) != {m} or m < 1 or m & (m - 1):
+            raise ValueError("a cell set's mask has the shape (2^G,) * n, "
+                             f"not {mask.shape}")
+        self.n = mask.ndim
+        self.gen = m.bit_length() - 1
+        self.m = m
         self.mask = mask
 
     @property

@@ -8,10 +8,12 @@ it is a double discrete Legendre transform on a product grid of slopes,
 
     u*(s) = max_y (u^+(y) - s.y),    Gamma_D(x) = min_s (s.x + u*(s)),
 
-each taken as one maximum per axis in turn (the separable transform of
-Lucet, "Faster than the fast Legendre transform, the linear-time Legendre
-transform", Numer. Algorithms 16, 1997), with one maximiser y(s) tracked
-per slope.
+each taken as one maximum per axis in turn, with one maximiser y(s)
+tracked per slope: the separable scheme of Lucet ("Faster than the fast
+Legendre transform, the linear-time Legendre transform", Numer.
+Algorithms 16, 1997).  ``_legendre`` takes one argmax along the axis for
+every slope, so each axis costs O(lattice x slopes), not Lucet's linear
+time; the linear-time merge is ROADMAP item 24.
 
 Slopes: every facet of Gamma has a vertex in B_1, where u^+ lives, and
 its plane, at most sup u^+ there, stays nonnegative at the lattice points
@@ -76,10 +78,11 @@ def _legendre(f, xs, ts):
 
 
 class GridEnvelope:
-    """Gamma_D of a grid field's samples over B_3 (see the module text):
-    the sample lattice ``axes``, u's own extended (``first``: u's index of
-    its first point per axis), ``samples`` (-inf outside B_3; u's lattice
-    values in B_1, which u's box must hold), the slope grid ``slopes`` of
+    """Gamma_D of the samples over B_3 of the grid field u, kept as
+    ``field`` (see the module text): the sample lattice ``axes``, u's own
+    extended (``first``: u's index of its first point per axis),
+    ``samples`` (-inf outside B_3; u's lattice values in B_1, which u's
+    box must hold), the slope grid ``slopes`` of
     spacing ``step``, u* and the maximiser of each slope (its flat index
     into ``samples``), Gamma_D on the lattice (zero outside B_3) and the
     active planes."""
@@ -87,6 +90,7 @@ class GridEnvelope:
     def __init__(self, u):
         if np.any(u.lo > -1.0) or np.any(u.hi < 1.0):
             raise ValueError("the field's box must hold B_1")
+        self.field = u
         self.first = [math.ceil((-3.0 - lo) / h - 1e-9)
                       for lo, h in zip(u.lo, u.h)]
         last = [math.floor((3.0 - lo) / h + 1e-9) for lo, h in zip(u.lo, u.h)]
@@ -182,37 +186,39 @@ def concave_envelope(u):
     return GridEnvelope(u)
 
 
-def lattice_gap(u, env, index):
-    """Gamma_D - u at ``u.values[index]``, ``index`` a tuple of u's per-axis
-    index arrays, both read off their lattices: u's index k is ``env``'s
-    k - first, and Gamma_D is zero outside B_3, off ``env``'s lattice too."""
+def lattice_gap(env, index):
+    """Gamma_D - u at ``u.values[index]``, u the envelope's field and
+    ``index`` a tuple of u's per-axis index arrays, both read off their
+    lattices: u's index k is ``env``'s k - first, and Gamma_D is zero
+    outside B_3, off ``env``'s lattice too."""
     on, at = True, []
     for k, f, ax in zip(index, env.first, env.axes):
         on = on & (k >= f) & (k < f + len(ax))
         at.append(np.clip(k - f, 0, len(ax) - 1))
-    return np.where(on, env.values[tuple(at)], 0.0) - u.values[index]
+    return np.where(on, env.values[tuple(at)], 0.0) - env.field.values[index]
 
 
-def contact_set(u, env):
-    """u's lattice points in B_1 where Gamma_D - u <= default_contact_tol
-    (``lattice_gap``).
+def contact_set(env):
+    """The lattice points in B_1 of the envelope's field u where
+    Gamma_D - u <= default_contact_tol (``lattice_gap``).
 
     Returns (points, degenerate): degenerate when every lattice point of
     B_1 touches.
     """
-    tol = default_contact_tol(u, env)
-    axes = u.axes()
+    tol = default_contact_tol(env)
+    axes = env.field.axes()
     # per axis, the lattice indices within [-1, 1]
     near = [np.flatnonzero(np.abs(ax) <= 1.0 + 1e-9) for ax in axes]
     sub = [ax[k] for ax, k in zip(axes, near)]
     ball = np.sqrt(sum(g ** 2 for g in np.ix_(*sub))) <= 1.0 + 1e-9
-    touch = ball & (lattice_gap(u, env, np.ix_(*near)) <= tol)
+    touch = ball & (lattice_gap(env, np.ix_(*near)) <= tol)
     pts = np.column_stack([x[k] for x, k in zip(sub, np.nonzero(touch))])
     return pts, bool(touch[ball].all())
 
 
-def default_contact_tol(u, env):
-    """2 * (grid spacing) * Lip(envelope): hull vertices rarely sit on
-    lattice points, so one cell of slack is needed on each side."""
-    h = float(np.max(u.h))
+def default_contact_tol(env):
+    """2 * (the field's grid spacing) * Lip(envelope): hull vertices
+    rarely sit on lattice points, so one cell of slack is needed on each
+    side."""
+    h = float(np.max(env.field.h))
     return max(2.0 * h * env.lipschitz(), 1e-12)

@@ -172,18 +172,20 @@ def sigma_sweep(measured, flagged):
     return result
 
 
-def kernel_modulus_check(kernel, profile, tau0, h_scales, c0, seed):
+def kernel_modulus_check(kernel, tau0, h_scales, c0, seed):
     """Translation-difference integral outside B_tau0, per shift
     h = s tau0 e_1 for s in ``h_scales``.
 
     Checks int_{R^n \\ B_tau0} |K(y) - K(y - h)| / |h| dy <= c0 + error.
     Euclidean dyadic shells carry the Monte Carlo; the remainder beyond
-    the last shell is bounded by the gradient-tail estimate.  Scales with
-    no nonzero entry leave nothing to check, a PreconditionError.
+    the last shell is bounded by the gradient-tail estimate of the
+    kernel's profile, with its Lambda as the multiplier bound.  Scales
+    with no nonzero entry leave nothing to check, a PreconditionError.
     """
     if not any(h_scales):
         raise PreconditionError(
             f"no nonzero shift to check: h_scales {h_scales}")
+    profile = kernel.profile
     n = profile.n
     h_samples = [np.concatenate([[s * tau0], np.zeros(n - 1)])
                  for s in h_scales]

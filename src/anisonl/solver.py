@@ -19,7 +19,7 @@ The extremal operators M^-+_h u = a L_h u -+ b |L|_h u belong to the
 class, not to a family: they read the lattice of the class's base kernel
 PowerLawKernel(profile, 1), which each problem builds on first use.  The
 solver takes families m_ab K, m_ab > 0, for one base kernel K: constant
-multiples of power-law kernels of the problem's profile, which share the
+multiples of power-law kernels of the problem's orders, which share the
 problem's lattice, or one member of any other kernel with positive
 multiplier bounds, its own base (m = 1) on a lattice of its own; it
 refuses any other family.  Then I_h u = phi(L_K u) with phi(r) = min_a
@@ -120,16 +120,20 @@ def _cell_weights(kernel, centers, h, level):
     return np.mean(vals, axis=1) * vol
 
 
-def assemble_weights(kernel, h, profile, window):
+def assemble_weights(kernel, h, window):
     """Per-offset operator weights (2x cell integrals) and the tail mass.
 
     Weights are computed on the canonical half of the offsets, grouped by
     refinement level, and mirrored, so w(-y) = w(y) holds exactly.  The
     tail reaction weight models the kernel mass beyond the window via the
-    closed-form gauge-tail bracket.
+    closed-form gauge-tail bracket of the kernel's own orders.
     """
+    profile = kernel.profile
     h = np.atleast_1d(np.asarray(h, dtype=float))
     n = h.size
+    if n != profile.n:
+        raise ValueError(f"{n} grid spacings for a kernel in dimension "
+                         f"{profile.n}")
     if np.any(h <= 0):
         raise ValueError("grid spacing must be positive")
     off = lattice_offsets(n, window)
@@ -176,7 +180,7 @@ class Lattice:
     def __init__(self, problem, kernel):
         p = problem
         self.offsets, self.weights, self.tail = assemble_weights(
-            kernel, p.h, p.profile, p.window)
+            kernel, p.h, p.window)
         self.diag = float(np.sum(self.weights)) + self.tail
         self.shape = p.shape
         # lattice points of the box, one row per point in C order
@@ -251,19 +255,23 @@ class Lattice:
 def _base_lattice(problem):
     """The lattice of the base kernel K and the (alpha, beta) multipliers
     m of a family of members m_ab K, m_ab > 0: the problem's own when K is
-    the class's base, else a new one; any other family is refused."""
+    the class's base, else a new one; any other family is refused.  A
+    power-law kernel depends on n and sigma alone, so a member of the
+    problem's orders is a multiple of the class's base kernel, whichever
+    profile object it holds."""
     rows = problem.family.members
     for a, row in enumerate(rows):
         for b, k in enumerate(row):
             if type(k) is not PowerLawKernel or callable(k.multiplier) \
-                    or k.profile is not problem.profile or k.mult_lo <= 0.0:
+                    or k.profile.sigma != problem.profile.sigma \
+                    or k.mult_lo <= 0.0:
                 if len(rows) == len(row) == 1 and k.mult_lo > 0.0:
                     return Lattice(problem, k), np.ones((1, 1))
                 raise ValueError(
                     f"member ({a}, {b}), a {type(k).__name__} with "
                     f"multiplier bounds [{k.mult_lo}, {k.mult_hi}], is not "
                     "a positive constant multiple of a power-law kernel of "
-                    "the problem's profile; the lattice solver takes only "
+                    "the problem's orders; the lattice solver takes only "
                     "such families, or one member with positive bounds")
     m = np.array([[k.mult_lo for k in row] for row in rows])
     return problem.lattice, m
@@ -360,7 +368,7 @@ def dense_matrix(problem, member=(0, 0)):
     """
     p = problem
     kernel = p.family.members[member[0]][member[1]]
-    off, w, tail = assemble_weights(kernel, p.h, p.profile, p.window)
+    off, w, tail = assemble_weights(kernel, p.h, p.window)
     size = int(np.prod(p.shape))
     rows = np.arange(size)
     multi = np.indices(p.shape).reshape(len(p.shape), size).T
@@ -385,7 +393,15 @@ def discrete_extremal(problem: DiscreteProblem, u):
 
     With a = (Lambda + lambda) / 2 and b = (Lambda - lambda) / 2, M^-+_h u
     = a L_h u -+ b |L|_h u, from the pair sums of the class's base lattice.
+    ``u`` must lie on that lattice: its box and shape are the problem's.
     """
+    if u.values.shape != problem.shape or not (
+            np.array_equal(u.lo, problem.lo)
+            and np.array_equal(u.hi, problem.hi)):
+        raise ValueError(
+            f"the field's lattice is not the problem's: {u.values.shape} "
+            f"points on {u.lo} to {u.hi}, not {problem.shape} on "
+            f"{problem.lo} to {problem.hi}")
     lin, mag = problem.lattice.pair_sums(u)
     a = 0.5 * (problem.profile.lambda_hi + problem.profile.lambda_lo)
     b = 0.5 * (problem.profile.lambda_hi - problem.profile.lambda_lo)

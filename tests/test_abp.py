@@ -154,9 +154,9 @@ def test_detachment_rejects_bad_k(prof2):
 def test_cover_single_contact_instance(prof2):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u))
+    cover = abp_cover(concave_envelope(u), f, prof2)
     assert 1 <= len(cover.rectangles) <= 8
-    rep = verify_cover(cover, prof2)
+    rep = verify_cover(cover)
     assert rep["disjoint"] and rep["contact_covered"]
     assert rep["all_meet_contact"] and rep["diameter_ok"]
 
@@ -164,9 +164,9 @@ def test_cover_single_contact_instance(prof2):
 def test_cover_concave_cap_instance(prof2):
     u = flat_top_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u))
+    cover = abp_cover(concave_envelope(u), f, prof2)
     assert len(cover.rectangles) >= 10
-    rep = verify_cover(cover, prof2)
+    rep = verify_cover(cover)
     assert rep["disjoint"] and rep["contact_covered"]
     assert rep["all_meet_contact"] and rep["diameter_ok"]
     assert rep["varsigma_measured"] > 0.0
@@ -176,8 +176,8 @@ def test_cover_concave_cap_instance(prof2):
 def test_cover_mixed_orders(prof2_mixed):
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2_mixed, concave_envelope(u))
-    rep = verify_cover(cover, prof2_mixed)
+    cover = abp_cover(concave_envelope(u), f, prof2_mixed)
+    rep = verify_cover(cover)
     assert rep["disjoint"] and rep["contact_covered"] and rep["diameter_ok"]
 
 
@@ -186,8 +186,8 @@ def test_cover_sup_bound_chain(prof2):
     for field_maker in (polyhedral_cap_field, flat_top_cap_field):
         u = field_maker()
         f = const_field(8.0)
-        cover = abp_cover(u, f, prof2, concave_envelope(u))
-        rep = verify_cover(cover, prof2)
+        cover = abp_cover(concave_envelope(u), f, prof2)
+        rep = verify_cover(cover)
         sup_u = float(np.max(u.values))
         rhs = rep["sup_u_bound_sum"] ** (1.0 / prof2.n)
         assert rhs > 0
@@ -202,7 +202,7 @@ def test_cover_depth_cap_diagnostic(monkeypatch, prof2):
     monkeypatch.setattr(abp, "VARSIGMA", 5.0)
     monkeypatch.setattr(abp, "DEPTH_CAP", 1)
     with pytest.raises(CoverDepthError) as err:
-        abp_cover(u, f, prof2, concave_envelope(u))
+        abp_cover(concave_envelope(u), f, prof2)
     assert len(err.value.chain) == 2     # gen 0 and gen 1
     assert err.value.gen == 1
     assert np.array_equal(err.value.width, 2.0 * tile_half_widths(prof2, 1))
@@ -229,7 +229,7 @@ def test_degenerate_tiles_name_generation_and_width(prof2):
     assert (0, 0) in _tiles_for_points(prof2, np.zeros((1, 2)), gen)
     u = polyhedral_cap_field(shape=33)
     with pytest.raises(DegenerateTileError) as err:
-        _eval_rect(u, concave_envelope(u), const_field(8.0),
+        _eval_rect(concave_envelope(u), const_field(8.0),
                    CoverRectangle(gen, (0, 0), prof2), np.zeros((1, 2)))
     assert err.value.gen == gen
 
@@ -253,7 +253,7 @@ def test_cover_rejects_positive_exterior(prof2):
                                   [-2.0, -2.0], [2.0, 2.0], (17, 17), 1.0)
     f = const_field(1.0)
     with pytest.raises(ValueError):
-        abp_cover(bad, f, prof2, concave_envelope(bad))
+        abp_cover(concave_envelope(bad), f, prof2)
 
 
 def test_w_k_symmetry_on_symmetric_instance(prof2):
@@ -276,7 +276,7 @@ def test_cover_dump_json_ready(prof2):
     import json
     u = polyhedral_cap_field()
     f = const_field(8.0)
-    cover = abp_cover(u, f, prof2, concave_envelope(u))
+    cover = abp_cover(concave_envelope(u), f, prof2)
     from anisonl.abp import cover_dump
     dump = cover_dump(cover)
     text = json.dumps(dump)
@@ -294,7 +294,7 @@ def cap_cover(grid, f_const, sigma=(1.0, 1.5)):
     u = GridField.from_function(cap, [-2.0] * 2, [2.0] * 2, (grid,) * 2,
                                 0.0)
     env = concave_envelope(u)
-    return u, env, abp_cover(u, const_field(f_const), prof, env)
+    return u, env, abp_cover(env, const_field(f_const), prof)
 
 
 def mc_detach_measure(u, env, rect, draws, rng):
@@ -350,7 +350,7 @@ def test_eval_rect_reads_only_the_block_of_c_r_tilde(prof2):
     assert np.prod(np.floor(width / u.h) + 2) <= 13 ** 2
     tracemalloc.start()
     try:
-        rec = _eval_rect(u, env, f, rect, np.zeros((1, 2)))
+        rec = _eval_rect(env, f, rect, np.zeros((1, 2)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,9 +376,9 @@ def test_detachment_refuses_a_box_the_lattice_cannot_resolve(prof2):
     u = polyhedral_cap_field()
     env = concave_envelope(u)
     f = const_field(8.0)
-    _eval_rect(u, env, f, CoverRectangle(1, (0, 0), prof2), np.zeros((1, 2)))
+    _eval_rect(env, f, CoverRectangle(1, (0, 0), prof2), np.zeros((1, 2)))
     with pytest.raises(DegenerateTileError) as err:
-        _eval_rect(u, env, f, CoverRectangle(2, (0, 0), prof2),
+        _eval_rect(env, f, CoverRectangle(2, (0, 0), prof2),
                    np.zeros((1, 2)))
     assert err.value.gen == 2
     assert str(err.value).startswith(
@@ -387,5 +387,5 @@ def test_detachment_refuses_a_box_the_lattice_cannot_resolve(prof2):
     u1 = GridField.from_function(lambda p: 0.5 - p[:, 0] ** 2, [-2.0],
                                  [2.0], (65,), -3.5)
     with pytest.raises(abp.CoverError, match="past the field's lattice"):
-        _eval_rect(u1, concave_envelope(u1), const_field(8.0, 1),
+        _eval_rect(concave_envelope(u1), const_field(8.0, 1),
                    CoverRectangle(0, (0,), wide), np.zeros((1, 1)))

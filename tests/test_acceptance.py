@@ -232,8 +232,8 @@ def test_acceptance_5_abp():
     ok = True
     details = []
     for i, (u, pp) in enumerate(instances):
-        cover = abp_cover(u, f_const(8.0), pp, concave_envelope(u))
-        rep = verify_cover(cover, pp)
+        cover = abp_cover(concave_envelope(u), f_const(8.0), pp)
+        rep = verify_cover(cover)
         good = (rep["disjoint"] and rep["contact_covered"]
                 and rep["all_meet_contact"] and rep["diameter_ok"])
         ok &= good
@@ -284,9 +284,9 @@ def test_acceptance_6_coverings():
     cz_ok = True
     for gen in (4, 5, 6):
         m = 2 ** gen
-        b = CellSet(2, gen, np.ones((m, m), dtype=bool))
+        b = CellSet(np.ones((m, m), dtype=bool))
         mask = rng.random((m, m)) < 0.25
-        a = CellSet(2, gen, mask)
+        a = CellSet(mask)
         res = cz_decompose(a, b, 0.5)
         cz_ok &= res.covered and res.certified
         cz_ok &= a.measure <= 0.5 * res.c_measured * b.measure + 1e-12

@@ -23,10 +23,23 @@ def linear_family(points, t=None):
 
 def cell_set(n, gen, cells):
     """The CellSet of the listed generation-``gen`` cells."""
-    out = CellSet(n, gen, np.zeros((2 ** gen,) * n, dtype=bool))
+    out = CellSet(np.zeros((2 ** gen,) * n, dtype=bool))
     for c in cells:
         out.mask[tuple(c)] = True
     return out
+
+
+@pytest.mark.parametrize("shape, n, gen", [
+    ((1,), 1, 0), ((8, 8), 2, 3), ((4, 4, 4), 3, 2)])
+def test_cell_set_reads_dimension_and_generation_off_its_mask(shape, n, gen):
+    cells = CellSet(np.zeros(shape, dtype=bool))
+    assert (cells.n, cells.gen, cells.m) == (n, gen, shape[0])
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 3), (4, 8), (6,)])
+def test_cell_set_refuses_a_mask_of_no_generation(shape):
+    with pytest.raises(ValueError, match=r"\(2\^G,\) \* n"):
+        CellSet(np.zeros(shape, dtype=bool))
 
 
 def covered_by_boxes(cells, box_lo, box_hi):
@@ -131,8 +144,8 @@ def test_dyadic_tilde_law(aniso2):
 
 
 def test_cz_empty_a():
-    b = CellSet(2, 3, np.ones((8, 8), dtype=bool))
-    a = CellSet(2, 3, np.zeros((8, 8), dtype=bool))
+    b = CellSet(np.ones((8, 8), dtype=bool))
+    a = CellSet(np.zeros((8, 8), dtype=bool))
     res = cz_decompose(a, b, 0.5)
     assert res.gen.shape == (0,) and res.index.shape == (0, 2)
     assert res.box_lo.shape == res.box_hi.shape == (0, 2)
@@ -154,9 +167,9 @@ def test_cz_random_fraction(rng):
     delta = 0.5
     gen = 6
     m = 2 ** gen
-    b = CellSet(2, gen, np.ones((m, m), dtype=bool))
+    b = CellSet(np.ones((m, m), dtype=bool))
     mask = rng.random((m, m)) < delta / 2.0
-    a = CellSet(2, gen, mask)
+    a = CellSet(mask)
     res = cz_decompose(a, b, delta)
     assert res.covered
     assert res.certified
@@ -170,7 +183,7 @@ def test_cz_relabeling_invariance(rng):
     m = 2 ** gen
     cells = [(i, j) for i in range(m) for j in range(m)
              if rng.random() < 0.2]
-    b = CellSet(2, gen, np.ones((m, m), dtype=bool))
+    b = CellSet(np.ones((m, m), dtype=bool))
     a1 = cell_set(2, gen, cells)
     perm = list(cells)
     rng.shuffle(perm)
@@ -188,9 +201,9 @@ def test_cz_density_properties_exact(rng):
     delta = 0.4
     gen = 5
     m = 2 ** gen
-    b = CellSet(2, gen, np.ones((m, m), dtype=bool))
+    b = CellSet(np.ones((m, m), dtype=bool))
     mask = rng.random((m, m)) < delta / 3.0
-    a = CellSet(2, gen, mask)
+    a = CellSet(mask)
     res = cz_decompose(a, b, delta)
     assert len(res.gen) > 0
     for lo, hi in zip(res.box_lo, res.box_hi):
@@ -220,7 +233,7 @@ def test_overlap_measure_matches_per_cell_sum(n, gen):
     A's cells of the product of their per-axis interval overlaps."""
     rng = np.random.default_rng(n)
     m = 2 ** gen
-    a = CellSet(n, gen, rng.random((m,) * n) < 0.4)
+    a = CellSet(rng.random((m,) * n) < 0.4)
     for _ in range(5):
         lo = rng.uniform(-0.2, 0.6, size=(n, 2))
         hi = lo + rng.uniform(0.1, 0.8, size=(n, 2))
@@ -253,8 +266,8 @@ def test_cz_witness_is_plain_integers():
     tuple of int indices, and the message prints them as Python does."""
     profile = AnisotropyProfile(2, (1.0, 1.5))
     rng = np.random.default_rng(0)
-    a = CellSet(2, 5, rng.random((32, 32)) < 0.25)
-    b = CellSet(2, 5, np.ones((32, 32), dtype=bool))
+    a = CellSet(rng.random((32, 32)) < 0.25)
+    b = CellSet(np.ones((32, 32), dtype=bool))
     with pytest.raises(CzHypothesisError) as err:
         cz_decompose(a, b, 0.5, profile)
     assert type(err.value.gen) is int and err.value.gen == 5
@@ -270,8 +283,8 @@ def test_cz_peak_memory_per_selected_cube():
     the lattice passes; Python objects per cube bring it to about 650 B."""
     rng = np.random.default_rng(0)
     m = 2 ** 9
-    a = CellSet(2, 9, rng.random((m, m)) < 0.25)
-    b = CellSet(2, 9, np.ones((m, m), dtype=bool))
+    a = CellSet(rng.random((m, m)) < 0.25)
+    b = CellSet(np.ones((m, m), dtype=bool))
     tracemalloc.start()
     try:
         res = cz_decompose(a, b, 0.5)
@@ -288,7 +301,7 @@ def test_box_measures_peak_memory_per_cell():
     lattice cell at 2D generation 10 with the generation-10 boxes, where
     the gathered temporaries of an out-of-place combination take 48 B."""
     rng = np.random.default_rng(0)
-    a = CellSet(2, 10, rng.random((2 ** 10,) * 2) < 0.25)
+    a = CellSet(rng.random((2 ** 10,) * 2) < 0.25)
     lo, hi = tilde_boxes(2, 10, None)
     tracemalloc.start()
     try:
@@ -300,13 +313,13 @@ def test_box_measures_peak_memory_per_cell():
 
 
 def test_cz_rejects_bad_inputs(rng):
-    b = CellSet(2, 2, np.ones((4, 4), dtype=bool))
+    b = CellSet(np.ones((4, 4), dtype=bool))
     a = cell_set(2, 2, [(0, 0)])
     with pytest.raises(ValueError):
         cz_decompose(a, b, 1.0)
     with pytest.raises(ValueError):
         cz_decompose(a, b, 0.0)
-    big = CellSet(2, 2, np.ones((4, 4), dtype=bool))
+    big = CellSet(np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
         cz_decompose(big, b, 0.5)       # |A| > delta
     a3 = cell_set(2, 3, [(0, 0)])
@@ -323,9 +336,9 @@ def test_cz_anisotropic_tilde_flags(aniso2, rng):
     # vacuous for deep cells; the result reports rather than certifies
     gen = 5
     m = 2 ** gen
-    b = CellSet(2, gen, np.ones((m, m), dtype=bool))
+    b = CellSet(np.ones((m, m), dtype=bool))
     mask = rng.random((m, m)) < 0.05
-    a = CellSet(2, gen, mask)
+    a = CellSet(mask)
     try:
         res = cz_decompose(a, b, 0.5, profile=aniso2)
         assert res.covered or res.vacuous_cells > 0
@@ -434,7 +447,7 @@ def test_cz_matches_depth_first_walk(rng):
         profile = (None, AnisotropyProfile(n, (1.0,) * n),
                    AnisotropyProfile(n, tuple(rng.uniform(0.1, 1.99, n))))[
             trial // 8 % 3]
-        a, b = CellSet(n, gen, a_mask), CellSet(n, gen, b_mask)
+        a, b = CellSet(a_mask), CellSet(b_mask)
         got = cz_outcome(cz_decompose, a, b, delta, profile)
         assert got == cz_outcome(depth_first_cz, a, b, delta, profile)
         kinds[got[0], got[0] == "result" and len(got[1][0]) > 0] += 1
@@ -453,8 +466,8 @@ def test_box_measures_once_per_set_and_generation(monkeypatch, rng):
 
     monkeypatch.setattr(CellSet, "box_measures", counted)
     gen = 6
-    a = CellSet(2, gen, rng.random((2 ** gen,) * 2) < 0.2)
-    b = CellSet(2, gen, np.ones_like(a.mask))
+    a = CellSet(rng.random((2 ** gen,) * 2) < 0.2)
+    b = CellSet(np.ones_like(a.mask))
     res = cz_decompose(a, b, 0.5)
     assert len(res.gen) > 0
     assert len(seen) <= 2 * (gen + 1)

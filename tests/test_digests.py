@@ -10,7 +10,6 @@ moved entry says to rerun the table, not that the change is at fault.
 ``python tests/test_digests.py`` prints the table of the running code.
 """
 
-import functools
 import hashlib
 import os
 import platform
@@ -83,7 +82,6 @@ def stack():
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-@functools.cache
 def read_table():
     """(header, {name: (results digest, data digest)}): the header is
     the ``key value`` pairs of the ``#`` lines."""
@@ -105,23 +103,31 @@ def output_digests(name, out_dir):
                  for f in ("results.json", "data.csv"))
 
 
-MOVED = {}
+@pytest.fixture(scope="module")
+def table():
+    return read_table()
 
 
-def test_table_lists_every_config():
-    assert sorted(read_table()[1]) == sorted(CONFIGS)
+@pytest.fixture(scope="module")
+def moved():
+    """The entries moved so far in the run: each failure lists them all."""
+    return {}
+
+
+def test_table_lists_every_config(table):
+    assert sorted(table[1]) == sorted(CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_the_table(tmp_path, name):
-    header, recorded = read_table()
+def test_outputs_match_the_table(tmp_path, table, moved, name):
+    header, recorded = table
     got = output_digests(name, tmp_path)
     if got != recorded.get(name):
-        MOVED[name] = got
+        moved[name] = got
         running = stack()
         pytest.fail(
             "moved entries (name, results.json, data.csv):\n"
-            + "".join(f"{k} {r} {d}\n" for k, (r, d) in sorted(MOVED.items()))
+            + "".join(f"{k} {r} {d}\n" for k, (r, d) in sorted(moved.items()))
             + "table header against the running stack:\n"
             + "".join(f"  {key}: {header.get(key)} / {value}\n"
                       for key, value in running.items())

@@ -53,7 +53,7 @@ def test_tent_envelope_two_lines():
 def test_tent_contact_is_origin():
     u = tent_field()
     env = concave_envelope(u)
-    pts, degen = contact_set(u, env)
+    pts, degen = contact_set(env)
     assert not degen
     # the peak is in the set; the tolerance may admit its direct neighbours
     assert np.min(np.abs(pts[:, 0])) == pytest.approx(0.0)
@@ -63,7 +63,7 @@ def test_tent_contact_is_origin():
 def test_shifted_tent_contact():
     u = tent_field(peak=0.3, steep=2.0, shape=401)
     env = concave_envelope(u)
-    pts, _ = contact_set(u, env)
+    pts, _ = contact_set(env)
     assert pts.shape[0] >= 1
     assert np.all(np.abs(pts[:, 0]) <= 1.0 + 1e-9)
     assert np.min(np.abs(pts[:, 0] - 0.3)) < 1e-9
@@ -362,7 +362,7 @@ def test_contact_degenerate_flag():
     u = GridField.from_function(lambda p: 0.0 * p[:, 0], [-4.0], [4.0],
                                 (65,), 0.0)
     env = concave_envelope(u)
-    pts, degen = contact_set(u, env)
+    pts, degen = contact_set(env)
     # every lattice point of B_1 touches, and only those are returned
     assert degen and pts.shape[0] == 17
     assert np.all(np.abs(pts[:, 0]) <= 1.0)
@@ -373,13 +373,13 @@ def test_contact_set_is_the_cover_contact_set_in_three_dimensions():
     are both about 0: the contact set still holds B_1's lattice points
     only, the set the ABP cover covers."""
     u, env = _cap_3d(33)
-    pts, degen = contact_set(u, env)
+    pts, degen = contact_set(env)
     assert not degen and pts.shape == (57, 3)
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.0 + 1e-9)
     f = GridField.from_function(lambda p: np.full(p.shape[0], 8.0),
                                 [-2.0] * 3, [2.0] * 3, (5,) * 3, 8.0)
     prof = AnisotropyProfile(3, (1.0, 1.5, 1.2), rho0=0.05, frak_c=2)
-    cover = abp_cover(u, f, prof, env)
+    cover = abp_cover(env, f, prof)
     assert np.array_equal(cover.contact_points, pts)
 
 
@@ -390,7 +390,7 @@ def test_lattice_gap_beyond_the_envelope_lattice():
     u = GridField.from_function(lambda p: 1.0 - p[:, 0] ** 2, [-4.0], [4.0],
                                 (65,), -15.0)
     env = concave_envelope(u)
-    gap = lattice_gap(u, env, (np.arange(65),))
+    gap = lattice_gap(env, (np.arange(65),))
     far = np.abs(u.axes()[0]) > 3.0
     assert np.count_nonzero(far) == 16
     assert np.array_equal(gap[far], -u.values[far])
@@ -404,7 +404,7 @@ def test_contact_set_memory_is_below_the_field():
     u, env = _cap_3d(65)
     tracemalloc.start()
     try:
-        contact_set(u, env)
+        contact_set(env)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -307,7 +307,7 @@ def test_sweep_without_measured_row_raises():
 
 def test_kernel_modulus_zero_shift(iso1_ell):
     k = PowerLawKernel(iso1_ell, 1.0)
-    res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
+    res = kernel_modulus_check(k, tau0=0.5,
                                h_scales=[0.0, 0.1], c0=100.0, seed=3)
     assert res.rows[0] == (0.0, 0.0, 0.0) and res.passed
 
@@ -317,14 +317,14 @@ def test_kernel_modulus_without_nonzero_shift(iso1_ell, scales):
     # the scales are named as they were passed
     k = PowerLawKernel(iso1_ell, 1.0)
     with pytest.raises(PreconditionError) as err:
-        kernel_modulus_check(k, iso1_ell, 0.5, scales, c0=100.0, seed=3)
+        kernel_modulus_check(k, 0.5, scales, c0=100.0, seed=3)
     assert str(err.value) == f"no nonzero shift to check: h_scales {scales}"
 
 
 def test_kernel_modulus_smooth_finite_ratio(monkeypatch, iso1_ell):
     monkeypatch.setattr(experiments, "MODULUS_NODES", 40000)
     k = PowerLawKernel(iso1_ell, 1.0)
-    res = kernel_modulus_check(k, iso1_ell, tau0=0.5,
+    res = kernel_modulus_check(k, tau0=0.5,
                                h_scales=[0.04, 0.08], c0=1e4, seed=3)
     vals = [r[1] for r in res.rows]
     # difference quotient has a finite limit: the two integrals agree
@@ -342,12 +342,12 @@ def test_kernel_modulus_jump_kernel_fails(monkeypatch, iso1_ell):
     # (the jump alone contributes 2 dK = 2 (Lam-lam) c_sigma at |y| = 1)
     tight_c0 = 4.5
     monkeypatch.setattr(experiments, "MODULUS_NODES", 120000)
-    ok = kernel_modulus_check(smooth, iso1_ell, tau0, [0.02], c0=tight_c0,
+    ok = kernel_modulus_check(smooth, tau0, [0.02], c0=tight_c0,
                               seed=3)
     assert ok.passed
-    verdict = kernel_modulus_check(jump, iso1_ell, tau0, [0.02],
+    verdict = kernel_modulus_check(jump, tau0, [0.02],
                                    c0=tight_c0, seed=3)
     assert not verdict.passed
     assert verdict.rows[0][1] > ok.rows[0][1] + 0.8
     with pytest.raises(ValueError):
-        kernel_modulus_check(smooth, iso1_ell, tau0, [0.6], c0=1.0, seed=3)
+        kernel_modulus_check(smooth, tau0, [0.6], c0=1.0, seed=3)

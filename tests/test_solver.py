@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -29,7 +30,7 @@ def prob1(iso1):
 
 def test_weights_symmetric_nonnegative(iso1):
     k = PowerLawKernel(iso1, 1.0)
-    off, w, tail = assemble_weights(k, np.array([0.0625]), iso1, 32)
+    off, w, tail = assemble_weights(k, np.array([0.0625]), 32)
     key = {tuple(o): i for i, o in enumerate(off)}
     for i, o in enumerate(off):
         assert w[i] == w[key[tuple(-o)]]
@@ -40,7 +41,7 @@ def test_weights_far_field_scaling(iso1):
     # far offsets: w ~ 2 h |y|^-2 for the 1-D unit-multiplier kernel
     h = np.array([0.0625])
     k = PowerLawKernel(iso1, 1.0)
-    off, w, _ = assemble_weights(k, h, iso1, 64)
+    off, w, _ = assemble_weights(k, h, 64)
     for j in (20, 40, 60):
         idx = int(np.nonzero(off[:, 0] == j)[0][0])
         y = j * h[0]
@@ -247,7 +248,7 @@ def test_assembly_matches_cell_weight_loop(dim, iso1_ell, aniso2):
                PowerLawKernel(prof, lambda y: 1.5 + 0.5 * np.cos(y[:, 0]),
                               1.0, 2.0)]
     for k in kernels:
-        off, w, _ = assemble_weights(k, h, prof, window)
+        off, w, _ = assemble_weights(k, h, window)
         off_ref, w_ref = _loop_weights(k, h, prof, window)
         assert np.array_equal(off, off_ref)
         assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-15
@@ -560,3 +561,68 @@ def test_quotient_on_an_unsolved_problem(iso1_ell):
     got = harnack_quotient(u, 1.0, fresh).scalars
     assert got == harnack_quotient(u, 1.0, solved).scalars
     assert got["u0"] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("change", [{}, {"lambda_lo": 0.5},
+                                    {"lambda_hi": 3.0}, {"rho0": 0.01}],
+                         ids=["equal", "lambda", "Lambda", "rho0"])
+def test_class_membership_is_by_value(aniso2, change):
+    """A power-law kernel depends on n and sigma alone: the extremal pair
+    of a profile q with the problem's orders, another object than the
+    problem's profile (equal to it, or not in lambda, Lambda or rho0),
+    shares the class lattice and solves bit for bit as the same
+    multipliers on the problem's own profile object."""
+    q = dataclasses.replace(aniso2, **change)
+    assert q is not aniso2 and q.sigma == aniso2.sigma
+    box = ((-1.0, -1.0), (1.0, 1.0), (9, 9))
+    ext = AffineExterior(0.3, (0.5, -0.2))
+    prob = DiscreteProblem(aniso2, *box, KernelFamily.extremal_pair(q), ext)
+    assert AssembledOperator(prob).lattice is prob.lattice
+    same = DiscreteProblem(aniso2, *box, KernelFamily([[
+        PowerLawKernel(aniso2, q.lambda_lo),
+        PowerLawKernel(aniso2, q.lambda_hi)]]), ext)
+    got, report = solve_dirichlet(prob)
+    want, _ = solve_dirichlet(same)
+    assert report.converged
+    assert np.array_equal(got.values, want.values)
+
+
+def test_member_of_other_orders_keeps_its_own_tail(aniso2):
+    """One member of orders (0.5, 0.5) on a sigma = (1, 1.5) problem: its
+    lattice is assembled with its own orders, so its tail is that of a
+    problem whose profile is the member's (8.141, where the problem's
+    orders give 0.868), and the dense oracle agrees with the FFT solve."""
+    q = isotropic(2, 0.5)
+    box = ((-1.0, -1.0), (1.0, 1.0), (9, 9))
+    ext = AffineExterior(0.3, (0.5, -0.2))
+    member = KernelFamily([[PowerLawKernel(q, 1.0)]])
+    prob = DiscreteProblem(aniso2, *box, member, ext, tolerance=1e-10)
+    own = DiscreteProblem(q, *box, member, ext)
+    tail = AssembledOperator(prob).lattice.tail
+    assert tail == own.lattice.tail
+    assert tail == pytest.approx(8.141, abs=1e-3)
+    A, b = dense_matrix(prob)
+    field, report = solve_dirichlet(prob)
+    assert report.converged
+    # |u - A^-1 b| <= residual * ||A^-1||_inf <= residual / tail
+    np.testing.assert_allclose(field.values.ravel(), np.linalg.solve(A, b),
+                               rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lo, hi, shape", [
+    ((-2.0, -2.0), (2.0, 2.0), (9, 9)),
+    ((-1.0, -1.5), (1.0, 1.0), (9, 9)),
+    ((-1.0, -1.0), (1.0, 1.5), (9, 9)),
+    ((-1.0, -1.0), (1.0, 1.0), (9, 7))], ids=["box", "lo", "hi", "shape"])
+def test_extremal_refuses_a_field_on_another_lattice(aniso2, lo, hi, shape):
+    """M^-+_h read u's values as the problem's lattice values: a field of
+    another box or shape is refused, by ``harnack_quotient`` too, rather
+    than measured as the wrong field."""
+    prob = DiscreteProblem(aniso2, (-1.0, -1.0), (1.0, 1.0), (9, 9),
+                           KernelFamily.extremal_pair(aniso2),
+                           ConstantExterior(0.0))
+    u = GridField(lo, hi, np.ones(shape), 1.0)
+    with pytest.raises(ValueError, match="is not the problem's"):
+        discrete_extremal(prob, u)
+    with pytest.raises(ValueError, match="is not the problem's"):
+        harnack_quotient(u, 1.0, prob)

@@ -9,8 +9,9 @@ is run by a command or named as an oracle, the CLI reads no private
 attribute and raises no failed hypothesis outside ``run``, every lemma
 check in ``tests/lemmas.py`` has a test that calls it, every
 defaulted parameter of the library is passed by a call in it or
-allowlisted with its reason, and no library function evaluates a grid
-field at its own lattice points."""
+allowlisted with its reason, no library function evaluates a grid
+field at its own lattice points, and none takes a value beside the object
+that already holds it."""
 
 import ast
 import importlib
@@ -869,6 +870,57 @@ def test_no_field_is_evaluated_at_its_own_lattice(name):
     spacing is not a power of two."""
     path = SOURCE / f"{name}.py"
     assert own_lattice_evals(ast.parse(path.read_text())) == []
+
+
+# parameter names of which the first holds the second: a kernel its
+# profile, an envelope its field, a cover and a rectangle their profile
+RESTATED_PAIRS = [("kernel", "profile"), ("env", "u"), ("cover", "profile"),
+                  ("rect", "profile")]
+
+
+def restated_arguments(tree):
+    """``function(holder, value)`` of each function that takes both names
+    of a restated pair, so that a caller can pass a value that its holder
+    contradicts."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        names = {a.arg for a in args.posonlyargs + args.args
+                 + args.kwonlyargs}
+        found += [f"{node.name}({', '.join(pair)})"
+                  for pair in RESTATED_PAIRS if set(pair) <= names]
+    return found
+
+
+RESTATED = """
+def both(kernel, h, profile):
+    pass
+
+def keyword(env, *, u=None):
+    pass
+
+def holder_only(cover, pts):
+    pass
+
+def value_only(u, profile):
+    pass
+"""
+
+
+def test_restated_argument_detector():
+    assert restated_arguments(ast.parse(RESTATED)) == [
+        "both(kernel, profile)", "keyword(env, u)"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_takes_a_value_beside_its_holder(name):
+    """A kernel carries its orders, an envelope its field, a cover and a
+    rectangle their profile: a function that takes the object reads the
+    value off it, so no caller can pass the two out of step."""
+    path = SOURCE / f"{name}.py"
+    assert restated_arguments(ast.parse(path.read_text())) == []
 
 
 # the library's random draws, each with the ROADMAP item that retires it
